@@ -17,7 +17,6 @@ from .measures import (
 )
 from .dualnorm import (
     DualNormResult,
-    HolderExponent,
     NumericError,
     dual_distance,
     dual_norm,

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .baserpf import Potential, build_rpf, check_hypotheses
+from .baserpf import ConstructionError, Potential, build_rpf, check_hypotheses
 from .disint import (
     DisintegratedMeasure,
     Observable,
@@ -108,7 +107,7 @@ _RANGES = {
     ("discretization", "fiber_atom_cap"): (lambda v: v >= 1, "fiber_atom_cap must be >= 1"),
     ("discretization", "compress_delta"): (lambda v: v > 0, "compress_delta must be > 0"),
     ("run", "max_iter"): (lambda v: v >= 1, "max_iter must be >= 1"),
-    ("run", "tol"): (lambda v: v > 0, "tol must be > 0"),
+    ("run", "tol"): (lambda v: v >= 0, "tol must be >= 0"),
     ("run", "correlation_n"): (lambda v: v >= 1, "correlation_n must be >= 1"),
     ("run", "mc_orbits"): (lambda v: v >= 2, "mc_orbits must be >= 2"),
     ("run", "mc_burn_in"): (lambda v: v >= 0, "mc_burn_in must be >= 0"),
@@ -145,9 +144,12 @@ def _parse_value(raw: str, typ, where: str):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError("expected a boolean")
-        return typ(raw)
+        val = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not np.isfinite(val):
+        raise ConfigError(f"{where}: value {raw!r} is not finite")
+    return val
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -473,11 +475,6 @@ def main(argv=None) -> int:
     parser.add_argument("--measure", help="measure JSON file (norms command)")
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("ERGODYKIT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     if args.command == "gallery":
         return cmd_gallery()
     if not args.config:
@@ -502,7 +499,7 @@ def main(argv=None) -> int:
                 return 2
             return cmd_norms(cfg, out_dir, args.measure)
         raise AssertionError("unreachable")
-    except ConfigError as exc:
+    except (ConfigError, ConstructionError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except NumericError as exc:

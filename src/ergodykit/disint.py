@@ -2,12 +2,10 @@
 
 A measure is stored as a marginal density over base cells (with respect to
 either the conformal measure nu or the invariant measure m) together with
-one atomic fiber measure per cell, attached at the cell midpoint.  For a
-positive measure the fibers are probabilities and the restriction to the
-leaf over cell j is phi1[j] * fiber[j]; signed measures produced by
-operator arithmetic store the per-cell restrictions directly (the
-restriction does not depend on the chosen decomposition, so this loses
-nothing).
+one atomic fiber measure per cell, attached at the cell midpoint.  The
+fiber over cell j is the restriction mu|_gamma of the measure to that
+leaf, positive and signed measures alike, and phi1[j] is its mass; a cell
+that carries nothing holds the zero measure.
 
 The four norms:
     L1   = sum_j nu_j * ||restriction_j||_o          (nu-referenced)
@@ -26,7 +24,7 @@ import numpy as np
 
 from .baserpf import RPFDiscretization, discrete_holder_constant
 from .dualnorm import _as_zeta, norm_value, distance_value
-from .measures import AtomicSignedMeasure, canonicalize, zero_measure
+from .measures import AtomicSignedMeasure, canonicalize
 
 __all__ = [
     "DisintegratedMeasure",
@@ -48,12 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisintegratedMeasure:
-    """Marginal density plus one fiber measure per base cell.
+    """Marginal density plus the fiber restriction over each base cell.
 
-    ``normalized`` selects the storage convention: True means fibers have
-    unit mass and the restriction over cell j is phi1[j] * fibers[j]
-    (positive measures and observable products); False means the fibers
-    are the restrictions themselves and phi1[j] equals their mass.
+    ``fibers[j]`` is the restriction mu|_gamma over cell j, and phi1[j]
+    is its mass (the operators compute the two separately, so they agree
+    to roundoff).  The serialized form keeps a ``"normalized"`` key, always
+    false; files with ``"normalized": true`` store unit-mass fibers and are
+    scaled by phi1 on reading.
     """
 
     x: np.ndarray
@@ -62,7 +61,6 @@ class DisintegratedMeasure:
     fibers: tuple[AtomicSignedMeasure, ...]
     reference: str  # "nu" | "m"
     zeta: float = 1.0
-    normalized: bool = True
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -85,15 +83,6 @@ class DisintegratedMeasure:
     def n(self) -> int:
         return int(self.x.size)
 
-    def restriction(self, j: int) -> AtomicSignedMeasure:
-        """The fiber restriction mu|_gamma over cell j."""
-        if self.normalized:
-            return float(self.phi1[j]) * self.fibers[j]
-        return self.fibers[j]
-
-    def restrictions(self) -> list[AtomicSignedMeasure]:
-        return [self.restriction(j) for j in range(self.n)]
-
     def total_mass(self) -> float:
         return float(np.dot(self.ref_masses, self.phi1))
 
@@ -103,8 +92,6 @@ class DisintegratedMeasure:
         return all(np.all(f.weights >= 0) for f in self.fibers)
 
     def scaled(self, c: float) -> "DisintegratedMeasure":
-        if self.normalized:
-            return replace(self, phi1=c * self.phi1)
         return replace(
             self, phi1=c * self.phi1, fibers=tuple(c * f for f in self.fibers)
         )
@@ -114,7 +101,7 @@ class DisintegratedMeasure:
             "n": self.n,
             "reference": self.reference,
             "zeta": self.zeta,
-            "normalized": self.normalized,
+            "normalized": False,
             "x": self.x.tolist(),
             "ref_masses": self.ref_masses.tolist(),
             "phi1": self.phi1.tolist(),
@@ -123,15 +110,17 @@ class DisintegratedMeasure:
 
     @staticmethod
     def from_dict(d: dict) -> "DisintegratedMeasure":
-        fibers = tuple(AtomicSignedMeasure.from_pairs(p) for p in d["fibers"])
+        phi1 = np.asarray(d["phi1"], dtype=float)
+        fibers = [AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]]
+        if d.get("normalized", True):  # unit-mass fibers: scale to restrictions
+            fibers = [float(p) * f for p, f in zip(phi1, fibers, strict=True)]
         return DisintegratedMeasure(
             x=np.asarray(d["x"], dtype=float),
             ref_masses=np.asarray(d["ref_masses"], dtype=float),
-            phi1=np.asarray(d["phi1"], dtype=float),
-            fibers=fibers,
+            phi1=phi1,
+            fibers=tuple(fibers),
             reference=d["reference"],
             zeta=d.get("zeta", 1.0),
-            normalized=d.get("normalized", True),
         )
 
 
@@ -214,7 +203,7 @@ def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     return float(
         sum(
-            rmj * norm_value(dm.restriction(j), z)
+            rmj * norm_value(dm.fibers[j], z)
             for j, rmj in enumerate(dm.ref_masses)
             if rmj > 0
         )
@@ -227,7 +216,7 @@ def linf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
         raise ValueError("linf_norm needs an m-referenced measure; convert first")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     vals = [
-        norm_value(dm.restriction(j), z)
+        norm_value(dm.fibers[j], z)
         for j in range(dm.n)
         if dm.ref_masses[j] > 0
     ]
@@ -271,47 +260,32 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         raise ValueError("disintegration Holder constant is defined for positive measures")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     idx = [j for j in range(dm.n) if dm.ref_masses[j] > 0]
-    restr = {j: dm.restriction(j) for j in idx}
     best = 0.0
     for a in range(len(idx)):
         i = idx[a]
         for b in range(a + 1, len(idx)):
             j = idx[b]
-            d = distance_value(restr[i], restr[j], z)
+            d = distance_value(dm.fibers[i], dm.fibers[j], z)
             best = max(best, d / abs(dm.x[i] - dm.x[j]) ** z)
     return best
 
 
 def multiply_observable(dm: DisintegratedMeasure, s) -> DisintegratedMeasure:
-    """The signed measure s * mu for a positive probability-fibered mu.
+    """The signed measure s * mu.
 
-    The new marginal is sbar(gamma_j) = integral of s(x_j, .) against the
-    restriction; each new fiber reweights the old atoms by s and is scaled
-    back to unit mass, so the restriction equals s restricted to the leaf.
-    Cells where sbar vanishes get the zero fiber.
+    Each restriction has its atoms reweighted by s(x_j, .), and the new
+    marginal phi1[j] is the mass of the reweighted restriction.
     """
-    if not dm.normalized:
-        raise ValueError("multiply_observable expects probability-fibered storage")
     fn = s.fn if isinstance(s, Observable) else s
-    new_phi1 = np.empty(dm.n)
+    new_phi1 = np.zeros(dm.n)
     new_fibers: list[AtomicSignedMeasure] = []
-    for j in range(dm.n):
-        fib = dm.fibers[j]
+    for j, fib in enumerate(dm.fibers):
         if fib.n_atoms == 0:
-            new_phi1[j] = 0.0
-            new_fibers.append(zero_measure())
+            new_fibers.append(fib)
             continue
         sv = np.asarray(fn(float(dm.x[j]), fib.positions), dtype=float)
-        z_j = float(np.dot(fib.weights, sv))
-        sbar = float(dm.phi1[j]) * z_j
-        if sbar == 0.0:
-            new_phi1[j] = 0.0
-            new_fibers.append(zero_measure())
-            continue
-        new_phi1[j] = sbar
-        new_fibers.append(
-            canonicalize(AtomicSignedMeasure(fib.positions, fib.weights * sv / z_j))
-        )
+        new_phi1[j] = float(np.dot(fib.weights, sv))
+        new_fibers.append(canonicalize(AtomicSignedMeasure(fib.positions, fib.weights * sv)))
     return replace(dm, phi1=new_phi1, fibers=tuple(new_fibers))
 
 
@@ -322,7 +296,7 @@ def integrate(dm: DisintegratedMeasure, g) -> float:
         rmj = float(dm.ref_masses[j])
         if rmj == 0.0:
             continue
-        total += rmj * _fiber_eval(g, float(dm.x[j]), dm.restriction(j))
+        total += rmj * _fiber_eval(g, float(dm.x[j]), dm.fibers[j])
     return total
 
 
@@ -334,7 +308,8 @@ def product_measure(
     reference: str = "m",
     zeta=1.0,
 ) -> DisintegratedMeasure:
-    """Constant-path disintegration: the same fiber over every cell."""
+    """Constant-path disintegration: dens[j] times the same probability
+    fiber over every cell."""
     if abs(fiber.total_mass() - 1.0) > 1e-10:
         raise ValueError("product_measure expects a probability fiber")
     dens = np.asarray(base_density, dtype=float)
@@ -345,10 +320,9 @@ def product_measure(
         x=rpf.x,
         ref_masses=ref.copy(),
         phi1=dens,
-        fibers=tuple([fiber] * rpf.n),
+        fibers=tuple(float(d) * fiber for d in dens),
         reference=reference,
         zeta=zeta,
-        normalized=True,
     )
 
 
@@ -357,9 +331,8 @@ def convert_reference(
 ) -> DisintegratedMeasure:
     """Re-express the marginal density with respect to the other reference.
 
-    The underlying measure is unchanged; densities divide or multiply by
-    the eigenfunction h (m = h nu), and restriction-stored fibers rescale
-    with them.
+    The underlying measure is unchanged; densities and restrictions
+    divide or multiply by the eigenfunction h (m = h nu).
     """
     if to not in ("nu", "m"):
         raise ValueError("target reference must be 'nu' or 'm'")
@@ -367,13 +340,9 @@ def convert_reference(
         return dm
     factor = 1.0 / rpf.h if to == "m" else rpf.h
     ref = rpf.nu if to == "nu" else rpf.m
-    phi1 = dm.phi1 * factor
-    if dm.normalized:
-        fibers = dm.fibers
-    else:
-        fibers = tuple(float(factor[j]) * dm.fibers[j] for j in range(dm.n))
+    fibers = tuple(float(c) * f for c, f in zip(factor, dm.fibers))
     return replace(
-        dm, phi1=phi1, fibers=fibers, ref_masses=ref.copy(), reference=to
+        dm, phi1=dm.phi1 * factor, fibers=fibers, ref_masses=ref.copy(), reference=to
     )
 
 
@@ -384,7 +353,7 @@ def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -
     for j in range(a.n):
         if a.ref_masses[j] <= 0:
             continue
-        best = max(best, distance_value(a.restriction(j), b.restriction(j), z))
+        best = max(best, distance_value(a.fibers[j], b.fibers[j], z))
     return best
 
 
@@ -393,7 +362,7 @@ def l1_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> 
     z = a.zeta if zeta is None else _as_zeta(zeta)
     return float(
         sum(
-            a.ref_masses[j] * distance_value(a.restriction(j), b.restriction(j), z)
+            a.ref_masses[j] * distance_value(a.fibers[j], b.fibers[j], z)
             for j in range(a.n)
             if a.ref_masses[j] > 0
         )

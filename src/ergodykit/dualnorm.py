@@ -32,7 +32,6 @@ from scipy.optimize import linprog
 from .measures import AtomicSignedMeasure, canonicalize
 
 __all__ = [
-    "HolderExponent",
     "DualNormResult",
     "NumericError",
     "dual_norm",
@@ -53,20 +52,6 @@ _LP_OPTIONS = dict(
 
 class NumericError(RuntimeError):
     """Raised when an iterative numeric procedure fails to converge."""
-
-
-@dataclass(frozen=True)
-class HolderExponent:
-    """Exponent zeta in (0, 1] of the Holder class defining the norm."""
-
-    zeta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.zeta <= 1.0):
-            raise ValueError(f"zeta must lie in (0, 1], got {self.zeta}")
-
-    def __float__(self) -> float:
-        return float(self.zeta)
 
 
 def _as_zeta(zeta) -> float:
@@ -213,15 +198,11 @@ def _value_closed_form(mu: AtomicSignedMeasure, zeta: float):
     return None
 
 
-def _dual_norm_lp(mu: AtomicSignedMeasure, zeta: float, adjacent_only: bool):
+def _dual_norm_lp(mu: AtomicSignedMeasure, zeta: float):
     pos = mu.positions
     w = mu.weights
     n = pos.size
-    if adjacent_only:
-        ii = np.arange(n - 1)
-        jj = ii + 1
-    else:
-        ii, jj = np.triu_indices(n, k=1)
+    ii, jj = np.triu_indices(n, k=1)
     d = np.abs(pos[ii] - pos[jj]) ** zeta
     m = ii.size
     rows = np.repeat(np.arange(2 * m), 2)
@@ -257,7 +238,7 @@ def dual_norm(
     ----------
     mu : AtomicSignedMeasure
         The measure; canonicalized internally if not already canonical.
-    zeta : float or HolderExponent
+    zeta : float
         Holder exponent in (0, 1].
     method : {"lp", "fast", "auto"}
         "lp" (default): all-pairs LP, correctness over micro-optimization.
@@ -286,14 +267,14 @@ def dual_norm(
             return DualNormResult(float(cf), None)
         if z == 1.0:
             return DualNormResult(float(_flat_chain(mu.positions, mu.weights)), None)
-        value, witness = _dual_norm_lp(mu, z, adjacent_only=False)
+        value, witness = _dual_norm_lp(mu, z)
         return DualNormResult(value, witness)
     if method != "lp":
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
         w0 = float(mu.weights[0])
         return DualNormResult(abs(w0), [(float(mu.positions[0]), float(np.sign(w0)) or 1.0)])
-    value, witness = _dual_norm_lp(mu, z, adjacent_only=False)
+    value, witness = _dual_norm_lp(mu, z)
     return DualNormResult(value, witness)
 
 

@@ -239,11 +239,11 @@ def fiber_tsujii(alpha: float, o: Callable[[np.ndarray], np.ndarray],
         img = _a * yy + float(np.asarray(_o(np.atleast_1d(float(x))))[0])
         return (img - _sh) / _sc
 
-    # verify the rescaled image stays inside [0, 1] on a grid
+    # verify the rescaled image is finite and stays inside [0, 1] on a grid
     ys = np.linspace(0.0, 1.0, 33)
     for x in np.linspace(0.0, 1.0, 257):
         img = g(float(x), ys)
-        if np.min(img) < -1e-9 or np.max(img) > 1.0 + 1e-9:
+        if not np.all(np.isfinite(img)) or np.min(img) < -1e-9 or np.max(img) > 1.0 + 1e-9:
             raise ConstructionError(
                 f"fiber image escapes [0, 1] at x={float(x)!r}: "
                 f"[{float(np.min(img))}, {float(np.max(img))}]"

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .baserpf import (
+    BaseMap,
     Potential,
     RPFDiscretization,
     check_hypotheses,
@@ -44,7 +45,6 @@ from .measures import (
     canonicalize,
     compress_to_cap,
     dirac,
-    uniform_atoms,
     zero_measure,
 )
 
@@ -67,10 +67,6 @@ __all__ = [
 
 DEFAULT_COMPRESS_DELTA = 1e-4
 DEFAULT_ATOM_CAP = 64
-
-# Any probability works on zero-marginal leaves (they carry no weight);
-# a fixed uniform cloud keeps runs deterministic.
-FALLBACK_FIBER_ATOMS = 16
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,6 @@ class SkewSystem:
         }
 
 
-def _fallback_fiber() -> AtomicSignedMeasure:
-    return uniform_atoms(FALLBACK_FIBER_ATOMS)
-
-
 def _combine_fibers(
     sys: SkewSystem,
     rpf: RPFDiscretization,
@@ -173,7 +165,7 @@ def _combine_fibers(
     linear stencil as the matrix, and both stencil cells share the fiber
     map G(y_ij, .), so one pushforward per branch suffices.
     """
-    restr = dm.restrictions()
+    restr = dm.fibers
     out: list[AtomicSignedMeasure] = []
     deg = rpf.deg
     ys = rpf.preimages
@@ -212,42 +204,6 @@ def _combine_fibers(
     return out
 
 
-def _package_output(
-    dm: DisintegratedMeasure,
-    phi1_out: np.ndarray,
-    fibers_raw: list[AtomicSignedMeasure],
-    ref_masses: np.ndarray,
-    reference: str,
-) -> DisintegratedMeasure:
-    """Positive inputs keep probability-fibered storage; signed inputs
-    store the restrictions directly."""
-    keep_normalized = dm.normalized and dm.is_positive()
-    if keep_normalized:
-        fibers = []
-        for j, raw in enumerate(fibers_raw):
-            mass = raw.total_mass()
-            if phi1_out[j] == 0.0 or mass <= 0.0:
-                fibers.append(_fallback_fiber())
-            else:
-                fibers.append((1.0 / mass) * raw)
-        return replace(
-            dm,
-            phi1=phi1_out,
-            fibers=tuple(fibers),
-            ref_masses=ref_masses,
-            reference=reference,
-            normalized=True,
-        )
-    return replace(
-        dm,
-        phi1=phi1_out,
-        fibers=tuple(fibers_raw),
-        ref_masses=ref_masses,
-        reference=reference,
-        normalized=False,
-    )
-
-
 def apply_F_phi(
     sys: SkewSystem,
     rpf: RPFDiscretization,
@@ -269,9 +225,8 @@ def apply_F_phi(
         raise ValueError("apply_F_phi needs the plain (untwisted) discretization")
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
-    phi1_out = rpf.matrix @ dm.phi1
-    fibers_raw = _combine_fibers(sys, rpf, dm, rpf.wphi, compress_delta, atom_cap)
-    return _package_output(dm, phi1_out, fibers_raw, rpf.nu.copy(), "nu")
+    fibers = _combine_fibers(sys, rpf, dm, rpf.wphi, compress_delta, atom_cap)
+    return replace(dm, phi1=rpf.matrix @ dm.phi1, fibers=fibers, ref_masses=rpf.nu.copy())
 
 
 def apply_F_phih_normalized(
@@ -291,9 +246,8 @@ def apply_F_phih_normalized(
         raise ValueError("apply_F_phih_normalized acts on m-referenced measures")
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
-    phi1_out = rpf.stoch @ dm.phi1
-    fibers_raw = _combine_fibers(sys, rpf, dm, rpf.weights, compress_delta, atom_cap)
-    return _package_output(dm, phi1_out, fibers_raw, rpf.m.copy(), "m")
+    fibers = _combine_fibers(sys, rpf, dm, rpf.weights, compress_delta, atom_cap)
+    return replace(dm, phi1=rpf.stoch @ dm.phi1, fibers=fibers, ref_masses=rpf.m.copy())
 
 
 def initial_product(
@@ -312,7 +266,6 @@ def initial_product(
         fibers=tuple([fib] * rpf.n),
         reference=reference,
         zeta=zeta,
-        normalized=True,
     )
 
 
@@ -406,7 +359,8 @@ def iterate_to_equilibrium(
 
     Stops when the sup fiber distance between successive iterates drops
     below tol, or after max_iter steps (reported as converged=False, not
-    an exception).  The fitted geometric rate comes from the tail half of
+    an exception).  The iterates can reach an exact floating-point fixed
+    point (distance 0), so only tol = 0 guarantees max_iter steps.  The fitted geometric rate comes from the tail half of
     the distance sequence; the theoretical rate is
     beta3 = max(sqrt(r_hat), sqrt(alpha**zeta)) with r_hat the measured
     kernel decay of the twisted base operator.
@@ -508,7 +462,6 @@ def _random_zero_average(
         fibers=tuple(fibers),
         reference="m",
         zeta=zeta,
-        normalized=False,
     )
 
 
@@ -632,22 +585,15 @@ def verify_LY_S1(
     trajs = []
     for _ in range(samples):
         dm = _random_zero_average(rpf, sys.zeta, rng)
-        # steer to nu-referenced restriction storage for the plain operator
-        dm = DisintegratedMeasure(
-            x=dm.x, ref_masses=rpf.nu.copy(), phi1=dm.phi1, fibers=dm.fibers,
-            reference="nu", zeta=dm.zeta, normalized=False,
-        )
+        # the plain operator acts on nu-referenced measures
+        dm = replace(dm, ref_masses=rpf.nu.copy(), reference="nu")
         s0 = s1_norm(dm)
         w0 = l1_norm(dm)
         cur = dm
         sn = []
         for _ in range(n_steps):
             cur = apply_F_phi(sys, rpf, cur, compress_delta, atom_cap)
-            cur = replace(
-                cur,
-                phi1=cur.phi1 / lam,
-                fibers=tuple((1.0 / lam) * f for f in cur.fibers),
-            )
+            cur = cur.scaled(1.0 / lam)
             sn.append(s1_norm(cur))
         trajs.append((s0, w0, sn))
     b2 = 1.0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,36 @@ class TestNormsCommand:
         assert norms["sinf"] == pytest.approx(2.0, abs=1e-6)
         assert norms["l1"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_unit_mass_fiber_file_matches_restriction_file(self, tmp_path):
+        # files with "normalized": true store phi1[j] times unit-mass fibers
+        text = BASE_CONFIG.replace("doubling-linear", "mp-geometric-holder")
+        cfg, out = write_config(tmp_path, text)
+        rng = np.random.default_rng(9)
+        n = 64
+        phi1 = rng.uniform(0.2, 2.0, n)
+        phi1[5] = 0.0
+        probs = []
+        for _ in range(n):
+            w = rng.uniform(0.1, 1.0, 3)
+            probs.append(sorted(zip(rng.uniform(0, 1, 3).tolist(), (w / w.sum()).tolist())))
+        common = {"n": n, "reference": "m", "zeta": 1.0,
+                  "x": ((np.arange(n) + 0.5) / n).tolist(),
+                  "ref_masses": np.full(n, 1.0 / n).tolist(), "phi1": phi1.tolist()}
+        unit = dict(common, normalized=True, fibers=probs)
+        restr = dict(common, normalized=False, fibers=[
+            [[y, float(p) * w] for y, w in f] if p else [] for p, f in zip(phi1, probs)
+        ])
+        norms = []
+        for name, payload in (("unit", unit), ("restr", restr)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            assert main(["norms", "--config", str(cfg), "--measure", str(path),
+                         "--out", str(out / name)]) == 0
+            norms.append(json.loads((out / name / "norms.json").read_text()))
+        assert norms[0]["l1"] > 0.0
+        for key in ("l1", "linf", "s1", "sinf"):
+            assert norms[0][key] == pytest.approx(norms[1][key], rel=1e-12, abs=0.0)
+
     def test_schema_mismatch_exit_2(self, tmp_path):
         cfg, out = write_config(tmp_path)
         bad = tmp_path / "bad.json"
@@ -182,6 +213,19 @@ class TestExitCodes:
         cfg, _ = write_config(tmp_path)
         assert main(["equilibrium", "--config", str(cfg)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, raw, where", [
+        ("o_c0", "nan", r"bad\.cfg:5: value 'nan' is not finite"),
+        ("o_c1", "1e308", "fiber image"),
+    ])
+    def test_non_finite_fiber_offset_exits_2(self, tmp_path, capsys, key, raw, where):
+        text = (f"[system]\nbase = linear\nfiber = tsujii\nalpha = 0.5\n{key} = {raw}\n"
+                "[discretization]\nbase_cells = 16\n[output]\ndirectory = {out}\n")
+        cfg, _ = write_config(tmp_path, text, name="bad.cfg")
+        assert main(["equilibrium", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert re.search(where, err)
 
 
 class TestGalleryCommand:

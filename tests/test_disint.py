@@ -27,11 +27,15 @@ def rpf64():
     return ek.build_rpf(ek.linear_expanding(2), ek.Potential.constant(0.0), 64)
 
 
-def make_dm(rpf, phi1, fibers, reference="nu", normalized=True, zeta=1.0):
+def make_dm(rpf, phi1, fibers, reference="nu", zeta=1.0):
+    """A measure with the given density whose restriction over cell j is
+    phi1[j] * fibers[j]."""
     ref = rpf.nu if reference == "nu" else rpf.m
+    phi1 = np.asarray(phi1, dtype=float)
     return DisintegratedMeasure(
-        x=rpf.x, ref_masses=ref.copy(), phi1=np.asarray(phi1, dtype=float),
-        fibers=tuple(fibers), reference=reference, zeta=zeta, normalized=normalized,
+        x=rpf.x, ref_masses=ref.copy(), phi1=phi1,
+        fibers=tuple(float(p) * f for p, f in zip(phi1, fibers)),
+        reference=reference, zeta=zeta,
     )
 
 
@@ -83,11 +87,14 @@ class TestWeakNorms:
     def test_mass_bounded_by_l1(self, rpf64):
         rng = np.random.default_rng(1)
         fibers = [random_measure(rng, 3) for _ in range(64)]
-        phi1 = np.array([f.total_mass() for f in fibers])
-        dm = make_dm(rpf64, phi1, fibers, "nu", normalized=False)
+        dm = DisintegratedMeasure(
+            x=rpf64.x, ref_masses=rpf64.nu.copy(),
+            phi1=np.array([f.total_mass() for f in fibers]), fibers=tuple(fibers),
+            reference="nu",
+        )
         assert abs(dm.total_mass()) <= l1_norm(dm) + 1e-9
         for j in range(64):
-            assert abs(dm.phi1[j]) <= dual_norm(dm.restriction(j), 1.0).value + 1e-9
+            assert abs(dm.phi1[j]) <= dual_norm(dm.fibers[j], 1.0).value + 1e-9
 
 
 class TestStrongNorms:
@@ -166,9 +173,9 @@ class TestMultiplyObservable:
         dm = product_measure(np.ones(64), uniform_atoms(4), rpf=rpf64, reference="m")
         out = multiply_observable(dm, psi)
         assert np.allclose(out.phi1, np.cos(rpf64.x))
-        for a, b in zip(out.fibers, dm.fibers):
+        for c, a, b in zip(np.cos(rpf64.x), out.fibers, dm.fibers):
             assert np.allclose(a.positions, b.positions)
-            assert np.allclose(a.weights, b.weights)
+            assert np.allclose(a.weights, c * b.weights)
 
     def test_integrate_consistency_oracle(self, rpf64):
         # integrate(multiply(mu, s), g) must equal the direct double sum of s*g
@@ -241,10 +248,7 @@ class TestConversionAndSerialization:
                            ek.mp_geometric_potential(0.5, 0.1), 64)
         rng = np.random.default_rng(7)
         fibers = [random_measure(rng, 3, "probability") for _ in range(64)]
-        dm = DisintegratedMeasure(
-            x=rpf.x, ref_masses=rpf.m.copy(), phi1=rng.uniform(0.5, 2, 64),
-            fibers=tuple(fibers), reference="m", zeta=0.5, normalized=True,
-        )
+        dm = make_dm(rpf, rng.uniform(0.5, 2, 64), fibers, "m", zeta=0.5)
         back = convert_reference(convert_reference(dm, rpf, "nu"), rpf, "m")
         assert np.allclose(back.phi1, dm.phi1)
         assert back.total_mass() == pytest.approx(dm.total_mass(), abs=1e-12)
@@ -257,10 +261,14 @@ class TestConversionAndSerialization:
     def test_json_round_trip(self, rpf64):
         rng = np.random.default_rng(8)
         fibers = [random_measure(rng, 4) for _ in range(64)]
-        dm = make_dm(rpf64, rng.standard_normal(64), fibers, "m", normalized=False)
-        back = DisintegratedMeasure.from_dict(dm.to_dict())
+        dm = DisintegratedMeasure(
+            x=rpf64.x, ref_masses=rpf64.m.copy(), phi1=rng.standard_normal(64),
+            fibers=tuple(fibers), reference="m",
+        )
+        d = dm.to_dict()
+        assert d["normalized"] is False
+        back = DisintegratedMeasure.from_dict(d)
         assert np.allclose(back.phi1, dm.phi1)
         assert back.reference == dm.reference
-        assert back.normalized == dm.normalized
         for a, b in zip(back.fibers, dm.fibers):
             assert a.to_pairs() == b.to_pairs()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodykit.dualnorm import (
-    HolderExponent,
     dual_distance,
     dual_norm,
     lower_bound_sample,
@@ -23,11 +22,11 @@ def M(pairs):
 
 
 def test_holder_exponent_validation():
-    assert float(HolderExponent(0.5)) == 0.5
+    assert dual_norm(dirac(0.5), 0.5).value == 1.0
     with pytest.raises(ValueError):
-        HolderExponent(0.0)
+        dual_norm(dirac(0.5), 0.0)
     with pytest.raises(ValueError):
-        HolderExponent(1.5)
+        dual_norm(dirac(0.5), 1.5)
 
 
 class TestDualNormExamples:
