@@ -39,6 +39,10 @@ __all__ = [
 _PI_TOL = 1e-12
 _PI_MAXIT = 100_000
 
+# Pair entries per row block of the all-pairs Holder quotient (zeta < 1):
+# 2 MB per float64 temporary, whatever the number of points.
+_HOLDER_BLOCK_PAIRS = 2**18
+
 
 class ConstructionError(ValueError):
     """Raised when a base map or discretization violates its contract."""
@@ -140,22 +144,43 @@ class BaseMap:
 
 
 def discrete_holder_constant(x: np.ndarray, v: np.ndarray, zeta: float) -> float:
-    """All-pairs Holder quotient max |v_i - v_j| / |x_i - x_j|**zeta."""
+    """Holder quotient max |v_i - v_j| / |x_i - x_j|**zeta over all pairs.
+
+    Points need not be sorted.  Coincident positions with equal values add
+    no constraint; coincident positions with different values give inf.
+
+    At zeta = 1 only neighbours in sorted order are compared, which is
+    exact on a line: for x_i < x_j < x_k the increments of v obey the
+    triangle inequality while those of x add, so the quotient of (i, k) is
+    at most the larger of those of (i, j) and (j, k) (mediant inequality).
+    At zeta < 1 that argument fails and every pair is compared, in row
+    blocks of at most ``_HOLDER_BLOCK_PAIRS`` entries.
+    """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     if x.size < 2:
         return 0.0
-    if x.size <= 2048:
-        dx = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(dx, np.inf)
-        return float(np.max(np.abs(v[:, None] - v[None, :]) / dx**zeta))
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    v = np.asarray(v, dtype=float)[order]
+    tied = np.diff(x) == 0.0
+    if np.any(v[1:][tied] != v[:-1][tied]):
+        return float("inf")
+    keep = np.concatenate(([True], ~tied))
+    x, v = x[keep], v[keep]
+    n = x.size
+    if n < 2:
+        return 0.0
+    if zeta == 1.0:
+        return float(np.max(np.abs(np.diff(v)) / np.diff(x)))
+    rows = max(1, _HOLDER_BLOCK_PAIRS // n)
     best = 0.0
-    for i0 in range(0, x.size, 512):
-        sl = slice(i0, i0 + 512)
-        dx = np.abs(x[sl, None] - x[None, :]) ** zeta
-        dv = np.abs(v[sl, None] - v[None, :])
-        dx[dx == 0.0] = np.inf
-        best = max(best, float(np.max(dv / dx)))
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
+        dx = x[None, i0 + 1:] - x[i0:i1, None]
+        dx[dx <= 0.0] = np.inf
+        dv = np.abs(v[None, i0 + 1:] - v[i0:i1, None])
+        best = max(best, float(np.max(dv / dx**zeta)))
     return best
 
 

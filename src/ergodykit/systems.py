@@ -224,9 +224,12 @@ def fiber_tsujii(alpha: float, o: Callable[[np.ndarray], np.ndarray],
     if not (0.0 <= alpha < 1.0):
         raise ConstructionError(f"contraction factor must be < 1, got {alpha}")
     grid = np.linspace(0.0, 1.0, 4097)
-    ov = np.asarray(o(grid), dtype=float)
-    lo = float(ov.min() / (1.0 - alpha))
-    hi = float(ov.max() / (1.0 - alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ov = np.asarray(o(grid), dtype=float)
+        lo = float(ov.min() / (1.0 - alpha))
+        hi = float(ov.max() / (1.0 - alpha))
+    if not np.all(np.isfinite([lo, hi, hi - lo])):
+        raise ConstructionError(f"fiber image band [{lo}, {hi}] is not finite")
     if o_holder is None:
         o_holder = float(np.max(np.abs(np.diff(ov)) / np.diff(grid)))
     if hi - lo < 1e-12:

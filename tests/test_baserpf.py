@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergodykit as ek
+from ergodykit import baserpf
 from ergodykit.baserpf import (
     ConstructionError,
     Potential,
@@ -14,6 +19,12 @@ from ergodykit.baserpf import (
     verify_lasota_yorke,
 )
 from ergodykit.systems import linear_expanding, manneville_pomeau, mp_geometric_potential
+
+
+# values whose differences stay far from the subnormal range
+_holder_values = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,20 +212,44 @@ class TestHolderConstant:
 
     def test_chunked_path_matches_dense(self):
         rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(0, 1, size=2200))  # exceeds the dense cutoff
+        x = rng.uniform(0, 1, size=2200)  # unsorted; about 18 row blocks at zeta < 1
         v = np.sin(7 * x) + 0.1 * rng.standard_normal(2200)
-        dense = discrete_holder_constant(x[:2048], v[:2048], 0.7)
-        ref = np.max(
-            np.abs(v[:2048, None] - v[None, :2048])
-            / np.where(
-                np.abs(x[:2048, None] - x[None, :2048]) == 0,
-                np.inf,
-                np.abs(x[:2048, None] - x[None, :2048]) ** 0.7,
-            )
-        )
-        assert dense == pytest.approx(float(ref), rel=1e-12)
-        full = discrete_holder_constant(x, v, 0.7)
-        assert full >= dense - 1e-12
+        dx = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(dx, np.inf)
+        dv = np.abs(v[:, None] - v[None, :])
+        for zeta in (1.0, 0.7):
+            ref = float(np.max(dv / dx**zeta))
+            assert discrete_holder_constant(x, v, zeta) == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        zeta=st.sampled_from([1.0, 0.7, 0.5]),
+        block=st.sampled_from([1, 7, 64, baserpf._HOLDER_BLOCK_PAIRS]),
+    )
+    def test_matches_bruteforce_with_ties(self, data, zeta, block):
+        grid = data.draw(st.integers(2, 400))
+        ks = data.draw(st.lists(st.integers(0, grid - 1), max_size=70))
+        vals = data.draw(st.lists(_holder_values, min_size=len(ks), max_size=len(ks)))
+        first: dict[int, int] = {}
+        x = np.array(ks, dtype=float) / grid
+        v = np.array([vals[first.setdefault(k, i)] for i, k in enumerate(ks)], dtype=float)
+        if ks and data.draw(st.booleans()):
+            v[data.draw(st.integers(0, len(ks) - 1))] += 1.0  # may split a tie
+        best = 0.0
+        for i in range(x.size):
+            for j in range(i + 1, x.size):
+                dv = abs(v[i] - v[j])
+                if x[i] == x[j]:
+                    best = best if dv == 0.0 else float("inf")
+                else:
+                    best = max(best, dv / abs(x[i] - x[j]) ** zeta)
+        with mock.patch.object(baserpf, "_HOLDER_BLOCK_PAIRS", block):
+            got = discrete_holder_constant(x, v, zeta)
+        if np.isinf(best):
+            assert got == best
+        else:
+            assert got == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 class TestExport:

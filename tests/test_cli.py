@@ -224,7 +224,7 @@ class TestExitCodes:
         cfg, _ = write_config(tmp_path, text, name="bad.cfg")
         assert main(["equilibrium", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err
+        assert err.startswith("config error") and err.count("\n") == 1
         assert re.search(where, err)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from ergodykit.disint import (
     s1_norm,
     sinf_norm,
 )
-from ergodykit.dualnorm import dual_norm
+from ergodykit.dualnorm import distance_value, dual_norm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
 
 from conftest import random_measure
@@ -136,8 +138,39 @@ class TestHolderConstant:
         assert got == pytest.approx(best, rel=1e-12)
         assert got == pytest.approx(126.0 / 64.0, abs=1e-12)  # max x_i + x_j, i != j
 
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    def test_coincident_positions(self, zeta):
+        pos = [0.1, 0.5, 0.5, 0.9]
+        # a tie with equal values adds no constraint
+        got = holder_constant([0, 1, 1, 0], zeta, positions=pos)
+        assert got == pytest.approx(1.0 / 0.4**zeta, rel=1e-12)
+        # a tie with different values is not Holder at all
+        assert holder_constant([0, 1, 2, 0], zeta, positions=pos) == np.inf
+
 
 class TestDisintegrationHolder:
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["tsujii", "doubling-linear"])
+    def test_zeta1_matches_all_pairs(self, name, steps):
+        sys_ = ek.gallery_entry(name).build()
+        rpf = ek.build_rpf(sys_.base, sys_.potential, 64)
+        rng = np.random.default_rng(steps)
+        fibers = [random_measure(rng, int(rng.integers(1, 5)), "probability") for _ in range(64)]
+        dm = make_dm(rpf, rng.uniform(0.1, 2.0, size=64), fibers, "m")
+        for _ in range(steps):
+            dm = ek.apply_F_phih_normalized(sys_, rpf, dm)
+        ref = dm.ref_masses.copy()
+        ref[rng.choice(64, size=8, replace=False)] = 0.0  # skipped cells
+        dm = replace(dm, ref_masses=ref)
+        idx = np.flatnonzero(ref > 0)
+        best = max(
+            distance_value(dm.fibers[i], dm.fibers[j], 1.0) / abs(dm.x[i] - dm.x[j])
+            for a, i in enumerate(idx)
+            for j in idx[a + 1:]
+        )
+        assert best > 0.0
+        assert disintegration_holder(dm, 1.0) == pytest.approx(best, rel=1e-12)
+
     def test_product_measure_exactly_zero(self, rpf64):
         rng = np.random.default_rng(2)
         fib = random_measure(rng, 6, "probability")
