@@ -10,7 +10,7 @@ checked empirically through grid refinement and analytic special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -247,6 +247,25 @@ def _power_iteration(matvec, n: int, tol: float = _PI_TOL, maxit: int = _PI_MAXI
     )
 
 
+def _gather(src: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for the stencil matrix M with M[j, src[i, j, s]] += w[i, j, s]."""
+    return (w * v[src]).sum(axis=(0, 2))
+
+
+def _scatter(src: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """M^T u for the same stencil matrix."""
+    return np.bincount(src.ravel(), (w * u[None, :, None]).ravel(), minlength=u.size)
+
+
+def _densify(src: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The n x n matrix of a stencil; only ``export_matrix`` needs it."""
+    n = src.shape[1]
+    rows = np.broadcast_to(np.arange(n)[None, :, None], src.shape)
+    mat = np.zeros((n, n))
+    np.add.at(mat, (rows.ravel(), src.ravel()), w.ravel())
+    return mat
+
+
 @dataclass
 class RPFDiscretization:
     """Grid discretization of the transfer operator with its eigendata.
@@ -255,20 +274,22 @@ class RPFDiscretization:
     interpolation between midpoints, so every branch preimage reads two
     source cells with complementary split weights (``src`` and ``wphi``;
     the split weights carry the factor exp(phi(preimage)) and sum to it
-    over the last axis).
+    over the last axis).  This (deg, n, 2) stencil is the operator, with
+    2 deg nonzeros per row: ``_gather`` and ``_scatter`` apply it and its
+    adjoint in O(deg n) time and memory, and only ``export_matrix``
+    builds the n x n matrix.
 
-    Eigendata follows the Perron structure of the nonnegative matrix:
+    Eigendata follows the Perron structure of the nonnegative operator:
     lam > 0, h > 0 entrywise (right eigenvector at midpoints, normalized
     so that sum(h * nu) = 1), nu >= 0 the left eigenvector as probability
     cell masses, and m = h * nu the invariant cell masses.  ``weights``
     holds the row-stochastic split weights of the normalized h-twisted
-    operator and ``stoch`` the corresponding row-stochastic matrix, so
-    mass is conserved to machine precision in operator applications.
+    operator on the same ``src``, so mass is conserved to machine
+    precision in operator applications.
     """
 
     n: int
     x: np.ndarray
-    matrix: np.ndarray
     lam: float
     h: np.ndarray
     nu: np.ndarray
@@ -277,7 +298,6 @@ class RPFDiscretization:
     src: np.ndarray            # (deg, n, 2) interpolation source cells
     wphi: np.ndarray           # (deg, n, 2) exp(phi) * split weights
     weights: np.ndarray        # (deg, n, 2) normalized twisted split weights
-    stoch: np.ndarray          # (n, n) row-stochastic twisted matrix
     resid_right: float
     resid_left: float
     power_iters: int
@@ -290,9 +310,6 @@ class RPFDiscretization:
     @property
     def deg(self) -> int:
         return self.base.deg
-
-    def normalized_matrix(self) -> np.ndarray:
-        return self.matrix / self.lam
 
     def twisted(self) -> "RPFDiscretization":
         if self.kind == "twisted":
@@ -312,18 +329,18 @@ class RPFDiscretization:
         }
 
     def export_matrix(self, path, fmt: str = "csv"):
-        """Dump the dense operator matrix as CSV rows or a JSON array."""
+        """Dump the operator as a dense matrix: CSV rows or a JSON array."""
         import json
 
-        if fmt == "csv":
-            lines = [",".join(format(v, ".17g") for v in row) for row in self.matrix]
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        elif fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(self.matrix.tolist(), fh)
-        else:
+        if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
+        mat = _densify(self.src, self.wphi)
+        with open(path, "w") as fh:
+            if fmt == "csv":
+                lines = [",".join(format(v, ".17g") for v in row) for row in mat]
+                fh.write("\n".join(lines) + "\n")
+            else:
+                json.dump(mat.tolist(), fh)
 
 
 def _interp_stencil(y: np.ndarray, n: int):
@@ -344,19 +361,26 @@ def _interp_stencil(y: np.ndarray, n: int):
 def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     """Discretize the transfer operator on n midpoint-collocation cells.
 
-    Row j of the matrix encodes (L g)(x_j) = sum_i g(y_ij) exp(phi(y_ij))
+    Row j of the operator encodes (L g)(x_j) = sum_i g(y_ij) exp(phi(y_ij))
     with y_ij the branch-i preimage of the midpoint x_j and g read by
-    piecewise-linear interpolation between midpoints.  The leading
+    piecewise-linear interpolation between midpoints; it is stored as the
+    (deg, n, 2) stencil ``src``/``wphi``, never as a matrix.  The leading
     eigentriple comes from power iteration (right) and adjoint power
     iteration (left); nu is normalized to a probability and h so that
-    sum(h * nu) = 1.
+    sum(h * nu) = 1.  Raises ConstructionError when exp(phi) overflows at
+    a preimage.
     """
     if n < 8:
         raise ConstructionError(f"need at least 8 cells, got n={n}")
     x = (np.arange(n) + 0.5) / n
     ys = basemap.preimages(x)
     deg = basemap.deg
-    ephi = np.exp(np.asarray(pot.fn(ys), dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ephi = np.exp(np.asarray(pot.fn(ys), dtype=float))
+    if not np.all(np.isfinite(ephi)):
+        raise ConstructionError(
+            f"potential {pot.name}: exp(phi) is not finite at a branch preimage"
+        )
     src = np.empty((deg, n, 2), dtype=np.int64)
     wphi = np.empty((deg, n, 2))
     for i in range(deg):
@@ -365,13 +389,7 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
         wphi[i, :, 0] = ephi[i] * (1.0 - frac)
         wphi[i, :, 1] = ephi[i] * frac
 
-    mat = np.zeros((n, n))
-    rows = np.arange(n)
-    for i in range(deg):
-        for s in range(2):
-            np.add.at(mat, (rows, src[i, :, s]), wphi[i, :, s])
-
-    h_raw, lam, iters_r = _power_iteration(lambda v: mat @ v, n)
+    h_raw, lam, iters_r = _power_iteration(lambda v: _gather(src, wphi, v), n)
     if np.min(h_raw) <= 0:
         raise NumericError("right eigenvector lost positivity")
 
@@ -380,12 +398,8 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     a = wphi * h_raw[src] / (lam * h_raw[None, :, None])
     srow = a.sum(axis=(0, 2))
     weights = a / srow[None, :, None]
-    stoch = np.zeros((n, n))
-    for i in range(deg):
-        for s in range(2):
-            np.add.at(stoch, (rows, src[i, :, s]), weights[i, :, s])
 
-    m_vec, _, iters_l = _power_iteration(lambda v: stoch.T @ v, n)
+    m_vec, _, iters_l = _power_iteration(lambda v: _scatter(src, weights, v), n)
     # nu and h rescaled so that nu is a probability and m = h * nu exactly
     nu_raw = m_vec / h_raw
     c = float(nu_raw.sum())
@@ -393,13 +407,16 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     h = h_raw * c
     m_vec = h * nu
 
-    resid_right = float(np.max(np.abs(mat @ h - lam * h)) / (lam * np.max(np.abs(h))))
-    resid_left = float(np.sum(np.abs(nu @ mat - lam * nu)) / (lam * np.sum(np.abs(nu))))
+    resid_right = float(
+        np.max(np.abs(_gather(src, wphi, h) - lam * h)) / (lam * np.max(np.abs(h)))
+    )
+    resid_left = float(
+        np.sum(np.abs(_scatter(src, wphi, nu) - lam * nu)) / (lam * np.sum(np.abs(nu)))
+    )
 
     return RPFDiscretization(
         n=n,
         x=x,
-        matrix=mat,
         lam=float(lam),
         h=h,
         nu=nu,
@@ -408,7 +425,6 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
         src=src,
         wphi=wphi,
         weights=weights,
-        stoch=stoch,
         resid_right=resid_right,
         resid_left=resid_left,
         power_iters=iters_r + iters_l,
@@ -421,40 +437,31 @@ def twisted_operator(rpf: RPFDiscretization) -> RPFDiscretization:
     """Conjugate the discretization by the eigenfunction h.
 
     Returns the discretization of L_h(g) = L(g h) / h, whose matrix is
-    D_h^{-1} M D_h.  Its eigenfunction is constant, its conformal measure
-    is m, and its normalized form fixes the constant vector: row sums of
-    matrix / lambda equal 1 up to the eigen residual.
+    D_h^{-1} M D_h: the same ``src`` with the stencil
+    wphi * h[src] / h[row].  Its eigenfunction is constant, its conformal
+    measure is m, and its normalized form fixes the constant vector: row
+    sums of the operator / lambda equal 1 up to the eigen residual.
     """
     if rpf.kind == "twisted":
         return rpf
     if float(np.min(rpf.h)) < 1e-12:
         raise NumericError("eigenfunction too close to zero to conjugate")
-    conj = rpf.matrix * (rpf.h[None, :] / rpf.h[:, None])
+    wphi = rpf.wphi * rpf.h[rpf.src] / rpf.h[None, :, None]
     ones = np.ones(rpf.n)
-    resid_right = float(np.max(np.abs(conj @ ones - rpf.lam * ones)) / rpf.lam)
+    resid_right = float(np.max(np.abs(_gather(rpf.src, wphi, ones) - rpf.lam)) / rpf.lam)
     resid_left = float(
-        np.sum(np.abs(rpf.m @ conj - rpf.lam * rpf.m)) / (rpf.lam * np.sum(rpf.m))
+        np.sum(np.abs(_scatter(rpf.src, wphi, rpf.m) - rpf.lam * rpf.m))
+        / (rpf.lam * np.sum(rpf.m))
     )
-    return RPFDiscretization(
-        n=rpf.n,
-        x=rpf.x,
-        matrix=conj,
-        lam=rpf.lam,
+    return replace(
+        rpf,
+        wphi=wphi,
         h=ones,
         nu=rpf.m.copy(),
         m=rpf.m.copy(),
-        preimages=rpf.preimages,
-        src=rpf.src,
-        wphi=rpf.wphi,
-        weights=rpf.weights,
-        stoch=rpf.stoch,
         resid_right=resid_right,
         resid_left=resid_left,
-        power_iters=rpf.power_iters,
-        base=rpf.base,
-        potential=rpf.potential,
         kind="twisted",
-        gap=rpf.gap,
     )
 
 
@@ -639,7 +646,6 @@ def verify_lasota_yorke(
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
-    mat = rpf.normalized_matrix()
     vecs = _test_vectors(rpf.n, rpf.x, samples, seed)
     floor = 1e-13
     c1 = 1.0
@@ -650,7 +656,7 @@ def verify_lasota_yorke(
         sn = []
         v = g.copy()
         for _ in range(n_steps):
-            v = mat @ v
+            v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
             sn.append(_strong_norm(rpf.x, v, z))
         trajs.append((s0, w0, sn))
         c1 = max(c1, max(sn[-5:]) / max(w0, 1e-300))
@@ -700,7 +706,6 @@ def spectral_radius_on_kernel(
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
-    mat = rpf.normalized_matrix()
     if rpf.kind == "twisted":
         proj = lambda g: g - float(np.dot(rpf.m, g)) * np.ones(rpf.n)
     else:
@@ -714,7 +719,7 @@ def spectral_radius_on_kernel(
             continue
         sn = []
         for _ in range(n_steps):
-            v = mat @ v
+            v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
             sn.append(_strong_norm(rpf.x, v, z))
         sn = np.asarray(sn)
         usable = np.nonzero(sn > 1e-13 * s0)[0]

@@ -129,8 +129,9 @@ class Observable:
     """A function on Sigma with a declared zeta-Holder bound.
 
     ``holder_bound`` is |s|_zeta = H_zeta(s) + |s|_inf for the max metric
-    on the product space; it must dominate every sampled quotient, which
-    Observable.from_callable guarantees by construction.
+    on the product space; it must dominate every sampled quotient.  It is
+    declared by whoever builds the observable (the constructors below give
+    the exact value).
     """
 
     fn: Callable[[float, np.ndarray], np.ndarray]
@@ -140,25 +141,6 @@ class Observable:
 
     def __call__(self, x, y):
         return self.fn(x, y)
-
-    @staticmethod
-    def from_callable(fn, zeta=1.0, gridsize: int = 48, name: str = "observable"):
-        """Wrap a callable, estimating |s|_zeta on a product grid."""
-        z = _as_zeta(zeta)
-        xs = (np.arange(gridsize) + 0.5) / gridsize
-        vals = np.empty((gridsize, gridsize))
-        for i, xv in enumerate(xs):
-            vals[i] = np.asarray(fn(float(xv), xs), dtype=float)
-        pts_x = np.repeat(xs, gridsize)
-        pts_y = np.tile(xs, gridsize)
-        flat = vals.ravel()
-        dx = np.abs(pts_x[:, None] - pts_x[None, :])
-        dy = np.abs(pts_y[:, None] - pts_y[None, :])
-        dist = np.maximum(dx, dy) ** z
-        np.fill_diagonal(dist, np.inf)
-        hoelder = float(np.max(np.abs(flat[:, None] - flat[None, :]) / dist))
-        bound = hoelder + float(np.max(np.abs(flat)))
-        return Observable(fn=fn, zeta=z, holder_bound=bound, name=name)
 
     @staticmethod
     def constant(c: float, zeta=1.0):

@@ -4,7 +4,7 @@ The skew product F(x, y) = (f(x), G(x, y)) acts on disintegrated measures
 through two operators built on the base RPF discretization:
 
 * the plain operator on nu-referenced measures, whose marginal action is
-  the raw transfer matrix and whose fibers are branch-weighted pushforward
+  the raw transfer operator and whose fibers are branch-weighted pushforward
   sums with weights exp(phi(y_i));
 * the normalized h-twisted operator on m-referenced measures, whose branch
   weights h(y_i) exp(phi(y_i)) / (lambda h(x)) are row-normalized exactly,
@@ -27,6 +27,7 @@ from .baserpf import (
     BaseMap,
     Potential,
     RPFDiscretization,
+    _gather,
     check_hypotheses,
     discrete_holder_constant,
     spectral_radius_on_kernel,
@@ -162,7 +163,7 @@ def _combine_fibers(
     """Per-cell weighted sum of pushforwards through the branch preimages.
 
     The source restriction at a preimage is read by the same two-cell
-    linear stencil as the matrix, and both stencil cells share the fiber
+    linear stencil as the marginal, and both stencil cells share the fiber
     map G(y_ij, .), so one pushforward per branch suffices.
     """
     restr = dm.fibers
@@ -215,7 +216,7 @@ def apply_F_phi(
 
     The output restriction over cell j is the sum over branches of
     exp(phi(y_ij)) times the pushforward of the source restriction through
-    G(y_ij, .); the output marginal is the transfer matrix applied to the
+    G(y_ij, .); the output marginal is the transfer operator applied to the
     input marginal.  The equilibrium state is an eigenvector with
     eigenvalue lambda.
     """
@@ -226,7 +227,8 @@ def apply_F_phi(
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
     fibers = _combine_fibers(sys, rpf, dm, rpf.wphi, compress_delta, atom_cap)
-    return replace(dm, phi1=rpf.matrix @ dm.phi1, fibers=fibers, ref_masses=rpf.nu.copy())
+    phi1 = _gather(rpf.src, rpf.wphi, dm.phi1)
+    return replace(dm, phi1=phi1, fibers=fibers, ref_masses=rpf.nu.copy())
 
 
 def apply_F_phih_normalized(
@@ -247,7 +249,8 @@ def apply_F_phih_normalized(
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
     fibers = _combine_fibers(sys, rpf, dm, rpf.weights, compress_delta, atom_cap)
-    return replace(dm, phi1=rpf.stoch @ dm.phi1, fibers=fibers, ref_masses=rpf.m.copy())
+    phi1 = _gather(rpf.src, rpf.weights, dm.phi1)
+    return replace(dm, phi1=phi1, fibers=fibers, ref_masses=rpf.m.copy())
 
 
 def initial_product(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ergodykit as ek
-from ergodykit.baserpf import build_rpf, check_hypotheses, combined_expansion_bound
+from ergodykit.baserpf import _gather, build_rpf, check_hypotheses, combined_expansion_bound
 from ergodykit.cli import main
 from ergodykit.disint import (
     Observable,
@@ -118,7 +118,8 @@ def test_criterion_04_conformal_duality():
         rpf = build_rpf(sys_.base, sys_.potential, 128)
         for _ in range(100):
             g = rng.standard_normal(rpf.n)
-            err = abs(float(rpf.nu @ (rpf.matrix @ g)) / rpf.lam - float(rpf.nu @ g))
+            lhs = float(rpf.nu @ _gather(rpf.src, rpf.wphi, g)) / rpf.lam
+            err = abs(lhs - float(rpf.nu @ g))
             worst = max(worst, err)
     ok = worst <= 1e-8
     assert report(4, ok, f"worst adjoint defect={worst:.2e}")

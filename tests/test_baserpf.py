@@ -10,6 +10,9 @@ from ergodykit import baserpf
 from ergodykit.baserpf import (
     ConstructionError,
     Potential,
+    _densify,
+    _gather,
+    _scatter,
     build_rpf,
     check_hypotheses,
     combined_expansion_bound,
@@ -18,7 +21,12 @@ from ergodykit.baserpf import (
     twisted_operator,
     verify_lasota_yorke,
 )
-from ergodykit.systems import linear_expanding, manneville_pomeau, mp_geometric_potential
+from ergodykit.systems import (
+    gallery,
+    linear_expanding,
+    manneville_pomeau,
+    mp_geometric_potential,
+)
 
 
 # values whose differences stay far from the subnormal range
@@ -68,7 +76,7 @@ class TestEigenOracles:
         rng = np.random.default_rng(0)
         for _ in range(100):
             g = rng.standard_normal(rpf.n)
-            lhs = float(rpf.nu @ (rpf.matrix @ g)) / rpf.lam
+            lhs = float(rpf.nu @ _gather(rpf.src, rpf.wphi, g)) / rpf.lam
             assert lhs == pytest.approx(float(rpf.nu @ g), abs=1e-8)
 
     def test_grid_refinement(self):
@@ -82,22 +90,61 @@ class TestEigenOracles:
             build_rpf(linear_expanding(2), Potential.constant(0.0), 4)
 
 
+class TestStencil:
+    @pytest.mark.parametrize("entry", gallery(), ids=lambda e: e.name)
+    def test_gather_scatter_match_exported_matrix(self, entry, tmp_path):
+        import json
+
+        sys_ = entry.build()
+        rpf = build_rpf(sys_.base, sys_.potential, 64)
+        rpf.export_matrix(tmp_path / "m.json", "json")
+        exported = np.array(json.loads((tmp_path / "m.json").read_text()))
+        assert np.array_equal(exported, _densify(rpf.src, rpf.wphi))
+        rng = np.random.default_rng(7)
+        for w in (rpf.wphi, rpf.weights):
+            dense = _densify(rpf.src, w)
+            for _ in range(10):
+                v = rng.standard_normal(rpf.n)
+                u = rng.standard_normal(rpf.n)
+                assert np.max(np.abs(_gather(rpf.src, w, v) - dense @ v)) <= 1e-14
+                assert np.max(np.abs(_scatter(rpf.src, w, u) - dense.T @ u)) <= 1e-14
+
+    def test_holds_no_square_array(self):
+        rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 64)
+        for d in (rpf, twisted_operator(rpf)):
+            assert not any(
+                getattr(v, "ndim", 0) == 2 and v.shape[0] == v.shape[1]
+                for v in vars(d).values()
+            )
+
+
 class TestTwistedOperator:
     def test_doubling_twist_is_identity(self):
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
         tw = twisted_operator(rpf)
-        assert np.max(np.abs(tw.matrix - rpf.matrix)) < 1e-12
+        assert tw.src is rpf.src and np.max(np.abs(tw.wphi - rpf.wphi)) < 1e-12
+
+    def test_stencil_is_conjugation_by_h(self):
+        rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 128)
+        tw = twisted_operator(rpf)
+        dense = _densify(rpf.src, rpf.wphi)
+        conj = dense * (rpf.h[None, :] / rpf.h[:, None])
+        assert np.max(np.abs(_densify(tw.src, tw.wphi) - conj)) <= 1e-14
+        assert tw.kind == "twisted" and rpf.twisted() is rpf.twisted()
+        assert tw.src is rpf.src and tw.weights is rpf.weights
+        assert np.array_equal(tw.h, np.ones(rpf.n)) and np.array_equal(tw.nu, rpf.m)
 
     def test_row_sums_fix_constant_vector(self):
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 128)
         tw = twisted_operator(rpf)
-        assert np.max(np.abs(tw.matrix.sum(axis=1) / rpf.lam - 1.0)) < 1e-8
+        row_sums = _gather(tw.src, tw.wphi, np.ones(tw.n))
+        assert np.max(np.abs(row_sums / rpf.lam - 1.0)) < 1e-8
 
     def test_conjugation_preserves_spectrum(self):
         # independent eigensolve as oracle for the twisted leading eigenvalue
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 128)
         tw = twisted_operator(rpf)
-        top = float(np.max(np.abs(np.linalg.eigvals(tw.matrix))))
+        top = float(np.max(np.abs(np.linalg.eigvals(_densify(tw.src, tw.wphi)))))
         assert top == pytest.approx(rpf.lam, abs=1e-8)
 
     def test_twisted_conformal_measure_is_m(self):
@@ -107,7 +154,7 @@ class TestTwistedOperator:
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = rng.standard_normal(tw.n)
-            lhs = float(tw.m @ (tw.matrix @ g)) / tw.lam
+            lhs = float(tw.m @ _gather(tw.src, tw.wphi, g)) / tw.lam
             assert lhs == pytest.approx(float(tw.m @ g), abs=1e-8)
 
 
@@ -193,9 +240,8 @@ class TestKernelDecay:
 
     def test_zero_vector_trivial(self):
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
-        mat = rpf.normalized_matrix()
         g = rpf.h * float(np.dot(rpf.nu, np.zeros(rpf.n)))  # identically zero
-        assert np.max(np.abs(mat @ g)) == 0.0
+        assert np.max(np.abs(_gather(rpf.src, rpf.wphi, g) / rpf.lam)) == 0.0
 
     def test_twisted_matches_plain(self):
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 96)
@@ -262,11 +308,14 @@ class TestExport:
             [float(v) for v in line.split(",")]
             for line in p_csv.read_text().strip().splitlines()
         ]
-        assert np.allclose(np.array(rows), tripling_rpf.matrix)
+        dense = _densify(tripling_rpf.src, tripling_rpf.wphi)
+        assert np.allclose(np.array(rows), dense)
         import json
 
-        assert np.allclose(np.array(json.loads(p_json.read_text())),
-                           tripling_rpf.matrix)
+        assert np.allclose(np.array(json.loads(p_json.read_text())), dense)
+        v = np.random.default_rng(3).standard_normal(tripling_rpf.n)
+        stencil_v = _gather(tripling_rpf.src, tripling_rpf.wphi, v)
+        assert np.allclose(np.array(rows) @ v, stencil_v)
         with pytest.raises(ValueError):
             tripling_rpf.export_matrix(tmp_path / "m.x", "xml")
 

@@ -227,6 +227,16 @@ class TestExitCodes:
         assert err.startswith("config error") and err.count("\n") == 1
         assert re.search(where, err)
 
+    def test_overflowing_potential_exits_2(self, tmp_path, capsys):
+        text = ("[system]\nbase = linear\nfiber = linear\npotential = constant\n"
+                "value = 800\n[discretization]\nbase_cells = 16\n"
+                "[output]\ndirectory = {out}\n")
+        cfg, _ = write_config(tmp_path, text, name="bad.cfg")
+        assert main(["equilibrium", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "exp(phi) is not finite" in err
+
 
 class TestGalleryCommand:
     def test_lists_entries(self, capsys):
