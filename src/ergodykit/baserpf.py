@@ -701,7 +701,12 @@ def spectral_radius_on_kernel(
     (g - (integral of g d nu) * h for the plain operator, g - integral of
     g dm for the twisted one) and the strong-norm decay under iteration is
     fitted by least squares on the log scale over the usable range.  The
-    result is stored on the discretization as its measured gap.
+    projection is repeated after every step: the rounding residue it
+    leaves in the leading direction does not decay, and left alone it
+    would set a floor that moves the fit under any change of summation
+    order.  The usable range ends at the first step where the norm stops
+    decreasing or falls below 1e-13 of its start.  The result is stored on
+    the discretization as its measured gap.
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
@@ -719,10 +724,11 @@ def spectral_radius_on_kernel(
             continue
         sn = []
         for _ in range(n_steps):
-            v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
+            v = proj(_gather(rpf.src, rpf.wphi, v) / rpf.lam)
             sn.append(_strong_norm(rpf.x, v, z))
         sn = np.asarray(sn)
-        usable = np.nonzero(sn > 1e-13 * s0)[0]
+        decaying = (sn > 1e-13 * s0) & (np.r_[np.inf, sn[:-1]] > sn)
+        usable = np.arange(n_steps if decaying.all() else int(np.argmin(decaying)))
         if usable.size < 4:
             continue
         tail = usable[usable.size // 2:]

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baserpf import RPFDiscretization, discrete_holder_constant
-from .dualnorm import _as_zeta, norm_value, distance_value
+from .dualnorm import _as_zeta, chain_norms, norm_value, distance_value
 from .measures import AtomicSignedMeasure, canonicalize
 
 __all__ = [
@@ -178,31 +178,48 @@ def _fiber_eval(obs, x: float, mu: AtomicSignedMeasure) -> float:
     return float(np.dot(mu.weights, np.asarray(fn(x, mu.positions), dtype=float)))
 
 
-def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
-    """Integral of the fiber dual norms against nu."""
-    if dm.reference != "nu":
-        raise ValueError("l1_norm needs a nu-referenced measure; convert first")
-    z = dm.zeta if zeta is None else _as_zeta(zeta)
-    return float(
-        sum(
-            rmj * norm_value(dm.fibers[j], z)
-            for j, rmj in enumerate(dm.ref_masses)
-            if rmj > 0
-        )
+def _fiber_norms(plus, minus, z: float) -> np.ndarray:
+    """Dual norms of plus[k] - minus[k] (of plus[k] when minus is None).
+
+    At zeta = 1 all of them come from one ``chain_norms`` call over the
+    concatenated atoms; at zeta < 1 each is its own LP.
+    """
+    if z != 1.0:
+        if minus is None:
+            return np.array([norm_value(f, z) for f in plus])
+        return np.array([distance_value(f, g, z) for f, g in zip(plus, minus)])
+    fibers = list(plus) if minus is None else list(plus) + list(minus)
+    k = len(plus)
+    if not fibers:
+        return np.zeros(0)
+    counts = np.fromiter((f.n_atoms for f in fibers), dtype=np.intp, count=len(fibers))
+    w = np.concatenate([f.weights for f in fibers])
+    w[int(counts[:k].sum()):] *= -1.0
+    return chain_norms(
+        np.repeat(np.arange(len(fibers)) % k, counts),
+        np.concatenate([f.positions for f in fibers]),
+        w,
+        k,
     )
 
 
+def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
+    """Integral of the fiber dual norms against nu (batched at zeta = 1)."""
+    if dm.reference != "nu":
+        raise ValueError("l1_norm needs a nu-referenced measure; convert first")
+    z = dm.zeta if zeta is None else _as_zeta(zeta)
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    vals = _fiber_norms([dm.fibers[j] for j in idx], None, z)
+    return float(np.dot(dm.ref_masses[idx], vals))
+
+
 def linf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
-    """Largest fiber dual norm over cells of positive m-mass."""
+    """Largest fiber dual norm over cells of positive m-mass (batched at zeta = 1)."""
     if dm.reference != "m":
         raise ValueError("linf_norm needs an m-referenced measure; convert first")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
-    vals = [
-        norm_value(dm.fibers[j], z)
-        for j in range(dm.n)
-        if dm.ref_masses[j] > 0
-    ]
-    return float(max(vals)) if vals else 0.0
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    return float(_fiber_norms([dm.fibers[j] for j in idx], None, z).max(initial=0.0))
 
 
 def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
@@ -246,7 +263,8 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     At zeta = 1 only cells adjacent in midpoint order are compared, which
     is exact: the dual distance obeys the triangle inequality and midpoint
     distances add along the line, so by the mediant inequality no pair
-    beats the better of its two halves.  At zeta < 1 all pairs are compared.
+    beats the better of its two halves.  Those n - 1 distances are one
+    batched ``chain_norms`` call.  At zeta < 1 all pairs are compared.
     """
     if not dm.is_positive():
         raise ValueError("disintegration Holder constant is defined for positive measures")
@@ -254,13 +272,10 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     idx = np.flatnonzero(dm.ref_masses > 0)
     if z == 1.0:
         idx = idx[np.argsort(dm.x[idx], kind="stable")]
-        return max(
-            (
-                distance_value(dm.fibers[i], dm.fibers[j], z) / abs(dm.x[i] - dm.x[j])
-                for i, j in zip(idx[:-1], idx[1:])
-            ),
-            default=0.0,
+        dist = _fiber_norms(
+            [dm.fibers[i] for i in idx[:-1]], [dm.fibers[j] for j in idx[1:]], z
         )
+        return float((dist / np.diff(dm.x[idx])).max(initial=0.0))
     best = 0.0
     for a in range(len(idx)):
         i = idx[a]
@@ -347,24 +362,30 @@ def convert_reference(
     )
 
 
-def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:
-    """m-essential sup of the fiber dual distances between two measures."""
+def _fiber_distances(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta):
+    """Cells of positive reference mass and the fiber dual distances there."""
+    if a.n != b.n or a.reference != b.reference:
+        raise ValueError(
+            f"measures differ: {a.n} cells, {a.reference}-referenced against "
+            f"{b.n} cells, {b.reference}-referenced"
+        )
     z = a.zeta if zeta is None else _as_zeta(zeta)
-    best = 0.0
-    for j in range(a.n):
-        if a.ref_masses[j] <= 0:
-            continue
-        best = max(best, distance_value(a.fibers[j], b.fibers[j], z))
-    return best
+    idx = np.flatnonzero(a.ref_masses > 0)
+    return idx, _fiber_norms([a.fibers[j] for j in idx], [b.fibers[j] for j in idx], z)
+
+
+def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:
+    """m-essential sup of the fiber dual distances between two measures.
+
+    At zeta = 1 every cell's distance comes from one batched
+    ``chain_norms`` call.  Measures on different grids or references raise
+    ValueError.
+    """
+    return float(_fiber_distances(a, b, zeta)[1].max(initial=0.0))
 
 
 def l1_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:
-    """nu-average of the fiber dual distances between two measures."""
-    z = a.zeta if zeta is None else _as_zeta(zeta)
-    return float(
-        sum(
-            a.ref_masses[j] * distance_value(a.fibers[j], b.fibers[j], z)
-            for j in range(a.n)
-            if a.ref_masses[j] > 0
-        )
-    )
+    """nu-average of the fiber dual distances between two measures
+    (batched at zeta = 1, like ``linf_distance``)."""
+    idx, dist = _fiber_distances(a, b, zeta)
+    return float(np.dot(a.ref_masses[idx], dist))

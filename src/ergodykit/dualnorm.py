@@ -14,11 +14,38 @@ turns the evaluation into a finite linear program:
     s.t.     |g_i| <= 1,   |g_i - g_j| <= |x_i - x_j|**zeta  for all pairs.
 
 The default solver keeps all pair constraints (n variables, n bound rows
-plus n(n-1)/2 Holder rows).  For zeta == 1 on a line the adjacent-pair
-constraints already imply all others; that reduction is available as the
-documented fast path ``method="fast"``, solved exactly by a concave
-piecewise-linear value-function sweep, and must agree with the full LP to
-1e-9 (enforced in the test suite).
+plus n(n-1)/2 Holder rows); it is the oracle for everything else.
+
+At zeta == 1 the norm has an exact closed form, evaluated by
+``chain_norms`` for many measures at once.  On a line the adjacent-pair
+constraints |g_{i+1} - g_i| <= d_i (d_i the gap to the next atom) imply
+all others.  The dual of that LP transports the cumulative weights
+F_i = w_1 + ... + w_i along the chain at cost d_i per unit, and removes
+mass at unit cost.  With the total mass M = F_n >= 0 (flip the sign of mu
+otherwise), a removal pattern that is not monotone pays more in removal
+than it saves in transport, so
+
+    ||mu||_o = M + min over nondecreasing S with values in [0, M]
+                   of sum_i d_i |F_i - S_i|,
+
+a weighted L1 isotonic regression (Robertson, Wright and Dykstra, Order
+Restricted Statistical Inference, 1988).  Threshold decomposition,
+|F - S| = integral over t of |[F > t] - [S > t]|, splits it into one
+problem per level t.  Outside [0, M] the level costs sum_i d_i dist(F_i,
+[0, M]) in total.  Inside, [S_i > t] is a 0/1 step at some index k, which
+costs B(t) + P_k(t), with
+
+    B(t)   = sum_i d_i [F_i <= t],
+    P_k(t) = sum_{i<k} d_i ([F_i > t] - [F_i <= t]).
+
+The best steps of the levels can be chosen nested, so they stack into one
+monotone S, and the minimum is attained exactly:
+
+    ||mu||_o = M + sum_i d_i dist(F_i, [0, M])
+                 + integral over [0, M] of [B(t) + min(0, min_k P_k(t))] dt.
+
+The integrand is constant between the F_i in (0, M), so the integral is a
+finite sum.  Agreement with the LP to 1e-9 is enforced in the test suite.
 """
 
 from __future__ import annotations
@@ -39,6 +66,7 @@ __all__ = [
     "norm_value",
     "distance_value",
     "lower_bound_sample",
+    "chain_norms",
 ]
 
 SOLVER_TOL = 1e-9
@@ -76,94 +104,127 @@ class DualNormResult:
 
 
 # ---------------------------------------------------------------------------
-# exact fast path: zeta == 1 adjacent-pair reduction
+# exact zeta == 1 route: weighted L1 isotonic regression, batched over fibers
 # ---------------------------------------------------------------------------
 
-def _flat_chain_kernel(pos, w):  # pragma: no cover - jit-compiled twin below
-    """Maximize sum w_i g_i s.t. |g_i| <= 1, |g_{i+1} - g_i| <= pos gaps.
+# Thresholds x padded atoms evaluated per block; 2**17 float64 entries keep
+# each temporary near 1 MB whatever the number of fibers.
+_CHAIN_BLOCK_ENTRIES = 2**17
 
-    Sweeps a concave piecewise-linear value function V_i(g) = best prefix
-    objective with g_i = g.  Each step box-smooths V (radius = gap), clips
-    the domain to [-1, 1] and adds the next linear term.  Exact up to
-    floating-point roundoff.
+
+def _segmented_cumsum(w: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Prefix sums restarting where ``col`` (index within the segment) is 0.
+
+    A log-step scan: each pass adds the partial sum 2**k places back when
+    it lies in the same segment, so every sum involves its own segment
+    only and its rounding scales with that segment's weights.
     """
-    n = pos.shape[0]
-    cap = n + 4
-    xs = np.empty(cap)
-    sl = np.empty(cap)
-    xs2 = np.empty(cap)
-    sl2 = np.empty(cap)
-    m = 1
-    xs[0] = -1.0
-    sl[0] = w[0]
-    v0 = -w[0]
-    for i in range(1, n):
-        d = pos[i] - pos[i - 1]
-        k = 0
-        while k < m and sl[k] > 0.0:
-            k += 1
-        if k == 0:
-            peak = -1.0
-        elif k < m:
-            peak = xs[k]
-        else:
-            peak = 1.0
-        g0 = -1.0 + d
-        if peak < g0:
-            g0 = peak
-        val = v0
-        for t in range(m):
-            if g0 <= xs[t]:
-                break
-            end = xs[t + 1] if t + 1 < m else 1.0
-            e = g0 if g0 < end else end
-            val += sl[t] * (e - xs[t])
-        nv0 = val
-        mm = 0
-        for t in range(k):
-            xs2[mm] = xs[t] - d
-            sl2[mm] = sl[t]
-            mm += 1
-        xs2[mm] = peak - d
-        sl2[mm] = 0.0
-        mm += 1
-        for t in range(k, m):
-            xs2[mm] = xs[t] + d
-            sl2[mm] = sl[t]
-            mm += 1
-        t0 = 0
-        for t in range(mm):
-            if xs2[t] <= -1.0:
-                t0 = t
-        wi = w[i]
-        xs[0] = -1.0
-        sl[0] = sl2[t0] + wi
-        m2 = 1
-        for t in range(t0 + 1, mm):
-            if xs2[t] >= 1.0:
-                break
-            xs[m2] = xs2[t]
-            sl[m2] = sl2[t] + wi
-            m2 += 1
-        m = m2
-        v0 = nv0 - wi
-    best = v0
-    val = v0
-    for t in range(m):
-        end = xs[t + 1] if t + 1 < m else 1.0
-        val += sl[t] * (end - xs[t])
-        if val > best:
-            best = val
-    return best
+    f = w.copy()
+    longest = int(col.max()) + 1 if col.size else 0
+    k = 1
+    while k < longest:
+        f[k:] += np.where(col[k:] >= k, f[:-k], 0.0)
+        k *= 2
+    return f
 
 
-try:  # jit the sweep when numba is present; the pure-python twin is exact too
-    from numba import njit
+def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The stable order of ``np.lexsort((minor, major))``, found faster.
 
-    _flat_chain = njit(cache=True)(_flat_chain_kernel)
-    _flat_chain(np.array([0.25, 0.75]), np.array([1.0, -1.0]))  # warm compile
-except Exception:  # pragma: no cover
-    _flat_chain = _flat_chain_kernel
+    numpy orders complex numbers lexicographically, and its stable sort
+    runs in near-linear time on the presorted runs that concatenated
+    canonical fibers form (about 10x faster than ``lexsort`` on them).
+    """
+    return np.argsort(major + 1j * minor, kind="stable")
+
+
+def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
+    """zeta = 1 dual norms of many atomic measures at once.
+
+    Atom i lies in measure ``cell[i]`` (0 <= cell < ncell) at ``pos[i]``
+    with weight ``w[i]``; atoms of one measure may come in any order and
+    may coincide (their weights add).  Returns the ``ncell`` norms, 0 for
+    a measure without atoms.  Evaluates the closed form of the module
+    docstring: with F the cumulative weights, M the mass (the sign of the
+    measure flipped so that M >= 0) and d_i the gap to the next atom,
+
+        M + sum_i d_i dist(F_i, [0, M]) + integral over [0, M] of
+            min over k of [B(t) + P_k(t)] dt,
+
+    B(t) = sum_i d_i [F_i <= t], P_k(t) = sum_{i<k} d_i ([F_i > t] - [F_i <= t]).
+    The integrand is constant between the F_i lying in (0, M), and is
+    evaluated at 0 and at each of them, ``_CHAIN_BLOCK_ENTRIES`` entries at
+    a time; the result does not depend on the block size.
+    """
+    cell = np.asarray(cell, dtype=np.intp)
+    pos = np.asarray(pos, dtype=float)
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(ncell)
+    if cell.size == 0:
+        return out
+    order = _lex_order(cell, pos)
+    cell, pos, w = cell[order], pos[order], w[order]
+    first = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]) | (pos[1:] != pos[:-1])])
+    cell, pos, w = cell[first], pos[first], np.add.reduceat(w, first)
+    n = cell.size
+
+    # segments: the atoms of one measure, in position order
+    seg_start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    seg_len = np.diff(np.r_[seg_start, n])
+    seg_of = np.repeat(np.arange(seg_start.size), seg_len)
+    col = np.arange(n) - seg_start[seg_of]
+    f = _segmented_cumsum(w, col)
+    mass = f[seg_start + seg_len - 1]
+    sign = np.where(mass < 0, -1.0, 1.0)
+    f *= sign[seg_of]
+    mass = np.abs(mass)
+    d = np.r_[np.where(cell[1:] == cell[:-1], np.diff(pos), 0.0), 0.0]
+
+    m_atom = mass[seg_of]
+    outside = np.maximum(f - m_atom, 0.0) + np.maximum(-f, 0.0)
+    value = mass + np.bincount(seg_of, weights=d * outside, minlength=seg_start.size)
+
+    # breakpoints of the integrand: 0 for each measure with M > 0, and
+    # every F_i strictly inside (0, M)
+    inner = np.flatnonzero((f > 0.0) & (f < m_atom))
+    has_mass = np.flatnonzero(mass > 0.0)
+    t_seg = np.r_[has_mass, seg_of[inner]]
+    t = np.r_[np.zeros(has_mass.size), f[inner]]
+    if t.size:
+        o = _lex_order(t_seg, t)
+        t_seg, t = t_seg[o], t[o]
+        t_next = np.r_[t[1:], 0.0]
+        last = np.r_[t_seg[1:] != t_seg[:-1], True]
+        t_next[last] = mass[t_seg[last]]
+        level = np.empty(t.size)
+        width = max(1, _CHAIN_BLOCK_ENTRIES // int(seg_len.max()))
+        for lo in range(0, t.size, width):
+            rows = slice(lo, lo + width)
+            s = t_seg[rows]
+            pad = np.arange(int(seg_len[s].max()))
+            valid = pad < seg_len[s][:, None]
+            idx = np.where(valid, seg_start[s][:, None] + pad, 0)
+            dp = np.where(valid, d[idx], 0.0)
+            below = f[idx] <= t[rows][:, None]
+            b = np.cumsum(np.where(below, dp, 0.0), axis=1)[:, -1]
+            p = np.cumsum(np.where(below, -dp, dp), axis=1).min(axis=1)
+            level[rows] = b + np.minimum(p, 0.0)
+        value += np.bincount(
+            t_seg, weights=level * (t_next - t), minlength=seg_start.size
+        )
+    out[cell[seg_start]] = value
+    return out
+
+
+def _chain_norm(pos, w) -> float:
+    """zeta = 1 dual norm of one atomic measure (positions, weights)."""
+    return float(chain_norms(np.zeros(np.size(pos), dtype=np.intp), pos, w, 1)[0])
+
+
+# The benchmark reads ``_flat_chain is _flat_chain_kernel`` for its backend
+# line and wraps ``_flat_chain`` by name; both names stay bound to the
+# one-fiber entry so that those reads resolve (the backend reads "python").
+_flat_chain = _flat_chain_kernel = _chain_norm
 
 
 def _value_closed_form(mu: AtomicSignedMeasure, zeta: float):
@@ -242,11 +303,11 @@ def dual_norm(
         Holder exponent in (0, 1].
     method : {"lp", "fast", "auto"}
         "lp" (default): all-pairs LP, correctness over micro-optimization.
-        "fast": adjacent-pair reduction for zeta == 1, solved exactly by
-        the value-function sweep (no witness); equivalent to "lp" on a
-        line because the metric |x - y| is additive along sorted atoms.
-        "auto": closed forms where exact, then "fast" when zeta == 1,
-        otherwise the LP.
+        "fast": zeta == 1 only, the exact isotonic closed form of
+        ``chain_norms`` (no witness); equivalent to "lp" on a line because
+        the metric |x - y| is additive along sorted atoms.
+        "auto": "fast" when zeta == 1, otherwise closed forms where exact
+        and the LP for the rest.
 
     The LP optimum is exact within the solver tolerance 1e-9; the zero
     measure returns 0.  Infeasibility cannot occur (g = 0 is feasible);
@@ -260,13 +321,13 @@ def dual_norm(
     if method == "fast":
         if z != 1.0:
             raise ValueError("fast path requires zeta == 1")
-        return DualNormResult(float(_flat_chain(mu.positions, mu.weights)), None)
+        return DualNormResult(_chain_norm(mu.positions, mu.weights), None)
     if method == "auto":
+        if z == 1.0:
+            return DualNormResult(_chain_norm(mu.positions, mu.weights), None)
         cf = _value_closed_form(mu, z)
         if cf is not None:
             return DualNormResult(float(cf), None)
-        if z == 1.0:
-            return DualNormResult(float(_flat_chain(mu.positions, mu.weights)), None)
         value, witness = _dual_norm_lp(mu, z)
         return DualNormResult(value, witness)
     if method != "lp":
@@ -286,7 +347,7 @@ def dual_distance(
 
 
 def norm_value(mu: AtomicSignedMeasure, zeta=1.0) -> float:
-    """Norm value by the cheapest exact route (closed form / sweep / LP)."""
+    """Norm value by the cheapest exact route (isotonic form / closed form / LP)."""
     return dual_norm(mu, zeta, method="auto").value
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -242,6 +243,17 @@ class TestKernelDecay:
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
         g = rpf.h * float(np.dot(rpf.nu, np.zeros(rpf.n)))  # identically zero
         assert np.max(np.abs(_gather(rpf.src, rpf.wphi, g) / rpf.lam)) == 0.0
+
+    @pytest.mark.parametrize("entry", gallery(), ids=lambda e: e.name)
+    def test_rate_stable_under_rounding_of_m(self, entry):
+        # m enters the twisted projection; one ulp in m must not move the fit
+        sys_ = entry.build()
+        rpf = build_rpf(sys_.base, sys_.potential, 64)
+        bumped = dataclasses.replace(rpf, m=rpf.m * (1.0 + 2.0**-52))
+        a = spectral_radius_on_kernel(twisted_operator(rpf), sys_.zeta).r_hat
+        b = spectral_radius_on_kernel(twisted_operator(bumped), sys_.zeta).r_hat
+        assert a > 0.0
+        assert abs(a - b) <= 1e-12 * a
 
     def test_twisted_matches_plain(self):
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 96)

@@ -11,15 +11,18 @@ from ergodykit.disint import (
     disintegration_holder,
     holder_constant,
     integrate,
+    l1_distance,
     l1_norm,
+    linf_distance,
     linf_norm,
     multiply_observable,
     product_measure,
     s1_norm,
     sinf_norm,
 )
-from ergodykit.dualnorm import distance_value, dual_norm
+from ergodykit.dualnorm import _dual_norm_lp, distance_value, dual_norm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
+from ergodykit.transfer import _random_zero_average
 
 from conftest import random_measure
 
@@ -305,3 +308,84 @@ class TestConversionAndSerialization:
         assert back.reference == dm.reference
         for a, b in zip(back.fibers, dm.fibers):
             assert a.to_pairs() == b.to_pairs()
+
+
+def _lp_norm(mu):
+    """zeta = 1 dual norm by the all-pairs LP oracle."""
+    mu = canonicalize(mu)
+    return _dual_norm_lp(mu, 1.0)[0] if mu.n_atoms else 0.0
+
+
+def _iterates(name, kind, steps=2):
+    """Two consecutive iterates on 32 cells, with four cells of zero m-mass."""
+    sys_ = ek.gallery_entry(name).build()
+    rpf = ek.build_rpf(sys_.base, sys_.potential, 32)
+    rng = np.random.default_rng(5)
+    if kind == "positive":
+        fibers = [random_measure(rng, int(rng.integers(1, 5)), "probability") for _ in range(32)]
+        dm = make_dm(rpf, rng.uniform(0.1, 2.0, size=32), fibers, "m")
+    else:
+        dm = _random_zero_average(rpf, 1.0, rng)
+    ref = rpf.m.copy()
+    ref[[3, 4, 17, 30]] = 0.0
+    seq = [dm]
+    for _ in range(steps):
+        seq.append(ek.apply_F_phih_normalized(sys_, rpf, seq[-1]))
+    return rpf, [replace(d, ref_masses=ref) for d in seq[-2:]]
+
+
+class TestBatchedZetaOne:
+    """At zeta = 1 every disint norm equals a per-cell LP loop."""
+
+    @pytest.mark.parametrize("kind", ["positive", "signed"])
+    @pytest.mark.parametrize("name", ["tsujii", "doubling-linear"])
+    def test_matches_per_cell_lp(self, name, kind):
+        rpf, (a, b) = _iterates(name, kind)
+        cells = np.flatnonzero(a.ref_masses > 0)
+        dist = np.array([_lp_norm(a.fibers[j] - b.fibers[j]) for j in cells])
+        norm = np.array([_lp_norm(a.fibers[j]) for j in cells])
+        assert dist.max() > 0.0
+        assert linf_distance(a, b, 1.0) == pytest.approx(dist.max(), abs=1e-9)
+        assert l1_distance(a, b, 1.0) == pytest.approx(
+            float(np.dot(a.ref_masses[cells], dist)), abs=1e-9
+        )
+        assert linf_norm(a, 1.0) == pytest.approx(norm.max(), abs=1e-9)
+        a_nu = convert_reference(a, rpf, "nu")
+        nu_cells = np.flatnonzero(a_nu.ref_masses > 0)
+        assert l1_norm(a_nu, 1.0) == pytest.approx(
+            sum(a_nu.ref_masses[j] * _lp_norm(a_nu.fibers[j]) for j in nu_cells), abs=1e-9
+        )
+        if kind == "positive":
+            pairs = zip(cells[:-1], cells[1:])  # midpoints increase with the index
+            holder = max(
+                _lp_norm(a.fibers[i] - a.fibers[j]) / (a.x[j] - a.x[i]) for i, j in pairs
+            )
+            assert disintegration_holder(a, 1.0) == pytest.approx(holder, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["positive", "signed"])
+    def test_exact_fixed_point_is_zero(self, kind):
+        # a fixed point reached exactly in floating point has distance 0.0
+        _, (a, _) = _iterates("tsujii", kind)
+        same = replace(a, fibers=tuple(
+            AtomicSignedMeasure(f.positions.copy(), f.weights.copy()) for f in a.fibers
+        ))
+        assert linf_distance(a, same) == 0.0
+        assert l1_distance(a, same) == 0.0
+
+
+class TestDistanceArguments:
+    @pytest.mark.parametrize("dist", [linf_distance, l1_distance])
+    def test_cell_count_mismatch(self, dist, rpf64):
+        small = ek.build_rpf(ek.linear_expanding(2), ek.Potential.constant(0.0), 32)
+        a = product_measure(np.ones(64), dirac(0.5), rpf=rpf64)
+        b = product_measure(np.ones(32), dirac(0.5), rpf=small)
+        with pytest.raises(ValueError, match="cells"):
+            dist(a, b)
+        with pytest.raises(ValueError, match="cells"):
+            dist(b, a)
+
+    @pytest.mark.parametrize("dist", [linf_distance, l1_distance])
+    def test_reference_mismatch(self, dist, rpf64):
+        a = product_measure(np.ones(64), dirac(0.5), rpf=rpf64, reference="m")
+        with pytest.raises(ValueError, match="referenced"):
+            dist(a, convert_reference(a, rpf64, "nu"))

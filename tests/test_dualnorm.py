@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodykit import dualnorm
 from ergodykit.dualnorm import (
+    _dual_norm_lp,
+    chain_norms,
     dual_distance,
     dual_norm,
     lower_bound_sample,
@@ -86,6 +91,84 @@ class TestFastPathAgreement:
         assert dual_norm(mu, zeta, method="auto").value == pytest.approx(
             dual_norm(mu, zeta, method="lp").value, abs=1e-9
         )
+
+
+@st.composite
+def _flat_fibers(draw):
+    """Several fibers in the flat (cell, position, weight) layout.
+
+    Each cell is a fiber a minus a fiber b on a 1/16 grid, so positions of
+    a and b coincide often.  Dyadic weights make every cumulative sum
+    exact: the mass is positive, negative or exactly zero, as drawn.
+    """
+    ncell = draw(st.integers(1, 8))
+    grid = st.integers(0, 16).map(lambda k: k / 16)
+    cells, pos, w = [], [], []
+    for c in range(ncell):
+        shape = draw(st.sampled_from(["empty", "single", "a-b", "zero-mass"]))
+        if shape == "empty":
+            continue
+        if shape == "single":
+            atoms = [(draw(grid), draw(st.integers(-8, 8).filter(bool)) / 8)]
+        else:
+            k = draw(st.integers(1, 12))
+            atoms = [(draw(grid), draw(st.integers(1, 8)) / 8) for _ in range(k)]
+            atoms += [(draw(grid), -draw(st.integers(1, 8)) / 8) for _ in range(k)]
+            if shape == "zero-mass":
+                atoms.append((draw(grid), -sum(x for _, x in atoms)))
+        cells += [c] * len(atoms)
+        pos += [p for p, _ in atoms]
+        w += [x for _, x in atoms]
+    order = draw(st.permutations(range(len(cells))))
+    return (
+        np.array(cells, dtype=np.intp)[order],
+        np.array(pos, dtype=float)[order],
+        np.array(w, dtype=float)[order],
+        ncell,
+    )
+
+
+class TestChainNorms:
+    """The batched zeta = 1 route against the all-pairs LP, cell by cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_flat_fibers())
+    def test_matches_lp_per_cell(self, flat):
+        cell, pos, w, ncell = flat
+        got = chain_norms(cell, pos, w, ncell)
+        assert got.shape == (ncell,)
+        for c in range(ncell):
+            mu = canonicalize(AtomicSignedMeasure(pos[cell == c], w[cell == c]))
+            want = _dual_norm_lp(mu, 1.0)[0] if mu.n_atoms else 0.0
+            assert got[c] == pytest.approx(want, abs=1e-9)
+        for block in (1, 7):
+            with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
+                assert np.array_equal(chain_norms(cell, pos, w, ncell), got)
+
+    def test_masses_of_each_sign(self):
+        # M > 0, M < 0 and M = 0 in one call, with the values worked by hand
+        cell = np.array([0, 0, 1, 1, 2, 2, 3])
+        pos = np.array([0.25, 0.75, 0.25, 0.75, 0.25, 0.75, 0.5])
+        w = np.array([1.0, -0.5, -1.0, 0.5, 0.5, -0.5, 0.0])
+        got = chain_norms(cell, pos, w, 5)
+        assert got.tolist() == pytest.approx([0.75, 0.75, 0.25, 0.0, 0.0], abs=1e-15)
+
+    def test_random_fibers_match_lp(self):
+        rng = np.random.default_rng(11)
+        fibers = [random_measure(rng, int(rng.integers(1, 40))) for _ in range(12)]
+        cell = np.repeat(np.arange(12), [f.n_atoms for f in fibers])
+        got = chain_norms(
+            cell,
+            np.concatenate([f.positions for f in fibers]),
+            np.concatenate([f.weights for f in fibers]),
+            12,
+        )
+        for c, f in enumerate(fibers):
+            assert got[c] == pytest.approx(_dual_norm_lp(f, 1.0)[0], abs=1e-9)
+
+    def test_no_atoms(self):
+        empty = np.empty(0)
+        assert chain_norms(empty.astype(np.intp), empty, empty, 3).tolist() == [0.0] * 3
 
 
 class TestNormProperties:
