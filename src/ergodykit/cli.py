@@ -104,7 +104,7 @@ _RANGES = {
     ("system", "alpha_mp"): (lambda v: 0 < v < 1, "alpha_mp must lie in (0, 1)"),
     ("system", "l"): (lambda v: v >= 2, "l must be at least 2"),
     ("discretization", "base_cells"): (lambda v: v >= 8, "base_cells must be >= 8"),
-    ("discretization", "fiber_atom_cap"): (lambda v: v >= 1, "fiber_atom_cap must be >= 1"),
+    ("discretization", "fiber_atom_cap"): (lambda v: v >= 2, "fiber_atom_cap must be >= 2"),
     ("discretization", "compress_delta"): (lambda v: v > 0, "compress_delta must be > 0"),
     ("run", "max_iter"): (lambda v: v >= 1, "max_iter must be >= 1"),
     ("run", "tol"): (lambda v: v >= 0, "tol must be >= 0"),
@@ -275,8 +275,8 @@ _OBSERVABLES = {
     "y": lambda z: Observable.coord_y(z),
     "x": lambda z: Observable.coord_x(z),
     "cosx": lambda z: Observable(
-        fn=lambda x, y: np.full_like(np.asarray(y, dtype=float),
-                                     float(np.cos(2 * np.pi * x))),
+        fn=lambda x, y: np.cos(2 * np.pi * np.asarray(x, dtype=float))
+        + np.zeros_like(np.asarray(y, dtype=float)),
         zeta=z, holder_bound=1.0 + 2.0 * np.pi, name="cos(2 pi x)",
     ),
     "cosy": lambda z: Observable(
@@ -284,7 +284,7 @@ _OBSERVABLES = {
         zeta=z, holder_bound=1.0 + 2.0 * np.pi, name="cos(2 pi y)",
     ),
     "xy": lambda z: Observable(
-        fn=lambda x, y: float(x) * np.asarray(y, dtype=float),
+        fn=lambda x, y: np.asarray(x, dtype=float) * np.asarray(y, dtype=float),
         zeta=z, holder_bound=3.0, name="x*y",
     ),
 }

@@ -5,7 +5,9 @@ either the conformal measure nu or the invariant measure m) together with
 one atomic fiber measure per cell, attached at the cell midpoint.  The
 fiber over cell j is the restriction mu|_gamma of the measure to that
 leaf, positive and signed measures alike, and phi1[j] is its mass; a cell
-that carries nothing holds the zero measure.
+that carries nothing holds the zero measure.  All fibers live in one flat
+layout (``offsets``, ``positions``, ``weights``), so the operator step and
+the zeta = 1 norms act on every cell at once.
 
 The four norms:
     L1   = sum_j nu_j * ||restriction_j||_o          (nu-referenced)
@@ -24,7 +26,12 @@ import numpy as np
 
 from .baserpf import RPFDiscretization, discrete_holder_constant
 from .dualnorm import _as_zeta, chain_norms, norm_value, distance_value
-from .measures import AtomicSignedMeasure, canonicalize
+from .measures import (
+    _RANGE_SLACK,
+    AtomicSignedMeasure,
+    MeasureDomainError,
+    canonicalize_segments,
+)
 
 __all__ = [
     "DisintegratedMeasure",
@@ -44,21 +51,43 @@ __all__ = [
 ]
 
 
+def _cell_atoms(offsets: np.ndarray, cells: np.ndarray):
+    """Indices of the atoms of ``cells``, cell after cell, and the count of each."""
+    starts = offsets[cells]
+    counts = offsets[cells + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts), counts
+
+
+def _offsets(cell: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of atoms sorted by cell, cells numbered 0..n-1."""
+    off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=n), out=off[1:])
+    return off
+
+
 @dataclass(frozen=True)
 class DisintegratedMeasure:
     """Marginal density plus the fiber restriction over each base cell.
 
-    ``fibers[j]`` is the restriction mu|_gamma over cell j, and phi1[j]
-    is its mass (the operators compute the two separately, so they agree
-    to roundoff).  The serialized form keeps a ``"normalized"`` key, always
-    false; files with ``"normalized": true`` store unit-mass fibers and are
-    scaled by phi1 on reading.
+    The restrictions of all cells share one CSR layout: the atoms over
+    cell j are ``positions[offsets[j]:offsets[j+1]]`` with the weights at
+    the same indices, positions strictly increasing within a cell and no
+    weight zero.  ``from_fibers`` builds a measure from one
+    AtomicSignedMeasure per cell, and ``fibers`` gives them back.  phi1[j]
+    is the mass of restriction j (the operators compute the two
+    separately, so they agree to roundoff).  The serialized form keeps a
+    ``"normalized"`` key, always false; files with ``"normalized": true``
+    store unit-mass fibers and are scaled by phi1 on reading.
     """
 
     x: np.ndarray
     ref_masses: np.ndarray
     phi1: np.ndarray
-    fibers: tuple[AtomicSignedMeasure, ...]
+    offsets: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
     reference: str  # "nu" | "m"
     zeta: float = 1.0
 
@@ -66,37 +95,101 @@ class DisintegratedMeasure:
         x = np.asarray(self.x, dtype=float)
         rm = np.asarray(self.ref_masses, dtype=float)
         p1 = np.asarray(self.phi1, dtype=float)
-        fibers = tuple(self.fibers)
-        if not (x.size == rm.size == p1.size == len(fibers)):
-            raise ValueError("x, ref_masses, phi1 and fibers must have equal length")
+        off = np.asarray(self.offsets)
+        pos = np.asarray(self.positions, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if off.ndim != 1 or off.dtype.kind not in "iu":
+            raise ValueError("offsets must be a 1-d integer array")
+        off = off.astype(np.intp)
+        if not (x.size == rm.size == p1.size == off.size - 1):
+            raise ValueError(
+                "x, ref_masses, phi1 and the cells of offsets must have equal length"
+            )
         if self.reference not in ("nu", "m"):
             raise ValueError(f"reference must be 'nu' or 'm', got {self.reference!r}")
-        for arr in (x, rm, p1):
+        if pos.ndim != 1 or pos.shape != w.shape:
+            raise ValueError("positions and weights must be 1-d arrays of equal length")
+        if off[0] != 0 or off[-1] != pos.size or np.any(np.diff(off) < 0):
+            raise ValueError("offsets must rise from 0 to the number of atoms")
+        outside = (pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)
+        if outside.any():
+            raise MeasureDomainError(f"atom position {pos[outside][0]!r} outside [0, 1]")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+            raise ValueError("positions and weights must be finite")
+        if np.any(w == 0.0):
+            raise ValueError("fiber weights must be non-zero")
+        pos = np.clip(pos, 0.0, 1.0)
+        same_cell = np.ones(max(pos.size - 1, 0), dtype=bool)
+        bounds = off[1:-1]
+        same_cell[bounds[(bounds > 0) & (bounds < pos.size)] - 1] = False
+        if np.any(np.diff(pos)[same_cell] <= 0.0):
+            raise ValueError("positions must increase strictly within each cell")
+        for name, arr in (("x", x), ("ref_masses", rm), ("phi1", p1),
+                          ("offsets", off), ("positions", pos), ("weights", w)):
             arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "ref_masses", rm)
-        object.__setattr__(self, "phi1", p1)
-        object.__setattr__(self, "fibers", fibers)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "zeta", _as_zeta(self.zeta))
+
+    @staticmethod
+    def from_fibers(x, ref_masses, phi1, fibers, reference, zeta=1.0) -> "DisintegratedMeasure":
+        """A measure from one AtomicSignedMeasure per cell, each canonicalized."""
+        fibers = list(fibers)
+        counts = np.fromiter((f.n_atoms for f in fibers), dtype=np.intp, count=len(fibers))
+        cell = np.repeat(np.arange(len(fibers)), counts)
+        pos = np.concatenate([f.positions for f in fibers] or [np.empty(0)])
+        w = np.concatenate([f.weights for f in fibers] or [np.empty(0)])
+        cell, pos, w = canonicalize_segments(cell, pos, w)
+        return DisintegratedMeasure(
+            x=x, ref_masses=ref_masses, phi1=phi1, offsets=_offsets(cell, len(fibers)),
+            positions=pos, weights=w, reference=reference, zeta=zeta,
+        )
 
     @property
     def n(self) -> int:
         return int(self.x.size)
 
+    @property
+    def atom_cells(self) -> np.ndarray:
+        """The cell of every atom."""
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+
+    def fiber(self, j: int) -> AtomicSignedMeasure:
+        """The restriction over cell j."""
+        a, b = self.offsets[j], self.offsets[j + 1]
+        return AtomicSignedMeasure(self.positions[a:b], self.weights[a:b])
+
+    @property
+    def fibers(self) -> tuple[AtomicSignedMeasure, ...]:
+        """The restriction over every cell, one AtomicSignedMeasure each."""
+        return tuple(self.fiber(j) for j in range(self.n))
+
+    def with_atoms(self, cell, pos, w, **changes) -> "DisintegratedMeasure":
+        """A copy holding the atoms (cell, pos, w), sorted by cell, with
+        other fields replaced as in ``dataclasses.replace``."""
+        return replace(
+            self, offsets=_offsets(cell, self.n), positions=pos, weights=w, **changes
+        )
+
+    def _reweighted(self, factor: np.ndarray, **changes) -> "DisintegratedMeasure":
+        # atom weights times a per-atom factor; atoms that become 0 drop
+        w = factor * self.weights
+        keep = w != 0.0
+        return self.with_atoms(
+            self.atom_cells[keep], self.positions[keep], w[keep], **changes
+        )
+
     def total_mass(self) -> float:
         return float(np.dot(self.ref_masses, self.phi1))
 
     def is_positive(self) -> bool:
-        if np.any(self.phi1 < 0):
-            return False
-        return all(np.all(f.weights >= 0) for f in self.fibers)
+        return not (np.any(self.phi1 < 0) or np.any(self.weights < 0))
 
     def scaled(self, c: float) -> "DisintegratedMeasure":
-        return replace(
-            self, phi1=c * self.phi1, fibers=tuple(c * f for f in self.fibers)
-        )
+        return self._reweighted(c, phi1=c * self.phi1)
 
     def to_dict(self) -> dict:
+        pairs = np.column_stack([self.positions, self.weights]).tolist()
+        off = self.offsets.tolist()
         return {
             "n": self.n,
             "reference": self.reference,
@@ -105,7 +198,7 @@ class DisintegratedMeasure:
             "x": self.x.tolist(),
             "ref_masses": self.ref_masses.tolist(),
             "phi1": self.phi1.tolist(),
-            "fibers": [f.to_pairs() for f in self.fibers],
+            "fibers": [pairs[a:b] for a, b in zip(off[:-1], off[1:])],
         }
 
     @staticmethod
@@ -114,11 +207,11 @@ class DisintegratedMeasure:
         fibers = [AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]]
         if d.get("normalized", True):  # unit-mass fibers: scale to restrictions
             fibers = [float(p) * f for p, f in zip(phi1, fibers, strict=True)]
-        return DisintegratedMeasure(
+        return DisintegratedMeasure.from_fibers(
             x=np.asarray(d["x"], dtype=float),
             ref_masses=np.asarray(d["ref_masses"], dtype=float),
             phi1=phi1,
-            fibers=tuple(fibers),
+            fibers=fibers,
             reference=d["reference"],
             zeta=d.get("zeta", 1.0),
         )
@@ -128,6 +221,9 @@ class DisintegratedMeasure:
 class Observable:
     """A function on Sigma with a declared zeta-Holder bound.
 
+    ``fn(x, y)`` takes a base point and an array of fiber points.
+    Birkhoff averages call it on paired arrays of orbit points, so it
+    should also be elementwise in x (the constructors below are).
     ``holder_bound`` is |s|_zeta = H_zeta(s) + |s|_inf for the max metric
     on the product space; it must dominate every sampled quotient.  It is
     declared by whoever builds the observable (the constructors below give
@@ -163,44 +259,47 @@ class Observable:
     @staticmethod
     def coord_x(zeta=1.0):
         return Observable(
-            fn=lambda x, y: np.full_like(np.asarray(y, dtype=float), float(x)),
+            fn=lambda x, y: (
+                np.asarray(x, dtype=float) + np.zeros_like(np.asarray(y, dtype=float))
+            ),
             zeta=_as_zeta(zeta),
             holder_bound=2.0,
             name="x",
         )
 
 
-def _fiber_eval(obs, x: float, mu: AtomicSignedMeasure) -> float:
-    """Integral of obs(x, .) against an atomic fiber measure."""
-    if mu.n_atoms == 0:
+def _fiber_eval(fn, x: float, pos: np.ndarray, w: np.ndarray) -> float:
+    """Integral of fn(x, .) against the atoms (pos, w) of one fiber."""
+    if pos.size == 0:
         return 0.0
-    fn = obs.fn if isinstance(obs, Observable) else obs
-    return float(np.dot(mu.weights, np.asarray(fn(x, mu.positions), dtype=float)))
+    return float(np.dot(w, np.asarray(fn(x, pos), dtype=float)))
 
 
-def _fiber_norms(plus, minus, z: float) -> np.ndarray:
-    """Dual norms of plus[k] - minus[k] (of plus[k] when minus is None).
+def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.ndarray:
+    """Dual norms of a's restriction over cell ia[k] minus b's over ib[k]
+    (a's alone when b is None).
 
-    At zeta = 1 all of them come from one ``chain_norms`` call over the
-    concatenated atoms; at zeta < 1 each is its own LP.
+    At zeta = 1 all of them come from one ``chain_norms`` call on the
+    atoms gathered from the flat layout; at zeta < 1 each is its own LP.
     """
+    ia = np.asarray(ia, dtype=np.intp)
     if z != 1.0:
-        if minus is None:
-            return np.array([norm_value(f, z) for f in plus])
-        return np.array([distance_value(f, g, z) for f, g in zip(plus, minus)])
-    fibers = list(plus) if minus is None else list(plus) + list(minus)
-    k = len(plus)
-    if not fibers:
+        if b is None:
+            return np.array([norm_value(a.fiber(i), z) for i in ia])
+        return np.array([distance_value(a.fiber(i), b.fiber(j), z) for i, j in zip(ia, ib)])
+    k = ia.size
+    if k == 0:
         return np.zeros(0)
-    counts = np.fromiter((f.n_atoms for f in fibers), dtype=np.intp, count=len(fibers))
-    w = np.concatenate([f.weights for f in fibers])
-    w[int(counts[:k].sum()):] *= -1.0
-    return chain_norms(
-        np.repeat(np.arange(len(fibers)) % k, counts),
-        np.concatenate([f.positions for f in fibers]),
-        w,
-        k,
-    )
+    idx, counts = _cell_atoms(a.offsets, ia)
+    seg = np.repeat(np.arange(k), counts)
+    pos = a.positions[idx]
+    w = a.weights[idx]
+    if b is not None:
+        idx_b, counts_b = _cell_atoms(b.offsets, np.asarray(ib, dtype=np.intp))
+        seg = np.concatenate([seg, np.repeat(np.arange(k), counts_b)])
+        pos = np.concatenate([pos, b.positions[idx_b]])
+        w = np.concatenate([w, -b.weights[idx_b]])
+    return chain_norms(seg, pos, w, k)
 
 
 def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
@@ -209,8 +308,7 @@ def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
         raise ValueError("l1_norm needs a nu-referenced measure; convert first")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     idx = np.flatnonzero(dm.ref_masses > 0)
-    vals = _fiber_norms([dm.fibers[j] for j in idx], None, z)
-    return float(np.dot(dm.ref_masses[idx], vals))
+    return float(np.dot(dm.ref_masses[idx], _fiber_norms(z, dm, idx)))
 
 
 def linf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
@@ -219,7 +317,7 @@ def linf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
         raise ValueError("linf_norm needs an m-referenced measure; convert first")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     idx = np.flatnonzero(dm.ref_masses > 0)
-    return float(_fiber_norms([dm.fibers[j] for j in idx], None, z).max(initial=0.0))
+    return float(_fiber_norms(z, dm, idx).max(initial=0.0))
 
 
 def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
@@ -272,16 +370,15 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     idx = np.flatnonzero(dm.ref_masses > 0)
     if z == 1.0:
         idx = idx[np.argsort(dm.x[idx], kind="stable")]
-        dist = _fiber_norms(
-            [dm.fibers[i] for i in idx[:-1]], [dm.fibers[j] for j in idx[1:]], z
-        )
+        dist = _fiber_norms(z, dm, idx[:-1], dm, idx[1:])
         return float((dist / np.diff(dm.x[idx])).max(initial=0.0))
+    fibers = dm.fibers
     best = 0.0
     for a in range(len(idx)):
         i = idx[a]
         for b in range(a + 1, len(idx)):
             j = idx[b]
-            d = distance_value(dm.fibers[i], dm.fibers[j], z)
+            d = distance_value(fibers[i], fibers[j], z)
             best = max(best, d / abs(dm.x[i] - dm.x[j]) ** z)
     return best
 
@@ -294,25 +391,28 @@ def multiply_observable(dm: DisintegratedMeasure, s) -> DisintegratedMeasure:
     """
     fn = s.fn if isinstance(s, Observable) else s
     new_phi1 = np.zeros(dm.n)
-    new_fibers: list[AtomicSignedMeasure] = []
-    for j, fib in enumerate(dm.fibers):
-        if fib.n_atoms == 0:
-            new_fibers.append(fib)
+    sv = np.ones(dm.positions.size)
+    off = dm.offsets.tolist()
+    for j in range(dm.n):
+        a, b = off[j], off[j + 1]
+        if a == b:
             continue
-        sv = np.asarray(fn(float(dm.x[j]), fib.positions), dtype=float)
-        new_phi1[j] = float(np.dot(fib.weights, sv))
-        new_fibers.append(canonicalize(AtomicSignedMeasure(fib.positions, fib.weights * sv)))
-    return replace(dm, phi1=new_phi1, fibers=tuple(new_fibers))
+        sv[a:b] = fn(float(dm.x[j]), dm.positions[a:b])
+        new_phi1[j] = float(np.dot(dm.weights[a:b], sv[a:b]))
+    return dm._reweighted(sv, phi1=new_phi1)
 
 
 def integrate(dm: DisintegratedMeasure, g) -> float:
     """Integral of an observable: sum_j ref_j * <restriction_j, g(x_j, .)>."""
+    fn = g.fn if isinstance(g, Observable) else g
+    off = dm.offsets.tolist()
     total = 0.0
     for j in range(dm.n):
         rmj = float(dm.ref_masses[j])
         if rmj == 0.0:
             continue
-        total += rmj * _fiber_eval(g, float(dm.x[j]), dm.fibers[j])
+        a, b = off[j], off[j + 1]
+        total += rmj * _fiber_eval(fn, float(dm.x[j]), dm.positions[a:b], dm.weights[a:b])
     return total
 
 
@@ -332,11 +432,11 @@ def product_measure(
     if dens.ndim == 0:
         dens = np.full(rpf.n, float(dens))
     ref = rpf.nu if reference == "nu" else rpf.m
-    return DisintegratedMeasure(
+    return DisintegratedMeasure.from_fibers(
         x=rpf.x,
         ref_masses=ref.copy(),
         phi1=dens,
-        fibers=tuple(float(d) * fiber for d in dens),
+        fibers=[float(d) * fiber for d in dens],
         reference=reference,
         zeta=zeta,
     )
@@ -356,9 +456,8 @@ def convert_reference(
         return dm
     factor = 1.0 / rpf.h if to == "m" else rpf.h
     ref = rpf.nu if to == "nu" else rpf.m
-    fibers = tuple(float(c) * f for c, f in zip(factor, dm.fibers))
-    return replace(
-        dm, phi1=dm.phi1 * factor, fibers=fibers, ref_masses=ref.copy(), reference=to
+    return dm._reweighted(
+        factor[dm.atom_cells], phi1=dm.phi1 * factor, ref_masses=ref.copy(), reference=to
     )
 
 
@@ -371,7 +470,7 @@ def _fiber_distances(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta):
         )
     z = a.zeta if zeta is None else _as_zeta(zeta)
     idx = np.flatnonzero(a.ref_masses > 0)
-    return idx, _fiber_norms([a.fibers[j] for j in idx], [b.fibers[j] for j in idx], z)
+    return idx, _fiber_norms(z, a, idx, b, idx)
 
 
 def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:

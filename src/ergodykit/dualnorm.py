@@ -56,7 +56,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .measures import AtomicSignedMeasure, canonicalize
+from .measures import AtomicSignedMeasure, _lex_order, canonicalize
 
 __all__ = [
     "DualNormResult",
@@ -126,16 +126,6 @@ def _segmented_cumsum(w: np.ndarray, col: np.ndarray) -> np.ndarray:
         f[k:] += np.where(col[k:] >= k, f[:-k], 0.0)
         k *= 2
     return f
-
-
-def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """The stable order of ``np.lexsort((minor, major))``, found faster.
-
-    numpy orders complex numbers lexicographically, and its stable sort
-    runs in near-linear time on the presorted runs that concatenated
-    canonical fibers form (about 10x faster than ``lexsort`` on them).
-    """
-    return np.argsort(major + 1j * minor, kind="stable")
 
 
 def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:

@@ -261,17 +261,137 @@ def compress(
     )
 
 
+def _check_cap(cap: int):
+    # atoms of opposite sign never merge, so a signed fiber keeps two atoms
+    # at any width: a cap below 2 would double the width forever
+    if cap < 2:
+        raise ValueError(f"atom cap must be at least 2, got {cap}")
+
+
 def compress_to_cap(
     mu: AtomicSignedMeasure, delta: float, cap: int, zeta: float = 1.0
 ) -> tuple[AtomicSignedMeasure, float]:
     """Compress with delta, doubling delta until at most cap atoms remain.
 
-    Returns the compressed measure and the delta actually used, so callers
-    can account the worst-case dual-norm drift TV * used_delta**zeta.
+    Returns the compressed measure and the delta actually used; the
+    dual-norm drift is at most TV times the sum of width**zeta over the
+    widths tried.  Once the width exceeds 1 every atom of one sign shares
+    a bucket, so with cap >= 2 the doubling ends there; a cap below 2
+    raises ValueError.
     """
+    _check_cap(cap)
     out = compress(mu, delta, zeta)
     used = delta
     while out.n_atoms > cap:
         used *= 2.0
         out = compress(out, used, zeta)
     return out, used
+
+
+# ---------------------------------------------------------------------------
+# many fibers at once
+# ---------------------------------------------------------------------------
+#
+# The functions below act on the atoms of many fibers stored side by side:
+# atom k lies in fiber ``cell[k]`` at ``pos[k]`` with weight ``w[k]``.  They
+# give, fiber by fiber, exactly the arrays that ``canonicalize`` and
+# ``compress_to_cap`` give: the sorts are stable and every sum runs over
+# the atoms in the same order, so the results agree bit for bit.
+
+
+def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The stable order of ``np.lexsort((minor, major))``, found faster.
+
+    numpy orders complex numbers lexicographically, and its stable sort
+    runs in near-linear time on the presorted runs that concatenated
+    canonical fibers form (about 10x faster than ``lexsort`` on them).
+    """
+    return np.argsort(major + 1j * minor, kind="stable")
+
+
+def _group_sums(new_group: np.ndarray, *values: np.ndarray):
+    """Sums of each run of ``values`` that ``new_group`` starts, in order.
+
+    ``np.add.at`` adds in index order from 0.0, as ``canonicalize`` and
+    ``_cluster_same_sign`` do fiber by fiber.
+    """
+    idx = np.cumsum(new_group) - 1
+    k = int(idx[-1]) + 1
+    sums = []
+    for v in values:
+        s = np.zeros(k)
+        np.add.at(s, idx, v)
+        sums.append(s)
+    return sums
+
+
+def canonicalize_segments(cell: np.ndarray, pos: np.ndarray, w: np.ndarray):
+    """``canonicalize`` of every fiber at once.
+
+    Returns ``(cell, pos, w)`` sorted by (cell, position), with coincident
+    atoms of a fiber merged and zero weights dropped.
+    """
+    if cell.size == 0:
+        return cell, pos, w
+    order = _lex_order(cell, pos)
+    cell, pos, w = cell[order], pos[order], w[order]
+    new_group = np.empty(cell.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (cell[1:] != cell[:-1]) | (pos[1:] != pos[:-1])
+    if not new_group.all():
+        (w,) = _group_sums(new_group, w)
+        cell, pos = cell[new_group], pos[new_group]
+    keep = w != 0.0
+    if not keep.all():
+        cell, pos, w = cell[keep], pos[keep], w[keep]
+    return cell, pos, w
+
+
+def _compress_segments(cell, pos, w, width):
+    """``compress`` of every fiber at once; fiber c uses bucket width width[c].
+
+    The input is canonical per fiber.  Each fiber's positive part comes
+    first and its negative part second, each in position order, and the
+    atoms of one (fiber, sign, bucket) merge into their centroid.
+    """
+    neg = w < 0
+    order = np.argsort(2 * cell + neg, kind="stable")
+    cell, pos, neg = cell[order], pos[order], neg[order]
+    mag = np.abs(w[order])
+    buckets = np.floor(pos / width[cell]).astype(np.int64)
+    new_group = np.empty(cell.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (
+        (cell[1:] != cell[:-1]) | (neg[1:] != neg[:-1]) | (buckets[1:] != buckets[:-1])
+    )
+    tot_w, tot_pw = _group_sums(new_group, mag, pos * mag)
+    centroid = np.clip(tot_pw / tot_w, 0.0, 1.0)
+    signed = np.where(neg[new_group], -1.0, 1.0) * tot_w
+    return canonicalize_segments(cell[new_group], centroid, signed)
+
+
+def compress_to_cap_segments(cell, pos, w, ncell: int, delta: float, cap: int):
+    """``compress_to_cap`` of every fiber with more than one atom, at once.
+
+    The input is canonical per fiber, fibers numbered 0..ncell-1.  Every
+    such fiber is compressed with width delta; a fiber still above the cap
+    doubles its own width and compresses again, as ``compress_to_cap``
+    does.  Returns ``(cell, pos, w, width)``, the atoms in (cell, position)
+    order and the last width of each fiber (delta where it never doubled).
+    """
+    _check_cap(cap)
+    width = np.full(ncell, float(delta))
+    redo = np.bincount(cell, minlength=ncell) > 1
+    while redo.any():
+        sel = redo[cell]
+        if sel.all():
+            cell, pos, w = _compress_segments(cell, pos, w, width)
+        else:
+            parts = _compress_segments(cell[sel], pos[sel], w[sel], width)
+            rest = ~sel
+            cell, pos, w = (np.concatenate([a[rest], b]) for a, b in zip((cell, pos, w), parts))
+            order = np.argsort(cell, kind="stable")
+            cell, pos, w = cell[order], pos[order], w[order]
+        redo = np.bincount(cell, minlength=ncell) > cap
+        width[redo] *= 2.0
+    return cell, pos, w, width

@@ -159,16 +159,14 @@ def correlation_operator(
 
 
 def _eval_pairs(obs: Observable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate an observable on paired arrays, broadcasting when possible."""
-    try:
-        out = np.asarray(obs.fn(xs, ys), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    return np.array(
-        [float(np.asarray(obs.fn(float(x), np.array([y])))[0]) for x, y in zip(xs, ys)]
-    )
+    """Evaluate an observable on paired arrays of orbit points."""
+    out = np.asarray(obs.fn(xs, ys), dtype=float)
+    if out.shape != xs.shape:
+        raise ValueError(
+            f"observable {obs.name!r} returned shape {out.shape} for {xs.shape} "
+            "orbit points; it must be elementwise in x and y"
+        )
+    return out
 
 
 def correlation_birkhoff(
@@ -187,6 +185,9 @@ def correlation_birkhoff(
     Valid when the equilibrium state is the physical measure (the caller
     asserts this by choosing the estimator).  Orbits start from uniform
     initial conditions; standard errors come from batch means over orbits.
+    All orbits advance together: the fiber map and both observables are
+    called once per time step on the arrays of orbit points, so they
+    must be elementwise in x and y (ValueError otherwise).
 
     Binary expanding bases shift mantissa bits out under float iteration
     and every orbit collapses onto the fixed point after ~53 steps, so the
@@ -207,9 +208,7 @@ def correlation_birkhoff(
             k = t - burn_in
             u_traj[k] = _eval_pairs(u, x, y)
             g_traj[k] = _eval_pairs(g, x, y)
-        y_new = np.array(
-            [float(sys.fiber(float(xv), np.array([yv]))[0]) for xv, yv in zip(x, y)]
-        )
+        y_new = np.asarray(sys.fiber(x, y), dtype=float)
         x = sys.base.apply(x)
         if orbit_noise:
             x = np.mod(x + rng.uniform(-orbit_noise, orbit_noise, size=orbits), 1.0)

@@ -160,8 +160,13 @@ def fiber_linear(alpha: float) -> FiberMap:
     """G(x, y) = alpha y; x-independent, so the fiber-Holder constant is 0."""
     if not (0.0 <= alpha < 1.0):
         raise ConstructionError(f"contraction factor must be < 1, got {alpha}")
+    def g(x, y, _a=alpha):
+        # x only shapes the result, which broadcasts like the other maps
+        _, y = np.broadcast_arrays(x, np.asarray(y, dtype=float))
+        return _a * y
+
     return FiberMap(
-        fn=lambda x, y, _a=alpha: _a * np.asarray(y, dtype=float),
+        fn=g,
         alpha=alpha,
         g_holder=0.0,
         name=f"linear({alpha:g})",
@@ -179,8 +184,7 @@ def fiber_discontinuous(alpha1: float, alpha2: float, split: float = 0.5) -> Fib
         raise ConstructionError("both contraction factors must be < 1")
 
     def g(x, y, _a1=alpha1, _a2=alpha2, _s=split):
-        a = _a1 if x <= _s else _a2
-        return a * np.asarray(y, dtype=float)
+        return np.where(np.asarray(x) <= _s, _a1, _a2) * np.asarray(y, dtype=float)
 
     return FiberMap(
         fn=g,
@@ -201,13 +205,16 @@ def fiber_holder(
 
     Callers declare alpha >= sup |h_i| and g_holder >= the Holder constant
     of the active piece; both are spot-checked by the sampled invariants.
+    h1 and h2 must accept arrays of x and act elementwise: G evaluates
+    both on every x it is given and keeps the piece that applies.
     """
     if not (0.0 <= alpha < 1.0):
         raise ConstructionError(f"contraction factor must be < 1, got {alpha}")
 
     def g(x, y, _h1=h1, _h2=h2, _s=split):
-        factor = _h1(x) if x <= _s else _h2(x)
-        return float(factor) * np.asarray(y, dtype=float)
+        x = np.asarray(x, dtype=float)
+        factor = np.where(x <= _s, _h1(x), _h2(x))
+        return factor * np.asarray(y, dtype=float)
 
     return FiberMap(fn=g, alpha=alpha, g_holder=g_holder, name="holder-pieces")
 
@@ -239,7 +246,7 @@ def fiber_tsujii(alpha: float, o: Callable[[np.ndarray], np.ndarray],
 
     def g(x, y, _a=alpha, _o=o, _sc=scale, _sh=shift):
         yy = np.asarray(y, dtype=float) * _sc + _sh  # to original coords
-        img = _a * yy + float(np.asarray(_o(np.atleast_1d(float(x))))[0])
+        img = _a * yy + _o(x)
         return (img - _sh) / _sc
 
     # verify the rescaled image is finite and stays inside [0, 1] on a grid

@@ -35,6 +35,7 @@ from .baserpf import (
 from .disint import (
     DisintegratedMeasure,
     Observable,
+    _cell_atoms,
     linf_distance,
     l1_norm,
     s1_norm,
@@ -42,12 +43,17 @@ from .disint import (
 )
 from .dualnorm import _as_zeta
 from .measures import (
+    _RANGE_SLACK,
     AtomicSignedMeasure,
-    canonicalize,
-    compress_to_cap,
+    MeasureDomainError,
+    canonicalize_segments,
+    compress_to_cap_segments,
     dirac,
-    zero_measure,
 )
+
+# Nothing here calls the one-fiber compression any more; the benchmark's
+# tracer wraps ``transfer.compress_to_cap`` by name, so the name stays bound.
+from .measures import compress_to_cap  # noqa: F401
 
 __all__ = [
     "FiberMap",
@@ -74,9 +80,13 @@ DEFAULT_ATOM_CAP = 64
 class FiberMap:
     """Fiber dynamics G(x, .): K -> K with declared contraction data.
 
-    ``fn`` must be vectorized in y.  ``alpha`` bounds the fiber contraction
-    |G(x, z1) - G(x, z2)| <= alpha |z1 - z2| and ``g_holder`` the
-    per-branch x-Holder constant sup_y |G(x1, y) - G(x2, y)| / d(x1,x2)**zeta.
+    ``fn(x, y)`` must be elementwise over broadcastable arrays x and y:
+    the operator step calls it once on the paired (preimage, atom)
+    arrays of every cell, and Birkhoff orbits once per time step.  A
+    scalar x with an array y works as well.  ``alpha`` bounds the fiber
+    contraction |G(x, z1) - G(x, z2)| <= alpha |z1 - z2| and ``g_holder``
+    the per-branch x-Holder constant
+    sup_y |G(x1, y) - G(x2, y)| / d(x1,x2)**zeta.
     """
 
     fn: Callable[[float, np.ndarray], np.ndarray]
@@ -88,7 +98,7 @@ class FiberMap:
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"contraction factor must lie in [0, 1), got {self.alpha}")
 
-    def __call__(self, x: float, y: np.ndarray) -> np.ndarray:
+    def __call__(self, x, y: np.ndarray) -> np.ndarray:
         return self.fn(x, y)
 
 
@@ -152,57 +162,54 @@ class SkewSystem:
         }
 
 
-def _combine_fibers(
+def _step(
     sys: SkewSystem,
     rpf: RPFDiscretization,
     dm: DisintegratedMeasure,
     branch_weights: np.ndarray,
+    ref_masses: np.ndarray,
     delta: float,
     cap: int,
-) -> list[AtomicSignedMeasure]:
-    """Per-cell weighted sum of pushforwards through the branch preimages.
+) -> tuple[DisintegratedMeasure, np.ndarray]:
+    """One operator step on every cell at once, and the widths it used.
 
-    The source restriction at a preimage is read by the same two-cell
-    linear stencil as the marginal, and both stencil cells share the fiber
-    map G(y_ij, .), so one pushforward per branch suffices.
+    The output restriction over cell j is the branch-weighted sum of the
+    pushforwards of the source restrictions through G(y_ij, .).  The
+    source restriction at a preimage is read by the same two-cell linear
+    stencil as the marginal, and both stencil cells share the fiber map
+    G(y_ij, .).  The atoms of every (cell, branch, stencil side) piece
+    are gathered in that order, pushed forward by one fiber-map call,
+    canonicalized and compressed to the cap cell by cell.  The second
+    result holds each cell's last compression width.
     """
-    restr = dm.fibers
-    out: list[AtomicSignedMeasure] = []
-    deg = rpf.deg
-    ys = rpf.preimages
-    src = rpf.src
-    for j in range(rpf.n):
-        pos_parts = []
-        w_parts = []
-        for i in range(deg):
-            blend_pos = []
-            blend_w = []
-            for s in range(2):
-                wijs = float(branch_weights[i, j, s])
-                if wijs == 0.0:
-                    continue
-                piece = restr[src[i, j, s]]
-                if piece.n_atoms == 0:
-                    continue
-                blend_pos.append(piece.positions)
-                blend_w.append(wijs * piece.weights)
-            if not blend_pos:
-                continue
-            yij = float(ys[i, j])
-            pos_parts.append(
-                np.asarray(sys.fiber(yij, np.concatenate(blend_pos)), dtype=float)
-            )
-            w_parts.append(np.concatenate(blend_w))
-        if not pos_parts:
-            out.append(zero_measure())
-            continue
-        raw = canonicalize(
-            AtomicSignedMeasure(np.concatenate(pos_parts), np.concatenate(w_parts))
+    n, deg = rpf.n, rpf.deg
+    bw = np.moveaxis(branch_weights, 1, 0).reshape(-1)  # (j, i, s) order
+    src = np.moveaxis(rpf.src, 1, 0).reshape(-1)
+    pieces = np.flatnonzero(bw != 0.0)
+    idx, counts = _cell_atoms(dm.offsets, src[pieces])
+    piece_of = np.repeat(pieces, counts)
+    cell = piece_of // (2 * deg)
+    x = rpf.preimages.T.reshape(-1)[piece_of // 2]
+    y = dm.positions[idx]
+    w = np.repeat(bw[pieces], counts) * dm.weights[idx]
+    img = np.asarray(sys.fiber(x, y), dtype=float) if y.size else y
+    if img.shape != y.shape:
+        raise ValueError(
+            f"fiber map {sys.fiber.name!r} returned shape {img.shape} for "
+            f"{y.shape} points; it must be elementwise in x and y"
         )
-        if raw.n_atoms > 1:
-            raw, _ = compress_to_cap(raw, delta, cap, sys.zeta)
-        out.append(raw)
-    return out
+    outside = (img < -_RANGE_SLACK) | (img > 1.0 + _RANGE_SLACK)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise MeasureDomainError(
+            f"fiber image {img[k]!r} of atom {y[k]!r} over x = {x[k]!r} outside [0, 1]"
+        )
+    if not (np.all(np.isfinite(img)) and np.all(np.isfinite(w))):
+        raise ValueError("fiber images and weights must be finite")
+    cell, pos, w = canonicalize_segments(cell, np.clip(img, 0.0, 1.0), w)
+    cell, pos, w, widths = compress_to_cap_segments(cell, pos, w, n, delta, cap)
+    phi1 = _gather(rpf.src, branch_weights, dm.phi1)
+    return dm.with_atoms(cell, pos, w, phi1=phi1, ref_masses=ref_masses.copy()), widths
 
 
 def apply_F_phi(
@@ -218,7 +225,7 @@ def apply_F_phi(
     exp(phi(y_ij)) times the pushforward of the source restriction through
     G(y_ij, .); the output marginal is the transfer operator applied to the
     input marginal.  The equilibrium state is an eigenvector with
-    eigenvalue lambda.
+    eigenvalue lambda.  Raises ValueError for an atom cap below 2.
     """
     if dm.reference != "nu":
         raise ValueError("apply_F_phi acts on nu-referenced measures")
@@ -226,9 +233,7 @@ def apply_F_phi(
         raise ValueError("apply_F_phi needs the plain (untwisted) discretization")
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
-    fibers = _combine_fibers(sys, rpf, dm, rpf.wphi, compress_delta, atom_cap)
-    phi1 = _gather(rpf.src, rpf.wphi, dm.phi1)
-    return replace(dm, phi1=phi1, fibers=fibers, ref_masses=rpf.nu.copy())
+    return _step(sys, rpf, dm, rpf.wphi, rpf.nu, compress_delta, atom_cap)[0]
 
 
 def apply_F_phih_normalized(
@@ -237,20 +242,25 @@ def apply_F_phih_normalized(
     dm: DisintegratedMeasure,
     compress_delta: float = DEFAULT_COMPRESS_DELTA,
     atom_cap: int = DEFAULT_ATOM_CAP,
+    *,
+    widths: list | None = None,
 ) -> DisintegratedMeasure:
     """The normalized h-twisted operator on m-referenced measures.
 
     Branch weights h(y_ij) exp(phi(y_ij)) / (lambda h(x_j)), row-normalized
     exactly, so a probability maps to a probability and total mass is
-    conserved to machine precision.
+    conserved to machine precision.  When ``widths`` is a list, the array
+    of per-cell compression widths this step used is appended to it.
+    Raises ValueError for an atom cap below 2.
     """
     if dm.reference != "m":
         raise ValueError("apply_F_phih_normalized acts on m-referenced measures")
     if dm.n != rpf.n:
         raise ValueError("measure and discretization sizes differ")
-    fibers = _combine_fibers(sys, rpf, dm, rpf.weights, compress_delta, atom_cap)
-    phi1 = _gather(rpf.src, rpf.weights, dm.phi1)
-    return replace(dm, phi1=phi1, fibers=fibers, ref_masses=rpf.m.copy())
+    out, used = _step(sys, rpf, dm, rpf.weights, rpf.m, compress_delta, atom_cap)
+    if widths is not None:
+        widths.append(used)
+    return out
 
 
 def initial_product(
@@ -262,11 +272,11 @@ def initial_product(
     """The product probability (reference measure) x (given fiber)."""
     fib = fiber if fiber is not None else dirac(1.0)
     ref = rpf.nu if reference == "nu" else rpf.m
-    return DisintegratedMeasure(
+    return DisintegratedMeasure.from_fibers(
         x=rpf.x,
         ref_masses=ref.copy(),
         phi1=np.ones(rpf.n),
-        fibers=tuple([fib] * rpf.n),
+        fibers=[fib] * rpf.n,
         reference=reference,
         zeta=zeta,
     )
@@ -290,6 +300,7 @@ class ConvergenceReport:
     compress_delta: float
     atom_cap: int
     compress_error_bound: float
+    realized_delta_max: float
 
     def to_dict(self) -> dict:
         return {
@@ -307,6 +318,7 @@ class ConvergenceReport:
             "compress_delta": self.compress_delta,
             "atom_cap": self.atom_cap,
             "compress_error_bound": self.compress_error_bound,
+            "realized_delta_max": self.realized_delta_max,
         }
 
 
@@ -349,6 +361,22 @@ def homogeneous_delta(compress_delta: float, atom_cap: int) -> float:
     return max(compress_delta, 1.0 / max(atom_cap - 1, 1))
 
 
+def compression_drift_bound(delta: float, realized: float, zeta: float) -> float:
+    """Dual-norm drift of one compression per unit total variation.
+
+    A cell compressed at width delta and doubled until width ``realized``
+    moves each atom at most once per width tried, so its drift is at
+    most the sum of width**zeta over delta, 2 delta, ..., realized; that
+    is delta**zeta when nothing doubles.
+    """
+    width = delta
+    total = delta**zeta
+    while width < realized:
+        width *= 2.0
+        total += width**zeta
+    return total
+
+
 def iterate_to_equilibrium(
     sys: SkewSystem,
     rpf: RPFDiscretization,
@@ -363,10 +391,13 @@ def iterate_to_equilibrium(
     Stops when the sup fiber distance between successive iterates drops
     below tol, or after max_iter steps (reported as converged=False, not
     an exception).  The iterates can reach an exact floating-point fixed
-    point (distance 0), so only tol = 0 guarantees max_iter steps.  The fitted geometric rate comes from the tail half of
-    the distance sequence; the theoretical rate is
-    beta3 = max(sqrt(r_hat), sqrt(alpha**zeta)) with r_hat the measured
-    kernel decay of the twisted base operator.
+    point (distance 0), so only tol = 0 guarantees max_iter steps.  The
+    fitted geometric rate comes from the tail half of the distance
+    sequence; the theoretical rate is beta3 = max(sqrt(r_hat),
+    sqrt(alpha**zeta)) with r_hat the measured kernel decay of the twisted
+    base operator.  The report gives the largest compression width any
+    cell reached (``realized_delta_max``) and the drift bound of that
+    cell's widths (``compress_error_bound``).
     """
     if abs(dm0.total_mass() - 1.0) > 1e-8:
         raise ValueError("iterate_to_equilibrium expects a probability measure")
@@ -374,8 +405,11 @@ def iterate_to_equilibrium(
     cur = dm0
     distances: list[float] = []
     converged = False
+    realized = delta
     for _ in range(max_iter):
-        nxt = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap)
+        widths: list[np.ndarray] = []
+        nxt = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap, widths=widths)
+        realized = max(realized, float(widths[0].max(initial=delta)))
         d = linf_distance(nxt, cur, sys.zeta)
         distances.append(d)
         cur = nxt
@@ -407,7 +441,8 @@ def iterate_to_equilibrium(
         D4=float(a_term + alpha_bar2 * d_term),
         compress_delta=delta,
         atom_cap=atom_cap,
-        compress_error_bound=delta**sys.zeta,
+        compress_error_bound=compression_drift_bound(delta, realized, sys.zeta),
+        realized_delta_max=realized,
     )
     return cur, report
 
@@ -421,6 +456,7 @@ class GapReport:
     trials: int
     n_steps: int
     per_trial_rates: list[float]
+    realized_delta_max: float
 
     def to_dict(self) -> dict:
         return {
@@ -429,6 +465,7 @@ class GapReport:
             "trials": self.trials,
             "n_steps": self.n_steps,
             "per_trial_rates": self.per_trial_rates,
+            "realized_delta_max": self.realized_delta_max,
         }
 
 
@@ -458,11 +495,11 @@ def _random_zero_average(
         for p in parts[1:]:
             fiber = fiber + p
         fibers.append(fiber)
-    return DisintegratedMeasure(
+    return DisintegratedMeasure.from_fibers(
         x=rpf.x,
         ref_masses=rpf.m.copy(),
         phi1=np.array([f.total_mass() for f in fibers]),
-        fibers=tuple(fibers),
+        fibers=fibers,
         reference="m",
         zeta=zeta,
     )
@@ -477,7 +514,10 @@ def estimate_spectral_gap(
     compress_delta: float = DEFAULT_COMPRESS_DELTA,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> GapReport:
-    """Fit the decay rate of S-infinity norms on zero-average measures."""
+    """Fit the decay rate of S-infinity norms on zero-average measures.
+
+    ``realized_delta_max`` is the largest compression width any step used.
+    """
     if trials < 5:
         raise ValueError("need at least 5 trials")
     rng = np.random.default_rng(seed)
@@ -485,6 +525,7 @@ def estimate_spectral_gap(
     rates = []
     big_r = 1.0
     xi = 0.0
+    widths: list[np.ndarray] = []
     for _ in range(trials):
         dm = _random_zero_average(rpf, sys.zeta, rng)
         s0 = sinf_norm(dm)
@@ -493,7 +534,7 @@ def estimate_spectral_gap(
         norms = []
         cur = dm
         for _ in range(n_steps):
-            cur = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap)
+            cur = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap, widths=widths)
             norms.append(sinf_norm(cur))
         rate, _ = _fit_geometric(norms, floor=1e-12 * s0)
         rates.append(rate)
@@ -503,8 +544,9 @@ def estimate_spectral_gap(
             with np.errstate(over="ignore"):
                 pref = np.asarray(norms) / (s0 * rate**ns)
             big_r = max(big_r, float(np.nanmax(pref[np.isfinite(pref)])))
+    realized = max([delta] + [float(w.max(initial=delta)) for w in widths])
     return GapReport(xi=float(xi), R=float(big_r), trials=trials,
-                     n_steps=n_steps, per_trial_rates=rates)
+                     n_steps=n_steps, per_trial_rates=rates, realized_delta_max=realized)
 
 
 def check_class_S(

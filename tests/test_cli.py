@@ -95,6 +95,15 @@ class TestEquilibriumCommand:
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
+    def test_reports_realized_width(self, tmp_path):
+        # one atom per cell never doubles: the bound is delta**zeta
+        cfg, out = write_config(tmp_path)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        conv = json.loads((out / "convergence.json").read_text())
+        assert conv["realized_delta_max"] == conv["compress_delta"]
+        assert conv["compress_error_bound"] == conv["compress_delta"]
+
+
 class TestVerifyCommand:
     def test_report_written(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -226,6 +235,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert re.search(where, err)
+
+    def test_atom_cap_below_two_exits_2(self, tmp_path, capsys):
+        # a signed fiber keeps two atoms at any width, so cap 1 would never
+        # stop doubling; the config is refused before anything runs
+        text = (BASE_CONFIG.replace("gallery = doubling-linear", "gallery = tsujii")
+                .replace("fiber_atom_cap = 64", "fiber_atom_cap = 1")
+                .replace("base_cells = 64", "base_cells = 16"))
+        cfg, _ = write_config(tmp_path, text, name="bad.cfg")
+        assert main(["correlations", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"bad\.cfg:\d+: fiber_atom_cap must be >= 2", err)
 
     def test_overflowing_potential_exits_2(self, tmp_path, capsys):
         text = ("[system]\nbase = linear\nfiber = linear\npotential = constant\n"

@@ -37,7 +37,7 @@ def make_dm(rpf, phi1, fibers, reference="nu", zeta=1.0):
     phi1[j] * fibers[j]."""
     ref = rpf.nu if reference == "nu" else rpf.m
     phi1 = np.asarray(phi1, dtype=float)
-    return DisintegratedMeasure(
+    return DisintegratedMeasure.from_fibers(
         x=rpf.x, ref_masses=ref.copy(), phi1=phi1,
         fibers=tuple(float(p) * f for p, f in zip(phi1, fibers)),
         reference=reference, zeta=zeta,
@@ -92,7 +92,7 @@ class TestWeakNorms:
     def test_mass_bounded_by_l1(self, rpf64):
         rng = np.random.default_rng(1)
         fibers = [random_measure(rng, 3) for _ in range(64)]
-        dm = DisintegratedMeasure(
+        dm = DisintegratedMeasure.from_fibers(
             x=rpf64.x, ref_masses=rpf64.nu.copy(),
             phi1=np.array([f.total_mass() for f in fibers]), fibers=tuple(fibers),
             reference="nu",
@@ -297,7 +297,7 @@ class TestConversionAndSerialization:
     def test_json_round_trip(self, rpf64):
         rng = np.random.default_rng(8)
         fibers = [random_measure(rng, 4) for _ in range(64)]
-        dm = DisintegratedMeasure(
+        dm = DisintegratedMeasure.from_fibers(
             x=rpf64.x, ref_masses=rpf64.m.copy(), phi1=rng.standard_normal(64),
             fibers=tuple(fibers), reference="m",
         )
@@ -366,9 +366,11 @@ class TestBatchedZetaOne:
     def test_exact_fixed_point_is_zero(self, kind):
         # a fixed point reached exactly in floating point has distance 0.0
         _, (a, _) = _iterates("tsujii", kind)
-        same = replace(a, fibers=tuple(
-            AtomicSignedMeasure(f.positions.copy(), f.weights.copy()) for f in a.fibers
-        ))
+        same = DisintegratedMeasure.from_fibers(
+            a.x, a.ref_masses, a.phi1,
+            [AtomicSignedMeasure(f.positions.copy(), f.weights.copy()) for f in a.fibers],
+            a.reference, a.zeta,
+        )
         assert linf_distance(a, same) == 0.0
         assert l1_distance(a, same) == 0.0
 
@@ -389,3 +391,79 @@ class TestDistanceArguments:
         a = product_measure(np.ones(64), dirac(0.5), rpf=rpf64, reference="m")
         with pytest.raises(ValueError, match="referenced"):
             dist(a, convert_reference(a, rpf64, "nu"))
+
+
+class TestFlatLayout:
+    """Construction checks of the CSR fiber storage."""
+
+    def _dm(self, offsets, positions, weights, n=3):
+        x = (np.arange(n) + 0.5) / n
+        return DisintegratedMeasure(
+            x=x, ref_masses=np.full(n, 1.0 / n), phi1=np.ones(n),
+            offsets=np.asarray(offsets), positions=np.asarray(positions, dtype=float),
+            weights=np.asarray(weights, dtype=float), reference="m",
+        )
+
+    def test_valid_layout_and_fibers(self):
+        dm = self._dm([0, 2, 2, 3], [0.1, 0.4, 0.4], [0.5, -1.0, 2.0])
+        assert [f.to_pairs() for f in dm.fibers] == [
+            [[0.1, 0.5], [0.4, -1.0]], [], [[0.4, 2.0]]
+        ]
+        assert dm.fiber(2).to_pairs() == [[0.4, 2.0]]
+        assert dm.atom_cells.tolist() == [0, 0, 2]
+        for arr in (dm.offsets, dm.positions, dm.weights):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("offsets", [[1, 2, 2, 3], [0, 2, 2, 2], [0, 2, 1, 3],
+                                         [0, 1, 3], [0.0, 1.0, 2.0, 3.0]])
+    def test_bad_offsets(self, offsets):
+        with pytest.raises(ValueError):
+            self._dm(offsets, [0.1, 0.4, 0.5], [1.0, 1.0, 1.0])
+
+    def test_position_outside_unit_interval(self):
+        with pytest.raises(ek.measures.MeasureDomainError, match="1.5"):
+            self._dm([0, 1, 2, 3], [0.1, 1.5, 0.2], [1.0, 1.0, 1.0])
+
+    def test_rounding_overshoot_is_clipped(self):
+        dm = self._dm([0, 2, 2, 2], [-1e-13, 1.0 + 1e-13], [1.0, 1.0])
+        assert dm.positions.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", ["pos", "weight"])
+    def test_non_finite(self, bad):
+        pos, w = [0.1, 0.2], [1.0, 1.0]
+        if bad == "pos":
+            pos[1] = np.nan
+        else:
+            w[1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            self._dm([0, 2, 2, 2], pos, w)
+
+    def test_zero_weight(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            self._dm([0, 2, 2, 2], [0.1, 0.2], [1.0, 0.0])
+
+    @pytest.mark.parametrize("pos", [[0.2, 0.1], [0.2, 0.2]])
+    def test_positions_increase_within_cell(self, pos):
+        with pytest.raises(ValueError, match="increase"):
+            self._dm([0, 2, 2, 2], pos, [1.0, 1.0])
+
+    def test_cell_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            self._dm([0, 1, 2], [0.1, 0.2], [1.0, 1.0])
+
+    def test_from_fibers_canonicalizes(self, rpf64):
+        rng = np.random.default_rng(3)
+        raw = [AtomicSignedMeasure(rng.choice([0.25, 0.5, 0.75], 4), rng.normal(size=4))
+               for _ in range(64)]
+        dm = DisintegratedMeasure.from_fibers(rpf64.x, rpf64.m, np.ones(64), raw, "m")
+        for got, f in zip(dm.fibers, raw):
+            want = canonicalize(f)
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.weights, want.weights)
+
+    def test_scaling_drops_atoms_that_become_zero(self, rpf64):
+        dm = make_dm(rpf64, np.ones(64), [dirac(0.5, 1e-300)] * 63 + [dirac(0.5)], "m")
+        assert dm.scaled(0.0).positions.size == 0
+        tiny = dm.scaled(1e-300)
+        assert np.diff(tiny.offsets).tolist() == [0] * 63 + [1]
+        assert tiny.weights.tolist() == [1e-300]

@@ -175,6 +175,19 @@ class TestCompress:
         assert p1.total_mass() == pytest.approx(p0.total_mass(), abs=1e-12)
         assert n1.total_mass() == pytest.approx(n0.total_mass(), abs=1e-12)
 
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_below_two_rejected(self, cap):
+        # opposite signs never merge: cap 1 on a dipole would double forever
+        with pytest.raises(ValueError, match="at least 2"):
+            compress_to_cap(dirac(0.2) - dirac(0.7), 0.01, cap)
+
+    def test_signed_cap_two_stops_doubling(self):
+        out, used = compress_to_cap(dirac(0.2) - dirac(0.7), 0.01, 2)
+        assert out.to_pairs() == [[0.2, 1.0], [0.7, -1.0]] and used == 0.01
+        rng = np.random.default_rng(2)
+        out, used = compress_to_cap(random_measure(rng, 300), 1e-6, 2)
+        assert out.n_atoms <= 2 and used <= 2.0
+
     def test_cap_doubles_delta(self):
         rng = np.random.default_rng(1)
         mu = random_measure(rng, 500, kind="probability")

@@ -142,3 +142,44 @@ class TestCorrelationBirkhoff:
         b = correlation_birkhoff(tsujii_system, y, y, N=2, orbits=16,
                                  burn_in=50, rng_seed=7, samples_per_orbit=300)
         assert a.values == b.values and a.stderr == b.stderr
+
+    def test_orbits_advance_together(self, tsujii_system):
+        # one fiber-map call per time step, on the array of all orbit points
+        calls = []
+        fiber = tsujii_system.fiber
+        counting = ek.FiberMap(
+            fn=lambda x, y: calls.append(np.shape(x)) or fiber.fn(x, y),
+            alpha=fiber.alpha, g_holder=fiber.g_holder,
+        )
+        sys_ = ek.SkewSystem(tsujii_system.base, counting, tsujii_system.potential)
+        y = Observable.coord_y()
+        tab = correlation_birkhoff(sys_, y, y, N=2, orbits=8, burn_in=10, rng_seed=7,
+                                   samples_per_orbit=30)
+        assert calls == [(8,)] * (10 + 30 + 2)
+        ref = correlation_birkhoff(tsujii_system, y, y, N=2, orbits=8, burn_in=10,
+                                   rng_seed=7, samples_per_orbit=30)
+        assert tab.values == ref.values
+
+    def test_non_elementwise_observable_raises(self, tsujii_system):
+        y = Observable.coord_y()
+        first_only = Observable(fn=lambda x, y: np.asarray(y, dtype=float)[:1], name="first")
+        with pytest.raises(ValueError, match="elementwise"):
+            correlation_birkhoff(tsujii_system, first_only, y, N=1, orbits=4, burn_in=0,
+                                 samples_per_orbit=5)
+
+
+class TestElementwiseObservables:
+    """The library and CLI observables on paired arrays equal scalar-x calls."""
+
+    @pytest.mark.parametrize("name", ["one", "x", "y", "cosx", "cosy", "xy"])
+    def test_paired_arrays_match_scalar_calls(self, name):
+        from ergodykit.cli import _observable
+
+        obs = _observable(name, 1.0)
+        rng = np.random.default_rng(5)
+        xs = np.r_[0.0, 0.5, 1.0, rng.uniform(0, 1, 100)]
+        ys = np.r_[1.0, 0.0, 0.5, rng.uniform(0, 1, 100)]
+        paired = np.asarray(obs.fn(xs, ys), dtype=float)
+        scalar = np.array([obs.fn(float(x), np.array([y]))[0] for x, y in zip(xs, ys)])
+        assert paired.shape == xs.shape
+        assert np.array_equal(paired, scalar)

@@ -106,6 +106,40 @@ class TestFiberMaps:
         assert float(f(0.75, np.array([1.0]))[0]) == pytest.approx(0.475)
 
 
+def _config_tsujii_fiber():
+    from ergodykit.cli import RunConfig, build_system
+
+    cfg = RunConfig(system={"base": "linear", "fiber": "tsujii", "o_c0": 0.3, "o_c1": 0.2})
+    return build_system(cfg).fiber
+
+
+FIBER_MAPS = {e.name: e.build().fiber for e in gallery()}
+FIBER_MAPS["config-tsujii"] = _config_tsujii_fiber()
+
+
+class TestElementwiseFiberMaps:
+    """G(xs, ys) on paired arrays equals the scalar-x calls bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FIBER_MAPS))
+    def test_paired_arrays_match_scalar_calls(self, name):
+        f = FIBER_MAPS[name]
+        rng = np.random.default_rng(4)
+        # the split x = 1/2 of the piecewise maps and both ends included
+        xs = np.r_[0.0, 0.5, np.nextafter(0.5, 1.0), 1.0, rng.uniform(0, 1, 200)]
+        ys = np.r_[0.0, 1.0, 0.5, 0.5, rng.uniform(0, 1, 200)]
+        paired = f(xs, ys)
+        scalar = np.array([f(float(x), np.array([y]))[0] for x, y in zip(xs, ys)])
+        assert paired.shape == xs.shape
+        assert np.array_equal(paired, scalar)
+        grid = f(xs[:, None], ys[None, :8])
+        assert np.array_equal(grid, np.array([f(float(x), ys[:8]) for x in xs]))
+
+    def test_split_point_takes_left_piece(self):
+        assert FIBER_MAPS["mp-discontinuous"](np.array([0.5, 0.75]), np.ones(2)).tolist() == [
+            pytest.approx(0.3), pytest.approx(0.6)
+        ]
+
+
 class TestGallery:
     def test_entries_pass_their_reports(self):
         for entry in gallery():

@@ -187,7 +187,7 @@ class TestSpectralGap:
         for _ in range(rpf.n):
             a, b = rng.uniform(0, 1, 2)
             fibers.append(dirac(float(a), 0.7) + dirac(float(b), -0.7))
-        dm = DisintegratedMeasure(
+        dm = DisintegratedMeasure.from_fibers(
             x=rpf.x, ref_masses=rpf.m.copy(), phi1=np.zeros(rpf.n),
             fibers=tuple(fibers), reference="m", zeta=1.0,
         )
@@ -252,7 +252,7 @@ class TestLYS1:
 
     def test_zero_measure_trivial(self, dbl):
         sys_, rpf = dbl
-        dm = DisintegratedMeasure(
+        dm = DisintegratedMeasure.from_fibers(
             x=rpf.x, ref_masses=rpf.nu.copy(), phi1=np.zeros(rpf.n),
             fibers=tuple([ek.zero_measure()] * rpf.n), reference="nu", zeta=1.0,
         )
@@ -316,7 +316,7 @@ class TestZeroMarginalFallback:
         sys_, rpf = dbl
         phi1 = np.zeros(rpf.n)
         phi1[0] = 1.0 / rpf.nu[0]  # all mass on the first cell
-        stored = DisintegratedMeasure(
+        stored = DisintegratedMeasure.from_fibers(
             x=rpf.x, ref_masses=rpf.nu.copy(), phi1=phi1,
             fibers=tuple([dirac(0.7, phi1[0])] + [ek.zero_measure()] * (rpf.n - 1)),
             reference="nu", zeta=1.0,
@@ -366,3 +366,54 @@ class TestRegularity:
     def test_homogeneous_delta(self):
         assert homogeneous_delta(1e-4, 64) == pytest.approx(1.0 / 63.0)
         assert homogeneous_delta(0.5, 64) == 0.5
+
+
+class TestRealizedCompressionWidth:
+    """Reports carry the largest width the cap forced, and the bound uses it."""
+
+    def test_no_doubling_keeps_delta_bound(self, tsujii_system):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=12)
+        # positive fibers fit the homogeneous grid of cap buckets
+        assert rep.realized_delta_max == rep.compress_delta == homogeneous_delta(1e-4, 64)
+        assert rep.compress_error_bound == rep.compress_delta
+        assert rep.to_dict()["realized_delta_max"] == rep.compress_delta
+
+    def test_doubling_widens_the_bound(self, tsujii_system):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        signed = dirac(0.2, 1.5) + dirac(0.7, -0.5)  # a signed probability
+        dm0 = initial_product(rpf, signed, reference="m", zeta=1.0)
+        _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=8,
+                                        atom_cap=4)
+        delta = rep.compress_delta
+        doublings = int(round(np.log2(rep.realized_delta_max / delta)))
+        assert doublings >= 1
+        assert rep.realized_delta_max == delta * 2.0**doublings
+        widths = delta * 2.0 ** np.arange(doublings + 1)
+        assert rep.compress_error_bound == pytest.approx(widths.sum(), rel=1e-15)
+        assert rep.compress_error_bound > delta
+
+    def test_drift_bound_formula(self):
+        from ergodykit.transfer import compression_drift_bound
+
+        assert compression_drift_bound(0.25, 0.25, 0.5) == 0.5
+        assert compression_drift_bound(0.25, 1.0, 0.5) == pytest.approx(0.5 + 2**-0.5 + 1.0)
+
+    def test_gap_report_realized_width(self, tsujii_system):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        gap = estimate_spectral_gap(tsujii_system, rpf, trials=5, n_steps=12, seed=4)
+        delta = homogeneous_delta(1e-4, 64)
+        # signed trial measures need both sign's buckets: the cap doubles
+        assert gap.realized_delta_max >= 2 * delta
+        assert gap.to_dict()["realized_delta_max"] == gap.realized_delta_max
+        wide = estimate_spectral_gap(tsujii_system, rpf, trials=5, n_steps=3, seed=4,
+                                     atom_cap=10**6)
+        assert wide.realized_delta_max == homogeneous_delta(1e-4, 10**6)
+
+    def test_widths_sink(self, dbl):
+        sys_, rpf = dbl
+        widths = []
+        dm = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        apply_F_phih_normalized(sys_, rpf, dm, 1e-3, 8, widths=widths)
+        assert len(widths) == 1 and widths[0].tolist() == [1e-3] * rpf.n
