@@ -46,6 +46,26 @@ monotone S, and the minimum is attained exactly:
 
 The integrand is constant between the F_i in (0, M), so the integral is a
 finite sum.  Agreement with the LP to 1e-9 is enforced in the test suite.
+
+At zeta < 1 ``transport_norms`` solves a smaller LP, for many measures at
+once.  For 0 < zeta <= 1 the cost c(x, y) = |x - y|**zeta is a metric, and
+the LP above is the Kantorovich dual of a transport problem: move the
+positive part of mu onto the negative part at cost c per unit, and create
+or remove mass at cost 1 per unit (the bounds |g| <= 1).  Its dual needs
+only the cross-sign rows
+
+    g_i - g_j <= c(x_i, x_j)   for i a positive atom and j a negative atom,
+
+plus |g| <= 1.  The other rows are implied: since c obeys the triangle
+inequality, shipping mass through a third atom never beats shipping it
+directly, so a transshipment row (same-sign, or negative to positive)
+never binds.  Concretely, an optimal g of the cross-sign LP becomes
+feasible for all pairs, at no loss, as the envelope
+h(x) = max(-1, min(1, min_j (g_j + c(x, x_j)))) over the negative atoms j:
+h is zeta-Holder with constant 1, h >= g on the positive atoms and h <= g
+on the negative ones.  A measure whose atoms share one sign needs no LP at
+all (g = sign(w)).  The cross-sign LP has n_+ n_- rows against the
+n(n - 1) of the all-pairs form, about 4x fewer.
 """
 
 from __future__ import annotations
@@ -56,7 +76,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .measures import AtomicSignedMeasure, _lex_order, canonicalize
+from .measures import AtomicSignedMeasure, _lex_order, canonicalize, canonicalize_segments
 
 __all__ = [
     "DualNormResult",
@@ -67,6 +87,7 @@ __all__ = [
     "distance_value",
     "lower_bound_sample",
     "chain_norms",
+    "transport_norms",
 ]
 
 SOLVER_TOL = 1e-9
@@ -94,9 +115,8 @@ class DualNormResult:
     """Optimum of the dual LP together with an optimal test function.
 
     ``witness`` is a list of (position, g-value) pairs attaining the
-    optimum; it is None for solution paths that do not construct one
-    (the exact fast path and the closed forms report the value only,
-    except where the witness is trivial).
+    optimum; it is None for the batched routes ("fast" and "auto"), which
+    report the value only.
     """
 
     value: float
@@ -217,36 +237,87 @@ def _chain_norm(pos, w) -> float:
 _flat_chain = _flat_chain_kernel = _chain_norm
 
 
-def _value_closed_form(mu: AtomicSignedMeasure, zeta: float):
-    """Exact optimum for the degenerate shapes; None when not applicable.
+# ---------------------------------------------------------------------------
+# zeta < 1 route: cross-sign transport LPs, batched over fibers
+# ---------------------------------------------------------------------------
 
-    Same-sign measures: g = sign(mass) is feasible and attains the
-    total-variation upper bound, so the norm is |total mass|.  One- and
-    two-atom measures reduce to vertex enumeration of a planar polytope.
+# Cross-sign rows per LP.  Whole measures are grouped in order up to this
+# many rows; a measure with more rows than this is solved alone.  The cap
+# bounds the memory of one solve, not its result.
+_LP_BLOCK_ROWS = 4096
+
+
+def _transport_block(seg, pos, w, z: float) -> np.ndarray:
+    """Optimal g on the atoms of several measures, sorted by measure, with
+    one row g_i - g_j <= |x_i - x_j|**z for every positive atom i and
+    negative atom j of the same measure."""
+    pi, ni = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
+    seg = seg - seg[0]
+    n_neg = np.bincount(seg[ni], minlength=int(seg[-1]) + 1)
+    # positive atom ii[r] meets, in turn, every negative atom jj[r] of its measure
+    rep = n_neg[seg[pi]]
+    first_neg = (np.cumsum(n_neg) - n_neg)[seg[pi]]
+    ii = np.repeat(np.arange(pi.size), rep)
+    jj = np.arange(ii.size) + np.repeat(first_neg - (np.cumsum(rep) - rep), rep)
+    m = ii.size
+    a_ub = sparse.csr_matrix(
+        (
+            np.tile([1.0, -1.0], m),
+            (np.repeat(np.arange(m), 2), np.column_stack([ii, pi.size + jj]).ravel()),
+        ),
+        shape=(m, w.size),
+    )
+    res = linprog(
+        -np.r_[w[pi], w[ni]],
+        A_ub=a_ub,
+        b_ub=np.abs(pos[pi[ii]] - pos[ni[jj]]) ** z,
+        bounds=(-1.0, 1.0),
+        method="highs-ds",
+        options=_LP_OPTIONS,
+    )
+    if res.status != 0:
+        raise NumericError(
+            f"transport LP did not converge (status {res.status}, "
+            f"{res.nit} iterations): {res.message}"
+        )
+    g = np.empty(w.size)
+    g[pi], g[ni] = res.x[: pi.size], res.x[pi.size :]
+    return g
+
+
+def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
+    """zeta-Holder dual norms of many atomic measures at once, any zeta.
+
+    Takes the flat layout of ``chain_norms``: atom i lies in measure
+    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` with weight ``w[i]``, in any
+    order, coincident atoms adding.  Returns the ``k`` norms, 0 for a
+    measure without atoms.  Solves the cross-sign transport form of the
+    module docstring: a measure with no positive-negative pair has
+    g = sign(w); the others are grouped in order into block-diagonal LPs
+    of at most ``_LP_BLOCK_ROWS`` rows each (a larger measure alone), and
+    each norm is read back as the sum of w * g over its atoms.
     """
-    n = mu.n_atoms
-    w = mu.weights
-    if n == 0:
-        return 0.0
-    if np.all(w > 0) or np.all(w < 0):
-        return abs(mu.total_mass())
-    if n == 1:
-        return abs(float(w[0]))
-    if n == 2:
-        c = abs(mu.positions[1] - mu.positions[0]) ** zeta
-        if c >= 2.0:
-            verts = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-        else:
-            verts = [
-                (1.0, 1.0),
-                (-1.0, -1.0),
-                (1.0, 1.0 - c),
-                (1.0 - c, 1.0),
-                (-1.0, -1.0 + c),
-                (-1.0 + c, -1.0),
-            ]
-        return max(w[0] * a + w[1] * b for a, b in verts)
-    return None
+    z = _as_zeta(zeta)
+    seg, pos, w = canonicalize_segments(
+        np.asarray(seg, dtype=np.intp), np.asarray(pos, dtype=float),
+        np.asarray(w, dtype=float),
+    )
+    g = np.sign(w)
+    rows = np.bincount(seg[w > 0], minlength=k) * np.bincount(seg[w < 0], minlength=k)
+    lp = np.flatnonzero(rows)
+    # next-fit: a measure that would overflow the open block starts the next
+    cuts, size = [], _LP_BLOCK_ROWS
+    for t, r in enumerate(rows[lp].tolist()):
+        if size + r > _LP_BLOCK_ROWS:
+            cuts.append(t)
+            size = 0
+        size += r
+    off = np.searchsorted(seg, np.arange(k + 1))
+    for a, b in zip(cuts, cuts[1:] + [lp.size]):
+        lo, hi = off[lp[a]], off[lp[b - 1] + 1]
+        sel = lo + np.flatnonzero(rows[seg[lo:hi]] > 0)
+        g[sel] = _transport_block(seg[sel], pos[sel], w[sel], z)
+    return np.bincount(seg, weights=w * g, minlength=k)
 
 
 def _dual_norm_lp(mu: AtomicSignedMeasure, zeta: float):
@@ -296,8 +367,9 @@ def dual_norm(
         "fast": zeta == 1 only, the exact isotonic closed form of
         ``chain_norms`` (no witness); equivalent to "lp" on a line because
         the metric |x - y| is additive along sorted atoms.
-        "auto": "fast" when zeta == 1, otherwise closed forms where exact
-        and the LP for the rest.
+        "auto": "fast" when zeta == 1, otherwise the one-measure case of
+        ``transport_norms`` (no witness: its g need not satisfy the
+        same-sign Holder rows).
 
     The LP optimum is exact within the solver tolerance 1e-9; the zero
     measure returns 0.  Infeasibility cannot occur (g = 0 is feasible);
@@ -315,11 +387,8 @@ def dual_norm(
     if method == "auto":
         if z == 1.0:
             return DualNormResult(_chain_norm(mu.positions, mu.weights), None)
-        cf = _value_closed_form(mu, z)
-        if cf is not None:
-            return DualNormResult(float(cf), None)
-        value, witness = _dual_norm_lp(mu, z)
-        return DualNormResult(value, witness)
+        one = np.zeros(n, dtype=np.intp)
+        return DualNormResult(float(transport_norms(one, mu.positions, mu.weights, 1, z)[0]))
     if method != "lp":
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
@@ -337,7 +406,7 @@ def dual_distance(
 
 
 def norm_value(mu: AtomicSignedMeasure, zeta=1.0) -> float:
-    """Norm value by the cheapest exact route (isotonic form / closed form / LP)."""
+    """Norm value by the cheapest exact route (isotonic form / transport LP)."""
     return dual_norm(mu, zeta, method="auto").value
 
 

@@ -1,8 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import ergodykit as ek
+from ergodykit import dualnorm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize
+
+
+def counting_linprog(rows):
+    """Patch ``dualnorm.linprog`` to append the row count of each solve to ``rows``."""
+    real = dualnorm.linprog
+
+    def counted(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return real(*args, **kwargs)
+
+    return mock.patch.object(dualnorm, "linprog", counted)
 
 
 def random_measure(rng, n_atoms, kind="signed", grid=None):

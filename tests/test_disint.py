@@ -1,9 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ergodykit as ek
+from ergodykit import disint, dualnorm
+from ergodykit.cli import RunConfig, build_system
 from ergodykit.disint import (
     DisintegratedMeasure,
     Observable,
@@ -24,7 +27,7 @@ from ergodykit.dualnorm import _dual_norm_lp, distance_value, dual_norm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
 from ergodykit.transfer import _random_zero_average
 
-from conftest import random_measure
+from conftest import counting_linprog, random_measure
 
 
 @pytest.fixture(scope="module")
@@ -310,24 +313,28 @@ class TestConversionAndSerialization:
             assert a.to_pairs() == b.to_pairs()
 
 
-def _lp_norm(mu):
-    """zeta = 1 dual norm by the all-pairs LP oracle."""
+def _lp_norm(mu, zeta=1.0):
+    """Dual norm by the all-pairs LP oracle."""
     mu = canonicalize(mu)
-    return _dual_norm_lp(mu, 1.0)[0] if mu.n_atoms else 0.0
+    return _dual_norm_lp(mu, zeta)[0] if mu.n_atoms else 0.0
 
 
 def _iterates(name, kind, steps=2):
     """Two consecutive iterates on 32 cells, with four cells of zero m-mass."""
-    sys_ = ek.gallery_entry(name).build()
-    rpf = ek.build_rpf(sys_.base, sys_.potential, 32)
+    return _system_iterates(ek.gallery_entry(name).build(), 32, [3, 4, 17, 30], kind, 1.0, steps)
+
+
+def _system_iterates(sys_, n, zero_cells, kind, zeta, steps=2):
+    """Two consecutive iterates of ``sys_`` on n cells, zero m-mass on ``zero_cells``."""
+    rpf = ek.build_rpf(sys_.base, sys_.potential, n)
     rng = np.random.default_rng(5)
     if kind == "positive":
-        fibers = [random_measure(rng, int(rng.integers(1, 5)), "probability") for _ in range(32)]
-        dm = make_dm(rpf, rng.uniform(0.1, 2.0, size=32), fibers, "m")
+        fibers = [random_measure(rng, int(rng.integers(1, 5)), "probability") for _ in range(n)]
+        dm = make_dm(rpf, rng.uniform(0.1, 2.0, size=n), fibers, "m", zeta)
     else:
-        dm = _random_zero_average(rpf, 1.0, rng)
+        dm = _random_zero_average(rpf, zeta, rng)
     ref = rpf.m.copy()
-    ref[[3, 4, 17, 30]] = 0.0
+    ref[zero_cells] = 0.0
     seq = [dm]
     for _ in range(steps):
         seq.append(ek.apply_F_phih_normalized(sys_, rpf, seq[-1]))
@@ -373,6 +380,77 @@ class TestBatchedZetaOne:
         )
         assert linf_distance(a, same) == 0.0
         assert l1_distance(a, same) == 0.0
+
+
+def _cross_sign_rows(mu):
+    w = canonicalize(mu).weights
+    return int(np.sum(w > 0)) * int(np.sum(w < 0))
+
+
+class TestBatchedZetaHalf:
+    """At zeta = 0.5 every disint norm equals a per-cell (or per-pair) LP loop.
+
+    The system is the ``reg-holder05-12`` benchmark configuration: linear
+    base, tsujii fiber with alpha = 0.5, zeta = 0.5, 12 cells.
+    """
+
+    Z = 0.5
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(RunConfig(system=dict(
+            base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=self.Z,
+        )))
+
+    @pytest.mark.parametrize("kind", ["positive", "signed"])
+    def test_matches_per_cell_lp(self, system, kind):
+        z = self.Z
+        rpf, (a, b) = _system_iterates(system, 12, [3, 8], kind, z)
+        cells = np.flatnonzero(a.ref_masses > 0)
+        dist = np.array([_lp_norm(a.fibers[j] - b.fibers[j], z) for j in cells])
+        norm = np.array([_lp_norm(a.fibers[j], z) for j in cells])
+        assert dist.max() > 0.0
+        assert linf_distance(a, b, z) == pytest.approx(dist.max(), abs=1e-9)
+        assert l1_distance(a, b, z) == pytest.approx(
+            float(np.dot(a.ref_masses[cells], dist)), abs=1e-9
+        )
+        assert linf_norm(a, z) == pytest.approx(norm.max(), abs=1e-9)
+        a_nu = convert_reference(a, rpf, "nu")
+        nu_cells = np.flatnonzero(a_nu.ref_masses > 0)
+        assert l1_norm(a_nu, z) == pytest.approx(
+            sum(a_nu.ref_masses[j] * _lp_norm(a_nu.fibers[j], z) for j in nu_cells), abs=1e-9
+        )
+        if kind == "positive":
+            holder = max(
+                _lp_norm(a.fibers[i] - a.fibers[j], z) / abs(a.x[j] - a.x[i]) ** z
+                for k, i in enumerate(cells) for j in cells[k + 1:]
+            )
+            assert disintegration_holder(a) == pytest.approx(holder, abs=1e-9)
+            assert disintegration_holder(a, z) == disintegration_holder(a)
+            # pairs in groups of about 100 atoms: several batched calls
+            with mock.patch.object(disint, "_PAIR_BLOCK_ATOMS", 100):
+                assert disintegration_holder(a) == pytest.approx(holder, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["positive", "signed"])
+    def test_linf_distance_solves_blocks_not_cells(self, system, kind):
+        _, (a, b) = _system_iterates(system, 12, [3, 8], kind, self.Z)
+        cells = np.flatnonzero(a.ref_masses > 0)
+        rows = sum(_cross_sign_rows(a.fibers[j] - b.fibers[j]) for j in cells)
+        cap = dualnorm._LP_BLOCK_ROWS
+        solved = []
+        with counting_linprog(solved):
+            linf_distance(a, b, self.Z)
+        assert sum(solved) == rows  # every cross-sign row, each once
+        assert len(solved) <= -(-rows // cap) < cells.size
+        # next-fit: no two consecutive blocks would have fitted in one
+        assert all(p + q > cap for p, q in zip(solved, solved[1:]))
+
+    def test_zero_mass_cells_are_skipped(self, system):
+        _, (a, b) = _system_iterates(system, 12, list(range(1, 12)), "signed", self.Z)
+        want = _lp_norm(a.fibers[0] - b.fibers[0], self.Z)
+        assert linf_distance(a, b, self.Z) == pytest.approx(want, abs=1e-9)
+        _, (p, _) = _system_iterates(system, 12, list(range(1, 12)), "positive", self.Z)
+        assert disintegration_holder(p) == 0.0
 
 
 class TestDistanceArguments:

@@ -12,10 +12,11 @@ from ergodykit.dualnorm import (
     dual_distance,
     dual_norm,
     lower_bound_sample,
+    transport_norms,
 )
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward, uniform_atoms, zero_measure
 
-from conftest import random_measure
+from conftest import counting_linprog, random_measure
 
 
 def M(pairs):
@@ -105,11 +106,15 @@ def _flat_fibers(draw):
     grid = st.integers(0, 16).map(lambda k: k / 16)
     cells, pos, w = [], [], []
     for c in range(ncell):
-        shape = draw(st.sampled_from(["empty", "single", "a-b", "zero-mass"]))
+        shape = draw(st.sampled_from(["empty", "single", "same-sign", "a-b", "zero-mass"]))
         if shape == "empty":
             continue
         if shape == "single":
             atoms = [(draw(grid), draw(st.integers(-8, 8).filter(bool)) / 8)]
+        elif shape == "same-sign":
+            sign = draw(st.sampled_from([-1, 1]))
+            atoms = [(draw(grid), sign * draw(st.integers(1, 8)) / 8)
+                     for _ in range(draw(st.integers(1, 12)))]
         else:
             k = draw(st.integers(1, 12))
             atoms = [(draw(grid), draw(st.integers(1, 8)) / 8) for _ in range(k)]
@@ -169,6 +174,76 @@ class TestChainNorms:
     def test_no_atoms(self):
         empty = np.empty(0)
         assert chain_norms(empty.astype(np.intp), empty, empty, 3).tolist() == [0.0] * 3
+
+
+def _per_cell_lp(cell, pos, w, ncell, zeta):
+    out = []
+    for c in range(ncell):
+        mu = canonicalize(AtomicSignedMeasure(pos[cell == c], w[cell == c]))
+        out.append(_dual_norm_lp(mu, zeta)[0] if mu.n_atoms else 0.0)
+    return np.array(out)
+
+
+class TestTransportNorms:
+    """The batched zeta < 1 route against the all-pairs LP, cell by cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_flat_fibers(), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_matches_lp_per_cell(self, flat, zeta):
+        cell, pos, w, ncell = flat
+        got = transport_norms(cell, pos, w, ncell, zeta)
+        assert got.shape == (ncell,)
+        assert np.abs(got - _per_cell_lp(cell, pos, w, ncell, zeta)).max() <= 1e-9
+        for cap in (1, 2**30):
+            with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", cap):
+                assert np.abs(transport_norms(cell, pos, w, ncell, zeta) - got).max() <= 1e-12
+
+    def test_same_sign_and_single_atoms_need_no_lp(self):
+        cell = np.array([0, 0, 1, 1, 2])
+        pos = np.array([0.1, 0.9, 0.2, 0.4, 0.5])
+        w = np.array([0.25, 0.5, -1.0, -0.5, -2.0])
+        rows = []
+        with counting_linprog(rows):
+            got = transport_norms(cell, pos, w, 4, 0.5)
+        assert got.tolist() == [0.75, 1.5, 2.0, 0.0]
+        assert rows == []
+
+    def test_segment_over_the_cap_is_solved_whole(self):
+        # 4 x 4 = 16 cross-sign rows in cell 1, against a cap of 10
+        rng = np.random.default_rng(3)
+        cell = np.repeat([0, 1, 2], [4, 8, 2])
+        pos = rng.uniform(size=14)
+        w = np.r_[[1.0, -1.0, 0.5, -0.25], np.tile([1.0, -1.0], 4) * rng.uniform(0.1, 1, 8),
+                  [1.0, -1.0]]
+        rows = []
+        with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", 10), counting_linprog(rows):
+            got = transport_norms(cell, pos, w, 3, 0.5)
+        assert rows == [4, 16, 1]
+        assert np.abs(got - _per_cell_lp(cell, pos, w, 3, 0.5)).max() <= 1e-9
+
+    def test_blocks_fill_in_order(self):
+        # 3 cells of 4 rows: caps of 8 and 12 give 2 and 1 solves
+        cell = np.repeat([0, 1, 2], 4)
+        pos = np.tile([0.1, 0.3, 0.6, 0.8], 3)
+        w = np.tile([1.0, -0.5, 0.75, -1.0], 3)
+        for cap, want in ((4, [4, 4, 4]), (8, [8, 4]), (12, [12])):
+            rows = []
+            with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", cap), counting_linprog(rows):
+                transport_norms(cell, pos, w, 3, 0.5)
+            assert rows == want
+
+    def test_no_atoms(self):
+        empty = np.empty(0)
+        assert transport_norms(empty.astype(np.intp), empty, empty, 2, 0.5).tolist() == [0.0] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_auto_is_one_fiber_transport(self, n_atoms, seed, zeta):
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, n_atoms)
+        res = dual_norm(mu, zeta, method="auto")
+        assert res.witness is None
+        assert res.value == pytest.approx(dual_norm(mu, zeta, method="lp").value, abs=1e-9)
 
 
 class TestNormProperties:
