@@ -109,6 +109,10 @@ class DisintegratedMeasure:
             raise ValueError(
                 "x, ref_masses, phi1 and the cells of offsets must have equal length"
             )
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rm)) and np.all(np.isfinite(p1))):
+            raise ValueError("x, ref_masses and phi1 must be finite")
+        if np.any(rm < 0):
+            raise ValueError("ref_masses must be non-negative")
         if self.reference not in ("nu", "m"):
             raise ValueError(f"reference must be 'nu' or 'm', got {self.reference!r}")
         if pos.ndim != 1 or pos.shape != w.shape:

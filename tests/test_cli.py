@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodykit
 from ergodykit.cli import main, parse_config, ConfigError
 
 BASE_CONFIG = """
@@ -24,6 +30,13 @@ seed = 0
 directory = {out}
 formats = json,csv
 """
+
+
+# a small zeta = 1 run: exactly three tsujii steps at n = 16
+TSUJII_16_CONFIG = (BASE_CONFIG.replace("gallery = doubling-linear", "gallery = tsujii")
+                    .replace("base_cells = 64", "base_cells = 16")
+                    .replace("max_iter = 40", "max_iter = 3")
+                    .replace("tol = 1e-9", "tol = 0"))
 
 
 def write_config(tmp_path, text=None, name="run.cfg", out=None):
@@ -247,6 +260,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.search(r"bad\.cfg:\d+: fiber_atom_cap must be >= 2", err)
 
+    @pytest.mark.parametrize("field, value", [("phi1", float("nan")), ("ref_masses", -1.0)])
+    def test_bad_measure_file_exits_2(self, tmp_path, capsys, field, value):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        payload = json.loads((out / "equilibrium.json").read_text())
+        payload[field] = [value] * payload["n"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg), "--measure", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert field in err
+        assert not (out / "norms.json").exists()
+
     def test_overflowing_potential_exits_2(self, tmp_path, capsys):
         text = ("[system]\nbase = linear\nfiber = linear\npotential = constant\n"
                 "value = 800\n[discretization]\nbase_cells = 16\n"
@@ -269,3 +297,58 @@ class TestGalleryCommand:
     def test_seed_override(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["verify", "--config", str(cfg), "--seed", "5"]) == 0
+
+
+_FRESH_PRELUDE = """\
+import sys
+
+def scipy_loaded():
+    return sorted({"scipy.optimize", "scipy.sparse"} & set(sys.modules))
+"""
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter with the package on its path (this
+    process may already hold scipy) and return its stdout.  The script can
+    call ``scipy_loaded()``."""
+    src = str(Path(ergodykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PRELUDE + textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportFootprint:
+    """zeta = 1 runs solve no LP, so they must not pay for importing scipy."""
+
+    def test_import_loads_no_scipy(self):
+        out = _run_fresh("import ergodykit, ergodykit.cli\nprint(scipy_loaded())")
+        assert out.strip() == "[]"
+
+    def test_zeta_one_equilibrium_loads_no_scipy(self, tmp_path):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        got = _run_fresh(f"""
+            from ergodykit import cli
+            rc = cli.main(["equilibrium", "--config", {str(cfg)!r}])
+            print(rc, scipy_loaded())
+        """)
+        assert got.strip() == "0 []"
+        assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 3
+
+    def test_transport_lp_loads_scipy(self):
+        got = _run_fresh("""
+            from ergodykit import dualnorm
+            from ergodykit.measures import AtomicSignedMeasure
+            before = scipy_loaded()
+            pos, w = [0.2, 0.7], [1.0, -0.6]
+            value = dualnorm.transport_norms([0, 0], pos, w, 1, 0.5)[0]
+            oracle = dualnorm._dual_norm_lp(AtomicSignedMeasure(pos, w), 0.5)[0]
+            print(before == [], "scipy.optimize" in scipy_loaded(), value, oracle)
+        """)
+        before_clean, after_loaded, value, oracle = got.split()
+        assert (before_clean, after_loaded) == ("True", "True")
+        assert float(value) == pytest.approx(float(oracle), abs=1e-9)
