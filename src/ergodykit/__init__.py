@@ -16,9 +16,7 @@ from .measures import (
     zero_measure,
 )
 from .dualnorm import (
-    DualNormResult,
     NumericError,
-    dual_distance,
     dual_norm,
     lower_bound_sample,
 )

@@ -200,10 +200,17 @@ class Potential:
         z = _as_zeta(zeta)
         x = (np.arange(gridsize) + 0.5) / gridsize
         v = np.asarray(fn(x), dtype=float)
+        # a huge potential overflows the Holder quotients: refused below
+        with np.errstate(over="ignore"):
+            holder = discrete_holder_constant(x, v, z)
+        if not (np.all(np.isfinite(v)) and np.isfinite(holder)):
+            raise ConstructionError(
+                f"potential {name}: sampled values or their Holder constant are not finite"
+            )
         return Potential(
             fn=fn,
             zeta=z,
-            holder_const=discrete_holder_constant(x, v, z),
+            holder_const=holder,
             sup=float(v.max()),
             inf=float(v.min()),
             name=name,

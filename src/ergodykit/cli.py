@@ -111,6 +111,7 @@ _RANGES = {
     ("run", "correlation_n"): (lambda v: v >= 1, "correlation_n must be >= 1"),
     ("run", "mc_orbits"): (lambda v: v >= 2, "mc_orbits must be >= 2"),
     ("run", "mc_burn_in"): (lambda v: v >= 0, "mc_burn_in must be >= 0"),
+    ("run", "seed"): (lambda v: v >= 0, "seed must be >= 0"),
 }
 
 
@@ -483,6 +484,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            check, message = _RANGES[("run", "seed")]
+            if not check(args.seed):
+                raise ConfigError(f"--seed: {message} (got {args.seed!r})")
             cfg.seed = args.seed
         out_dir = Path(args.out) if args.out else Path(cfg.directory)
         if args.command == "equilibrium":

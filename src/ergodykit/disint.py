@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baserpf import RPFDiscretization, discrete_holder_constant
-from .dualnorm import _as_zeta, chain_norms, transport_norms
+from .dualnorm import _as_zeta, dual_norms
 from .measures import (
     _RANGE_SLACK,
     AtomicSignedMeasure,
@@ -288,9 +288,8 @@ def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.n
     (a's alone when b is None).
 
     The atoms are gathered from the flat layout into one (segment,
-    position, weight) array, and all the norms come from one call: the
-    closed form ``chain_norms`` at zeta = 1, the batched cross-sign LPs
-    of ``transport_norms`` at zeta < 1.
+    position, weight) array, and all the norms come from one
+    ``dual_norms`` call.
     """
     ia = np.asarray(ia, dtype=np.intp)
     k = ia.size
@@ -305,7 +304,7 @@ def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.n
         seg = np.concatenate([seg, np.repeat(np.arange(k), counts_b)])
         pos = np.concatenate([pos, b.positions[idx_b]])
         w = np.concatenate([w, -b.weights[idx_b]])
-    return chain_norms(seg, pos, w, k) if z == 1.0 else transport_norms(seg, pos, w, k, z)
+    return dual_norms(seg, pos, w, k, z)
 
 
 def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:

@@ -54,3 +54,11 @@ def test_power_iteration_reports_its_step_count():
     vec, lam, iters = _power_iteration(lambda v: 2.0 * v, 8)
     assert lam == pytest.approx(2.0) and iters == 1 and vec.shape == (8,)
     assert np.all(vec == 1.0 / 8)
+
+
+def test_flat_chain_aliases_are_one_callable():
+    # bench/child.py reports backend "numba" unless the two names are the
+    # same object, which would change the recorded ``flat_chain`` field
+    from ergodykit import dualnorm
+
+    assert dualnorm._flat_chain is dualnorm._flat_chain_kernel

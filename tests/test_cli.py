@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert "exp(phi) is not finite" in err
+
+    @pytest.mark.parametrize("t", ["1e308", "-1e308"])
+    def test_overflowing_mp_potential_exits_2(self, tmp_path, capsys, t):
+        text = ("[system]\nbase = mp\nalpha_mp = 0.5\nfiber = linear\n"
+                f"potential = mp_geometric\nt = {t}\nzeta = 0.5\n"
+                "[discretization]\nbase_cells = 16\n[output]\ndirectory = {out}\n")
+        cfg, _ = write_config(tmp_path, text, name="bad.cfg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["equilibrium", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "not finite" in err
+
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG.replace("seed = 0", "seed = -1"),
+                              name="bad.cfg")
+        assert main(["correlations", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert re.search(r"bad\.cfg:\d+: seed must be >= 0", err)
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["correlations", "--config", str(cfg), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "--seed: seed must be >= 0" in err
 
 
 class TestGalleryCommand:

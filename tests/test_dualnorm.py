@@ -9,7 +9,7 @@ from ergodykit import dualnorm
 from ergodykit.dualnorm import (
     _dual_norm_lp,
     chain_norms,
-    dual_distance,
+    distance_value,
     dual_norm,
     lower_bound_sample,
     transport_norms,
@@ -28,70 +28,91 @@ def M(pairs):
 
 
 def test_holder_exponent_validation():
-    assert dual_norm(dirac(0.5), 0.5).value == 1.0
-    with pytest.raises(ValueError):
-        dual_norm(dirac(0.5), 0.0)
-    with pytest.raises(ValueError):
-        dual_norm(dirac(0.5), 1.5)
+    assert dual_norm(dirac(0.5), 0.5) == 1.0
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            dual_norm(dirac(0.5), bad)
+        with pytest.raises(ValueError):
+            _dual_norm_lp(dirac(0.5), bad)
+
+
+def _oracle_and_exact(mu, zeta):
+    """The all-pairs LP value and the exact ``dual_norm`` of one measure."""
+    return _dual_norm_lp(mu, zeta)[0], dual_norm(mu, zeta)
 
 
 class TestDualNormExamples:
+    """Hand-worked values, for the LP oracle and for ``dual_norm`` alike."""
+
     def test_single_probability_atom(self):
-        assert dual_norm(dirac(0.3), 1.0).value == pytest.approx(1.0, abs=1e-9)
+        for value in _oracle_and_exact(dirac(0.3), 1.0):
+            assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_dipole(self):
         mu = M([(0.2, 0.5), (0.6, -0.5)])
         # optimum 0.5 * min(|dx|, 2); the optimal witness is linear
-        assert dual_norm(mu, 1.0).value == pytest.approx(0.2, abs=1e-9)
+        for value in _oracle_and_exact(mu, 1.0):
+            assert value == pytest.approx(0.2, abs=1e-9)
 
     def test_wide_dipole_sqrt(self):
         mu = M([(0.1, 1.0), (0.9, -1.0)])
-        assert dual_norm(mu, 0.5).value == pytest.approx(min(2.0, 0.8**0.5), abs=1e-9)
-        assert dual_norm(mu, 0.5).value == pytest.approx(0.8944271909999159, abs=1e-9)
+        for value in _oracle_and_exact(mu, 0.5):
+            assert value == pytest.approx(min(2.0, 0.8**0.5), abs=1e-9)
+            assert value == pytest.approx(0.8944271909999159, abs=1e-9)
 
     def test_zero_measure(self):
-        assert dual_norm(zero_measure(), 1.0).value == 0.0
+        assert _oracle_and_exact(zero_measure(), 1.0) == (0.0, 0.0)
+
+    def test_oracle_trivial_measures(self):
+        assert _dual_norm_lp(zero_measure(), 0.5) == (0.0, [])
+        for w in (0.75, -2.0):
+            mu = AtomicSignedMeasure(np.array([0.4]), np.array([w]))
+            assert _dual_norm_lp(mu, 0.5) == (abs(w), [(0.4, np.sign(w))])
 
     def test_witness_feasible(self):
         rng = np.random.default_rng(0)
         for zeta in (0.5, 1.0):
             mu = random_measure(rng, 12)
-            res = dual_norm(mu, zeta)
-            g = np.array([v for _, v in res.witness])
-            pos = np.array([p for p, _ in res.witness])
+            value, witness = _dual_norm_lp(mu, zeta)
+            g = np.array([v for _, v in witness])
+            pos = np.array([p for p, _ in witness])
             assert np.max(np.abs(g)) <= 1 + 1e-8
             dif = np.abs(g[:, None] - g[None, :])
             dist = np.abs(pos[:, None] - pos[None, :]) ** zeta
             assert np.all(dif <= dist + 1e-8)
-            assert float(np.dot(mu.weights, g)) == pytest.approx(res.value, abs=1e-8)
+            assert float(np.dot(mu.weights, g)) == pytest.approx(value, abs=1e-8)
+
+    def test_lp_solves(self):
+        # zeta = 1 is the closed form; zeta < 1 solves one LP, and only
+        # for a measure with atoms of both signs
+        rng = np.random.default_rng(12)
+        signed = random_measure(rng, 9)
+        assert (signed.weights > 0).any() and (signed.weights < 0).any()
+        one_signed = random_measure(rng, 9, kind="probability")
+        for mu, zeta, want in ((signed, 1.0, 0), (one_signed, 1.0, 0),
+                               (one_signed, 0.5, 0), (signed, 0.5, 1)):
+            rows = []
+            with counting_linprog(rows):
+                dual_norm(mu, zeta)
+            assert len(rows) == want
 
 
 class TestFastPathAgreement:
-    """The adjacent-pair reduction must agree with the full LP to 1e-9."""
+    """The exact ``dual_norm`` must agree with the all-pairs LP to 1e-9."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 10_000))
     def test_chain_equals_lp(self, n_atoms, seed):
         rng = np.random.default_rng(seed)
         mu = random_measure(rng, n_atoms)
-        full = dual_norm(mu, 1.0, method="lp").value
-        fast = dual_norm(mu, 1.0, method="fast").value
-        auto = dual_norm(mu, 1.0, method="auto").value
-        assert fast == pytest.approx(full, abs=1e-9)
-        assert auto == pytest.approx(full, abs=1e-9)
-
-    def test_fast_needs_zeta_one(self):
-        with pytest.raises(ValueError):
-            dual_norm(dirac(0.5), 0.5, method="fast")
+        assert dual_norm(mu, 1.0) == pytest.approx(_dual_norm_lp(mu, 1.0)[0], abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 10_000), st.sampled_from([0.3, 0.5, 1.0]))
     def test_closed_forms_match_lp(self, n_atoms, seed, zeta):
         rng = np.random.default_rng(seed)
         mu = random_measure(rng, n_atoms)
-        assert dual_norm(mu, zeta, method="auto").value == pytest.approx(
-            dual_norm(mu, zeta, method="lp").value, abs=1e-9
-        )
+        assert dual_norm(mu, zeta) == pytest.approx(_dual_norm_lp(mu, zeta)[0], abs=1e-9)
 
 
 @st.composite
@@ -143,9 +164,8 @@ class TestChainNorms:
         got = chain_norms(cell, pos, w, ncell)
         assert got.shape == (ncell,)
         for c in range(ncell):
-            mu = canonicalize(AtomicSignedMeasure(pos[cell == c], w[cell == c]))
-            want = _dual_norm_lp(mu, 1.0)[0] if mu.n_atoms else 0.0
-            assert got[c] == pytest.approx(want, abs=1e-9)
+            mu = AtomicSignedMeasure(pos[cell == c], w[cell == c])
+            assert got[c] == pytest.approx(_dual_norm_lp(mu, 1.0)[0], abs=1e-9)
         for block in (1, 7):
             with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
                 assert np.array_equal(chain_norms(cell, pos, w, ncell), got)
@@ -179,8 +199,8 @@ class TestChainNorms:
 def _per_cell_lp(cell, pos, w, ncell, zeta):
     out = []
     for c in range(ncell):
-        mu = canonicalize(AtomicSignedMeasure(pos[cell == c], w[cell == c]))
-        out.append(_dual_norm_lp(mu, zeta)[0] if mu.n_atoms else 0.0)
+        mu = AtomicSignedMeasure(pos[cell == c], w[cell == c])
+        out.append(_dual_norm_lp(mu, zeta)[0])
     return np.array(out)
 
 
@@ -241,9 +261,11 @@ class TestTransportNorms:
     def test_auto_is_one_fiber_transport(self, n_atoms, seed, zeta):
         rng = np.random.default_rng(seed)
         mu = random_measure(rng, n_atoms)
-        res = dual_norm(mu, zeta, method="auto")
-        assert res.witness is None
-        assert res.value == pytest.approx(dual_norm(mu, zeta, method="lp").value, abs=1e-9)
+        seg = np.zeros(mu.n_atoms, dtype=np.intp)
+        value = dual_norm(mu, zeta)
+        assert type(value) is float
+        assert value == transport_norms(seg, mu.positions, mu.weights, 1, zeta)[0]
+        assert value == pytest.approx(_dual_norm_lp(mu, zeta)[0], abs=1e-9)
 
 
 class TestNormProperties:
@@ -252,15 +274,15 @@ class TestNormProperties:
         for _ in range(25):
             mu = random_measure(rng, int(rng.integers(1, 30)), kind="probability")
             for zeta in (0.5, 1.0):
-                assert dual_norm(mu, zeta).value == pytest.approx(1.0, abs=1e-9)
+                assert dual_norm(mu, zeta) == pytest.approx(1.0, abs=1e-9)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             mu = random_measure(rng, int(rng.integers(1, 20)))
             c = float(rng.uniform(-3, 3))
-            v = dual_norm(mu, 1.0).value
-            assert dual_norm(c * mu, 1.0).value == pytest.approx(abs(c) * v, abs=1e-9)
+            v = dual_norm(mu, 1.0)
+            assert dual_norm(c * mu, 1.0) == pytest.approx(abs(c) * v, abs=1e-9)
 
     def test_subadditivity(self):
         rng = np.random.default_rng(3)
@@ -268,15 +290,15 @@ class TestNormProperties:
             mu = random_measure(rng, int(rng.integers(1, 15)))
             nu = random_measure(rng, int(rng.integers(1, 15)))
             assert (
-                dual_norm(mu + nu, 0.5).value
-                <= dual_norm(mu, 0.5).value + dual_norm(nu, 0.5).value + 1e-9
+                dual_norm(mu + nu, 0.5)
+                <= dual_norm(mu, 0.5) + dual_norm(nu, 0.5) + 1e-9
             )
 
     def test_mass_bounded_by_norm(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             mu = random_measure(rng, int(rng.integers(1, 20)))
-            assert abs(mu.total_mass()) <= dual_norm(mu, 1.0).value + 1e-9
+            assert abs(mu.total_mass()) <= dual_norm(mu, 1.0) + 1e-9
 
     def test_contraction_under_pushforward(self):
         # zero-mass: rate alpha**zeta; with mass: extra |mass| allowance
@@ -287,13 +309,13 @@ class TestNormProperties:
             cmap = lambda y, _a=alpha, _b=b: _a * y + _b
             for zeta in (0.5, 1.0):
                 mu = random_measure(rng, int(rng.integers(1, 20)), kind="zero_mass")
-                before = dual_norm(mu, zeta).value
-                after = dual_norm(pushforward(mu, cmap), zeta).value
+                before = dual_norm(mu, zeta)
+                after = dual_norm(pushforward(mu, cmap), zeta)
                 assert after <= alpha**zeta * before + 1e-9
                 nu = random_measure(rng, int(rng.integers(1, 20)))
                 assert (
-                    dual_norm(pushforward(nu, cmap), zeta).value
-                    <= alpha**zeta * dual_norm(nu, zeta).value
+                    dual_norm(pushforward(nu, cmap), zeta)
+                    <= alpha**zeta * dual_norm(nu, zeta)
                     + abs(nu.total_mass())
                     + 1e-9
                 )
@@ -304,16 +326,16 @@ class TestNormProperties:
             mu = random_measure(rng, int(rng.integers(1, 20)))
             # 1-Lipschitz into [0, 1]
             out = pushforward(mu, lambda y: 0.3 + 0.7 * np.abs(y - 0.4))
-            assert dual_norm(out, 1.0).value <= dual_norm(mu, 1.0).value + 1e-9
+            assert dual_norm(out, 1.0) <= dual_norm(mu, 1.0) + 1e-9
 
 
 class TestDualDistance:
     def test_identical_diracs(self):
-        assert dual_distance(dirac(0.5), dirac(0.5), 1.0) == 0.0
+        assert distance_value(dirac(0.5), dirac(0.5), 1.0) == 0.0
 
     def test_two_point_transport(self):
         for a, b in [(0.1, 0.4), (0.0, 1.0), (0.7, 0.2)]:
-            assert dual_distance(dirac(a), dirac(b), 1.0) == pytest.approx(
+            assert distance_value(dirac(a), dirac(b), 1.0) == pytest.approx(
                 min(abs(a - b), 2.0), abs=1e-9
             )
 
@@ -322,16 +344,16 @@ class TestDualDistance:
         a = random_measure(rng, 8)
         b = random_measure(rng, 8)
         c = random_measure(rng, 8)
-        dab = dual_distance(a, b, 0.5)
-        assert dab == pytest.approx(dual_distance(b, a, 0.5), abs=1e-9)
-        assert dab <= dual_distance(a, c, 0.5) + dual_distance(c, b, 0.5) + 1e-9
+        dab = distance_value(a, b, 0.5)
+        assert dab == pytest.approx(distance_value(b, a, 0.5), abs=1e-9)
+        assert dab <= distance_value(a, c, 0.5) + distance_value(c, b, 0.5) + 1e-9
 
     def test_dominates_sampled_lower_bound(self):
         halves = M([(0.25, 0.5), (0.75, 0.5)])
         grid = uniform_atoms(100)
         diff = halves - grid
         lo = lower_bound_sample(diff, 1.0, trials=300)
-        assert dual_norm(diff, 1.0).value >= lo - 1e-9
+        assert dual_norm(diff, 1.0) >= lo - 1e-9
 
 
 class TestLowerBoundSample:
@@ -360,5 +382,5 @@ class TestLowerBoundSample:
             for zeta in (0.5, 1.0):
                 assert (
                     lower_bound_sample(mu, zeta, trials=50)
-                    <= dual_norm(mu, zeta).value + 1e-9
+                    <= dual_norm(mu, zeta) + 1e-9
                 )
