@@ -374,8 +374,9 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     distances add along the line, so by the mediant inequality no pair
     beats the better of its two halves.  Those n - 1 distances are one
     batched ``chain_norms`` call.  At zeta < 1 all pairs are compared,
-    their distances coming from batched ``transport_norms`` calls, each on
-    about ``_PAIR_BLOCK_ATOMS`` gathered atoms (one call for small n).
+    their distances coming from the level matchings of ``transport_norms``,
+    one call per about ``_PAIR_BLOCK_ATOMS`` gathered atoms (one call for
+    small n).
     """
     if not dm.is_positive():
         raise ValueError("disintegration Holder constant is defined for positive measures")
@@ -491,8 +492,9 @@ def _fiber_distances(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta):
 def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:
     """m-essential sup of the fiber dual distances between two measures.
 
-    Every cell's distance comes from one batched call: ``chain_norms`` at
-    zeta = 1, ``transport_norms`` (a few block LPs) at zeta < 1.
+    Every cell's distance comes from one batched ``dual_norms`` call: the
+    closed form of ``chain_norms`` at zeta = 1, the level matchings of
+    ``transport_norms`` at zeta < 1.
     Measures on different grids or references raise ValueError.
     """
     return float(_fiber_distances(a, b, zeta)[1].max(initial=0.0))

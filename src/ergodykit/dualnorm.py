@@ -49,31 +49,69 @@ monotone S, and the minimum is attained exactly:
 The integrand is constant between the F_i in (0, M), so the integral is a
 finite sum.  Agreement with the LP to 1e-9 is enforced in the test suite.
 
-At zeta < 1 ``transport_norms`` solves a smaller LP, for many measures at
-once.  For 0 < zeta <= 1 the cost c(x, y) = |x - y|**zeta is a metric, and
-the LP above is the Kantorovich dual of a transport problem: move the
-positive part of mu onto the negative part at cost c per unit, and create
-or remove mass at cost 1 per unit (the bounds |g| <= 1).  Its dual needs
-only the cross-sign rows
+At zeta < 1 ``transport_norms`` splits the norm over the same levels t,
+with a small matching problem per level, for many measures at once.  For
+0 < zeta <= 1 the cost c(x, y) = |x - y|**zeta is a metric, and the LP
+above is the Kantorovich dual of a transport problem: move the positive
+part of mu onto the negative part at cost c per unit, and create or remove
+mass at cost 1 per unit (the bounds |g| <= 1).  Flip the sign of mu so
+that M >= 0.  On K = [0, 1] c <= 1, so creating one unit and removing
+another (cost 2) never beats shipping the one to the other: some optimal
+plan only removes, M units in all.  Count removal as shipping to a sink at
++inf at cost 1; the cost h = min(c, 1) is then concave and nondecreasing
+in the distance.
 
-    g_i - g_j <= c(x_i, x_j)   for i a positive atom and j a negative atom,
+Levels.  At a level t, atom i is a crossing when t lies in its jump
+[min(F_{i-1}, F_i), max(F_{i-1}, F_i)) (F_0 = 0), upward when w_i > 0, and
+mu is the integral over t of the level measures mu_t = sum over the
+crossings of +-delta.  Along the line the crossings alternate in
+direction, since the indicator [F_i > t] switches at each of them, and
+there is one more up than down exactly when 0 <= t < M; the sink takes
+that one.
 
-plus |g| <= 1.  The other rows are implied: since c obeys the triangle
-inequality, shipping mass through a third atom never beats shipping it
-directly, so a transshipment row (same-sign, or negative to positive)
-never binds.  Concretely, an optimal g of the cross-sign LP becomes
-feasible for all pairs, at no loss, as the envelope
-h(x) = max(-1, min(1, min_j (g_j + c(x, x_j)))) over the negative atoms j:
-h is zeta-Holder with constant 1, h >= g on the positive atoms and h <= g
-on the negative ones.  A measure whose atoms share one sign needs no LP at
-all (g = sign(w)).  The cross-sign LP has n_+ n_- rows against the
-n(n - 1) of the all-pairs form, about 4x fewer.
+Upper bound.  A matching of the crossings of each level, every up joined
+to a down or to the sink, is a plan for mu_t, and the levels' plans add up
+to a plan for mu.  So ||mu||_o <= integral over t of K(t), with K(t) the
+cheapest such matching.
 
-scipy (HiGHS) is needed only by these LPs, so ``linprog`` below imports
-it on its first call: importing ``scipy.optimize`` and ``scipy.sparse``
-costs about 0.6 s on a 2-vCPU Xeon VM, most of a zeta = 1 run, which
-needs no LP at all.  The module-level ``linprog`` is also the one name
-the tests and the benchmark wrap to count LP solves.
+Lower bound.  For a concave nondecreasing cost on a line some optimal plan
+is non-crossing: if arcs a-c and b-d interleave (a < b < c < d), joining
+the four endpoints as nested or as disjoint arcs, whichever the signs
+allow, never costs more (Gangbo and McCann, The geometry of optimal
+transportation, Acta Math. 1996; Delon, Salomon and Sobolevski, Local
+matching indicators for transport problems with concave costs, 2012).  As
+the sink sits at +inf, no arc encloses an atom that ships to it.  Scan
+such a plan left to right with its open arcs on a stack: each atom first
+closes the arcs that end at it, which lie on top since no arcs interleave,
+then opens its arcs to the right (the sink's included).  Read from the
+bottom, the stack is a path from level 0 that rises by each arc a positive
+atom opened and falls by each arc a negative atom opened; after atom i it
+ends at F_i.  A unit of arc keeps the level at which it was pushed until
+it is popped, because only the stack above it changes.  So every atom's
+arcs cover its jump in F once, each unit joins an up and a down crossing
+(or an up and the sink) of one level t, and the units at level t form a
+matching of the crossings of mu_t.  The plan costs the integral of those
+matchings, at least the integral of K(t).
+
+Per level.  The level matchings of a non-crossing plan are non-crossing
+too, so both bounds hold with K(t) the cheapest non-crossing matching, and
+they meet.  By the alternation a pair (a, j) of crossings, in position
+order, joins opposite directions exactly when j - a is odd, and the sink,
+appended as the last point, is never enclosed.  With C the cost of the
+empty range 0,
+
+    C(a, b) = min over odd j - a of h(a, j) + C(a + 1, j - 1) + C(j + 1, b),
+
+K(t) = C over all the crossings of the level (and the sink), an O(m**3)
+interval DP for m crossings.  K is constant between consecutive values
+of F, so the norm is the sum over those levels of K times their width.
+At zeta = 1 it equals the closed form above; the tests check the two
+routes against each other, and both against the LP to 1e-9.
+
+scipy (HiGHS) is needed only by the oracle ``_dual_norm_lp``, so
+``linprog`` below imports it on its first call, and the library itself
+never solves an LP.  The module-level ``linprog`` is also the one name the
+tests and the benchmark wrap to count LP solves.
 """
 
 from __future__ import annotations
@@ -91,8 +129,6 @@ __all__ = [
     "chain_norms",
     "transport_norms",
 ]
-
-SOLVER_TOL = 1e-9
 
 _LP_OPTIONS = dict(
     presolve=False,
@@ -123,8 +159,9 @@ def _as_zeta(zeta) -> float:
 # exact zeta == 1 route: weighted L1 isotonic regression, batched over fibers
 # ---------------------------------------------------------------------------
 
-# Thresholds x padded atoms evaluated per block; 2**17 float64 entries keep
-# each temporary near 1 MB whatever the number of fibers.
+# Entries evaluated per block: thresholds x padded atoms here, levels x m**2
+# for the m-crossing matchings of ``transport_norms``.  2**17 float64
+# entries keep each temporary near 1 MB whatever the number of fibers.
 _CHAIN_BLOCK_ENTRIES = 2**17
 
 
@@ -223,88 +260,110 @@ def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# zeta < 1 route: cross-sign transport LPs, batched over fibers
+# zeta < 1 route: non-crossing matchings level by level, batched over fibers
 # ---------------------------------------------------------------------------
 
-# Cross-sign rows per LP.  Whole measures are grouped in order up to this
-# many rows; a measure with more rows than this is solved alone.  The cap
-# bounds the memory of one solve, not its result.
-_LP_BLOCK_ROWS = 4096
 
+def _matching_costs(x: np.ndarray, z: float) -> np.ndarray:
+    """Cheapest non-crossing perfect matching of each row of ``x``.
 
-def _transport_block(seg, pos, w, z: float) -> np.ndarray:
-    """Optimal g on the atoms of several measures, sorted by measure, with
-    one row g_i - g_j <= |x_i - x_j|**z for every positive atom i and
-    negative atom j of the same measure."""
-    pi, ni = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
-    seg = seg - seg[0]
-    n_neg = np.bincount(seg[ni], minlength=int(seg[-1]) + 1)
-    # positive atom ii[r] meets, in turn, every negative atom jj[r] of its measure
-    rep = n_neg[seg[pi]]
-    first_neg = (np.cumsum(n_neg) - n_neg)[seg[pi]]
-    ii = np.repeat(np.arange(pi.size), rep)
-    jj = np.arange(ii.size) + np.repeat(first_neg - (np.cumsum(rep) - rep), rep)
-    m = ii.size
-    from scipy.sparse import csr_matrix
+    Row l holds the crossings of one level in position order (an even
+    count, alternating in direction), the sink at +inf last when it has
+    one; a pair (a, j) with j - a odd costs min(|x_j - x_a|**z, 1), so any
+    crossing pays 1 to the sink.  The interval DP of the module docstring,
 
-    a_ub = csr_matrix(
-        (
-            np.tile([1.0, -1.0], m),
-            (np.repeat(np.arange(m), 2), np.column_stack([ii, pi.size + jj]).ravel()),
-        ),
-        shape=(m, w.size),
-    )
-    res = linprog(
-        -np.r_[w[pi], w[ni]],
-        A_ub=a_ub,
-        b_ub=np.abs(pos[pi[ii]] - pos[ni[jj]]) ** z,
-        bounds=(-1.0, 1.0),
-        method="highs-ds",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise NumericError(
-            f"transport LP did not converge (status {res.status}, "
-            f"{res.nit} iterations): {res.message}"
-        )
-    g = np.empty(w.size)
-    g[pi], g[ni] = res.x[: pi.size], res.x[pi.size :]
-    return g
+        C(a, b) = min over odd j - a of c(a, j) + C(a+1, j-1) + C(j+1, b),
+
+    runs over the rows and the start index a at once, with ``cl[L][:, a]``
+    = C(a, a + L - 1) and ``arc[o][:, a]`` = c(a, a + o) + C(a + 1, a + o - 1),
+    the arc from a to a + o with everything inside it matched.
+    """
+    nl, m = x.shape
+    cl = [np.zeros((nl, m + 1))] + [None] * m
+    arc = [None] * m
+    tmp = np.empty((nl, m))
+    for length in range(2, m + 1, 2):
+        o = length - 1
+        arc[o] = np.minimum((x[:, o:] - x[:, :-o]) ** z, 1.0) + cl[o - 1][:, 1 : m - o + 1]
+        na = m - length + 1
+        best = arc[1][:, :na] + cl[length - 2][:, 2 : 2 + na]
+        t = tmp[:, :na]
+        for o in range(3, length, 2):
+            np.add(arc[o][:, :na], cl[length - 1 - o][:, o + 1 : o + 1 + na], out=t)
+            np.minimum(best, t, out=best)
+        cl[length] = best
+    return cl[m][:, 0]
 
 
 def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     """zeta-Holder dual norms of many atomic measures at once, any zeta.
 
     Takes the flat layout of ``chain_norms``: atom i lies in measure
-    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` with weight ``w[i]``, in any
-    order, coincident atoms adding.  Returns the ``k`` norms, 0 for a
-    measure without atoms.  Solves the cross-sign transport form of the
-    module docstring: a measure with no positive-negative pair has
-    g = sign(w); the others are grouped in order into block-diagonal LPs
-    of at most ``_LP_BLOCK_ROWS`` rows each (a larger measure alone), and
-    each norm is read back as the sum of w * g over its atoms.
+    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` in [0, 1] with weight
+    ``w[i]``, in any order, coincident atoms adding.  Returns the ``k``
+    norms, 0 for a measure without atoms.  Evaluates the level sum of the
+    module docstring: the levels between consecutive values of
+    F = (0, F_1, ..., F_n) of every measure are grouped by their count m of
+    crossings, and each group's matchings are solved together, about
+    ``_CHAIN_BLOCK_ENTRIES // m**2`` levels at a time; the result does not
+    depend on the block size.
     """
     z = _as_zeta(zeta)
     seg, pos, w = canonicalize_segments(
         np.asarray(seg, dtype=np.intp), np.asarray(pos, dtype=float),
         np.asarray(w, dtype=float),
     )
-    g = np.sign(w)
-    rows = np.bincount(seg[w > 0], minlength=k) * np.bincount(seg[w < 0], minlength=k)
-    lp = np.flatnonzero(rows)
-    # next-fit: a measure that would overflow the open block starts the next
-    cuts, size = [], _LP_BLOCK_ROWS
-    for t, r in enumerate(rows[lp].tolist()):
-        if size + r > _LP_BLOCK_ROWS:
-            cuts.append(t)
-            size = 0
-        size += r
-    off = np.searchsorted(seg, np.arange(k + 1))
-    for a, b in zip(cuts, cuts[1:] + [lp.size]):
-        lo, hi = off[lp[a]], off[lp[b - 1] + 1]
-        sel = lo + np.flatnonzero(rows[seg[lo:hi]] > 0)
-        g[sel] = _transport_block(seg[sel], pos[sel], w[sel], z)
-    return np.bincount(seg, weights=w * g, minlength=k)
+    out = np.zeros(k)
+    n = seg.size
+    if n == 0:
+        return out
+    seg_start = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    seg_len = np.diff(np.r_[seg_start, n])
+    nseg = seg_start.size
+    seg_of = np.repeat(np.arange(nseg), seg_len)
+    f = _segmented_cumsum(w, np.arange(n) - seg_start[seg_of])
+    f *= np.where(f[seg_start + seg_len - 1] < 0, -1.0, 1.0)[seg_of]
+
+    # breakpoints t: 0 and every F_i of each measure, sorted, without repeats;
+    # level u is [t[u], t[u + 1]), and rank gives each value's index in t
+    b_seg = np.r_[np.arange(nseg), seg_of]
+    b_val = np.r_[np.zeros(nseg), f]
+    o = _lex_order(b_seg, b_val)
+    b_seg, b_val = b_seg[o], b_val[o]
+    new = np.r_[True, (b_seg[1:] != b_seg[:-1]) | (b_val[1:] != b_val[:-1])]
+    rank = np.empty(o.size, dtype=np.intp)
+    rank[o] = np.cumsum(new) - 1
+    t, t_seg = b_val[new], b_seg[new]
+    after = rank[nseg:]
+    before = np.r_[0, after[:-1]]
+    before[seg_start] = rank[:nseg]
+    # atom i crosses the levels lo_i <= u < hi_i, the span of its jump in F;
+    # xs lists the crossings level by level, each level's in position order
+    lo = np.minimum(before, after)
+    span = np.maximum(before, after) - lo
+    lev = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(span.sum())
+    xs = pos[np.repeat(np.arange(n), span)[np.argsort(lev, kind="stable")]]
+    count = np.bincount(lev, minlength=t.size)
+    start = np.cumsum(count) - count
+
+    # an odd count means 0 <= t < M, one more crossing up than down: the
+    # sink, at +inf, is appended to those levels
+    cost = np.zeros(t.size)
+    # the levels with count m are by_count[bounds[m] : bounds[m + 1]]
+    by_count = np.argsort(count, kind="stable")
+    bounds = np.searchsorted(count[by_count], np.arange(count.max() + 2))
+    for m in np.flatnonzero(np.diff(bounds)[1:]) + 1:
+        levels = by_count[bounds[m] : bounds[m + 1]]
+        cols = m + m % 2
+        step = max(1, _CHAIN_BLOCK_ENTRIES // (cols * cols))
+        for b in range(0, levels.size, step):
+            lv = levels[b : b + step]
+            x = np.full((lv.size, cols), np.inf)
+            x[:, :m] = xs[start[lv][:, None] + np.arange(m)]
+            cost[lv] = _matching_costs(x, z)
+    width = np.r_[np.diff(t), 0.0]
+    out[seg[seg_start]] = np.bincount(t_seg, weights=cost * width, minlength=nseg)
+    return out
 
 
 def dual_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
@@ -314,7 +373,7 @@ def dual_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     ``seg[i]`` (0 <= seg < k) at ``pos[i]`` with weight ``w[i]``, in any
     order, coincident atoms adding.  Returns the ``k`` norms, 0 for a
     measure without atoms: the isotonic closed form ``chain_norms`` at
-    zeta = 1, the cross-sign transport LPs of ``transport_norms`` below.
+    zeta = 1, the level matchings of ``transport_norms`` at zeta < 1.
     """
     z = _as_zeta(zeta)
     return chain_norms(seg, pos, w, k) if z == 1.0 else transport_norms(seg, pos, w, k, z)
@@ -323,10 +382,10 @@ def dual_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
 def dual_norm(mu: AtomicSignedMeasure, zeta=1.0) -> float:
     """||mu||_o = sup { integral of g d(mu) : |g|_inf <= 1, H_zeta(g) <= 1 }.
 
-    The one-measure case of ``dual_norms``, exact by one of two routes:
-    at zeta = 1 the isotonic closed form of ``chain_norms`` (no LP), at
-    zeta < 1 the cross-sign transport LP of ``transport_norms`` (no LP
-    either when the atoms share one sign).  The zero measure gives 0.
+    The one-measure case of ``dual_norms``, exact by one of two routes,
+    neither an LP: at zeta = 1 the isotonic closed form of ``chain_norms``,
+    at zeta < 1 the level matchings of ``transport_norms``.  The zero
+    measure gives 0.
     ``_dual_norm_lp`` gives the same value, with a witness, by the
     all-pairs LP.
     """

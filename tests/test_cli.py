@@ -39,6 +39,31 @@ TSUJII_16_CONFIG = (BASE_CONFIG.replace("gallery = doubling-linear", "gallery = 
                     .replace("max_iter = 40", "max_iter = 3")
                     .replace("tol = 1e-9", "tol = 0"))
 
+# a zeta = 0.5 regularity run on multi-atom fibers: linear base, tsujii
+# fiber with alpha = 0.5, n = 12, six iterations
+HOLDER05_12_CONFIG = """
+[system]
+base = linear
+l = 2
+fiber = tsujii
+alpha = 0.5
+zeta = 0.5
+
+[discretization]
+base_cells = 12
+fiber_atom_cap = 64
+compress_delta = 1e-4
+
+[run]
+max_iter = 6
+tol = 0
+seed = 0
+
+[output]
+directory = {out}
+formats = json,csv
+"""
+
 
 def write_config(tmp_path, text=None, name="run.cfg", out=None):
     out = out or (tmp_path / "out")
@@ -352,7 +377,7 @@ def _run_fresh(script: str) -> str:
 
 
 class TestImportFootprint:
-    """zeta = 1 runs solve no LP, so they must not pay for importing scipy."""
+    """No run solves an LP, so none pays for importing scipy; the oracle does."""
 
     def test_import_loads_no_scipy(self):
         out = _run_fresh("import ergodykit, ergodykit.cli\nprint(scipy_loaded())")
@@ -368,15 +393,26 @@ class TestImportFootprint:
         assert got.strip() == "0 []"
         assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 3
 
-    def test_transport_lp_loads_scipy(self):
+    def test_zeta_half_regularity_loads_no_scipy(self, tmp_path):
+        cfg, out = write_config(tmp_path, HOLDER05_12_CONFIG)
+        got = _run_fresh(f"""
+            from ergodykit import cli
+            rc = cli.main(["regularity", "--config", {str(cfg)!r}])
+            print(rc, scipy_loaded())
+        """)
+        assert got.strip() == "0 []"
+        assert json.loads((out / "regularity.json").read_text())["satisfied"] is True
+
+    def test_lp_oracle_loads_scipy(self):
         got = _run_fresh("""
             from ergodykit import dualnorm
             from ergodykit.measures import AtomicSignedMeasure
-            before = scipy_loaded()
             pos, w = [0.2, 0.7], [1.0, -0.6]
-            value = dualnorm.transport_norms([0, 0], pos, w, 1, 0.5)[0]
+            value = dualnorm.dual_norm(AtomicSignedMeasure(pos, w), 0.5)
+            before = scipy_loaded()
             oracle = dualnorm._dual_norm_lp(AtomicSignedMeasure(pos, w), 0.5)[0]
-            print(before == [], "scipy.optimize" in scipy_loaded(), value, oracle)
+            print(before == [], scipy_loaded() == ["scipy.optimize", "scipy.sparse"],
+                  value, oracle)
         """)
         before_clean, after_loaded, value, oracle = got.split()
         assert (before_clean, after_loaded) == ("True", "True")

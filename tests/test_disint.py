@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ergodykit as ek
-from ergodykit import disint, dualnorm
+from ergodykit import disint
 from ergodykit.cli import RunConfig, build_system
 from ergodykit.disint import (
     DisintegratedMeasure,
@@ -27,7 +27,7 @@ from ergodykit.dualnorm import _dual_norm_lp, distance_value, dual_norm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
 from ergodykit.transfer import _random_zero_average
 
-from conftest import counting_linprog, random_measure
+from conftest import random_measure
 
 
 @pytest.fixture(scope="module")
@@ -381,11 +381,6 @@ class TestBatchedZetaOne:
         assert l1_distance(a, same) == 0.0
 
 
-def _cross_sign_rows(mu):
-    w = canonicalize(mu).weights
-    return int(np.sum(w > 0)) * int(np.sum(w < 0))
-
-
 class TestBatchedZetaHalf:
     """At zeta = 0.5 every disint norm equals a per-cell (or per-pair) LP loop.
 
@@ -429,20 +424,6 @@ class TestBatchedZetaHalf:
             # pairs in groups of about 100 atoms: several batched calls
             with mock.patch.object(disint, "_PAIR_BLOCK_ATOMS", 100):
                 assert disintegration_holder(a) == pytest.approx(holder, abs=1e-9)
-
-    @pytest.mark.parametrize("kind", ["positive", "signed"])
-    def test_linf_distance_solves_blocks_not_cells(self, system, kind):
-        _, (a, b) = _system_iterates(system, 12, [3, 8], kind, self.Z)
-        cells = np.flatnonzero(a.ref_masses > 0)
-        rows = sum(_cross_sign_rows(a.fibers[j] - b.fibers[j]) for j in cells)
-        cap = dualnorm._LP_BLOCK_ROWS
-        solved = []
-        with counting_linprog(solved):
-            linf_distance(a, b, self.Z)
-        assert sum(solved) == rows  # every cross-sign row, each once
-        assert len(solved) <= -(-rows // cap) < cells.size
-        # next-fit: no two consecutive blocks would have fitted in one
-        assert all(p + q > cap for p, q in zip(solved, solved[1:]))
 
     def test_zero_mass_cells_are_skipped(self, system):
         _, (a, b) = _system_iterates(system, 12, list(range(1, 12)), "signed", self.Z)

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -83,18 +84,17 @@ class TestDualNormExamples:
             assert float(np.dot(mu.weights, g)) == pytest.approx(value, abs=1e-8)
 
     def test_lp_solves(self):
-        # zeta = 1 is the closed form; zeta < 1 solves one LP, and only
-        # for a measure with atoms of both signs
+        # neither exact route solves an LP, at any zeta or sign pattern
         rng = np.random.default_rng(12)
         signed = random_measure(rng, 9)
         assert (signed.weights > 0).any() and (signed.weights < 0).any()
         one_signed = random_measure(rng, 9, kind="probability")
-        for mu, zeta, want in ((signed, 1.0, 0), (one_signed, 1.0, 0),
-                               (one_signed, 0.5, 0), (signed, 0.5, 1)):
-            rows = []
-            with counting_linprog(rows):
-                dual_norm(mu, zeta)
-            assert len(rows) == want
+        for mu in (signed, one_signed):
+            for zeta in (1.0, 0.5):
+                rows = []
+                with counting_linprog(rows):
+                    dual_norm(mu, zeta)
+                assert rows == []
 
 
 class TestFastPathAgreement:
@@ -214,43 +214,69 @@ class TestTransportNorms:
         got = transport_norms(cell, pos, w, ncell, zeta)
         assert got.shape == (ncell,)
         assert np.abs(got - _per_cell_lp(cell, pos, w, ncell, zeta)).max() <= 1e-9
-        for cap in (1, 2**30):
-            with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", cap):
-                assert np.abs(transport_norms(cell, pos, w, ncell, zeta) - got).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(_flat_fibers(), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_block_size_does_not_change_norms(self, flat, zeta):
+        cell, pos, w, ncell = flat
+        got = transport_norms(cell, pos, w, ncell, zeta)
+        for block in (1, 7):
+            with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
+                assert np.array_equal(transport_norms(cell, pos, w, ncell, zeta), got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_flat_fibers())
+    def test_zeta_one_matches_chain_norms(self, flat):
+        # the two exact routes, checked against each other without an LP
+        cell, pos, w, ncell = flat
+        got = transport_norms(cell, pos, w, ncell, 1.0)
+        assert np.abs(got - chain_norms(cell, pos, w, ncell)).max() <= 1e-12
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 0.75])
+    def test_edge_cases_match_lp(self, zeta):
+        cells = [
+            [],                                            # empty
+            [(0.2, 0.5), (0.7, -0.5)],                     # zero total mass
+            [(0.1, 0.25), (0.4, -1.0), (0.9, 0.5)],        # negative total mass
+            [(0.3, 1.0), (0.3, -0.25), (0.6, -0.5)],       # coincident atoms
+            [(0.5, 0.75), (0.5, -0.75), (0.8, 0.0)],       # coincident, cancelling
+            # grid ties in F: F = 1/2, 0, 1/2, 0, 1/2, 1/4 repeats breakpoints
+            [(0.0, 0.5), (0.25, -0.5), (0.5, 0.5), (0.625, -0.5), (0.75, 0.5),
+             (1.0, -0.25)],
+            [(0.1, 0.5), (0.3, 0.25), (0.95, 0.125)],      # single sign, positive
+            [(0.2, -0.5), (0.4, -0.5)],                    # single sign, negative
+            [],                                            # empty
+        ]
+        cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+        pos = np.array([p for c in cells for p, _ in c])
+        w = np.array([x for c in cells for _, x in c])
+        got = transport_norms(cell, pos, w, len(cells), zeta)
+        want = _per_cell_lp(cell, pos, w, len(cells), zeta)
+        assert np.abs(got - want).max() <= 1e-9
+        assert got[0] == got[4] == got[-1] == 0.0
+        assert got[6] == 0.875 and got[7] == 1.0
 
     def test_same_sign_and_single_atoms_need_no_lp(self):
         cell = np.array([0, 0, 1, 1, 2])
         pos = np.array([0.1, 0.9, 0.2, 0.4, 0.5])
         w = np.array([0.25, 0.5, -1.0, -0.5, -2.0])
-        rows = []
-        with counting_linprog(rows):
-            got = transport_norms(cell, pos, w, 4, 0.5)
+        got = transport_norms(cell, pos, w, 4, 0.5)
         assert got.tolist() == [0.75, 1.5, 2.0, 0.0]
-        assert rows == []
 
-    def test_segment_over_the_cap_is_solved_whole(self):
-        # 4 x 4 = 16 cross-sign rows in cell 1, against a cap of 10
-        rng = np.random.default_rng(3)
-        cell = np.repeat([0, 1, 2], [4, 8, 2])
-        pos = rng.uniform(size=14)
-        w = np.r_[[1.0, -1.0, 0.5, -0.25], np.tile([1.0, -1.0], 4) * rng.uniform(0.1, 1, 8),
-                  [1.0, -1.0]]
-        rows = []
-        with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", 10), counting_linprog(rows):
-            got = transport_norms(cell, pos, w, 3, 0.5)
-        assert rows == [4, 16, 1]
-        assert np.abs(got - _per_cell_lp(cell, pos, w, 3, 0.5)).max() <= 1e-9
-
-    def test_blocks_fill_in_order(self):
-        # 3 cells of 4 rows: caps of 8 and 12 give 2 and 1 solves
-        cell = np.repeat([0, 1, 2], 4)
-        pos = np.tile([0.1, 0.3, 0.6, 0.8], 3)
-        w = np.tile([1.0, -0.5, 0.75, -1.0], 3)
-        for cap, want in ((4, [4, 4, 4]), (8, [8, 4]), (12, [12])):
-            rows = []
-            with mock.patch.object(dualnorm, "_LP_BLOCK_ROWS", cap), counting_linprog(rows):
-                transport_norms(cell, pos, w, 3, 0.5)
-            assert rows == want
+    def test_alternating_worst_case(self):
+        # alternating +-w puts every atom on the one level of a cell: 64
+        # matchings of 128 crossings each, the largest at fiber cap 64
+        rng = np.random.default_rng(5)
+        k, n = 64, 128
+        pos = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=1).ravel()
+        w = np.tile([0.25, -0.25], k * n // 2)
+        cell = np.repeat(np.arange(k), n)
+        start = time.perf_counter()
+        got = transport_norms(cell, pos, w, k, 0.5)
+        assert time.perf_counter() - start < 2.0
+        for c in (0, k - 1):
+            mu = AtomicSignedMeasure(pos[cell == c], w[cell == c])
+            assert got[c] == pytest.approx(_dual_norm_lp(mu, 0.5)[0], abs=1e-9)
 
     def test_no_atoms(self):
         empty = np.empty(0)
