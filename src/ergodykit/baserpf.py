@@ -67,6 +67,27 @@ class Branch:
     meets_region: bool = False
 
 
+def _branch_table(branches) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup table of ``BaseMap.apply``'s branch choice.
+
+    Every branch but the last claims [lo, hi), the earliest in tuple order
+    winning where claims overlap, and the last branch takes the rest.
+    Between consecutive claim edges the choice is constant, so it is
+    stored per gap: x lies in gap ``searchsorted(edges, x, "right")``,
+    gap 0 below the first edge and the last gap from the last edge on
+    (where NaN sorts too).  Returns ``(edges, pick)``, ``pick`` holding
+    the branch of each gap.
+    """
+    last = len(branches) - 1
+    claims = [(b.lo, b.hi) for b in branches[:last]]
+    edges = np.array(sorted({float(e) for c in claims for e in c}))
+    pick = np.full(edges.size + 1, last, dtype=np.intp)
+    for g in range(1, edges.size):
+        lo, hi = edges[g - 1], edges[g]
+        pick[g] = next((i for i, (a, b) in enumerate(claims) if a <= lo and hi <= b), last)
+    return edges, pick
+
+
 @dataclass(frozen=True)
 class BaseMap:
     """A piecewise-invertible map of [0, 1] with declared expansion data.
@@ -82,6 +103,7 @@ class BaseMap:
     q: int
     region: Optional[tuple[float, float]] = None
     name: str = "basemap"
+    _branch_of: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         brs = tuple(self.branches)
@@ -102,6 +124,7 @@ class BaseMap:
             raise ConstructionError(f"sigma must exceed 1, got {self.sigma}")
         if not 0 <= self.q < len(brs):
             raise ConstructionError("q must satisfy 0 <= q < deg(f)")
+        object.__setattr__(self, "_branch_of", _branch_table(brs))
 
     @property
     def deg(self) -> int:
@@ -113,18 +136,21 @@ class BaseMap:
         return max(b.lip_bound for b in self.branches)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Forward map, vectorized; branch chosen by domain membership."""
+        """Forward map, vectorized; branch chosen by domain membership.
+
+        A point goes to the first branch, in tuple order, whose [lo, hi)
+        holds it, and to the last branch when none of the others does
+        (x = 1, points outside [0, 1], NaN).  The choice is one
+        ``searchsorted`` lookup in the table ``_branch_table`` builds.
+        """
         x = np.asarray(x, dtype=float)
+        edges, pick = self._branch_of
+        k = pick[np.searchsorted(edges, x, side="right")]
         out = np.empty_like(x)
-        done = np.zeros(x.shape, dtype=bool)
-        for k, b in enumerate(self.branches):
-            if k == len(self.branches) - 1:
-                mask = ~done
-            else:
-                mask = (~done) & (x >= b.lo) & (x < b.hi)
+        for i, b in enumerate(self.branches):
+            mask = k == i
             if mask.any():
                 out[mask] = b.forward(x[mask])
-            done |= mask
         return np.clip(out, 0.0, 1.0)
 
     def preimages(self, x: np.ndarray) -> np.ndarray:
@@ -156,31 +182,39 @@ def discrete_holder_constant(x: np.ndarray, v: np.ndarray, zeta: float) -> float
     At zeta < 1 that argument fails and every pair is compared, in row
     blocks of at most ``_HOLDER_BLOCK_PAIRS`` entries.
     """
+    v = np.asarray(v, dtype=float)
+    return float(_holder_rows(x, v[None, :], zeta)[0])
+
+
+def _holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
+    """``discrete_holder_constant`` of every row of the (k, n) array v on
+    the shared points x, with one sort of x; each row's constant is the
+    one it has alone, bit for bit."""
     x = np.asarray(x, dtype=float)
+    best = np.zeros(v.shape[0])
     if x.size < 2:
-        return 0.0
+        return best
     order = np.argsort(x, kind="stable")
     x = x[order]
-    v = np.asarray(v, dtype=float)[order]
+    v = v[:, order]
     tied = np.diff(x) == 0.0
-    if np.any(v[1:][tied] != v[:-1][tied]):
-        return float("inf")
+    clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
     keep = np.concatenate(([True], ~tied))
-    x, v = x[keep], v[keep]
+    x, v = x[keep], v[:, keep]
     n = x.size
-    if n < 2:
-        return 0.0
-    if zeta == 1.0:
-        return float(np.max(np.abs(np.diff(v)) / np.diff(x)))
-    rows = max(1, _HOLDER_BLOCK_PAIRS // n)
-    best = 0.0
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
-        dx = x[None, i0 + 1:] - x[i0:i1, None]
-        dx[dx <= 0.0] = np.inf
-        dv = np.abs(v[None, i0 + 1:] - v[i0:i1, None])
-        best = max(best, float(np.max(dv / dx**zeta)))
+    if n >= 2 and zeta == 1.0:
+        best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
+    elif n >= 2:
+        rows = max(1, _HOLDER_BLOCK_PAIRS // (n * v.shape[0]))
+        for i0 in range(0, n - 1, rows):
+            i1 = min(i0 + rows, n - 1)
+            # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
+            dx = x[None, i0 + 1:] - x[i0:i1, None]
+            dx[dx <= 0.0] = np.inf
+            dv = np.abs(v[:, None, i0 + 1:] - v[:, i0:i1, None])
+            top = np.max(dv / dx**zeta, axis=(1, 2))
+            best = np.where(top > best, top, best)  # as max(best, top): NaN skipped
+    best[clash] = np.inf
     return best
 
 
@@ -255,8 +289,18 @@ def _power_iteration(matvec, n: int, tol: float = _PI_TOL, maxit: int = _PI_MAXI
 
 
 def _gather(src: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for the stencil matrix M with M[j, src[i, j, s]] += w[i, j, s]."""
-    return (w * v[src]).sum(axis=(0, 2))
+    """M v for the stencil matrix M with M[j, src[i, j, s]] += w[i, j, s].
+
+    v may carry leading axes (rows of vectors); each row's product is the
+    one it has alone, and the result is C-contiguous like v (indexing the
+    last axis returns strided rows, whose BLAS dot products add in another
+    order).  The terms add branch by branch, each branch's two stencil
+    sides first, in the order ``(w * v[src]).sum(axis=(0, 2))`` adds them.
+    """
+    out = 0.0
+    for i in range(src.shape[0]):
+        out = out + (w[i, :, 0] * v[..., src[i, :, 0]] + w[i, :, 1] * v[..., src[i, :, 1]])
+    return np.ascontiguousarray(out)
 
 
 def _scatter(src: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -621,8 +665,27 @@ def _test_vectors(n: int, x: np.ndarray, samples: int, seed: int = 0) -> list[np
     return out
 
 
-def _strong_norm(x: np.ndarray, v: np.ndarray, zeta: float) -> float:
-    return discrete_holder_constant(x, v, zeta) + float(np.max(np.abs(v)))
+def _strong_norms(
+    rpf: RPFDiscretization, v: np.ndarray, zeta: float, n_steps: int, proj=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete strong norms H_zeta + sup of the rows of v under iteration.
+
+    Returns the (samples,) norms of v and the (n_steps, samples) norms of
+    its images v_k = proj(L v_{k-1} / lambda), all rows advancing as one
+    array (``proj`` defaults to the identity).  Each row's norms are the
+    ones it has alone.
+    """
+    def norms(u):
+        return _holder_rows(rpf.x, u, zeta) + np.max(np.abs(u), axis=1)
+
+    s0 = norms(v)
+    sn = np.empty((n_steps, v.shape[0]))
+    for k in range(n_steps):
+        v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
+        if proj is not None:
+            v = proj(v)
+        sn[k] = norms(v)
+    return s0, sn
 
 
 @dataclass(frozen=True)
@@ -649,28 +712,18 @@ def verify_lasota_yorke(
     norm |g|_w = |g|_inf.  C1 is the plateau level of |L^n g|_s / |g|_w
     (at least 1, forced by constant g), beta1 the smallest geometric
     envelope rate of the excess above the plateau, B1 its prefactor.
+    The sample vectors iterate together, as in ``spectral_radius_on_kernel``.
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
-    vecs = _test_vectors(rpf.n, rpf.x, samples, seed)
+    g = np.array(_test_vectors(rpf.n, rpf.x, samples, seed))
     floor = 1e-13
-    c1 = 1.0
-    trajs = []
-    for g in vecs:
-        s0 = _strong_norm(rpf.x, g, z)
-        w0 = float(np.max(np.abs(g)))
-        sn = []
-        v = g.copy()
-        for _ in range(n_steps):
-            v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
-            sn.append(_strong_norm(rpf.x, v, z))
-        trajs.append((s0, w0, sn))
-        c1 = max(c1, max(sn[-5:]) / max(w0, 1e-300))
-    rn = np.zeros(n_steps)
-    for s0, w0, sn in trajs:
-        excess = np.maximum(0.0, np.asarray(sn) - c1 * w0) / max(s0, 1e-300)
-        rn = np.maximum(rn, excess)
+    s0, sn = _strong_norms(rpf, g, z, n_steps)
+    w0 = np.max(np.abs(g), axis=1)
+    c1 = max(1.0, float(np.max(sn[-5:].max(axis=0) / np.maximum(w0, 1e-300))))
+    excess = np.maximum(0.0, sn - c1 * w0) / np.maximum(s0, 1e-300)
+    rn = excess.max(axis=1)
     idx = np.nonzero(rn > floor)[0]
     if idx.size >= 2:
         beta1 = 0.0
@@ -712,28 +765,28 @@ def spectral_radius_on_kernel(
     leaves in the leading direction does not decay, and left alone it
     would set a floor that moves the fit under any change of summation
     order.  The usable range ends at the first step where the norm stops
-    decreasing or falls below 1e-13 of its start.  The result is stored on
-    the discretization as its measured gap.
+    decreasing or falls below 1e-13 of its start.  All test vectors
+    advance together as the rows of one array (``_strong_norms``), each
+    with the norms it has alone.  The result is stored on the
+    discretization as its measured gap.
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
+    # one BLAS dot per row: a matrix-vector product adds in another order
+    # and would move r_hat in its last bits
     if rpf.kind == "twisted":
-        proj = lambda g: g - float(np.dot(rpf.m, g)) * np.ones(rpf.n)
+        proj = lambda g: g - np.array([np.dot(rpf.m, r) for r in g])[:, None]
     else:
-        proj = lambda g: g - float(np.dot(rpf.nu, g)) * rpf.h
+        proj = lambda g: g - np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
+    s0_all, sn_all = _strong_norms(
+        rpf, proj(np.array(_test_vectors(rpf.n, rpf.x, samples, seed))), z, n_steps, proj
+    )
     r_hat = 0.0
     d_hat = 1.0
-    for g in _test_vectors(rpf.n, rpf.x, samples, seed):
-        v = proj(g)
-        s0 = _strong_norm(rpf.x, v, z)
+    for s0, sn in zip(s0_all, sn_all.T):
         if s0 < 1e-12:
             continue
-        sn = []
-        for _ in range(n_steps):
-            v = proj(_gather(rpf.src, rpf.wphi, v) / rpf.lam)
-            sn.append(_strong_norm(rpf.x, v, z))
-        sn = np.asarray(sn)
         decaying = (sn > 1e-13 * s0) & (np.r_[np.inf, sn[:-1]] > sn)
         usable = np.arange(n_steps if decaying.all() else int(np.argmin(decaying)))
         if usable.size < 4:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baserpf import RPFDiscretization, discrete_holder_constant
+from .baserpf import RPFDiscretization, _holder_rows, discrete_holder_constant
 from .dualnorm import _as_zeta, dual_norms
 from .measures import (
     _RANGE_SLACK,
@@ -211,15 +211,44 @@ class DisintegratedMeasure:
 
     @staticmethod
     def from_dict(d: dict) -> "DisintegratedMeasure":
+        """The measure ``to_dict`` wrote, read straight into the flat layout.
+
+        Each fiber is a list of [position, weight] pairs; positions are
+        range-checked and clipped to [0, 1], then every fiber is
+        canonicalized, and with ``"normalized": true`` (or no such key)
+        its weights are scaled by phi1, as ``AtomicSignedMeasure.from_pairs``
+        followed by ``phi1[j] * fiber`` would do cell by cell.
+        """
         phi1 = np.asarray(d["phi1"], dtype=float)
-        fibers = [AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]]
+        fibers = d["fibers"]
+        counts = np.fromiter((len(f) for f in fibers), dtype=np.intp, count=len(fibers))
+        pairs = np.asarray([p for f in fibers for p in f], dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.shape != (counts.sum(), 2):
+            raise ValueError("fiber atoms must be [position, weight] pairs")
+        pos, w = pairs[:, 0], pairs[:, 1]
+        outside = (pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)
+        if outside.any():
+            raise MeasureDomainError(f"atom position {pos[outside][0]!r} outside [0, 1]")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+            raise ValueError("positions and weights must be finite")
+        cell, pos, w = canonicalize_segments(
+            np.repeat(np.arange(counts.size), counts), np.clip(pos, 0.0, 1.0), w
+        )
         if d.get("normalized", True):  # unit-mass fibers: scale to restrictions
-            fibers = [float(p) * f for p, f in zip(phi1, fibers, strict=True)]
-        return DisintegratedMeasure.from_fibers(
+            if phi1.shape != counts.shape:
+                raise ValueError(f"{phi1.size} phi1 values for {counts.size} fibers")
+            w = phi1[cell] * w
+            keep = w != 0.0
+            cell, pos, w = cell[keep], pos[keep], w[keep]
+        return DisintegratedMeasure(
             x=np.asarray(d["x"], dtype=float),
             ref_masses=np.asarray(d["ref_masses"], dtype=float),
             phi1=phi1,
-            fibers=fibers,
+            offsets=_offsets(cell, counts.size),
+            positions=pos,
+            weights=w,
             reference=d["reference"],
             zeta=d.get("zeta", 1.0),
         )
@@ -230,8 +259,9 @@ class Observable:
     """A function on Sigma with a declared zeta-Holder bound.
 
     ``fn(x, y)`` takes a base point and an array of fiber points.
-    Birkhoff averages call it on paired arrays of orbit points, so it
-    should also be elementwise in x (the constructors below are).
+    Birkhoff averages call it once on the paired (time, orbit) arrays of
+    a whole trajectory, so it should also be elementwise in x, for arrays
+    of any shape (the constructors below are).
     ``holder_bound`` is |s|_zeta = H_zeta(s) + |s|_inf for the max metric
     on the product space; it must dominate every sampled quotient.  It is
     declared by whoever builds the observable (the constructors below give
@@ -342,18 +372,37 @@ def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
     return discrete_holder_constant(np.asarray(positions, dtype=float), v, _as_zeta(zeta))
 
 
-def _phi1_strong(dm: DisintegratedMeasure, z: float) -> float:
-    return holder_constant(dm.phi1, z, dm.x) + float(np.max(np.abs(dm.phi1))) if dm.n else 0.0
+def _phi1_strong(dm: DisintegratedMeasure, z: float, blocks: int = 1) -> np.ndarray:
+    """|phi1|_zeta = H_zeta(phi1) + sup |phi1| of each of ``blocks`` equal
+    runs of cells, all on the grid of the first (one sort of it)."""
+    n = dm.n // blocks
+    phi1 = dm.phi1.reshape(blocks, n)
+    return _holder_rows(dm.x[:n], phi1, z) + np.abs(phi1).max(axis=1, initial=0.0)
 
 
 def s1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     z = dm.zeta if zeta is None else _as_zeta(zeta)
-    return _phi1_strong(dm, z) + l1_norm(dm, z)
+    return float(_phi1_strong(dm, z)[0]) + l1_norm(dm, z)
+
+
+def _sinf_norms(dm: DisintegratedMeasure, blocks: int, zeta=None) -> np.ndarray:
+    """Sinf of each of ``blocks`` equal runs of cells, each run read as a
+    measure of its own on the grid of the first run.
+
+    The fiber norms of all runs come from one ``_fiber_norms`` call, and
+    each run's value is the one ``sinf_norm`` gives it alone, bit for bit
+    (the batched norms and Holder constants keep every fiber and row to
+    itself).
+    """
+    z = dm.zeta if zeta is None else _as_zeta(zeta)
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    fib = np.zeros(dm.n)
+    fib[idx] = _fiber_norms(z, dm, idx)
+    return _phi1_strong(dm, z, blocks) + fib.reshape(blocks, -1).max(axis=1, initial=0.0)
 
 
 def sinf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
-    z = dm.zeta if zeta is None else _as_zeta(zeta)
-    return _phi1_strong(dm, z) + linf_norm(dm, z)
+    return float(_sinf_norms(dm, 1, zeta)[0])
 
 
 # Gathered atoms per batched call of the all-pairs zeta < 1 Holder constant:

@@ -185,14 +185,17 @@ def correlation_birkhoff(
     Valid when the equilibrium state is the physical measure (the caller
     asserts this by choosing the estimator).  Orbits start from uniform
     initial conditions; standard errors come from batch means over orbits.
-    All orbits advance together: the fiber map and both observables are
-    called once per time step on the arrays of orbit points, so they
-    must be elementwise in x and y (ValueError otherwise).
+    All orbits advance together, with one fiber-map call and one base-map
+    call per time step on the arrays of orbit points.  The points of the
+    sampled steps are kept as (time, orbit) arrays, and each observable is
+    called once on them after the loop, so the fiber map and both
+    observables must be elementwise in x and y (ValueError otherwise).
 
     Binary expanding bases shift mantissa bits out under float iteration
     and every orbit collapses onto the fixed point after ~53 steps, so the
     base state is jittered by uniform noise of size orbit_noise each step;
     the bias this adds is orders of magnitude below the Monte Carlo error.
+    The noise of all steps is drawn in one call, after the initial points.
     Pass orbit_noise=0 to disable.
     """
     if N < 1:
@@ -201,18 +204,21 @@ def correlation_birkhoff(
     total = burn_in + samples_per_orbit + N
     x = rng.uniform(0.0, 1.0, size=orbits)
     y = rng.uniform(0.0, 1.0, size=orbits)
-    u_traj = np.empty((samples_per_orbit + N, orbits))
-    g_traj = np.empty((samples_per_orbit + N, orbits))
+    if orbit_noise:
+        noise = rng.uniform(-orbit_noise, orbit_noise, size=(total, orbits))
+    xs = np.empty((samples_per_orbit + N, orbits))
+    ys = np.empty((samples_per_orbit + N, orbits))
     for t in range(total):
         if t >= burn_in:
-            k = t - burn_in
-            u_traj[k] = _eval_pairs(u, x, y)
-            g_traj[k] = _eval_pairs(g, x, y)
+            xs[t - burn_in] = x
+            ys[t - burn_in] = y
         y_new = np.asarray(sys.fiber(x, y), dtype=float)
         x = sys.base.apply(x)
         if orbit_noise:
-            x = np.mod(x + rng.uniform(-orbit_noise, orbit_noise, size=orbits), 1.0)
+            x = np.mod(x + noise[t], 1.0)
         y = y_new
+    u_traj = _eval_pairs(u, xs, ys)
+    g_traj = _eval_pairs(g, xs, ys)
     t_use = samples_per_orbit
     mu_u = u_traj[:t_use].mean(axis=0)
     mu_g = g_traj[:t_use].mean(axis=0)

@@ -36,10 +36,11 @@ from .disint import (
     DisintegratedMeasure,
     Observable,
     _cell_atoms,
+    _offsets,
+    _sinf_norms,
     linf_distance,
     l1_norm,
     s1_norm,
-    sinf_norm,
 )
 from .dualnorm import _as_zeta
 from .measures import (
@@ -51,8 +52,10 @@ from .measures import (
     dirac,
 )
 
-# Nothing here calls the one-fiber compression any more; the benchmark's
-# tracer wraps ``transfer.compress_to_cap`` by name, so the name stays bound.
+# Nothing here calls the one-fiber compression or the one-measure Sinf norm
+# any more; the benchmark's tracer wraps ``transfer.compress_to_cap`` and
+# ``transfer.sinf_norm`` by name, so the names stay bound.
+from .disint import sinf_norm  # noqa: F401
 from .measures import compress_to_cap  # noqa: F401
 
 __all__ = [
@@ -82,10 +85,12 @@ class FiberMap:
 
     ``fn(x, y)`` must be elementwise over broadcastable arrays x and y:
     the operator step calls it once on the paired (preimage, atom)
-    arrays of every cell, and Birkhoff orbits once per time step.  A
-    scalar x with an array y works as well.  ``alpha`` bounds the fiber
-    contraction |G(x, z1) - G(x, z2)| <= alpha |z1 - z2| and ``g_holder``
-    the per-branch x-Holder constant
+    arrays of every cell (of every trial at once in the spectral-gap
+    estimate), and Birkhoff orbits once per time step on the arrays of
+    all orbit points.  A scalar x with an array y works as well.
+    ``alpha`` bounds the fiber contraction
+    |G(x, z1) - G(x, z2)| <= alpha |z1 - z2| and ``g_holder`` the
+    per-branch x-Holder constant
     sup_y |G(x1, y) - G(x2, y)| / d(x1,x2)**zeta.
     """
 
@@ -475,7 +480,11 @@ def _random_zero_average(
     """A random signed measure whose marginal density is m-zero-average.
 
     Restrictions combine a mass-carrying atom with a zero-mass dipole so
-    both the marginal and the pure-fiber directions get exercised.
+    both the marginal and the pure-fiber directions get exercised.  Cell
+    by cell the generator draws the atom's position (only where the
+    density is non-zero), the dipole weight in [0.2, 1) and the dipole's
+    two positions; one call draws them all in that order.  A dipole whose
+    two positions coincide is the zero measure.
     """
     n = rpf.n
     freqs = rng.integers(1, 4, size=2)
@@ -485,23 +494,66 @@ def _random_zero_average(
     )
     phi1 = np.asarray(phi1, dtype=float)
     phi1 -= float(np.dot(rpf.m, phi1))  # project off the fixed direction
-    fibers = []
-    for j in range(n):
-        parts = [dirac(float(rng.uniform()), float(phi1[j]))] if phi1[j] != 0 else []
-        w = float(rng.uniform(0.2, 1.0))
-        a, b = rng.uniform(0, 1, size=2)
-        parts.append(dirac(float(a), w) + dirac(float(b), -w))
-        fiber = parts[0]
-        for p in parts[1:]:
-            fiber = fiber + p
-        fibers.append(fiber)
-    return DisintegratedMeasure.from_fibers(
+    drawn = np.ones((n, 4), dtype=bool)
+    drawn[:, 0] = phi1 != 0
+    low = np.where(np.arange(4) == 1, 0.2, 0.0)
+    u = np.zeros((n, 4))
+    u[drawn] = rng.uniform(np.broadcast_to(low, (n, 4))[drawn], 1.0)
+    w, a, b = u[:, 1], u[:, 2], u[:, 3]
+    dipole = a != b
+    cell = np.concatenate([np.flatnonzero(drawn[:, 0]), np.tile(np.flatnonzero(dipole), 2)])
+    pos = np.concatenate([u[drawn[:, 0], 0], a[dipole], b[dipole]])
+    wts = np.concatenate([phi1[drawn[:, 0]], w[dipole], -w[dipole]])
+    cell, pos, wts = canonicalize_segments(cell, pos, wts)
+    return DisintegratedMeasure(
         x=rpf.x,
         ref_masses=rpf.m.copy(),
-        phi1=np.array([f.total_mass() for f in fibers]),
-        fibers=fibers,
+        phi1=np.bincount(cell, weights=wts, minlength=n),
+        offsets=_offsets(cell, n),
+        positions=pos,
+        weights=wts,
         reference="m",
         zeta=zeta,
+    )
+
+
+def _side_by_side(rpf: RPFDiscretization, k: int) -> RPFDiscretization:
+    """k copies of the discretization as one block-diagonal operator.
+
+    Copy t owns cells t n .. (t + 1) n - 1 and reads only them (``src``
+    offset by t n), so a measure made of k measures side by side steps as
+    each of them would alone.
+    """
+    n = rpf.n
+    return replace(
+        rpf,
+        n=k * n,
+        x=np.tile(rpf.x, k),
+        h=np.tile(rpf.h, k),
+        nu=np.tile(rpf.nu, k),
+        m=np.tile(rpf.m, k),
+        preimages=np.tile(rpf.preimages, (1, k)),
+        src=(rpf.src[:, None] + n * np.arange(k)[:, None, None]).reshape(rpf.deg, k * n, 2),
+        wphi=np.tile(rpf.wphi, (1, k, 1)),
+        weights=np.tile(rpf.weights, (1, k, 1)),
+        gap=None,
+        _twisted=None,
+    )
+
+
+def _stack(dms: list[DisintegratedMeasure], rpf: RPFDiscretization) -> DisintegratedMeasure:
+    """The m-referenced measures ``dms`` side by side on ``rpf``'s cells."""
+    n = dms[0].n
+    cell = np.concatenate([dm.atom_cells + t * n for t, dm in enumerate(dms)])
+    return DisintegratedMeasure(
+        x=rpf.x,
+        ref_masses=rpf.m.copy(),
+        phi1=np.concatenate([dm.phi1 for dm in dms]),
+        offsets=_offsets(cell, rpf.n),
+        positions=np.concatenate([dm.positions for dm in dms]),
+        weights=np.concatenate([dm.weights for dm in dms]),
+        reference="m",
+        zeta=dms[0].zeta,
     )
 
 
@@ -516,35 +568,43 @@ def estimate_spectral_gap(
 ) -> GapReport:
     """Fit the decay rate of S-infinity norms on zero-average measures.
 
+    Every trial draws a random zero-average measure (``_random_zero_average``,
+    trial after trial from one generator), and the fitted rate of its
+    Sinf norms over ``n_steps`` steps of the normalized operator is one
+    entry of ``per_trial_rates``; xi is the largest rate and R the largest
+    prefactor.  A trial whose starting norm is below 1e-12 is skipped.
+    The trials advance together, side by side on a block-diagonal copy of
+    the discretization: one operator call and one batch of Sinf norms per
+    step, each trial's numbers being the ones it has alone.
     ``realized_delta_max`` is the largest compression width any step used.
     """
     if trials < 5:
         raise ValueError("need at least 5 trials")
     rng = np.random.default_rng(seed)
     delta = homogeneous_delta(compress_delta, atom_cap)
+    big = _side_by_side(rpf, trials)
+    cur = _stack([_random_zero_average(rpf, sys.zeta, rng) for _ in range(trials)], big)
+    s0 = _sinf_norms(cur, trials)
+    live = s0 >= 1e-12
+    norms = np.empty((n_steps, trials))
+    realized = delta
+    for k in range(n_steps):
+        widths: list[np.ndarray] = []
+        cur = apply_F_phih_normalized(sys, big, cur, delta, atom_cap, widths=widths)
+        norms[k] = _sinf_norms(cur, trials)
+        realized = max(realized, float(widths[0].reshape(trials, -1)[live].max(initial=delta)))
     rates = []
     big_r = 1.0
     xi = 0.0
-    widths: list[np.ndarray] = []
-    for _ in range(trials):
-        dm = _random_zero_average(rpf, sys.zeta, rng)
-        s0 = sinf_norm(dm)
-        if s0 < 1e-12:
-            continue
-        norms = []
-        cur = dm
-        for _ in range(n_steps):
-            cur = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap, widths=widths)
-            norms.append(sinf_norm(cur))
-        rate, _ = _fit_geometric(norms, floor=1e-12 * s0)
+    ns = np.arange(1, n_steps + 1, dtype=float)
+    for t in np.flatnonzero(live):
+        rate, _ = _fit_geometric(norms[:, t], floor=1e-12 * s0[t])
         rates.append(rate)
         xi = max(xi, rate)
         if rate > 0:
-            ns = np.arange(1, n_steps + 1, dtype=float)
             with np.errstate(over="ignore"):
-                pref = np.asarray(norms) / (s0 * rate**ns)
+                pref = norms[:, t] / (s0[t] * rate**ns)
             big_r = max(big_r, float(np.nanmax(pref[np.isfinite(pref)])))
-    realized = max([delta] + [float(w.max(initial=delta)) for w in widths])
     return GapReport(xi=float(xi), R=float(big_r), trials=trials,
                      n_steps=n_steps, per_trial_rates=rates, realized_delta_max=realized)
 

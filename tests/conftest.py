@@ -38,6 +38,18 @@ def random_measure(rng, n_atoms, kind="signed", grid=None):
     return canonicalize(AtomicSignedMeasure(pos, w))
 
 
+def from_dict_per_cell(d):
+    """The per-cell reader the flat ``DisintegratedMeasure.from_dict`` replaced."""
+    phi1 = np.asarray(d["phi1"], dtype=float)
+    fibers = [AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]]
+    if d.get("normalized", True):
+        fibers = [float(p) * f for p, f in zip(phi1, fibers, strict=True)]
+    return ek.DisintegratedMeasure.from_fibers(
+        x=np.asarray(d["x"], dtype=float), ref_masses=np.asarray(d["ref_masses"], dtype=float),
+        phi1=phi1, fibers=fibers, reference=d["reference"], zeta=d.get("zeta", 1.0),
+    )
+
+
 @pytest.fixture(scope="session")
 def doubling_system():
     return ek.gallery_entry("doubling-linear").build()

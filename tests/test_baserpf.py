@@ -110,6 +110,23 @@ class TestStencil:
                 assert np.max(np.abs(_gather(rpf.src, w, v) - dense @ v)) <= 1e-14
                 assert np.max(np.abs(_scatter(rpf.src, w, u) - dense.T @ u)) <= 1e-14
 
+    @pytest.mark.parametrize("entry", gallery(), ids=lambda e: e.name)
+    def test_gather_rows_match_one_vector_sum(self, entry):
+        # the branch-by-branch sum adds in the order of the one-expression
+        # form, for one vector and for every row of a stack of them
+        sys_ = entry.build()
+        rng = np.random.default_rng(8)
+        for n in (16, 97, 512):
+            rpf = build_rpf(sys_.base, sys_.potential, n)
+            rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-6, 6, (6, n))
+            for w in (rpf.wphi, rpf.weights, twisted_operator(rpf).wphi):
+                stacked = _gather(rpf.src, w, rows)
+                assert stacked.flags.c_contiguous
+                for r, v in zip(stacked, rows):
+                    one = (w * v[rpf.src]).sum(axis=(0, 2))
+                    assert _gather(rpf.src, w, v).tobytes() == one.tobytes()
+                    assert r.tobytes() == one.tobytes()
+
     def test_holds_no_square_array(self):
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 64)
         for d in (rpf, twisted_operator(rpf)):
@@ -232,6 +249,99 @@ class TestLasotaYorke:
             verify_lasota_yorke(tripling_rpf, 1.0, samples=3)
 
 
+def _strong_norm(x, v, zeta):
+    return discrete_holder_constant(x, v, zeta) + float(np.max(np.abs(v)))
+
+
+def _apply_one(rpf, v):
+    return (rpf.wphi * v[rpf.src]).sum(axis=(0, 2)) / rpf.lam
+
+
+def _kernel_decay_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0):
+    """The per-vector loop the batched ``spectral_radius_on_kernel`` replaced."""
+    if rpf.kind == "twisted":
+        proj = lambda g: g - float(np.dot(rpf.m, g)) * np.ones(rpf.n)
+    else:
+        proj = lambda g: g - float(np.dot(rpf.nu, g)) * rpf.h
+    r_hat, d_hat = 0.0, 1.0
+    for g in baserpf._test_vectors(rpf.n, rpf.x, samples, seed):
+        v = proj(g)
+        s0 = _strong_norm(rpf.x, v, zeta)
+        if s0 < 1e-12:
+            continue
+        sn = []
+        for _ in range(n_steps):
+            v = proj(_apply_one(rpf, v))
+            sn.append(_strong_norm(rpf.x, v, zeta))
+        sn = np.asarray(sn)
+        decaying = (sn > 1e-13 * s0) & (np.r_[np.inf, sn[:-1]] > sn)
+        usable = np.arange(n_steps if decaying.all() else int(np.argmin(decaying)))
+        if usable.size < 4:
+            continue
+        tail = usable[usable.size // 2:]
+        slope, _ = np.polyfit(tail + 1.0, np.log(sn[tail]), 1)
+        rate = float(np.exp(slope))
+        r_hat = max(r_hat, rate)
+        if rate > 0:
+            d_hat = max(d_hat, float(np.max(sn[usable] / (s0 * rate ** (usable + 1.0)))))
+    return r_hat, d_hat
+
+
+def _ly_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0):
+    """C1 and the excess envelope rn of the per-vector Lasota-Yorke loop."""
+    c1, trajs = 1.0, []
+    for g in baserpf._test_vectors(rpf.n, rpf.x, samples, seed):
+        s0, w0 = _strong_norm(rpf.x, g, zeta), float(np.max(np.abs(g)))
+        sn, v = [], g.copy()
+        for _ in range(n_steps):
+            v = _apply_one(rpf, v)
+            sn.append(_strong_norm(rpf.x, v, zeta))
+        trajs.append((s0, w0, sn))
+        c1 = max(c1, max(sn[-5:]) / max(w0, 1e-300))
+    rn = np.zeros(n_steps)
+    for s0, w0, sn in trajs:
+        rn = np.maximum(rn, np.maximum(0.0, np.asarray(sn) - c1 * w0) / max(s0, 1e-300))
+    return c1, rn
+
+
+class TestBatchedTestVectors:
+    """All test vectors iterate as one array, each giving, bit for bit, the
+    numbers it gives alone."""
+
+    @pytest.mark.parametrize("entry", gallery(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("n", [16, 97])
+    def test_kernel_decay_matches_per_vector_loop(self, entry, n):
+        sys_ = entry.build()
+        rpf = build_rpf(sys_.base, sys_.potential, n)
+        for op in (rpf, twisted_operator(rpf)):
+            for zeta in {1.0, 0.5, sys_.zeta}:
+                got = spectral_radius_on_kernel(op, zeta, samples=12, n_steps=25, seed=n)
+                want = _kernel_decay_one_vector_at_a_time(op, zeta, 12, 25, seed=n)
+                assert (got.r_hat, got.D_hat) == want
+
+    @pytest.mark.parametrize("entry", gallery(), ids=lambda e: e.name)
+    def test_lasota_yorke_matches_per_vector_loop(self, entry):
+        sys_ = entry.build()
+        rpf = build_rpf(sys_.base, sys_.potential, 40)
+        for zeta in (1.0, 0.5):
+            c1, rn = _ly_one_vector_at_a_time(rpf, zeta, samples=11, n_steps=20, seed=3)
+            seen = {}
+            real = baserpf._strong_norms
+
+            def spy(*args, **kwargs):
+                seen["out"] = real(*args, **kwargs)
+                return seen["out"]
+
+            with mock.patch.object(baserpf, "_strong_norms", spy):
+                fit = verify_lasota_yorke(rpf, zeta, samples=11, n_steps=20, seed=3)
+            s0, sn = seen["out"]
+            w0 = np.array([np.max(np.abs(g)) for g in
+                           baserpf._test_vectors(rpf.n, rpf.x, 11, 3)])
+            assert fit.C1 == c1
+            excess = np.maximum(0.0, sn - fit.C1 * w0) / np.maximum(s0, 1e-300)
+            assert excess.max(axis=1).tobytes() == rn.tobytes()
+
+
 class TestKernelDecay:
     def test_doubling_gap(self):
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
@@ -308,6 +418,98 @@ class TestHolderConstant:
             assert got == best
         else:
             assert got == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    @pytest.mark.parametrize("block", [1, 5, baserpf._HOLDER_BLOCK_PAIRS])
+    def test_rows_match_one_row_at_a_time(self, zeta, block):
+        # ties with equal values, ties with a clash (inf), unsorted points
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 40, size=60) / 40.0
+        rows = np.round(rng.standard_normal((7, 60)), 1)
+        _, first = np.unique(x, return_inverse=True)
+        rows[:5] = rows[:5][:, first]  # values follow the position: ties agree
+        rows[1, np.flatnonzero(x == x[0])[-1]] += 1.0  # one clashing tie
+        with mock.patch.object(baserpf, "_HOLDER_BLOCK_PAIRS", block):
+            got = baserpf._holder_rows(x, rows, zeta)
+            want = [discrete_holder_constant(x, r, zeta) for r in rows]
+        assert got.tolist() == want
+        assert np.isinf(got[1]) and np.isinf(got[5:]).all() and np.isfinite(got[[0, 2, 3, 4]]).all()
+
+
+def _cascade_branch(basemap, x):
+    """The branch the old cascade of masks chose for each point."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -1)
+    done = np.zeros(x.shape, dtype=bool)
+    last = len(basemap.branches) - 1
+    for k, b in enumerate(basemap.branches):
+        mask = ~done if k == last else (~done) & (x >= b.lo) & (x < b.hi)
+        out[mask] = k
+        done |= mask
+    return out
+
+
+def _labelled(basemap):
+    """The same base map with forward k / 8 on branch k, so that apply
+    returns the branch it chose."""
+    brs = tuple(
+        dataclasses.replace(b, forward=lambda x, _k=k: np.full(np.shape(x), _k / 8.0))
+        for k, b in enumerate(basemap.branches)
+    )
+    return dataclasses.replace(basemap, branches=brs)
+
+
+def _unordered_bases():
+    lin3 = linear_expanding(3)
+    mp = manneville_pomeau(0.5)
+    b0, b1 = linear_expanding(2).branches
+    # domains that overlap or leave a gap within the 1e-12 tiling slack
+    over = (dataclasses.replace(b1, lo=0.5 - 4e-13), dataclasses.replace(b0, hi=0.5 + 6e-13))
+    gap = (dataclasses.replace(b0, hi=0.5 - 5e-13), b1)
+    c0, c1, c2 = lin3.branches
+    over3 = (dataclasses.replace(c1, lo=1 / 3 - 3e-13), dataclasses.replace(c0, hi=1 / 3 + 4e-13), c2)
+    return {
+        "linear2": linear_expanding(2),
+        "linear3": lin3,
+        "linear3-reversed": dataclasses.replace(lin3, branches=lin3.branches[::-1]),
+        "linear3-shuffled": dataclasses.replace(
+            lin3, branches=tuple(lin3.branches[i] for i in (1, 2, 0))),
+        "mp": mp,
+        "mp-reversed": dataclasses.replace(mp, branches=mp.branches[::-1], q=1),
+        "overlap": dataclasses.replace(linear_expanding(2), branches=over),
+        "overlap-reversed": dataclasses.replace(linear_expanding(2), branches=over[::-1]),
+        "gap": dataclasses.replace(linear_expanding(2), branches=gap),
+        "overlap3": dataclasses.replace(lin3, branches=over3),
+        "overlap3-swapped": dataclasses.replace(lin3, branches=(over3[1], over3[0], c2)),
+    }
+
+
+class TestBaseMapApply:
+    @pytest.mark.parametrize("name", list(_unordered_bases()))
+    def test_branch_choice_matches_cascade(self, name):
+        base = _unordered_bases()[name]
+        edges = np.array([e for b in base.branches for e in (b.lo, b.hi)])
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        x = np.concatenate([
+            near, [0.0, -0.0, 1.0, -1e-17, 1.0 + 1e-16, 2.0, -3.0, np.nan, np.inf, -np.inf],
+            np.random.default_rng(1).uniform(-0.1, 1.1, 500),
+        ])
+        labelled = _labelled(base)
+        with np.errstate(invalid="ignore"):
+            got = labelled.apply(x) * 8.0
+        assert got.tolist() == _cascade_branch(base, x).tolist()
+        assert float(labelled.apply(1.0)) * 8.0 == _cascade_branch(base, 1.0)
+
+    @pytest.mark.parametrize("name", ["linear3-shuffled", "mp-reversed"])
+    def test_forward_values_match_cascade(self, name):
+        base = _unordered_bases()[name]
+        x = np.r_[np.random.default_rng(2).uniform(0, 1, 300), 0.0, 0.5, 1.0, 1 / 3, 2 / 3]
+        k = _cascade_branch(base, x)
+        want = np.empty_like(x)
+        for i, b in enumerate(base.branches):
+            want[k == i] = b.forward(x[k == i])
+        assert base.apply(x).tobytes() == np.clip(want, 0.0, 1.0).tobytes()
 
 
 class TestExport:

@@ -238,6 +238,39 @@ class TestNormsCommand:
         for key in ("l1", "linf", "s1", "sinf"):
             assert norms[0][key] == pytest.approx(norms[1][key], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("text", [TSUJII_16_CONFIG, BASE_CONFIG.replace(
+        "doubling-linear", "mp-geometric-holder").replace("base_cells = 64", "base_cells = 24")])
+    def test_bytes_match_per_cell_reader(self, tmp_path, text):
+        # norms.json of a written equilibrium, and of the same measure as a
+        # "normalized": true file, equal the norms of the per-cell reader's measure
+        from ergodykit.cli import _write_json, build_system, parse_config
+        from ergodykit.disint import convert_reference, l1_norm, linf_norm, s1_norm, sinf_norm
+
+        from conftest import from_dict_per_cell
+
+        cfg, out = write_config(tmp_path, text)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        restr = json.loads((out / "equilibrium.json").read_text())
+        unit = dict(restr, normalized=True, fibers=[
+            [[y, w / p] for y, w in f] if p else f for f, p in zip(restr["fibers"], restr["phi1"])
+        ])
+        conf = parse_config(cfg)
+        sys_ = build_system(conf)
+        rpf = ergodykit.build_rpf(sys_.base, sys_.potential, conf.base_cells)
+        for name, payload in (("restr", restr), ("unit", unit)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            assert main(["norms", "--config", str(cfg), "--measure", str(path),
+                         "--out", str(out / name)]) == 0
+            dm = from_dict_per_cell(payload)
+            dm_nu, dm_m = convert_reference(dm, rpf, "nu"), convert_reference(dm, rpf, "m")
+            _write_json(tmp_path / f"{name}-ref.json", {
+                "l1": l1_norm(dm_nu), "linf": linf_norm(dm_m), "s1": s1_norm(dm_nu),
+                "sinf": sinf_norm(dm_m), "zeta": dm.zeta,
+            })
+            assert (out / name / "norms.json").read_bytes() == \
+                (tmp_path / f"{name}-ref.json").read_bytes()
+
     def test_schema_mismatch_exit_2(self, tmp_path):
         cfg, out = write_config(tmp_path)
         bad = tmp_path / "bad.json"
@@ -300,6 +333,19 @@ class TestExitCodes:
         assert err.startswith("config error") and err.count("\n") == 1
         assert field in err
         assert not (out / "norms.json").exists()
+
+    @pytest.mark.parametrize("fiber", [[[0.5]], [[0.5, 1.0, 2.0]], 3])
+    def test_malformed_fiber_pairs_exit_2(self, tmp_path, capsys, fiber):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        payload = json.loads((out / "equilibrium.json").read_text())
+        payload["fibers"][0] = fiber
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg), "--measure", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
 
     def test_overflowing_potential_exits_2(self, tmp_path, capsys):
         text = ("[system]\nbase = linear\nfiber = linear\npotential = constant\n"

@@ -27,7 +27,7 @@ from ergodykit.dualnorm import _dual_norm_lp, distance_value, dual_norm
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
 from ergodykit.transfer import _random_zero_average
 
-from conftest import random_measure
+from conftest import from_dict_per_cell, random_measure
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +311,70 @@ class TestConversionAndSerialization:
         assert back.reference == dm.reference
         for a, b in zip(back.fibers, dm.fibers):
             assert a.to_pairs() == b.to_pairs()
+
+
+class TestFromDict:
+    """``from_dict`` reads straight into the flat layout, with the arrays
+    the per-cell reader built."""
+
+    @staticmethod
+    def _payloads():
+        rng = np.random.default_rng(12)
+        n = 24
+        phi1 = rng.uniform(-1.0, 2.0, n)
+        phi1[[2, 9]] = 0.0
+        fibers = []
+        for j in range(n):
+            k = int(rng.integers(0, 6))
+            pos = np.round(rng.uniform(0, 1, k), 1)  # coincident atoms merge
+            if j == 4:
+                pos = np.r_[pos, -5e-13, 0.0, 1.0 + 5e-13]  # clipped before merging
+            w = rng.standard_normal(pos.size)
+            if j == 5 and pos.size:
+                w[:] = 0.0  # zero weights drop
+            fibers.append([[float(a), float(b)] for a, b in zip(pos, w)])
+        fibers[7] = [[0.25, 1e-300], [0.75, -2.0]]  # 1e-300 * phi1 underflows
+        phi1[7] = 1e-30
+        common = {"n": n, "reference": "m", "zeta": 0.5, "x": ((np.arange(n) + 0.5) / n).tolist(),
+                  "ref_masses": np.full(n, 1.0 / n).tolist(), "phi1": phi1.tolist(),
+                  "fibers": fibers}
+        legacy = dict(common)
+        legacy.pop("reference")
+        legacy["reference"] = "nu"
+        return {"restrictions": dict(common, normalized=False),
+                "unit-mass": dict(common, normalized=True),
+                "no-key": legacy}
+
+    @pytest.mark.parametrize("kind", ["restrictions", "unit-mass", "no-key"])
+    def test_matches_per_cell_reader(self, kind):
+        d = self._payloads()[kind]
+        got, want = DisintegratedMeasure.from_dict(d), from_dict_per_cell(d)
+        for field in ("x", "ref_masses", "phi1", "offsets", "positions", "weights"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.reference, got.zeta) == (want.reference, want.zeta)
+
+    def test_round_trip_of_an_iterate(self):
+        sys_ = build_system(RunConfig(system=dict(
+            base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=0.5)))
+        rpf, (a, _) = _system_iterates(sys_, 12, [], "signed", 0.5, steps=3)
+        back = DisintegratedMeasure.from_dict(a.to_dict())
+        for field in ("phi1", "offsets", "positions", "weights"):
+            assert getattr(back, field).tobytes() == getattr(a, field).tobytes()
+
+    @pytest.mark.parametrize("fibers, phi1, match", [
+        ([[[0.5, 1.0, 2.0]], []], [1.0, 1.0], "pairs"),
+        ([[[0.5]], []], [1.0, 1.0], "pairs"),
+        ([[[0.5, 1.0], [0.5]], []], [1.0, 1.0], None),
+        ([[[1.5, 1.0]], []], [1.0, 1.0], "outside"),
+        ([[[float("nan"), 1.0]], []], [1.0, 1.0], "finite"),
+        ([[[0.5, 1.0]], []], [1.0], "phi1"),
+        ([[[0.5, 1.0]], 3], [1.0, 1.0], None),
+    ])
+    def test_malformed_fibers_raise_value_error(self, fibers, phi1, match):
+        d = {"n": 2, "reference": "m", "x": [0.25, 0.75], "ref_masses": [0.5, 0.5],
+             "phi1": phi1, "fibers": fibers}
+        with pytest.raises((ValueError, TypeError), match=match):
+            DisintegratedMeasure.from_dict(d)
 
 
 def _lp_norm(mu, zeta=1.0):

@@ -160,6 +160,23 @@ class TestCorrelationBirkhoff:
                                    rng_seed=7, samples_per_orbit=30)
         assert tab.values == ref.values
 
+    @pytest.mark.parametrize("system, noise, burn_in, u, g", [
+        ("tsujii", 1e-9, 200, "y", "y"),
+        ("tsujii", 0.0, 200, "cosx", "xy"),
+        ("tsujii", 1e-9, 0, "x", "cosy"),
+        ("mp-discontinuous", 1e-9, 50, "y", "cosx"),
+        ("mp-geometric-holder", 0.0, 0, "xy", "one"),
+    ])
+    def test_matches_per_step_loop(self, system, noise, burn_in, u, g):
+        from ergodykit.cli import _observable
+
+        sys_ = ek.gallery_entry(system).build()
+        u, g = _observable(u, sys_.zeta), _observable(g, sys_.zeta)
+        kw = dict(orbits=12, burn_in=burn_in, rng_seed=5, samples_per_orbit=400,
+                  orbit_noise=noise)
+        got = correlation_birkhoff(sys_, u, g, 6, **kw)
+        assert got.to_dict() == _birkhoff_per_step(sys_, u, g, 6, **kw).to_dict()
+
     def test_non_elementwise_observable_raises(self, tsujii_system):
         y = Observable.coord_y()
         first_only = Observable(fn=lambda x, y: np.asarray(y, dtype=float)[:1], name="first")
@@ -168,8 +185,40 @@ class TestCorrelationBirkhoff:
                                  samples_per_orbit=5)
 
 
+def _birkhoff_per_step(sys_, u, g, N, orbits, burn_in, rng_seed, samples_per_orbit,
+                       orbit_noise):
+    """The loop the batched ``correlation_birkhoff`` replaced: noise drawn,
+    and both observables called, once per time step."""
+    rng = np.random.default_rng(rng_seed)
+    total = burn_in + samples_per_orbit + N
+    x = rng.uniform(0.0, 1.0, size=orbits)
+    y = rng.uniform(0.0, 1.0, size=orbits)
+    u_traj = np.empty((samples_per_orbit + N, orbits))
+    g_traj = np.empty((samples_per_orbit + N, orbits))
+    for t in range(total):
+        if t >= burn_in:
+            u_traj[t - burn_in] = u.fn(x, y)
+            g_traj[t - burn_in] = g.fn(x, y)
+        y_new = np.asarray(sys_.fiber(x, y), dtype=float)
+        x = sys_.base.apply(x)
+        if orbit_noise:
+            x = np.mod(x + rng.uniform(-orbit_noise, orbit_noise, size=orbits), 1.0)
+        y = y_new
+    mu_u = u_traj[:samples_per_orbit].mean(axis=0)
+    mu_g = g_traj[:samples_per_orbit].mean(axis=0)
+    values, stderr = [], []
+    for n in range(N + 1):
+        per_orbit = (u_traj[:samples_per_orbit] * g_traj[n:n + samples_per_orbit]).mean(
+            axis=0) - mu_u * mu_g
+        values.append(abs(float(per_orbit.mean())))
+        stderr.append(float(per_orbit.std(ddof=1) / np.sqrt(orbits)))
+    return CorrelationTable(ns=list(range(N + 1)), values=values, method="birkhoff",
+                            stderr=stderr)
+
+
 class TestElementwiseObservables:
-    """The library and CLI observables on paired arrays equal scalar-x calls."""
+    """The library and CLI observables on paired arrays (1-d and 2-d) equal
+    scalar-x calls."""
 
     @pytest.mark.parametrize("name", ["one", "x", "y", "cosx", "cosy", "xy"])
     def test_paired_arrays_match_scalar_calls(self, name):
@@ -183,3 +232,7 @@ class TestElementwiseObservables:
         scalar = np.array([obs.fn(float(x), np.array([y]))[0] for x, y in zip(xs, ys)])
         assert paired.shape == xs.shape
         assert np.array_equal(paired, scalar)
+        # Birkhoff averages evaluate on the (time, orbit) arrays of a trajectory
+        grid = np.asarray(obs.fn(xs[3:].reshape(20, 5), ys[3:].reshape(20, 5)), dtype=float)
+        assert grid.shape == (20, 5)
+        assert np.array_equal(grid.ravel(), scalar[3:])

@@ -1,5 +1,6 @@
 import typing
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,17 @@ from ergodykit.disint import (
     l1_norm,
     linf_norm,
     multiply_observable,
+    _sinf_norms,
     product_measure,
     s1_norm,
+    sinf_norm,
 )
 from ergodykit.dualnorm import distance_value
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac
+from ergodykit import transfer
 from ergodykit.transfer import (
     FiberMap,
+    _fit_geometric,
     _random_zero_average,
     apply_F_phi,
     apply_F_phih_normalized,
@@ -203,6 +208,166 @@ class TestSpectralGap:
         sys_, rpf = dbl
         with pytest.raises(ValueError):
             estimate_spectral_gap(sys_, rpf, trials=2)
+
+
+def _gap_one_trial_at_a_time(sys_, rpf, trials, n_steps, seed, delta=1e-4, cap=64):
+    """The per-trial loop the batched ``estimate_spectral_gap`` replaced."""
+    rng = np.random.default_rng(seed)
+    delta = homogeneous_delta(delta, cap)
+    rates, big_r, xi, widths = [], 1.0, 0.0, []
+    for _ in range(trials):
+        dm = _random_zero_average(rpf, sys_.zeta, rng)
+        s0 = sinf_norm(dm)
+        if s0 < 1e-12:
+            continue
+        norms, cur = [], dm
+        for _ in range(n_steps):
+            cur = apply_F_phih_normalized(sys_, rpf, cur, delta, cap, widths=widths)
+            norms.append(sinf_norm(cur))
+        rate, _ = _fit_geometric(norms, floor=1e-12 * s0)
+        rates.append(rate)
+        xi = max(xi, rate)
+        if rate > 0:
+            ns = np.arange(1, n_steps + 1, dtype=float)
+            with np.errstate(over="ignore"):
+                pref = np.asarray(norms) / (s0 * rate**ns)
+            big_r = max(big_r, float(np.nanmax(pref[np.isfinite(pref)])))
+    realized = max([delta] + [float(w.max(initial=delta)) for w in widths])
+    return {"xi": float(xi), "R": float(big_r), "trials": trials, "n_steps": n_steps,
+            "per_trial_rates": rates, "realized_delta_max": realized}
+
+
+class TestBatchedGap:
+    """The trials stacked on one block-diagonal discretization give, bit for
+    bit, what stepping them one at a time gives."""
+
+    @pytest.fixture(scope="class")
+    def holder05(self):
+        # the reg-holder05-12 benchmark system
+        from ergodykit.cli import RunConfig, build_system
+
+        sys_ = build_system(RunConfig(system=dict(
+            base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=0.5,
+        )))
+        return sys_, ek.build_rpf(sys_.base, sys_.potential, 12)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_tsujii_16(self, tsujii_system, seed):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        got = estimate_spectral_gap(tsujii_system, rpf, trials=5, n_steps=12, seed=seed)
+        assert got.to_dict() == _gap_one_trial_at_a_time(tsujii_system, rpf, 5, 12, seed)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_tsujii_128(self, tsujii_system, tsujii_rpf128, seed):
+        got = estimate_spectral_gap(tsujii_system, tsujii_rpf128, trials=5, n_steps=6,
+                                    seed=seed)
+        want = _gap_one_trial_at_a_time(tsujii_system, tsujii_rpf128, 5, 6, seed)
+        assert got.to_dict() == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_zeta_half(self, holder05, seed):
+        sys_, rpf = holder05
+        got = estimate_spectral_gap(sys_, rpf, trials=6, n_steps=8, seed=seed, atom_cap=16)
+        assert got.to_dict() == _gap_one_trial_at_a_time(sys_, rpf, 6, 8, seed, cap=16)
+
+    def test_one_operator_call_per_step(self, tsujii_system):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        calls = []
+        real = transfer.apply_F_phih_normalized
+
+        def counted(sys_, r, dm, *args, **kwargs):
+            calls.append(dm.n)
+            return real(sys_, r, dm, *args, **kwargs)
+
+        with mock.patch.object(transfer, "apply_F_phih_normalized", counted):
+            estimate_spectral_gap(tsujii_system, rpf, trials=5, n_steps=4, seed=0)
+        assert calls == [5 * 16] * 4
+
+    def test_sinf_blocks_match_each_block_alone(self, holder05):
+        sys_, rpf = holder05
+        rng = np.random.default_rng(2)
+        parts = [_random_zero_average(rpf, sys_.zeta, rng) for _ in range(3)]
+        stacked = transfer._stack(parts, transfer._side_by_side(rpf, 3))
+        want = [sinf_norm(p) for p in parts]
+        assert _sinf_norms(stacked, 3).tolist() == want
+
+
+def _zero_average_per_cell(rpf, zeta, rng):
+    """The per-cell ``dirac`` / ``+`` build the flat ``_random_zero_average`` replaced."""
+    n = rpf.n
+    freqs = rng.integers(1, 4, size=2)
+    phi1 = sum(
+        float(rng.standard_normal()) * np.cos(np.pi * f * rpf.x + rng.uniform(0, 2 * np.pi))
+        for f in freqs
+    )
+    phi1 = np.asarray(phi1, dtype=float)
+    phi1 -= float(np.dot(rpf.m, phi1))
+    fibers = []
+    for j in range(n):
+        parts = [dirac(float(rng.uniform()), float(phi1[j]))] if phi1[j] != 0 else []
+        w = float(rng.uniform(0.2, 1.0))
+        a, b = rng.uniform(0, 1, size=2)
+        parts.append(dirac(float(a), w) + dirac(float(b), -w))
+        fiber = parts[0]
+        for p in parts[1:]:
+            fiber = fiber + p
+        fibers.append(fiber)
+    return DisintegratedMeasure.from_fibers(
+        x=rpf.x, ref_masses=rpf.m.copy(), phi1=np.array([f.total_mass() for f in fibers]),
+        fibers=fibers, reference="m", zeta=zeta,
+    )
+
+
+class TestRandomZeroAverage:
+    @pytest.mark.parametrize("n, seed", [(16, 0), (16, 5), (64, 7), (128, 11)])
+    def test_matches_per_cell_build(self, tsujii_system, n, seed):
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, n)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # consecutive draws share one generator
+            got = _random_zero_average(rpf, 1.0, rng_a)
+            want = _zero_average_per_cell(rpf, 1.0, rng_b)
+            for field in ("phi1", "offsets", "positions", "weights", "ref_masses", "x"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert got.phi1.tobytes() == want.phi1.tobytes()
+        assert rng_a.uniform() == rng_b.uniform()
+
+    @pytest.mark.parametrize("normal, triple", [(0.0, False), (1.0, False), (1.0, True)])
+    def test_zero_density_and_coincident_dipoles(self, tsujii_system, normal, triple):
+        # density 0 everywhere draws no atom positions (normal = 0); every
+        # uniform unit repeated twice makes dipole ends coincide in many
+        # cells; triple puts the atom there too (draws p, w, a, b per cell)
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        r = np.random.default_rng(3).uniform(size=(17, 2))
+        if triple:
+            units = np.r_[0.1, 0.2, r[:16, [0, 1, 0, 0]].ravel()]
+        else:
+            units = np.repeat(r.ravel(), 2)
+        got = _random_zero_average(rpf, 1.0, _Scripted(units, normal))
+        want = _zero_average_per_cell(rpf, 1.0, _Scripted(units, normal))
+        for field in ("phi1", "offsets", "positions", "weights"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        sizes = np.diff(got.offsets)
+        assert (sizes == (0 if normal == 0.0 else 1)).sum() >= (16 if triple else 4)
+
+
+class _Scripted:
+    """A stand-in generator whose uniform draws replay ``units`` in order."""
+
+    def __init__(self, units, normal):
+        self.units = iter(units)
+        self.normal = normal
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+    def standard_normal(self):
+        return self.normal
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        shape = np.broadcast_shapes(np.shape(low), np.shape(high)) if size is None else size
+        u = np.array([next(self.units) for _ in range(int(np.prod(shape)))]).reshape(shape)
+        out = low + (np.asarray(high) - low) * u
+        return float(out) if out.ndim == 0 else out
 
 
 class TestClassS:
