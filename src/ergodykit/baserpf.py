@@ -39,9 +39,15 @@ __all__ = [
 _PI_TOL = 1e-12
 _PI_MAXIT = 100_000
 
-# Pair entries per row block of the all-pairs Holder quotient (zeta < 1):
-# 2 MB per float64 temporary, whatever the number of points.
-_HOLDER_BLOCK_PAIRS = 2**18
+# Pair entries evaluated at a time by the zeta < 1 Holder quotient (and
+# block-pair bounds held at a time by its pruned search): 512 KB per
+# float64 temporary, whatever the number of points.
+_HOLDER_BLOCK_PAIRS = 2**16
+# Inputs of at most this many points compare all their pairs in one pass;
+# larger ones take the pruned search of ``discrete_holder_constant``, whose
+# block bounds carry this relative slack, far above the rounding of ``**``.
+_HOLDER_BLOCK_POINTS = 64
+_HOLDER_SLACK = 2.0**-40
 
 
 class ConstructionError(ValueError):
@@ -174,13 +180,30 @@ def discrete_holder_constant(x: np.ndarray, v: np.ndarray, zeta: float) -> float
 
     Points need not be sorted.  Coincident positions with equal values add
     no constraint; coincident positions with different values give inf.
+    A non-finite point or value gives NaN.
 
     At zeta = 1 only neighbours in sorted order are compared, which is
     exact on a line: for x_i < x_j < x_k the increments of v obey the
     triangle inequality while those of x add, so the quotient of (i, k) is
     at most the larger of those of (i, j) and (j, k) (mediant inequality).
-    At zeta < 1 that argument fails and every pair is compared, in row
-    blocks of at most ``_HOLDER_BLOCK_PAIRS`` entries.
+    At zeta < 1 that argument fails, and the maximum over all pairs is
+    found by pruning.  The sorted points are cut into blocks of about
+    (4 n)**(1/3) consecutive points, and each pair of blocks gets an upper
+    bound on its quotients: the larger cross range of v,
+    max(max_B v - min_A v, max_A v - min_B v), divided by the smallest
+    separation of its pairs raised to zeta (the distance between the
+    blocks, or the smallest spacing inside a block paired with itself).
+    That power is first lowered by the relative slack ``_HOLDER_SLACK`` and
+    by a few subnormal units, so the bound stays above every rounded
+    quotient of the pair even where ``**`` rounds unevenly.  Block pairs
+    are then evaluated, all their quotients, in order of decreasing bound
+    while the bound exceeds the largest quotient found so far.  The pairs
+    left cannot exceed it, so the result is the maximum of the very
+    quotients that comparing every pair computes, bit for bit.  Quotients
+    are evaluated ``_HOLDER_BLOCK_PAIRS`` pair entries at a time, and
+    inputs of at most ``_HOLDER_BLOCK_POINTS`` points compare all their
+    pairs in one pass.  Rows of constant v have bound 0 everywhere and
+    evaluate nothing.
     """
     v = np.asarray(v, dtype=float)
     return float(_holder_rows(x, v[None, :], zeta)[0])
@@ -191,30 +214,98 @@ def _holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
     the shared points x, with one sort of x; each row's constant is the
     one it has alone, bit for bit."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return np.full(v.shape[0], np.nan)
+    # rows holding a non-finite value are zeroed here and NaN at the end
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        v = np.where(bad[:, None], 0.0, v)
     best = np.zeros(v.shape[0])
-    if x.size < 2:
-        return best
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    v = v[:, order]
-    tied = np.diff(x) == 0.0
-    clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
-    keep = np.concatenate(([True], ~tied))
-    x, v = x[keep], v[:, keep]
-    n = x.size
-    if n >= 2 and zeta == 1.0:
-        best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
-    elif n >= 2:
-        rows = max(1, _HOLDER_BLOCK_PAIRS // (n * v.shape[0]))
-        for i0 in range(0, n - 1, rows):
-            i1 = min(i0 + rows, n - 1)
-            # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
-            dx = x[None, i0 + 1:] - x[i0:i1, None]
+    if x.size >= 2:
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        v = v[:, order]
+        tied = np.diff(x) == 0.0
+        clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
+        keep = np.concatenate(([True], ~tied))
+        x, v = x[keep], v[:, keep]
+        n = x.size
+        if n >= 2 and zeta == 1.0:
+            best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
+        elif n > _HOLDER_BLOCK_POINTS:
+            best = _pruned_holder_rows(x, v, zeta)
+        elif n >= 2:
+            rows = max(1, _HOLDER_BLOCK_PAIRS // (n * v.shape[0]))
+            for i0 in range(0, n - 1, rows):
+                i1 = min(i0 + rows, n - 1)
+                # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
+                dx = x[None, i0 + 1:] - x[i0:i1, None]
+                dx[dx <= 0.0] = np.inf
+                dv = np.abs(v[:, None, i0 + 1:] - v[:, i0:i1, None])
+                top = np.max(dv / dx**zeta, axis=(1, 2))
+                best = np.where(top > best, top, best)  # as max(best, top): NaN skipped
+        best[clash] = np.inf
+    best[bad] = np.nan
+    return best
+
+
+def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
+    """The zeta < 1 quotient of every row of v on strictly increasing x,
+    by the block-bound search of ``discrete_holder_constant``."""
+    k, n = v.shape
+    # about (4 n)**(1/3) points per block balances the bounds of all block
+    # pairs against the quotients of the pairs near the diagonal, which
+    # are always evaluated; at most 512 blocks keep the bounds small
+    size = max(2, round(np.cbrt(4.0 * n)), -(-n // 512))
+    nb = -(-n // size)
+    # the last block is padded with copies of the last point: their pairs
+    # repeat the last point's quotients or have separation 0, which is masked
+    pad = nb * size - n
+    xb = np.concatenate([x, np.repeat(x[-1], pad)]).reshape(nb, size)
+    vb = np.concatenate([v, np.repeat(v[:, -1:], pad, axis=1)], axis=1).reshape(k, nb, size)
+    vmin, vmax = vb.min(axis=2), vb.max(axis=2)
+    a, b = np.triu_indices(nb)
+    step = np.diff(xb, axis=1)
+    step[step <= 0.0] = np.inf
+    gap = np.where(a == b, step.min(axis=1, initial=np.inf)[a], xb[b, 0] - xb[a, -1])
+    floor = np.maximum(gap**zeta * (1.0 - _HOLDER_SLACK) - 2.0**-1070, 0.0)
+    chunk = max(1, _HOLDER_BLOCK_PAIRS // (size * size))
+    best = np.zeros(k)
+
+    def evaluate(rows, pairs, bound, take):
+        # the block pairs in the given order, ``take`` at a time (doubling
+        # up to ``chunk``), each only while its bound exceeds its row's best
+        while rows.size:
+            live = bound > best[rows]
+            rows, pairs, bound = rows[live], pairs[live], bound[live]
+            r, p = rows[:take], pairs[:take]
+            rows, pairs, bound = rows[take:], pairs[take:], bound[take:]
+            if r.size == 0:
+                return
+            dx = xb[b[p], None, :] - xb[a[p], :, None]
             dx[dx <= 0.0] = np.inf
-            dv = np.abs(v[:, None, i0 + 1:] - v[:, i0:i1, None])
-            top = np.max(dv / dx**zeta, axis=(1, 2))
-            best = np.where(top > best, top, best)  # as max(best, top): NaN skipped
-    best[clash] = np.inf
+            dv = np.abs(vb[r, b[p], None, :] - vb[r, a[p], :, None])
+            top = np.fmax.reduce((dv / dx**zeta).reshape(r.size, -1), axis=1)
+            np.fmax.at(best, r, top)
+            take = min(2 * take, chunk)
+
+    # rows in groups of about _HOLDER_BLOCK_PAIRS block-pair bounds; in each
+    # row a first best from its 4 block pairs of largest bound (found without
+    # sorting them all), then every block pair left above it, by decreasing
+    # bound
+    group = max(1, _HOLDER_BLOCK_PAIRS // a.size)
+    first = min(a.size, 4)
+    for r0 in range(0, k, group):
+        rs = np.arange(r0, min(r0 + group, k))
+        with np.errstate(over="ignore", divide="ignore"):
+            span = np.maximum(vmax[rs][:, b] - vmin[rs][:, a], vmax[rs][:, a] - vmin[rs][:, b])
+            bound = np.divide(span, floor, out=np.zeros_like(span), where=span > 0.0)
+        top = np.argpartition(bound, bound.shape[1] - first, axis=1)[:, -first:]
+        evaluate(np.repeat(rs, first), top.ravel(),
+                 np.take_along_axis(bound, top, axis=1).ravel(), chunk)
+        i, p = np.nonzero(bound > best[rs][:, None])
+        order = np.argsort(-bound[i, p], kind="stable")
+        evaluate(rs[i[order]], p[order], bound[i, p][order], first)
     return best
 
 
@@ -611,17 +702,19 @@ def check_hypotheses(
     ok2 = basemap.q < basemap.deg  # domain tiling is validated at construction
 
     per_branch = max(gridsize // basemap.deg, 512)
-    h_exp = 0.0
-    sup_phi = -np.inf
-    inf_phi = np.inf
+    sups, infs, holders = [], [], []
     for b in basemap.branches:
         xg = np.linspace(b.lo + 1e-12, b.hi - 1e-12, per_branch)
         phi_b = np.asarray(pot.fn(xg), dtype=float)
-        sup_phi = max(sup_phi, float(phi_b.max()))
-        inf_phi = min(inf_phi, float(phi_b.min()))
-        h_exp = max(h_exp, discrete_holder_constant(xg, np.exp(phi_b), z))
+        sups.append(phi_b.max())
+        infs.append(phi_b.min())
+        holders.append(discrete_holder_constant(xg, np.exp(phi_b), z))
+    # folded by np.max, which keeps a NaN (the builtin max drops it): a
+    # potential that is not finite on the grid gives eps = NaN or inf and fails
+    sup_phi, inf_phi, h_exp = float(np.max(sups)), float(np.min(infs)), np.max(holders)
     osc = sup_phi - inf_phi
-    eps = max(osc, h_exp / float(np.exp(inf_phi)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # exp(-inf) = 0
+        eps = float(np.max([osc, h_exp / np.exp(inf_phi)]))
     value = combined_expansion_bound(
         basemap.deg, basemap.q, basemap.sigma, basemap.L, z, eps
     )
@@ -635,7 +728,7 @@ def check_hypotheses(
         L=basemap.L,
         zeta=z,
         oscillation=osc,
-        holder_exp_phi=h_exp,
+        holder_exp_phi=float(h_exp),
         epsilon_phi=eps,
         combined_value=value,
         combined_pass=value < 1.0,

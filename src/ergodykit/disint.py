@@ -361,8 +361,9 @@ def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
     Positions default to the cell midpoints (i + 0.5) / n.  Evaluated by
     ``discrete_holder_constant``: at zeta = 1 neighbouring positions alone
     attain the maximum (exactly, by the mediant inequality on a line), at
-    zeta < 1 all pairs are compared.  Coincident positions with different
-    values give inf.
+    zeta < 1 a block-bound search evaluates only the pairs of points whose
+    blocks may hold it, with the all-pairs result bit for bit.  Coincident
+    positions with different values give inf, a non-finite value NaN.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2:

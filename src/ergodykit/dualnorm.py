@@ -274,25 +274,33 @@ def _matching_costs(x: np.ndarray, z: float) -> np.ndarray:
 
         C(a, b) = min over odd j - a of c(a, j) + C(a+1, j-1) + C(j+1, b),
 
-    runs over the rows and the start index a at once, with ``cl[L][:, a]``
-    = C(a, a + L - 1) and ``arc[o][:, a]`` = c(a, a + o) + C(a + 1, a + o - 1),
-    the arc from a to a + o with everything inside it matched.
+    runs over the rows and the start index a at once, one interval length
+    at a time, with ``cl[L // 2][:, a]`` = C(a, a + L - 1) for even L and
+    ``arc[o // 2][:, a]`` = c(a, a + o) + C(a + 1, a + o - 1) for odd o, the
+    arc from a to a + o with everything inside it matched.  The terms of
+    one length, odd offset o against level and start, are a strided view
+    of ``cl`` (the row L = length - 1 - o read from column a + o + 1) added
+    to a slice of ``arc``, and one ``np.min`` over the offsets takes their
+    minimum.
     """
     nl, m = x.shape
-    cl = [np.zeros((nl, m + 1))] + [None] * m
-    arc = [None] * m
-    tmp = np.empty((nl, m))
-    for length in range(2, m + 1, 2):
+    cl = np.zeros((m // 2 + 1, nl, m + 1))
+    arc = np.zeros((m // 2, nl, m))
+    s_len, s_lev, s_col = cl.strides
+    for half in range(1, m // 2 + 1):
+        length = 2 * half
         o = length - 1
-        arc[o] = np.minimum((x[:, o:] - x[:, :-o]) ** z, 1.0) + cl[o - 1][:, 1 : m - o + 1]
         na = m - length + 1
-        best = arc[1][:, :na] + cl[length - 2][:, 2 : 2 + na]
-        t = tmp[:, :na]
-        for o in range(3, length, 2):
-            np.add(arc[o][:, :na], cl[length - 1 - o][:, o + 1 : o + 1 + na], out=t)
-            np.minimum(best, t, out=best)
-        cl[length] = best
-    return cl[m][:, 0]
+        arc[half - 1, :, : m - o] = (
+            np.minimum((x[:, o:] - x[:, :-o]) ** z, 1.0) + cl[half - 1, :, 1 : m - o + 1]
+        )
+        # entry (k, l, a) is cl[half - 1 - k][l, a + 2 + 2 k], for the offset o = 2 k + 1
+        inner = np.lib.stride_tricks.as_strided(
+            cl[half - 1, :, 2:], shape=(half, nl, na),
+            strides=(2 * s_col - s_len, s_lev, s_col), writeable=False,
+        )
+        np.min(arc[:half, :, :na] + inner, axis=0, out=cl[half, :, :na])
+    return cl[m // 2, :, 0]
 
 
 def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
@@ -304,9 +312,10 @@ def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     norms, 0 for a measure without atoms.  Evaluates the level sum of the
     module docstring: the levels between consecutive values of
     F = (0, F_1, ..., F_n) of every measure are grouped by their count m of
-    crossings, and each group's matchings are solved together, about
-    ``_CHAIN_BLOCK_ENTRIES // m**2`` levels at a time; the result does not
-    depend on the block size.
+    crossings, and each group's matchings are solved together by
+    ``_matching_costs``, about ``_CHAIN_BLOCK_ENTRIES // m**2`` levels at a
+    time (its arrays hold about half that many entries each); the result
+    does not depend on the block size.
     """
     z = _as_zeta(zeta)
     seg, pos, w = canonicalize_segments(

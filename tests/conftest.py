@@ -50,6 +50,59 @@ def from_dict_per_cell(d):
     )
 
 
+def holder_rows_all_pairs(x, v, zeta, block=2**18):
+    """The all-pairs Holder quotient the pruned ``baserpf._holder_rows``
+    replaced: every pair i < j of the sorted, de-tied points, in row blocks
+    of at most ``block`` entries.  Oracle for finite rows only (a non-finite
+    value gives a meaningless number here)."""
+    x = np.asarray(x, dtype=float)
+    best = np.zeros(v.shape[0])
+    if x.size < 2:
+        return best
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    v = v[:, order]
+    tied = np.diff(x) == 0.0
+    clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
+    keep = np.concatenate(([True], ~tied))
+    x, v = x[keep], v[:, keep]
+    n = x.size
+    if n >= 2 and zeta == 1.0:
+        best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
+    elif n >= 2:
+        rows = max(1, block // (n * v.shape[0]))
+        for i0 in range(0, n - 1, rows):
+            i1 = min(i0 + rows, n - 1)
+            # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
+            dx = x[None, i0 + 1:] - x[i0:i1, None]
+            dx[dx <= 0.0] = np.inf
+            dv = np.abs(v[:, None, i0 + 1:] - v[:, i0:i1, None])
+            top = np.max(dv / dx**zeta, axis=(1, 2))
+            best = np.where(top > best, top, best)  # as max(best, top): NaN skipped
+    best[clash] = np.inf
+    return best
+
+
+def matching_costs_loop(x, z):
+    """The level DP ``dualnorm._matching_costs`` replaced, one numpy call
+    per odd offset of each interval length."""
+    nl, m = x.shape
+    cl = [np.zeros((nl, m + 1))] + [None] * m
+    arc = [None] * m
+    tmp = np.empty((nl, m))
+    for length in range(2, m + 1, 2):
+        o = length - 1
+        arc[o] = np.minimum((x[:, o:] - x[:, :-o]) ** z, 1.0) + cl[o - 1][:, 1 : m - o + 1]
+        na = m - length + 1
+        best = arc[1][:, :na] + cl[length - 2][:, 2 : 2 + na]
+        t = tmp[:, :na]
+        for o in range(3, length, 2):
+            np.add(arc[o][:, :na], cl[length - 1 - o][:, o + 1 : o + 1 + na], out=t)
+            np.minimum(best, t, out=best)
+        cl[length] = best
+    return cl[m][:, 0]
+
+
 @pytest.fixture(scope="session")
 def doubling_system():
     return ek.gallery_entry("doubling-linear").build()

@@ -29,6 +29,8 @@ from ergodykit.systems import (
     mp_geometric_potential,
 )
 
+from conftest import holder_rows_all_pairs
+
 
 # values whose differences stay far from the subnormal range
 _holder_values = st.one_of(
@@ -220,6 +222,19 @@ class TestCheckHypotheses:
         # a potential with huge oscillation fails (f3) without raising
         pot = Potential.from_callable(lambda x: 3.0 * np.sin(2 * np.pi * x), zeta=1.0)
         rep = check_hypotheses(linear_expanding(2), pot, 1.0)
+        assert not rep.combined_pass
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_fails(self, zeta, bad):
+        # non-finite on part of the second branch: the builtin max dropped a
+        # NaN (a finite constant and combined_pass = True), and -inf divided
+        # by exp(-inf) = 0 raised ZeroDivisionError
+        fn = lambda x: np.where(np.asarray(x) > 0.7, bad, -np.log(2.0))
+        pot = Potential(fn=fn, zeta=zeta, holder_const=0.0, sup=0.0, inf=0.0)
+        rep = check_hypotheses(linear_expanding(2), pot, zeta, gridsize=4096)
+        assert not np.isfinite(rep.epsilon_phi)
+        assert np.isnan(rep.holder_exp_phi) == (bad != -np.inf)
         assert not rep.combined_pass
 
     def test_report_dict_shape(self):
@@ -435,6 +450,120 @@ class TestHolderConstant:
             want = [discrete_holder_constant(x, r, zeta) for r in rows]
         assert got.tolist() == want
         assert np.isinf(got[1]) and np.isinf(got[5:]).all() and np.isfinite(got[[0, 2, 3, 4]]).all()
+
+
+def _holder_points(kind, n, rng):
+    if kind == "midpoints":
+        return (np.arange(n) + 0.5) / n
+    if kind == "unsorted":
+        return rng.uniform(0.0, 1.0, n)
+    if kind == "ties":
+        return rng.integers(0, max(2, n // 2), n) / max(2, n // 2)
+    if kind == "tiny":
+        return 0.5 + rng.uniform(0.0, 1e-13, n)
+    return rng.integers(0, 4 * n, n) * 5e-324  # subnormal gaps
+
+
+def _holder_test_rows(x, rng):
+    n = x.size
+    u = np.argsort(np.argsort(x, kind="stable"), kind="stable") / n  # rank: smooth in x
+    return np.array([
+        np.full(n, 1.7),                                   # constant
+        np.where(u > 0.37, 1.0, -0.5),                     # step
+        np.sin(9.0 * u),                                   # smooth
+        np.exp(-3.0 * u**0.3),                             # Manneville-Pomeau-like
+        rng.standard_normal(n),                            # noise
+        np.sin(40.0 * u) + 1e-3 * rng.standard_normal(n),  # noisy oscillation
+    ])
+
+
+class TestPrunedHolder:
+    """The pruned zeta < 1 search against the all-pairs oracle, bit for bit."""
+
+    @staticmethod
+    def _check(x, rows, zeta):
+        # subnormal gaps overflow some quotients to inf in both
+        with np.errstate(over="ignore"):
+            got = baserpf._holder_rows(x, rows, zeta)
+            want = holder_rows_all_pairs(x, rows, zeta)
+        assert np.array_equal(got, want), (got, want)
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 0.7, 0.999])
+    @pytest.mark.parametrize("kind", ["midpoints", "unsorted", "ties", "tiny", "subnormal"])
+    def test_matches_all_pairs(self, zeta, kind):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5, 17, 64, 65, 130, 257, 700, 1500):
+            x = _holder_points(kind, n, rng)
+            rows = _holder_test_rows(x, rng)
+            if kind == "ties":
+                # rows 0-3 take one value per position, but for a clashing
+                # tie in row 1; the noise rows clash everywhere
+                x[-1] = x[0]
+                _, first, inv = np.unique(x, return_index=True, return_inverse=True)
+                rows[:4] = rows[:4][:, first[inv]]
+                rows[1, -1] += 1.0
+            self._check(x, rows, zeta)
+            with mock.patch.object(baserpf, "_HOLDER_BLOCK_POINTS", 1):  # prune at any n
+                self._check(x, rows, zeta)
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.999])
+    def test_many_blocks(self, zeta):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, 3000)
+        self._check(x, _holder_test_rows(x, rng)[[1, 3, 4]], zeta)
+
+    def test_gallery_potentials(self):
+        # exp(phi) and phi on check_hypotheses' branch grids, at the system's
+        # zeta and at 0.5
+        for entry in gallery():
+            sys_ = entry.build()
+            for b in sys_.base.branches:
+                xg = np.linspace(b.lo + 1e-12, b.hi - 1e-12, 2048)
+                phi = np.asarray(sys_.potential.fn(xg), dtype=float)
+                for zeta in {sys_.zeta, 0.5}:
+                    self._check(xg, np.array([np.exp(phi), phi]), zeta)
+
+    def test_kernel_decay_vectors(self):
+        # the projected test vectors of spectral_radius_on_kernel at n = 1024
+        # and a few of their images under the operator
+        sys_ = ek.gallery_entry("mp-geometric-holder").build()
+        rpf = build_rpf(sys_.base, sys_.potential, 1024)
+        g = np.array(baserpf._test_vectors(rpf.n, rpf.x, 10))
+        g -= np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
+        for step in range(6):
+            if step in (0, 1, 5):
+                self._check(rpf.x, g, sys_.zeta)
+            g = baserpf._gather(rpf.src, rpf.wphi, g) / rpf.lam
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "block, points", [(50, 64), (baserpf._HOLDER_BLOCK_PAIRS, 64), (baserpf._HOLDER_BLOCK_PAIRS, 1)]
+    )
+    def test_non_finite_values_give_nan(self, zeta, block, points):
+        x = np.linspace(0.0, 1.0, 50)
+        one_nan = np.sin(9.0 * x)
+        one_nan[20] = np.nan
+        two_inf = np.sin(9.0 * x)
+        two_inf[[3, 30]] = np.inf
+        with (
+            mock.patch.object(baserpf, "_HOLDER_BLOCK_PAIRS", block),
+            mock.patch.object(baserpf, "_HOLDER_BLOCK_POINTS", points),
+        ):
+            assert np.isnan(discrete_holder_constant(x, one_nan, zeta))
+            assert np.isnan(discrete_holder_constant(x, two_inf, zeta))
+            assert np.isnan(discrete_holder_constant(x[:1], one_nan[20:21], zeta))
+            # finite rows next to a non-finite one keep their constants
+            rows = np.array([np.sin(9.0 * x), one_nan, np.cos(x), two_inf])
+            got = baserpf._holder_rows(x, rows, zeta)
+        assert np.isnan(got[[1, 3]]).all()
+        assert np.array_equal(got[[0, 2]], holder_rows_all_pairs(x, rows[[0, 2]], zeta))
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_non_finite_points_give_nan(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        x[7] = np.nan
+        for zeta in (1.0, 0.5):
+            assert np.isnan(discrete_holder_constant(x, np.sin(x), zeta))
 
 
 def _cascade_branch(basemap, x):

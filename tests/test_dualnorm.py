@@ -17,7 +17,7 @@ from ergodykit.dualnorm import (
 )
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward, uniform_atoms, zero_measure
 
-from conftest import counting_linprog, random_measure
+from conftest import counting_linprog, matching_costs_loop, random_measure
 
 
 def M(pairs):
@@ -281,6 +281,29 @@ class TestTransportNorms:
     def test_no_atoms(self):
         empty = np.empty(0)
         assert transport_norms(empty.astype(np.intp), empty, empty, 2, 0.5).tolist() == [0.0] * 2
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 0.75, 1.0])
+    def test_level_dp_matches_offset_loop(self, zeta):
+        # every even row length up to 130, with and without the sink at +inf
+        rng = np.random.default_rng(8)
+        for m in range(2, 131, 8):
+            x = np.sort(rng.uniform(0.0, 1.0, (5, m)), axis=1)
+            x[::2, -1] = np.inf
+            assert np.array_equal(dualnorm._matching_costs(x, zeta), matching_costs_loop(x, zeta))
+
+    @pytest.mark.parametrize("block", [1, 7, dualnorm._CHAIN_BLOCK_ENTRIES])
+    def test_zigzag_norms_match_offset_loop(self, block):
+        # weights +1, -2, +3, ...: up to 32 crossings on each of 32 levels
+        rng = np.random.default_rng(6)
+        k, n = 4, 32
+        pos = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=1).ravel()
+        w = np.tile((np.arange(1, n + 1) * (-1.0) ** np.arange(n)), k)
+        cell = np.repeat(np.arange(k), n)
+        with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
+            got = transport_norms(cell, pos, w, k, 0.5)
+            with mock.patch.object(dualnorm, "_matching_costs", matching_costs_loop):
+                want = transport_norms(cell, pos, w, k, 0.5)
+        assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 0.75]))
