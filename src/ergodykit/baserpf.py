@@ -40,9 +40,9 @@ _PI_TOL = 1e-12
 _PI_MAXIT = 100_000
 
 # Pair entries evaluated at a time by the zeta < 1 Holder quotient (and
-# block-pair bounds held at a time by its pruned search): 512 KB per
+# block-pair bounds held at a time by its pruned search): 2 MB per
 # float64 temporary, whatever the number of points.
-_HOLDER_BLOCK_PAIRS = 2**16
+_HOLDER_BLOCK_PAIRS = 2**18
 # Inputs of at most this many points compare all their pairs in one pass;
 # larger ones take the pruned search of ``discrete_holder_constant``, whose
 # block bounds carry this relative slack, far above the rounding of ``**``.
