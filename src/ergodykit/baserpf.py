@@ -43,7 +43,8 @@ _PI_MAXIT = 100_000
 # block-pair bounds held at a time by its pruned search): 2 MB per
 # float64 temporary, whatever the number of points.
 _HOLDER_BLOCK_PAIRS = 2**18
-# Inputs of at most this many points compare all their pairs in one pass;
+# Inputs of at most this many points compare all their pairs in one pass
+# (for 10 rows of 12 points, 0.08 ms against 0.5 ms by the pruned search);
 # larger ones take the pruned search of ``discrete_holder_constant``, whose
 # block bounds carry this relative slack, far above the rounding of ``**``.
 _HOLDER_BLOCK_POINTS = 64
@@ -291,8 +292,8 @@ def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray
 
     # rows in groups of about _HOLDER_BLOCK_PAIRS block-pair bounds; in each
     # row a first best from its 4 block pairs of largest bound (found without
-    # sorting them all), then every block pair left above it, by decreasing
-    # bound
+    # sorting them all), then every other block pair left above it, by
+    # decreasing bound
     group = max(1, _HOLDER_BLOCK_PAIRS // a.size)
     first = min(a.size, 4)
     for r0 in range(0, k, group):
@@ -303,6 +304,7 @@ def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray
         top = np.argpartition(bound, bound.shape[1] - first, axis=1)[:, -first:]
         evaluate(np.repeat(rs, first), top.ravel(),
                  np.take_along_axis(bound, top, axis=1).ravel(), chunk)
+        np.put_along_axis(bound, top, 0.0, axis=1)  # evaluated, or below best
         i, p = np.nonzero(bound > best[rs][:, None])
         order = np.argsort(-bound[i, p], kind="stable")
         evaluate(rs[i[order]], p[order], bound[i, p][order], first)

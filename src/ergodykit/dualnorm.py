@@ -132,35 +132,16 @@ __all__ = [
 
 _LP_OPTIONS = dict(
     presolve=False,
-    solver="simplex",
-    simplex_strategy=1,  # dual simplex
     primal_feasibility_tolerance=1e-10,
     dual_feasibility_tolerance=1e-10,
 )
 
 
-def linprog(c, a, lo, hi):
-    """Minimize c @ g subject to lo <= a @ g <= hi and -1 <= g <= 1 by the
-    HiGHS dual simplex, scipy imported on the first call.
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as _linprog
 
-    ``scipy.optimize.milp`` without integer variables is scipy's LP entry
-    with two-sided rows, so a row bounded on both sides is one row, where
-    ``scipy.optimize.linprog`` takes two.  It hands the HiGHS options it
-    does not name (the tolerances and the solver) on verbatim, with a
-    warning that is expected here.
-    """
-    import warnings
-
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        return milp(
-            c,
-            constraints=LinearConstraint(a, lo, hi),
-            bounds=Bounds(-1.0, 1.0),
-            options=dict(_LP_OPTIONS),
-        )
+    return _linprog(*args, **kwargs)
 
 
 class NumericError(RuntimeError):
@@ -440,7 +421,7 @@ def _dual_norm_lp(mu: AtomicSignedMeasure, zeta=1.0):
     the zero measure, ``(|w|, [(p, sign w)])`` for a single atom.  The
     optimum is exact within the solver tolerance 1e-9; infeasibility cannot
     occur (g = 0 is feasible), and solver non-convergence raises
-    NumericError with the solver's status.
+    NumericError with the iteration count.
     """
     z = _as_zeta(zeta)
     mu = canonicalize(mu)
@@ -454,16 +435,27 @@ def _dual_norm_lp(mu: AtomicSignedMeasure, zeta=1.0):
     ii, jj = np.triu_indices(n, k=1)
     d = np.abs(pos[ii] - pos[jj]) ** z
     m = ii.size
+    rows = np.repeat(np.arange(2 * m), 2)
+    cols = np.empty(4 * m, dtype=np.int64)
+    vals = np.empty(4 * m)
+    cols[0::4], cols[1::4], cols[2::4], cols[3::4] = ii, jj, ii, jj
+    vals[0::4], vals[1::4], vals[2::4], vals[3::4] = 1.0, -1.0, -1.0, 1.0
     from scipy.sparse import csr_matrix
 
-    # row k is g_i - g_j for the pair (ii[k], jj[k]), held within +-d[k]
-    a = csr_matrix(
-        (np.tile([1.0, -1.0], m), np.column_stack([ii, jj]).ravel(), np.arange(0, 2 * m + 1, 2)),
-        shape=(m, n),
+    a_ub = csr_matrix((vals, (rows, cols)), shape=(2 * m, n))
+    res = linprog(
+        -w,
+        A_ub=a_ub,
+        b_ub=np.repeat(d, 2),
+        bounds=(-1.0, 1.0),
+        method="highs-ds",
+        options=_LP_OPTIONS,
     )
-    res = linprog(-w, a, -d, d)
     if res.status != 0:
-        raise NumericError(f"dual-norm LP did not converge (status {res.status}): {res.message}")
+        raise NumericError(
+            f"dual-norm LP did not converge (status {res.status}, "
+            f"{res.nit} iterations): {res.message}"
+        )
     value = float(-res.fun)
     witness = [(float(p), float(g)) for p, g in zip(pos, res.x)]
     return value, witness

@@ -12,9 +12,9 @@ def counting_linprog(rows):
     """Patch ``dualnorm.linprog`` to append the row count of each solve to ``rows``."""
     real = dualnorm.linprog
 
-    def counted(c, a, lo, hi):
-        rows.append(a.shape[0])
-        return real(c, a, lo, hi)
+    def counted(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return real(*args, **kwargs)
 
     return mock.patch.object(dualnorm, "linprog", counted)
 

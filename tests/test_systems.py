@@ -87,20 +87,23 @@ class TestFiberMaps:
             img = f(float(x), ys)
             assert np.all(img >= -1e-9) and np.all(img <= 1 + 1e-9)
 
-    def test_tsujii_names_first_escaping_x(self):
+    @pytest.mark.parametrize("bump, interval", [
+        (0.75, "[0.75, 1.25]"), (np.nan, "[nan, nan]"), (np.inf, "[inf, inf]"),
+    ])
+    def test_tsujii_names_first_escaping_x(self, bump, interval):
         # o moves after the band is measured, so the image escapes [0, 1]
-        # only for 0.3 < x < 0.32; the first grid point there is 77 / 256
+        # (or is not finite) only for 0.3 < x < 0.32; the first grid point
+        # there is 77 / 256
         calls = []
 
         def o(x):
             x = np.asarray(x, dtype=float)
             calls.append(x.shape)
-            bump = 0.75 if len(calls) > 1 else 0.0
-            return 0.25 + np.where((x > 0.3) & (x < 0.32), bump, 0.0)
+            return 0.25 + np.where((x > 0.3) & (x < 0.32), bump if len(calls) > 1 else 0.0, 0.0)
 
         with pytest.raises(ConstructionError) as err:
             fiber_tsujii(0.5, o, o_holder=0.0)
-        assert str(err.value) == "fiber image escapes [0, 1] at x=0.30078125: [0.75, 1.25]"
+        assert str(err.value) == f"fiber image escapes [0, 1] at x=0.30078125: {interval}"
 
     def test_tsujii_rejects_escaping_band(self):
         # o and alpha whose attracting band exceeds the unit interval after
