@@ -410,7 +410,7 @@ def _densify(src: np.ndarray, w: np.ndarray) -> np.ndarray:
     return mat
 
 
-@dataclass
+@dataclass(frozen=True)
 class RPFDiscretization:
     """Grid discretization of the transfer operator with its eigendata.
 
@@ -429,7 +429,9 @@ class RPFDiscretization:
     cell masses, and m = h * nu the invariant cell masses.  ``weights``
     holds the row-stochastic split weights of the normalized h-twisted
     operator on the same ``src``, so mass is conserved to machine
-    precision in operator applications.
+    precision in operator applications.  The value is immutable: derived
+    operators (``twisted_operator``) and measurements
+    (``spectral_radius_on_kernel``) are returned, never stored on it.
     """
 
     n: int
@@ -448,19 +450,10 @@ class RPFDiscretization:
     base: BaseMap
     potential: Potential
     kind: str = "plain"
-    gap: Optional["KernelDecay"] = None
-    _twisted: Optional["RPFDiscretization"] = field(default=None, repr=False)
 
     @property
     def deg(self) -> int:
         return self.base.deg
-
-    def twisted(self) -> "RPFDiscretization":
-        if self.kind == "twisted":
-            return self
-        if self._twisted is None:
-            self._twisted = twisted_operator(self)
-        return self._twisted
 
     def eigen_dict(self) -> dict:
         return {
@@ -798,6 +791,30 @@ class LYFit:
         return self.beta1 < 1.0
 
 
+def _envelope_fit(rn: np.ndarray, floor: float) -> tuple[float, float]:
+    """Smallest geometric envelope rn[k] <= B * beta**(k + 1) of an excess.
+
+    Only the steps whose excess is above ``floor`` are fitted.  beta is
+    the largest per-step ratio (rn[j] / rn[i])**(1 / (j - i)) over pairs
+    of such steps, B the prefactor that makes the envelope touch the
+    largest of them.  One step above the floor gives beta =
+    rn**(1 / (k + 1)) and B = 1; none gives (0, 1).  beta**(k + 1) must
+    stay inside the float range, which holds for the few dozen steps of
+    an operator that scales the excess by far less than 1e10 a step.
+    """
+    idx = np.nonzero(rn > floor)[0]
+    if idx.size == 0:
+        return 0.0, 1.0
+    if idx.size == 1:
+        return float(rn[idx[0]] ** (1.0 / (idx[0] + 1.0))), 1.0
+    beta = 0.0
+    for a in range(idx.size - 1):
+        for b in range(a + 1, idx.size):
+            i, j = idx[a], idx[b]
+            beta = max(beta, (rn[j] / rn[i]) ** (1.0 / (j - i)))
+    return float(beta), float(np.max(rn[idx] / beta ** (idx + 1.0)))
+
+
 def verify_lasota_yorke(
     rpf: RPFDiscretization, zeta=1.0, samples: int = 10, n_steps: int = 30, seed: int = 0
 ) -> LYFit:
@@ -813,27 +830,12 @@ def verify_lasota_yorke(
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
     g = np.array(_test_vectors(rpf.n, rpf.x, samples, seed))
-    floor = 1e-13
     s0, sn = _strong_norms(rpf, g, z, n_steps)
     w0 = np.max(np.abs(g), axis=1)
     c1 = max(1.0, float(np.max(sn[-5:].max(axis=0) / np.maximum(w0, 1e-300))))
     excess = np.maximum(0.0, sn - c1 * w0) / np.maximum(s0, 1e-300)
-    rn = excess.max(axis=1)
-    idx = np.nonzero(rn > floor)[0]
-    if idx.size >= 2:
-        beta1 = 0.0
-        for a in range(idx.size - 1):
-            for b in range(a + 1, idx.size):
-                i, j = idx[a], idx[b]
-                beta1 = max(beta1, (rn[j] / rn[i]) ** (1.0 / (j - i)))
-        b1 = float(np.max(rn[idx] / beta1 ** (idx + 1.0))) if beta1 > 0 else 1.0
-    elif idx.size == 1:
-        beta1 = rn[idx[0]] ** (1.0 / (idx[0] + 1.0))
-        b1 = 1.0
-    else:
-        beta1 = 0.0
-        b1 = 1.0
-    return LYFit(B1=float(b1), beta1=float(beta1), C1=float(c1),
+    beta1, b1 = _envelope_fit(excess.max(axis=1), 1e-13)
+    return LYFit(B1=b1, beta1=beta1, C1=float(c1),
                  n_steps=n_steps, samples=samples)
 
 
@@ -852,28 +854,24 @@ def spectral_radius_on_kernel(
 ) -> KernelDecay:
     """Estimate the sub-leading decay rate on the fixed-point complement.
 
-    Random Holder vectors are projected off the leading eigendirection
-    (g - (integral of g d nu) * h for the plain operator, g - integral of
-    g dm for the twisted one) and the strong-norm decay under iteration is
-    fitted by least squares on the log scale over the usable range.  The
-    projection is repeated after every step: the rounding residue it
-    leaves in the leading direction does not decay, and left alone it
-    would set a floor that moves the fit under any change of summation
-    order.  The usable range ends at the first step where the norm stops
-    decreasing or falls below 1e-13 of its start.  All test vectors
-    advance together as the rows of one array (``_strong_norms``), each
-    with the norms it has alone.  The result is stored on the
-    discretization as its measured gap.
+    Random Holder vectors are projected off the leading eigendirection,
+    g - (integral of g d nu) * h (on the twisted operator h = 1 and nu = m,
+    so this is g - integral of g dm), and the strong-norm decay under
+    iteration is fitted by least squares on the log scale over the usable
+    range.  The projection is repeated after every step: the rounding
+    residue it leaves in the leading direction does not decay, and left
+    alone it would set a floor that moves the fit under any change of
+    summation order.  The usable range ends at the first step where the
+    norm stops decreasing or falls below 1e-13 of its start.  All test
+    vectors advance together as the rows of one array (``_strong_norms``),
+    each with the norms it has alone.
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
     z = _as_zeta(zeta)
     # one BLAS dot per row: a matrix-vector product adds in another order
     # and would move r_hat in its last bits
-    if rpf.kind == "twisted":
-        proj = lambda g: g - np.array([np.dot(rpf.m, r) for r in g])[:, None]
-    else:
-        proj = lambda g: g - np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
+    proj = lambda g: g - np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
     s0_all, sn_all = _strong_norms(
         rpf, proj(np.array(_test_vectors(rpf.n, rpf.x, samples, seed))), z, n_steps, proj
     )
@@ -893,6 +891,4 @@ def spectral_radius_on_kernel(
         r_hat = max(r_hat, rate)
         if rate > 0:
             d_hat = max(d_hat, float(np.max(sn[usable] / (s0 * rate ** (usable + 1.0)))))
-    decay = KernelDecay(r_hat=r_hat, D_hat=d_hat, n_steps=n_steps, samples=samples)
-    rpf.gap = decay
-    return decay
+    return KernelDecay(r_hat=r_hat, D_hat=d_hat, n_steps=n_steps, samples=samples)

@@ -43,6 +43,8 @@ from .systems import (
     mp_geometric_potential,
 )
 from .transfer import (
+    DEFAULT_ATOM_CAP,
+    DEFAULT_COMPRESS_DELTA,
     SkewSystem,
     estimate_spectral_gap,
     initial_product,
@@ -121,8 +123,8 @@ class RunConfig:
 
     system: dict = field(default_factory=dict)
     base_cells: int = 0  # required
-    fiber_atom_cap: int = 64
-    compress_delta: float = 1e-4
+    fiber_atom_cap: int = DEFAULT_ATOM_CAP
+    compress_delta: float = DEFAULT_COMPRESS_DELTA
     max_iter: int = 100
     tol: float = 1e-8
     correlation_n: int = 20
@@ -134,6 +136,10 @@ class RunConfig:
     g_name: str = "y"
     directory: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
+
+
+# config keys whose RunConfig field has another name
+_FIELD_NAMES = {"u": "u_name", "g": "g_name"}
 
 
 def _parse_value(raw: str, typ, where: str):
@@ -189,34 +195,21 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{where}: {check[1]} (got {val!r})")
         data[section][key] = val
 
-    disc = data.get("discretization", {})
-    if "base_cells" not in disc:
+    if "base_cells" not in data.get("discretization", {}):
         raise ConfigError(f"{path}: missing required key 'base_cells' in [discretization]")
-    run = data.get("run", {})
-    out = data.get("output", {})
-    formats = tuple(
-        f.strip() for f in out.get("formats", "json,csv").split(",") if f.strip()
-    )
-    for f in formats:
-        if f not in ("json", "csv"):
-            raise ConfigError(f"{path}: unknown output format {f!r}")
-    return RunConfig(
-        system=data.get("system", {}),
-        base_cells=disc["base_cells"],
-        fiber_atom_cap=disc.get("fiber_atom_cap", 64),
-        compress_delta=disc.get("compress_delta", 1e-4),
-        max_iter=run.get("max_iter", 100),
-        tol=run.get("tol", 1e-8),
-        correlation_n=run.get("correlation_n", 20),
-        mc_orbits=run.get("mc_orbits", 48),
-        mc_burn_in=run.get("mc_burn_in", 200),
-        seed=run.get("seed", 0),
-        physical=run.get("physical", False),
-        u_name=run.get("u", "y"),
-        g_name=run.get("g", "y"),
-        directory=out.get("directory", "out"),
-        formats=formats,
-    )
+    # every key given outside [system] sets the RunConfig field of its name;
+    # the others keep RunConfig's defaults
+    given = {
+        _FIELD_NAMES.get(key, key): val
+        for section in ("discretization", "run", "output")
+        for key, val in data.get(section, {}).items()
+    }
+    if "formats" in given:
+        given["formats"] = tuple(f.strip() for f in given["formats"].split(",") if f.strip())
+        for f in given["formats"]:
+            if f not in ("json", "csv"):
+                raise ConfigError(f"{path}: unknown output format {f!r}")
+    return RunConfig(system=data.get("system", {}), **given)
 
 
 def build_system(cfg: RunConfig) -> SkewSystem:
@@ -335,13 +328,23 @@ def _prepare(cfg: RunConfig, out_dir: Path):
     return system, rpf
 
 
-def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
+def _equilibrium(cfg: RunConfig, out_dir: Path):
+    """The system, its discretization, the equilibrium state and its report.
+
+    Iterates the normalized operator from the product of m with the Dirac
+    fiber at 1, with the run's tolerance, iteration and compression limits.
+    """
     system, rpf = _prepare(cfg, out_dir)
     dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=system.zeta)
     mu, report = iterate_to_equilibrium(
         system, rpf, dm0, tol=cfg.tol, max_iter=cfg.max_iter,
         compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
     )
+    return system, rpf, mu, report
+
+
+def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
+    _, rpf, mu, report = _equilibrium(cfg, out_dir)
     if "json" in cfg.formats:
         _write_json(out_dir / "equilibrium.json", mu.to_dict())
         _write_json(out_dir / "eigen.json", rpf.eigen_dict())
@@ -367,12 +370,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
-    system, rpf = _prepare(cfg, out_dir)
-    dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=system.zeta)
-    mu, _ = iterate_to_equilibrium(
-        system, rpf, dm0, tol=cfg.tol, max_iter=cfg.max_iter,
-        compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
-    )
+    system, rpf, mu, _ = _equilibrium(cfg, out_dir)
     u = _observable(cfg.u_name, system.zeta)
     g = _observable(cfg.g_name, system.zeta)
     gap = estimate_spectral_gap(
@@ -412,12 +410,7 @@ def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_regularity(cfg: RunConfig, out_dir: Path) -> int:
-    system, rpf = _prepare(cfg, out_dir)
-    dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=system.zeta)
-    mu, _ = iterate_to_equilibrium(
-        system, rpf, dm0, tol=cfg.tol, max_iter=cfg.max_iter,
-        compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
-    )
+    system, rpf, mu, _ = _equilibrium(cfg, out_dir)
     bound = regularity_constants(system, rpf)
     payload = bound.to_dict()
     payload["empirical_holder"] = disintegration_holder(mu)

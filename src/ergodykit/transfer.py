@@ -27,10 +27,12 @@ from .baserpf import (
     BaseMap,
     Potential,
     RPFDiscretization,
+    _envelope_fit,
     _gather,
     check_hypotheses,
     discrete_holder_constant,
     spectral_radius_on_kernel,
+    twisted_operator,
 )
 from .disint import (
     DisintegratedMeasure,
@@ -422,15 +424,13 @@ def iterate_to_equilibrium(
             converged = True
             break
     rate, r2 = _fit_geometric(distances)
-    tw = rpf.twisted()
-    if tw.gap is None:
-        spectral_radius_on_kernel(tw, sys.zeta)
-    r_hat = tw.gap.r_hat
+    decay = spectral_radius_on_kernel(twisted_operator(rpf), sys.zeta)
+    r_hat = decay.r_hat
     az = sys.alpha_zeta
     beta3 = max(np.sqrt(r_hat), np.sqrt(az)) if max(r_hat, az) > 0 else 0.0
     alpha_bar1 = 1.0 / (1.0 - az) if az < 1 else np.inf
     alpha_bar2 = (1.0 + az) / (1.0 - az) if az < 1 else np.inf
-    d_term = tw.gap.D_hat / np.sqrt(r_hat) if r_hat > 0 else 0.0
+    d_term = decay.D_hat / np.sqrt(r_hat) if r_hat > 0 else 0.0
     a_term = 1.0 / np.sqrt(az) if az > 0 else 1.0
     report = ConvergenceReport(
         distances=distances,
@@ -536,8 +536,6 @@ def _side_by_side(rpf: RPFDiscretization, k: int) -> RPFDiscretization:
         src=(rpf.src[:, None] + n * np.arange(k)[:, None, None]).reshape(rpf.deg, k * n, 2),
         wphi=np.tile(rpf.wphi, (1, k, 1)),
         weights=np.tile(rpf.weights, (1, k, 1)),
-        gap=None,
-        _twisted=None,
     )
 
 
@@ -707,18 +705,8 @@ def verify_LY_S1(
     rn = np.zeros(n_steps)
     for s0, w0, sn in trajs:
         rn = np.maximum(rn, np.maximum(0.0, np.asarray(sn) - b2 * w0) / max(s0, 1e-300))
-    idx = np.nonzero(rn > 1e-12)[0]
-    if idx.size >= 2:
-        beta2 = 0.0
-        for a in range(idx.size - 1):
-            for b in range(a + 1, idx.size):
-                i, j = idx[a], idx[b]
-                beta2 = max(beta2, (rn[j] / rn[i]) ** (1.0 / (j - i)))
-        a_const = float(np.max(rn[idx] / beta2 ** (idx + 1.0))) if beta2 > 0 else 1.0
-    else:
-        beta2 = 0.0
-        a_const = 1.0
-    return LYS1Fit(A=float(a_const), beta2=float(beta2), B2=float(b2),
+    beta2, a_const = _envelope_fit(rn, 1e-12)
+    return LYS1Fit(A=a_const, beta2=beta2, B2=float(b2),
                    n_steps=n_steps, samples=samples)
 
 

@@ -150,7 +150,7 @@ class TestTwistedOperator:
         dense = _densify(rpf.src, rpf.wphi)
         conj = dense * (rpf.h[None, :] / rpf.h[:, None])
         assert np.max(np.abs(_densify(tw.src, tw.wphi) - conj)) <= 1e-14
-        assert tw.kind == "twisted" and rpf.twisted() is rpf.twisted()
+        assert tw.kind == "twisted"
         assert tw.src is rpf.src and tw.weights is rpf.weights
         assert np.array_equal(tw.h, np.ones(rpf.n)) and np.array_equal(tw.nu, rpf.m)
 
@@ -357,12 +357,73 @@ class TestBatchedTestVectors:
             assert excess.max(axis=1).tobytes() == rn.tobytes()
 
 
+class TestEnvelopeFit:
+    """The one geometric envelope fit of both Lasota-Yorke estimates."""
+
+    FLOORS = [1e-13, 1e-12]  # verify_lasota_yorke, verify_LY_S1
+
+    @staticmethod
+    def _covered(rn, floor):
+        beta, pre = baserpf._envelope_fit(rn, floor)
+        k = np.nonzero(rn > floor)[0]
+        assert np.all(rn[k] <= pre * beta ** (k + 1.0) * (1.0 + 1e-12))
+        return beta, pre
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    def test_empty(self, floor):
+        for rn in (np.zeros(0), np.zeros(20), np.full(20, floor)):
+            assert self._covered(rn, floor) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("k", [0, 3, 19])
+    def test_one_step(self, floor, k):
+        rn = np.zeros(20)
+        rn[k] = 0.3
+        beta, pre = self._covered(rn, floor)
+        assert pre == 1.0 and beta == pytest.approx(0.3 ** (1.0 / (k + 1)), rel=1e-15)
+
+    def test_floor_selects_steps(self):
+        rn = np.array([0.5, 5e-13, 0.0])
+        assert self._covered(rn, 1e-12) == (0.5, 1.0)
+        assert self._covered(rn, 1e-13) == (pytest.approx(1e-12), pytest.approx(5e11))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(1e-12, 10.0),
+        steps=st.lists(st.tuples(st.floats(1e-3, 1e3), st.booleans()), min_size=1, max_size=29),
+        floor=st.sampled_from(FLOORS),
+    )
+    def test_many_steps(self, start, steps, floor):
+        # an excess series as the fits see one: each step scales the excess
+        # by at most 1e3 either way (a bounded operator), some steps are 0
+        factors, zeroed = map(np.array, zip(*steps))
+        rn = start * np.cumprod(np.r_[1.0, factors])
+        rn[1:][zeroed] = 0.0
+        beta, pre = self._covered(rn, floor)
+        k = np.nonzero(rn > floor)[0]
+        if k.size >= 2:
+            # the envelope touches its largest step, and no smaller rate
+            # covers every pair of steps
+            assert np.max(rn[k] / (pre * beta ** (k + 1.0))) == pytest.approx(1.0)
+            ratios = [(rn[j] / rn[i]) ** (1.0 / (j - i)) for i in k for j in k if j > i]
+            assert beta == max(ratios)
+
+
 class TestKernelDecay:
     def test_doubling_gap(self):
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
         dec = spectral_radius_on_kernel(rpf, 1.0, samples=10)
         assert dec.r_hat <= 0.5 + 0.05
-        assert rpf.gap is dec
+
+    def test_discretization_is_not_written(self):
+        rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rpf.lam = 1.0
+        before = dict(vars(rpf))
+        spectral_radius_on_kernel(twisted_operator(rpf), 0.5, samples=10)
+        spectral_radius_on_kernel(rpf, 1.0, samples=10)
+        assert vars(rpf).keys() == before.keys()
+        assert all(vars(rpf)[k] is v for k, v in before.items())
 
     def test_zero_vector_trivial(self):
         rpf = build_rpf(linear_expanding(2), Potential.constant(0.0), 64)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ergodykit
-from ergodykit.cli import main, parse_config, ConfigError
+from ergodykit.cli import main, parse_config, ConfigError, RunConfig
 
 BASE_CONFIG = """
 [system]
@@ -114,6 +114,27 @@ class TestConfigParsing:
         cfg.write_text("[discretization]\nfiber_atom_cap = 8\n")
         assert main(["equilibrium", "--config", str(cfg)]) == 2
         assert "base_cells" in capsys.readouterr().err
+
+    def test_only_base_cells_keeps_run_config_defaults(self, tmp_path):
+        cfg = tmp_path / "min.cfg"
+        cfg.write_text("[discretization]\nbase_cells = 16\n")
+        assert parse_config(cfg) == RunConfig(base_cells=16)
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "[system]\ngallery = tsujii\n"
+            "[discretization]\nbase_cells = 16\nfiber_atom_cap = 8\ncompress_delta = 0.01\n"
+            "[run]\nmax_iter = 7\ntol = 0.5\ncorrelation_n = 3\nmc_orbits = 5\n"
+            "mc_burn_in = 9\nseed = 4\nphysical = yes\nu = x\ng = cosy\n"
+            "[output]\ndirectory = elsewhere\nformats = csv\n"
+        )
+        assert parse_config(cfg) == RunConfig(
+            system={"gallery": "tsujii"}, base_cells=16, fiber_atom_cap=8,
+            compress_delta=0.01, max_iter=7, tol=0.5, correlation_n=3, mc_orbits=5,
+            mc_burn_in=9, seed=4, physical=True, u_name="x", g_name="cosy",
+            directory="elsewhere", formats=("csv",),
+        )
 
 
 class TestEquilibriumCommand:
@@ -407,19 +428,37 @@ def scipy_loaded():
 """
 
 
-def _run_fresh(script: str) -> str:
-    """Run ``script`` in a new interpreter with the package on its path (this
-    process may already hold scipy) and return its stdout.  The script can
-    call ``scipy_loaded()``."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with the package on its path (this process may
+    already hold scipy)."""
     src = str(Path(ergodykit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _FRESH_PRELUDE + textwrap.dedent(script)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter and return its stdout.  The
+    script can call ``scipy_loaded()``."""
+    done = _fresh("-c", _FRESH_PRELUDE + textwrap.dedent(script))
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestModuleEntryPoint:
+    """``python -m ergodykit`` is the command line of the installed script."""
+
+    def test_gallery_exits_0(self):
+        done = _fresh("-m", "ergodykit", "gallery")
+        assert done.returncode == 0, done.stderr
+        assert "tsujii:" in done.stdout
+
+    def test_missing_config_exits_2(self):
+        done = _fresh("-m", "ergodykit", "equilibrium")
+        assert done.returncode == 2
+        assert done.stderr.strip() == "error: --config is required"
 
 
 class TestImportFootprint:

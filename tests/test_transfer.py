@@ -165,6 +165,22 @@ class TestIterate:
         _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-300, max_iter=5)
         assert not rep.converged and rep.iterations == 5
 
+    def test_kernel_decay_follows_zeta(self, tsujii_system):
+        # r_hat is measured in the zeta-Holder norm, so a discretization
+        # iterated at zeta = 1 first must report what a fresh one does
+        half = replace(tsujii_system, zeta=0.5)
+
+        def report(sys_, rpf):
+            dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+            return iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=3)[1]
+
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 64)
+        report(tsujii_system, rpf)
+        got = report(half, rpf)
+        want = report(half, ek.build_rpf(half.base, half.potential, 64))
+        assert (got.r_hat, got.beta3, got.D3, got.D4) == (want.r_hat, want.beta3,
+                                                          want.D3, want.D4)
+
     def test_tsujii_mean_identity_small_grid(self, tsujii_system, tsujii_rpf128,
                                              tsujii_equilibrium128):
         mu, rep = tsujii_equilibrium128
