@@ -797,10 +797,9 @@ def _envelope_fit(rn: np.ndarray, floor: float) -> tuple[float, float]:
     Only the steps whose excess is above ``floor`` are fitted.  beta is
     the largest per-step ratio (rn[j] / rn[i])**(1 / (j - i)) over pairs
     of such steps, B the prefactor that makes the envelope touch the
-    largest of them.  One step above the floor gives beta =
-    rn**(1 / (k + 1)) and B = 1; none gives (0, 1).  beta**(k + 1) must
-    stay inside the float range, which holds for the few dozen steps of
-    an operator that scales the excess by far less than 1e10 a step.
+    largest of them, found in the log domain because beta**(k + 1) may
+    leave the float range.  One step above the floor gives beta =
+    rn**(1 / (k + 1)) and B = 1; none gives (0, 1).
     """
     idx = np.nonzero(rn > floor)[0]
     if idx.size == 0:
@@ -812,7 +811,13 @@ def _envelope_fit(rn: np.ndarray, floor: float) -> tuple[float, float]:
         for b in range(a + 1, idx.size):
             i, j = idx[a], idx[b]
             beta = max(beta, (rn[j] / rn[i]) ** (1.0 / (j - i)))
-    return float(beta), float(np.max(rn[idx] / beta ** (idx + 1.0)))
+    log_pre = np.max(np.log(rn[idx]) - (idx + 1.0) * np.log(beta))
+    with np.errstate(over="ignore"):  # B = inf: no finite prefactor exists
+        pre = np.exp(log_pre)
+    if pre < np.finfo(float).tiny:
+        # a subnormal B keeps few digits: round it up so the envelope holds
+        pre = np.nextafter(pre, np.inf)
+    return float(beta), float(pre)
 
 
 def verify_lasota_yorke(

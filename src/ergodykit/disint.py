@@ -26,12 +26,7 @@ import numpy as np
 
 from .baserpf import RPFDiscretization, _holder_rows, discrete_holder_constant
 from .dualnorm import _as_zeta, dual_norms
-from .measures import (
-    _RANGE_SLACK,
-    AtomicSignedMeasure,
-    MeasureDomainError,
-    canonicalize_segments,
-)
+from .measures import AtomicSignedMeasure, _checked_positions, canonicalize_segments
 
 # Nothing here calls the one-fiber distance any more; the benchmark's tracer
 # wraps ``disint.distance_value`` by name, so the name stays bound.
@@ -119,14 +114,9 @@ class DisintegratedMeasure:
             raise ValueError("positions and weights must be 1-d arrays of equal length")
         if off[0] != 0 or off[-1] != pos.size or np.any(np.diff(off) < 0):
             raise ValueError("offsets must rise from 0 to the number of atoms")
-        outside = (pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)
-        if outside.any():
-            raise MeasureDomainError(f"atom position {pos[outside][0]!r} outside [0, 1]")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
-            raise ValueError("positions and weights must be finite")
+        pos = _checked_positions(pos, w)
         if np.any(w == 0.0):
             raise ValueError("fiber weights must be non-zero")
-        pos = np.clip(pos, 0.0, 1.0)
         same_cell = np.ones(max(pos.size - 1, 0), dtype=bool)
         bounds = off[1:-1]
         same_cell[bounds[(bounds > 0) & (bounds < pos.size)] - 1] = False
@@ -227,14 +217,9 @@ class DisintegratedMeasure:
             pairs = pairs.reshape(0, 2)
         if pairs.shape != (counts.sum(), 2):
             raise ValueError("fiber atoms must be [position, weight] pairs")
-        pos, w = pairs[:, 0], pairs[:, 1]
-        outside = (pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)
-        if outside.any():
-            raise MeasureDomainError(f"atom position {pos[outside][0]!r} outside [0, 1]")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
-            raise ValueError("positions and weights must be finite")
+        w = pairs[:, 1]
         cell, pos, w = canonicalize_segments(
-            np.repeat(np.arange(counts.size), counts), np.clip(pos, 0.0, 1.0), w
+            np.repeat(np.arange(counts.size), counts), _checked_positions(pairs[:, 0], w), w
         )
         if d.get("normalized", True):  # unit-mass fibers: scale to restrictions
             if phi1.shape != counts.shape:

@@ -199,16 +199,12 @@ def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
     evaluated at 0 and at each of them, ``_CHAIN_BLOCK_ENTRIES`` entries at
     a time; the result does not depend on the block size.
     """
-    cell = np.asarray(cell, dtype=np.intp)
-    pos = np.asarray(pos, dtype=float)
-    w = np.asarray(w, dtype=float)
+    cell, pos, w = canonicalize_segments(
+        np.asarray(cell, dtype=np.intp), np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
+    )
     out = np.zeros(ncell)
     if cell.size == 0:
         return out
-    order = _lex_order(cell, pos)
-    cell, pos, w = cell[order], pos[order], w[order]
-    first = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]) | (pos[1:] != pos[:-1])])
-    cell, pos, w = cell[first], pos[first], np.add.reduceat(w, first)
     n = cell.size
 
     # segments: the atoms of one measure, in position order

@@ -36,6 +36,21 @@ class MeasureDomainError(ValueError):
     """Raised when atom positions leave the fiber space K = [0, 1]."""
 
 
+def _checked_positions(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Atom positions clipped to [0, 1], after the checks every atom layout makes.
+
+    A position may overshoot [0, 1] by ``_RANGE_SLACK``; one further out
+    raises MeasureDomainError naming the first such position, and a
+    non-finite position or weight raises ValueError.
+    """
+    outside = (pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)
+    if outside.any():
+        raise MeasureDomainError(f"atom position {pos[outside][0]!r} outside [0, 1]")
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+        raise ValueError("positions and weights must be finite")
+    return np.clip(pos, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class AtomicSignedMeasure:
     """A finite signed combination of Dirac atoms on [0, 1].
@@ -54,12 +69,7 @@ class AtomicSignedMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pos.shape != w.shape or pos.ndim != 1:
             raise ValueError("positions and weights must be 1-d arrays of equal length")
-        if pos.size and (pos.min() < -_RANGE_SLACK or pos.max() > 1.0 + _RANGE_SLACK):
-            bad = pos[(pos < -_RANGE_SLACK) | (pos > 1.0 + _RANGE_SLACK)][0]
-            raise MeasureDomainError(f"atom position {bad!r} outside [0, 1]")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
-            raise ValueError("positions and weights must be finite")
-        pos = np.clip(pos, 0.0, 1.0)
+        pos = _checked_positions(pos, w)
         pos.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -150,23 +160,8 @@ def canonicalize(mu: AtomicSignedMeasure) -> AtomicSignedMeasure:
     Idempotent and measure-preserving: the result represents the same
     signed measure with strictly increasing positions.
     """
-    if mu.positions.size == 0:
-        return zero_measure()
-    order = np.argsort(mu.positions, kind="stable")
-    pos = mu.positions[order]
-    w = mu.weights[order]
-    # merge runs of identical positions by summing weights
-    new_group = np.empty(pos.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = pos[1:] != pos[:-1]
-    idx = np.cumsum(new_group) - 1
-    merged_w = np.zeros(int(idx[-1]) + 1)
-    np.add.at(merged_w, idx, w)
-    merged_pos = pos[new_group]
-    keep = merged_w != 0.0
-    if not keep.any():
-        return zero_measure()
-    return AtomicSignedMeasure(merged_pos[keep], merged_w[keep])
+    _, pos, w = canonicalize_segments(_one_cell(mu), mu.positions, mu.weights)
+    return AtomicSignedMeasure(pos, w)
 
 
 def jordan(mu: AtomicSignedMeasure) -> JordanPair:
@@ -208,57 +203,13 @@ def pushforward(
     return canonicalize(AtomicSignedMeasure(np.clip(img, 0.0, 1.0), mu.weights))
 
 
-def _cluster_same_sign(pos: np.ndarray, w: np.ndarray, delta: float):
-    """Cluster atoms sharing a bucket [k delta, (k+1) delta) to centroids.
-
-    Atoms in a cluster lie within delta of each other and move at most
-    delta to the weighted centroid, so the dual-norm drift of the whole
-    operation is at most TV * delta**zeta.  Bucket boundaries are anchored
-    to the absolute grid (not to the leftmost atom) so that repeated
-    compression of slowly moving atom clouds is stable under iteration.
-    """
-    buckets = np.floor(pos / delta).astype(np.int64)
-    new_group = np.empty(pos.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = buckets[1:] != buckets[:-1]
-    idx = np.cumsum(new_group) - 1
-    k = int(idx[-1]) + 1
-    tot_w = np.zeros(k)
-    tot_pw = np.zeros(k)
-    np.add.at(tot_w, idx, w)
-    np.add.at(tot_pw, idx, pos * w)
-    return tot_pw / tot_w, tot_w
+def _one_cell(mu: AtomicSignedMeasure) -> np.ndarray:
+    return np.zeros(mu.n_atoms, dtype=np.intp)
 
 
-def compress(
-    mu: AtomicSignedMeasure, delta: float, zeta: float = 1.0
-) -> AtomicSignedMeasure:
-    """Merge same-sign atoms within distance delta to weighted centroids.
-
-    Keeps the Jordan parts stable; atoms of opposite sign never merge
-    (cross-sign cancellation only happens at exactly coincident positions,
-    via canonicalize).  Never increases total variation and never changes
-    total mass.  The dual-norm perturbation is bounded by
-    total_variation(mu) * delta**zeta.
-    """
-    if delta <= 0:
+def _check_width(delta: float):
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if mu.positions.size <= 1:
-        return mu
-    parts = jordan(mu)
-    pieces_pos = []
-    pieces_w = []
-    for part, sign in ((parts.positive, 1.0), (parts.negative, -1.0)):
-        if part.positions.size == 0:
-            continue
-        p, w = _cluster_same_sign(part.positions, part.weights, delta)
-        pieces_pos.append(p)
-        pieces_w.append(sign * w)
-    if not pieces_pos:
-        return zero_measure()
-    return canonicalize(
-        AtomicSignedMeasure(np.concatenate(pieces_pos), np.concatenate(pieces_w))
-    )
 
 
 def _check_cap(cap: int):
@@ -266,6 +217,30 @@ def _check_cap(cap: int):
     # at any width: a cap below 2 would double the width forever
     if cap < 2:
         raise ValueError(f"atom cap must be at least 2, got {cap}")
+
+
+def compress(
+    mu: AtomicSignedMeasure, delta: float, zeta: float = 1.0
+) -> AtomicSignedMeasure:
+    """Merge same-sign atoms within distance delta to weighted centroids.
+
+    Atoms sharing a bucket [k delta, (k+1) delta) of the absolute grid
+    merge, so each moves at most delta, and repeated compression of a
+    slowly moving atom cloud is stable under iteration.  Keeps the Jordan
+    parts stable; atoms of opposite sign never merge (cross-sign
+    cancellation only happens at exactly coincident positions, via
+    canonicalize, which runs first).  Never increases total variation and
+    never changes total mass.  The dual-norm perturbation is bounded by
+    total_variation(mu) * delta**zeta.  A measure of at most one atom
+    comes back as it is.
+    """
+    _check_width(delta)
+    if mu.n_atoms <= 1:
+        return mu
+    cell, pos, w = canonicalize_segments(_one_cell(mu), mu.positions, mu.weights)
+    if cell.size:
+        _, pos, w = _compress_segments(cell, pos, w, np.array([float(delta)]))
+    return AtomicSignedMeasure(pos, w)
 
 
 def compress_to_cap(
@@ -277,26 +252,28 @@ def compress_to_cap(
     dual-norm drift is at most TV times the sum of width**zeta over the
     widths tried.  Once the width exceeds 1 every atom of one sign shares
     a bucket, so with cap >= 2 the doubling ends there; a cap below 2
-    raises ValueError.
+    raises ValueError.  A measure of at most one atom comes back as it is.
     """
     _check_cap(cap)
-    out = compress(mu, delta, zeta)
-    used = delta
-    while out.n_atoms > cap:
-        used *= 2.0
-        out = compress(out, used, zeta)
-    return out, used
+    _check_width(delta)
+    if mu.n_atoms <= 1:
+        return mu, delta
+    cell, pos, w = canonicalize_segments(_one_cell(mu), mu.positions, mu.weights)
+    _, pos, w, width = compress_to_cap_segments(cell, pos, w, 1, delta, cap)
+    return AtomicSignedMeasure(pos, w), float(width[0])
 
 
 # ---------------------------------------------------------------------------
 # many fibers at once
 # ---------------------------------------------------------------------------
 #
-# The functions below act on the atoms of many fibers stored side by side:
-# atom k lies in fiber ``cell[k]`` at ``pos[k]`` with weight ``w[k]``.  They
-# give, fiber by fiber, exactly the arrays that ``canonicalize`` and
-# ``compress_to_cap`` give: the sorts are stable and every sum runs over
-# the atoms in the same order, so the results agree bit for bit.
+# The functions below are the one implementation of the atom rules.  They
+# act on the atoms of many fibers stored side by side: atom k lies in fiber
+# ``cell[k]`` at ``pos[k]`` with weight ``w[k]``.  ``canonicalize``,
+# ``compress`` and ``compress_to_cap`` above are their one-cell calls.  The
+# sorts are stable and every sum adds a fiber's own atoms in position
+# order, so a fiber's result does not depend on the other fibers of the
+# call: the operator step and the one-fiber functions agree bit for bit.
 
 
 def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -312,8 +289,8 @@ def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 def _group_sums(new_group: np.ndarray, *values: np.ndarray):
     """Sums of each run of ``values`` that ``new_group`` starts, in order.
 
-    ``np.add.at`` adds in index order from 0.0, as ``canonicalize`` and
-    ``_cluster_same_sign`` do fiber by fiber.
+    ``np.add.at`` adds each run in index order from 0.0, whatever the
+    other runs hold.
     """
     idx = np.cumsum(new_group) - 1
     k = int(idx[-1]) + 1
@@ -380,6 +357,7 @@ def compress_to_cap_segments(cell, pos, w, ncell: int, delta: float, cap: int):
     order and the last width of each fiber (delta where it never doubled).
     """
     _check_cap(cap)
+    _check_width(delta)
     width = np.full(ncell, float(delta))
     redo = np.bincount(cell, minlength=ncell) > 1
     while redo.any():

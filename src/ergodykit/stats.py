@@ -10,7 +10,7 @@ equilibrium state is physical, which the caller must assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,12 +80,7 @@ class ExpFit:
     flag: str = "ok"  # "ok" | "non-decaying" | "all-below-floor"
 
     def to_dict(self) -> dict:
-        return {
-            "prefactor": self.prefactor,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "flag": self.flag,
-        }
+        return asdict(self)
 
 
 def fit_exponential(table: CorrelationTable, floor: float = 1e-12) -> ExpFit:

@@ -11,7 +11,7 @@ alpha * y + o(x) whose attractor fills a fat invariant band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -384,22 +384,6 @@ def check_example_constants(entry: GalleryEntry) -> HypothesisReport:
     sys = entry.build()
     rep = check_hypotheses(sys.base, sys.potential, sys.zeta)
     al = sys.regularity_precondition
-    return HypothesisReport(
-        f1_pass=rep.f1_pass,
-        branch_lipschitz=rep.branch_lipschitz,
-        f2_pass=rep.f2_pass,
-        deg=rep.deg,
-        q=rep.q,
-        sigma=rep.sigma,
-        L=rep.L,
-        zeta=rep.zeta,
-        oscillation=rep.oscillation,
-        holder_exp_phi=rep.holder_exp_phi,
-        epsilon_phi=rep.epsilon_phi,
-        combined_value=rep.combined_value,
-        combined_pass=rep.combined_pass,
-        alpha=sys.alpha,
-        g_holder=sys.fiber.g_holder,
-        alpha_l_value=al,
-        alpha_l_ok=al < 1.0,
+    return replace(
+        rep, alpha=sys.alpha, g_holder=sys.fiber.g_holder, alpha_l_value=al, alpha_l_ok=al < 1.0
     )

@@ -18,7 +18,7 @@ bookkeeping for the disintegration Holder constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -310,23 +310,7 @@ class ConvergenceReport:
     realized_delta_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "distances": self.distances,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "tol": self.tol,
-            "fitted_rate": self.fitted_rate,
-            "fit_r2": self.fit_r2,
-            "r_hat": self.r_hat,
-            "alpha_zeta": self.alpha_zeta,
-            "beta3": self.beta3,
-            "D3": self.D3,
-            "D4": self.D4,
-            "compress_delta": self.compress_delta,
-            "atom_cap": self.atom_cap,
-            "compress_error_bound": self.compress_error_bound,
-            "realized_delta_max": self.realized_delta_max,
-        }
+        return asdict(self)
 
 
 def _fit_geometric(values: list[float], floor: float = 1e-14):
@@ -464,14 +448,7 @@ class GapReport:
     realized_delta_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "R": self.R,
-            "trials": self.trials,
-            "n_steps": self.n_steps,
-            "per_trial_rates": self.per_trial_rates,
-            "realized_delta_max": self.realized_delta_max,
-        }
+        return asdict(self)
 
 
 def _random_zero_average(
@@ -729,15 +706,7 @@ class RegularityBound:
     L: float
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "D": self.D,
-            "bound": self.bound,
-            "A1": self.A1,
-            "eps_phi": self.eps_phi,
-            "g_holder": self.g_holder,
-            "L": self.L,
-        }
+        return asdict(self)
 
 
 def regularity_constants(

@@ -5,7 +5,7 @@ import pytest
 
 import ergodykit as ek
 from ergodykit import dualnorm
-from ergodykit.measures import AtomicSignedMeasure, canonicalize
+from ergodykit.measures import AtomicSignedMeasure, canonicalize, jordan, zero_measure
 
 
 def counting_linprog(rows):
@@ -36,6 +36,77 @@ def random_measure(rng, n_atoms, kind="signed", grid=None):
     else:
         w = rng.standard_normal(n_atoms)
     return canonicalize(AtomicSignedMeasure(pos, w))
+
+
+def canonicalize_loop(mu):
+    """The one-fiber ``canonicalize`` that became a one-cell call of
+    ``measures.canonicalize_segments``: a stable sort by position, then
+    ``np.add.at`` over the runs of equal positions."""
+    if mu.positions.size == 0:
+        return zero_measure()
+    order = np.argsort(mu.positions, kind="stable")
+    pos = mu.positions[order]
+    w = mu.weights[order]
+    new_group = np.empty(pos.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = pos[1:] != pos[:-1]
+    idx = np.cumsum(new_group) - 1
+    merged_w = np.zeros(int(idx[-1]) + 1)
+    np.add.at(merged_w, idx, w)
+    merged_pos = pos[new_group]
+    keep = merged_w != 0.0
+    if not keep.any():
+        return zero_measure()
+    return AtomicSignedMeasure(merged_pos[keep], merged_w[keep])
+
+
+def _cluster_same_sign_loop(pos, w, delta):
+    # atoms sharing a bucket [k delta, (k+1) delta) merge to their centroid
+    buckets = np.floor(pos / delta).astype(np.int64)
+    new_group = np.empty(pos.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = buckets[1:] != buckets[:-1]
+    idx = np.cumsum(new_group) - 1
+    k = int(idx[-1]) + 1
+    tot_w = np.zeros(k)
+    tot_pw = np.zeros(k)
+    np.add.at(tot_w, idx, w)
+    np.add.at(tot_pw, idx, pos * w)
+    return tot_pw / tot_w, tot_w
+
+
+def compress_loop(mu, delta):
+    """The one-fiber ``compress`` that became a one-cell call of
+    ``measures._compress_segments``: each Jordan part clustered on its
+    own, then ``canonicalize_loop``.  Oracle for canonical input only."""
+    if mu.positions.size <= 1:
+        return mu
+    parts = jordan(mu)
+    pieces_pos = []
+    pieces_w = []
+    for part, sign in ((parts.positive, 1.0), (parts.negative, -1.0)):
+        if part.positions.size == 0:
+            continue
+        p, w = _cluster_same_sign_loop(part.positions, part.weights, delta)
+        pieces_pos.append(p)
+        pieces_w.append(sign * w)
+    if not pieces_pos:
+        return zero_measure()
+    return canonicalize_loop(
+        AtomicSignedMeasure(np.concatenate(pieces_pos), np.concatenate(pieces_w))
+    )
+
+
+def compress_to_cap_loop(mu, delta, cap):
+    """The one-fiber ``compress_to_cap`` that became a one-cell call of
+    ``measures.compress_to_cap_segments``: ``compress_loop``, doubling
+    the width while more than ``cap`` atoms remain."""
+    out = compress_loop(mu, delta)
+    used = delta
+    while out.n_atoms > cap:
+        used *= 2.0
+        out = compress_loop(out, used)
+    return out, used
 
 
 def from_dict_per_cell(d):

@@ -382,6 +382,22 @@ class TestEnvelopeFit:
         beta, pre = self._covered(rn, floor)
         assert pre == 1.0 and beta == pytest.approx(0.3 ** (1.0 / (k + 1)), rel=1e-15)
 
+    @pytest.mark.parametrize("rn, want", [
+        (np.r_[np.zeros(23), 1e-12, 7.0], 5.22e-321),  # a subnormal prefactor
+        (np.r_[np.zeros(11), 1e-12, 7.0, np.zeros(10), 1.0], 7.2248e-167),
+    ])
+    def test_envelope_beyond_float_range(self, rn, want):
+        # beta**(k + 1) overflows, so the bound is checked in the log domain
+        beta, pre = baserpf._envelope_fit(rn, 1e-13)
+        k = np.nonzero(rn > 1e-13)[0]
+        assert beta == 7e12 and pre == pytest.approx(want, rel=1e-3)
+        assert np.all(np.log(rn[k]) <= np.log(pre) + (k + 1.0) * np.log(beta) + 1e-12)
+
+    def test_no_finite_prefactor(self):
+        # 1 at step 29 then 1.01e-13: beta = 1.01e-13 and B = beta**-29 > 1e308
+        rn = np.r_[np.zeros(28), 1.0, 1.01e-13]
+        assert baserpf._envelope_fit(rn, 1e-13) == (pytest.approx(1.01e-13), np.inf)
+
     def test_floor_selects_steps(self):
         rn = np.array([0.5, 5e-13, 0.0])
         assert self._covered(rn, 1e-12) == (0.5, 1.0)

@@ -190,6 +190,22 @@ class TestChainNorms:
         )
         for c, f in enumerate(fibers):
             assert got[c] == pytest.approx(_dual_norm_lp(f, 1.0)[0], abs=1e-9)
+        # differences of fibers that share atoms, as in the distance of two
+        # iterates: the shared atoms cancel exactly, and cell 0 cancels whole
+        others = [fibers[0]] + [
+            AtomicSignedMeasure(f.positions[::2], f.weights[::2]) + random_measure(rng, 3)
+            for f in fibers[1:]
+        ]
+        cell = np.repeat(np.arange(12), [f.n_atoms + g.n_atoms for f, g in zip(fibers, others)])
+        got = chain_norms(
+            cell,
+            np.concatenate([np.r_[f.positions, g.positions] for f, g in zip(fibers, others)]),
+            np.concatenate([np.r_[f.weights, -g.weights] for f, g in zip(fibers, others)]),
+            12,
+        )
+        assert got[0] == 0.0
+        for c, (f, g) in enumerate(zip(fibers, others)):
+            assert got[c] == pytest.approx(_dual_norm_lp(f - g, 1.0)[0], abs=1e-9)
 
     def test_no_atoms(self):
         empty = np.empty(0)

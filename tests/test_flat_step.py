@@ -1,9 +1,11 @@
 """The vectorized operator step against a per-cell oracle.
 
-The oracle builds each output restriction from the one-fiber API: the
+The oracle builds each output restriction cell by cell: the
 branch-weighted pushforwards of the source restrictions concatenated in
-(branch, stencil side) order, then ``canonicalize``, then
-``compress_to_cap``.  The flat step must give the same arrays bit for bit.
+(branch, stencil side) order, then the per-fiber loops that
+``canonicalize`` and ``compress_to_cap`` replaced (``conftest``), so the
+flat step is not checked against its own segment kernels.  The flat step
+must give the same arrays bit for bit.
 """
 
 import functools
@@ -15,15 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodykit as ek
-from ergodykit.measures import (
-    AtomicSignedMeasure,
-    canonicalize,
-    compress_to_cap,
-    zero_measure,
-)
+from ergodykit.measures import AtomicSignedMeasure, zero_measure
 from ergodykit.transfer import _random_zero_average, _step
 
-from conftest import random_measure
+from conftest import canonicalize_loop, compress_to_cap_loop, random_measure
 
 GALLERY = [e.name for e in ek.gallery()]
 
@@ -35,7 +32,7 @@ def _system(name):
 
 
 def _oracle(sys_, rpf, dm, branch_weights, delta, cap):
-    """Per-cell restrictions and compression widths from the one-fiber API."""
+    """Per-cell restrictions and compression widths from the per-fiber loops."""
     fibers, widths = [], []
     restr = dm.fibers
     for j in range(rpf.n):
@@ -52,9 +49,11 @@ def _oracle(sys_, rpf, dm, branch_weights, delta, cap):
         if not pos:
             fibers.append(zero_measure())
         else:
-            raw = canonicalize(AtomicSignedMeasure(np.concatenate(pos), np.concatenate(w)))
+            raw = canonicalize_loop(
+                AtomicSignedMeasure(np.concatenate(pos), np.concatenate(w))
+            )
             if raw.n_atoms > 1:
-                raw, used = compress_to_cap(raw, delta, cap)
+                raw, used = compress_to_cap_loop(raw, delta, cap)
             fibers.append(raw)
         widths.append(used)
     return fibers, np.array(widths)

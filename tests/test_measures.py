@@ -9,6 +9,7 @@ from ergodykit.measures import (
     canonicalize,
     compress,
     compress_to_cap,
+    compress_to_cap_segments,
     dirac,
     jordan,
     pushforward,
@@ -18,7 +19,7 @@ from ergodykit.measures import (
 )
 from ergodykit.dualnorm import _dual_norm_lp
 
-from conftest import random_measure
+from conftest import canonicalize_loop, compress_loop, compress_to_cap_loop, random_measure
 
 
 def M(pairs):
@@ -151,6 +152,31 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress(dirac(0.5), 0.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.01, float("nan")])
+    def test_width_must_be_positive(self, delta):
+        # a NaN width used to merge every atom into one bucket
+        mu = dirac(0.2) + dirac(0.7)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            compress(mu, delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            compress_to_cap(mu, delta, 4)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            compress_to_cap_segments(
+                np.zeros(2, dtype=np.intp), mu.positions, mu.weights, 1, delta, 4
+            )
+
+    def test_non_canonical_input_merges_shared_bucket(self):
+        # 0.5 and 0.5001 share the bucket [0.5, 0.51) although 0.1 lies between them
+        mu = AtomicSignedMeasure([0.5, 0.1, 0.5001], [1.0, 1.0, 1.0])
+        assert compress(mu, 0.01).to_pairs() == [[0.1, 1.0], [0.50005, 2.0]]
+        out, used = compress_to_cap(mu, 0.01, 64)
+        assert out.to_pairs() == [[0.1, 1.0], [0.50005, 2.0]] and used == 0.01
+
+    def test_at_most_one_atom_comes_back_as_is(self):
+        for mu in (zero_measure(), dirac(0.3, -2.0)):
+            assert compress(mu, 0.01) is mu
+            assert compress_to_cap(mu, 0.01, 2) == (mu, 0.01)
+
     def test_dual_norm_drift_bound(self):
         # oracle: full LP before/after; drift must stay below TV * delta**zeta
         rng = np.random.default_rng(0)
@@ -195,3 +221,51 @@ class TestCompress:
         assert out.n_atoms <= 32
         assert used >= 1e-6
         assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _measures_with_coincident_atoms(draw):
+    """A raw measure whose atoms often coincide, and its canonical form.
+
+    Positions come from a grid of a few points, with repeats; signed
+    measures also get atoms that exactly cancel an earlier one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["signed", "probability", "zero_mass"]))
+    n = draw(st.integers(1, 80))
+    pos = rng.choice(np.linspace(0.0, 1.0, draw(st.integers(2, 40))), size=n)
+    if kind == "probability":
+        w = rng.uniform(0.05, 1.0, size=n)
+        w /= w.sum()
+    elif kind == "zero_mass":
+        w = rng.standard_normal(n)
+        w -= w.mean()
+    else:
+        w = rng.standard_normal(n)
+        twins = rng.integers(0, n, size=draw(st.integers(0, 5)))
+        pos, w = np.r_[pos, pos[twins]], np.r_[w, -w[twins]]
+    return AtomicSignedMeasure(pos, w)
+
+
+class TestOneCellKernels:
+    """The one-fiber functions against the per-fiber loops they replaced."""
+
+    @staticmethod
+    def _same(a, b):
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.weights, b.weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=_measures_with_coincident_atoms(),
+        cap=st.integers(2, 64),
+        delta=st.sampled_from([1e-4, 1.0 / 63.0]),
+    )
+    def test_match_per_fiber_loops(self, raw, cap, delta):
+        mu = canonicalize_loop(raw)
+        self._same(canonicalize(raw), mu)
+        self._same(compress(mu, delta), compress_loop(mu, delta))
+        out, used = compress_to_cap(mu, delta, cap)
+        want, want_used = compress_to_cap_loop(mu, delta, cap)
+        self._same(out, want)
+        assert used == want_used
