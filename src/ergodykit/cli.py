@@ -3,9 +3,9 @@
 The configuration is a flat structured-text file of ``[section]`` headers
 and ``key = value`` lines (no nesting), so any language can write one.
 Exit codes are a stable contract: 0 success, 2 configuration error
-(message anchored to the offending line), 3 numeric failure.  All
-floating-point output is printed with 17 significant digits so files can
-be re-ingested bit-faithfully.
+(message anchored to the offending line), 3 numeric failure.  CSV floats
+are printed with 17 significant digits and JSON floats as their shortest
+round-trip ``repr``, so files can be re-ingested bit-faithfully.
 """
 
 from __future__ import annotations
@@ -308,10 +308,14 @@ def _np_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True, default=_np_default) + "\n"
-    )
+def _write_json(path: Path, payload: dict | DisintegratedMeasure):
+    """Indented, key-sorted JSON of ``payload``; a measure is streamed from
+    its flat arrays (``DisintegratedMeasure.write_json``) to the same bytes."""
+    with open(path, "w") as fh:
+        if isinstance(payload, DisintegratedMeasure):
+            payload.write_json(fh)
+        else:
+            fh.write(json.dumps(payload, indent=1, sort_keys=True, default=_np_default) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows):
@@ -346,7 +350,7 @@ def _equilibrium(cfg: RunConfig, out_dir: Path):
 def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
     _, rpf, mu, report = _equilibrium(cfg, out_dir)
     if "json" in cfg.formats:
-        _write_json(out_dir / "equilibrium.json", mu.to_dict())
+        _write_json(out_dir / "equilibrium.json", mu)
         _write_json(out_dir / "eigen.json", rpf.eigen_dict())
         _write_json(out_dir / "convergence.json", report.to_dict())
     if "csv" in cfg.formats:

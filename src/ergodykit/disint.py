@@ -19,8 +19,9 @@ with |phi1|_zeta the discrete Holder norm of the marginal density and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -64,6 +65,32 @@ def _offsets(cell: np.ndarray, n: int) -> np.ndarray:
     off = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(cell, minlength=n), out=off[1:])
     return off
+
+
+# Atoms (and entries of the per-cell lists) that one write of
+# ``DisintegratedMeasure.write_json`` formats: a few MB of text and floats.
+_JSON_CHUNK_ATOMS = 2**14
+
+
+def _json_cell_format(k: int) -> str:
+    """The %-format of one fiber of k atoms in the measure's JSON text."""
+    if k == 0:
+        return "  []"
+    return "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * k) + "\n  ]"
+
+
+def _write_json_floats(fh: TextIO, values: np.ndarray):
+    """``values`` as json.dumps(indent=1) writes a list of floats one key deep."""
+    if values.size == 0:
+        fh.write("[]")
+        return
+    fh.write("[\n  ")
+    for s in range(0, values.size, _JSON_CHUNK_ATOMS):
+        chunk = values[s:s + _JSON_CHUNK_ATOMS].tolist()
+        if s:
+            fh.write(",\n  ")
+        fh.write(",\n  ".join(["%r"] * len(chunk)) % tuple(chunk))
+    fh.write("\n ]")
 
 
 @dataclass(frozen=True)
@@ -198,6 +225,45 @@ class DisintegratedMeasure:
             "phi1": self.phi1.tolist(),
             "fibers": [pairs[a:b] for a, b in zip(off[:-1], off[1:])],
         }
+
+    def write_json(self, fh: TextIO):
+        """Write ``json.dumps(self.to_dict(), indent=1, sort_keys=True)``
+        and a newline to ``fh``, byte for byte, without building it.
+
+        The text is streamed from the flat arrays, at most
+        ``_JSON_CHUNK_ATOMS`` atoms (or one cell) and as many list entries
+        at a time.  Every float is finite, so its text is ``float.__repr__``,
+        as json writes it; the keys come in sorted order.
+        """
+        fh.write('{\n "fibers": ')
+        if self.n == 0:
+            fh.write("[]")
+        else:
+            fh.write("[\n")
+            off = self.offsets
+            counts = np.diff(off).tolist()
+            formats = {k: _json_cell_format(k) for k in set(counts)}
+            start = 0
+            while start < self.n:
+                # the cells [start, end) hold at most _JSON_CHUNK_ATOMS atoms,
+                # or are one cell
+                end = int(np.searchsorted(off, off[start] + _JSON_CHUNK_ATOMS, "right")) - 1
+                end = max(end, start + 1)
+                fmt = ",\n".join([formats[k] for k in counts[start:end]])
+                a, b = off[start], off[end]
+                pairs = np.column_stack((self.positions[a:b], self.weights[a:b]))
+                if start:
+                    fh.write(",\n")
+                fh.write(fmt % tuple(pairs.ravel().tolist()))
+                start = end
+            fh.write("\n ]")
+        fh.write(',\n "n": %d,\n "normalized": false,\n "phi1": ' % self.n)
+        _write_json_floats(fh, self.phi1)
+        fh.write(',\n "ref_masses": ')
+        _write_json_floats(fh, self.ref_masses)
+        fh.write(',\n "reference": %s,\n "x": ' % json.dumps(self.reference))
+        _write_json_floats(fh, self.x)
+        fh.write(',\n "zeta": %r\n}\n' % self.zeta)
 
     @staticmethod
     def from_dict(d: dict) -> "DisintegratedMeasure":

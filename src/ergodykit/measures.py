@@ -219,9 +219,7 @@ def _check_cap(cap: int):
         raise ValueError(f"atom cap must be at least 2, got {cap}")
 
 
-def compress(
-    mu: AtomicSignedMeasure, delta: float, zeta: float = 1.0
-) -> AtomicSignedMeasure:
+def compress(mu: AtomicSignedMeasure, delta: float) -> AtomicSignedMeasure:
     """Merge same-sign atoms within distance delta to weighted centroids.
 
     Atoms sharing a bucket [k delta, (k+1) delta) of the absolute grid
@@ -231,7 +229,8 @@ def compress(
     cancellation only happens at exactly coincident positions, via
     canonicalize, which runs first).  Never increases total variation and
     never changes total mass.  The dual-norm perturbation is bounded by
-    total_variation(mu) * delta**zeta.  A measure of at most one atom
+    total_variation(mu) times ``transfer.compression_drift_bound(delta,
+    delta, zeta)``, that is delta**zeta.  A measure of at most one atom
     comes back as it is.
     """
     _check_width(delta)
@@ -244,15 +243,17 @@ def compress(
 
 
 def compress_to_cap(
-    mu: AtomicSignedMeasure, delta: float, cap: int, zeta: float = 1.0
+    mu: AtomicSignedMeasure, delta: float, cap: int
 ) -> tuple[AtomicSignedMeasure, float]:
     """Compress with delta, doubling delta until at most cap atoms remain.
 
     Returns the compressed measure and the delta actually used; the
-    dual-norm drift is at most TV times the sum of width**zeta over the
-    widths tried.  Once the width exceeds 1 every atom of one sign shares
-    a bucket, so with cap >= 2 the doubling ends there; a cap below 2
-    raises ValueError.  A measure of at most one atom comes back as it is.
+    dual-norm drift is at most TV times
+    ``transfer.compression_drift_bound(delta, used, zeta)``, the sum of
+    width**zeta over the widths tried.  Once the width exceeds 1 every
+    atom of one sign shares a bucket, so with cap >= 2 the doubling ends
+    there; a cap below 2 raises ValueError.  A measure of at most one
+    atom comes back as it is.
     """
     _check_cap(cap)
     _check_width(delta)

@@ -195,6 +195,14 @@ def correlation_birkhoff(
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    # the batch-means standard error needs two orbits, and every row of the
+    # orbit arrays must be written before it is read
+    if orbits < 2:
+        raise ValueError(f"orbits must be at least 2, got {orbits}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if samples_per_orbit < 1:
+        raise ValueError(f"samples_per_orbit must be at least 1, got {samples_per_orbit}")
     rng = np.random.default_rng(rng_seed)
     total = burn_in + samples_per_orbit + N
     x = rng.uniform(0.0, 1.0, size=orbits)

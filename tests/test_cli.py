@@ -12,6 +12,7 @@ import pytest
 
 import ergodykit
 from ergodykit.cli import main, parse_config, ConfigError, RunConfig
+from ergodykit.disint import DisintegratedMeasure
 
 BASE_CONFIG = """
 [system]
@@ -154,6 +155,17 @@ class TestEquilibriumCommand:
         for fname in ("equilibrium.json", "convergence.csv", "eigen.json"):
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
+    def test_measure_streamed_without_to_dict(self, tmp_path, monkeypatch):
+        # equilibrium.json comes from the flat arrays, and json.dumps of the
+        # parsed file gives the same bytes back
+        def refuse(self):
+            raise AssertionError("the CLI serialized the measure through to_dict")
+
+        monkeypatch.setattr(DisintegratedMeasure, "to_dict", refuse)
+        cfg, out = write_config(tmp_path)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        text = (out / "equilibrium.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
     def test_reports_realized_width(self, tmp_path):
         # one atom per cell never doubles: the bound is delta**zeta

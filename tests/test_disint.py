@@ -1,3 +1,5 @@
+import io
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -24,8 +26,14 @@ from ergodykit.disint import (
     sinf_norm,
 )
 from ergodykit.dualnorm import _dual_norm_lp, distance_value, dual_norm
-from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, uniform_atoms
-from ergodykit.transfer import _random_zero_average
+from ergodykit.measures import (
+    AtomicSignedMeasure,
+    canonicalize,
+    dirac,
+    uniform_atoms,
+    zero_measure,
+)
+from ergodykit.transfer import _random_zero_average, initial_product
 
 from conftest import from_dict_per_cell, random_measure
 
@@ -375,6 +383,88 @@ class TestFromDict:
              "phi1": phi1, "fibers": fibers}
         with pytest.raises((ValueError, TypeError), match=match):
             DisintegratedMeasure.from_dict(d)
+
+
+class TestStreamedJson:
+    """``write_json`` writes, chunk by chunk from the flat arrays, the bytes
+    of ``json.dumps(to_dict(), indent=1, sort_keys=True)`` and a newline,
+    and ``from_dict`` reads them back to the same arrays."""
+
+    @staticmethod
+    def _check(dm):
+        buf = io.StringIO()
+        dm.write_json(buf)
+        text = buf.getvalue()
+        assert text == json.dumps(dm.to_dict(), indent=1, sort_keys=True) + "\n"
+        back = DisintegratedMeasure.from_dict(json.loads(text))
+        for field in ("x", "ref_masses", "phi1", "offsets", "positions", "weights"):
+            assert getattr(back, field).tobytes() == getattr(dm, field).tobytes(), field
+        assert (back.reference, back.zeta) == (dm.reference, dm.zeta)
+        return text
+
+    def _check_every_chunk_size(self, dm, monkeypatch):
+        """The same text for chunks of one atom, of the largest cell and of
+        every atom (and of the default size)."""
+        texts = {self._check(dm)}
+        largest = int(np.diff(dm.offsets).max(initial=0))
+        for chunk in (1, largest, dm.positions.size):
+            monkeypatch.setattr(disint, "_JSON_CHUNK_ATOMS", max(chunk, 1))
+            texts.add(self._check(dm))
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("name", [e.name for e in ek.gallery()])
+    def test_gallery_iterates(self, name, monkeypatch):
+        sys_ = ek.gallery_entry(name).build()
+        rpf = ek.build_rpf(sys_.base, sys_.potential, 16)
+        dm = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+        for _ in range(3):
+            dm = ek.apply_F_phih_normalized(sys_, rpf, dm)
+        self._check_every_chunk_size(dm, monkeypatch)
+
+    def test_signed_measure_with_empty_fibers(self, monkeypatch):
+        rpf, (dm, _) = _iterates("tsujii", "signed")
+        assert (dm.weights < 0).any() and (dm.weights > 0).any()
+        rng = np.random.default_rng(3)
+        fibers = list(dm.fibers)
+        for j in (0, 5, 6, 31):  # the first, two adjacent and the last cell
+            fibers[j] = zero_measure()
+        fibers[7] = random_measure(rng, 9)
+        dm = DisintegratedMeasure.from_fibers(
+            dm.x, dm.ref_masses, dm.phi1, fibers, dm.reference, dm.zeta
+        )
+        self._check_every_chunk_size(dm, monkeypatch)
+
+    @pytest.mark.parametrize("atoms", [0, 1, 3])
+    def test_one_cell(self, atoms, monkeypatch):
+        pos = np.linspace(0.0, 1.0, atoms)
+        dm = DisintegratedMeasure(
+            x=[0.5], ref_masses=[1.0], phi1=[float(atoms)], offsets=[0, atoms],
+            positions=pos, weights=np.ones(atoms), reference="nu",
+        )
+        self._check_every_chunk_size(dm, monkeypatch)
+
+    def test_no_cells(self):
+        dm = DisintegratedMeasure(
+            x=[], ref_masses=[], phi1=[], offsets=[0], positions=[], weights=[],
+            reference="m",
+        )
+        self._check(dm)
+
+    def test_reprs_that_switch_form(self, monkeypatch):
+        # exponent forms, the smallest subnormal and a negative zero, in
+        # every array the file holds
+        odd = [1e-05, 1e+16, 5e-324, -0.0, 0.1, 123456789.0, 1e22, -2.5e-300]
+        dm = DisintegratedMeasure(
+            x=odd, ref_masses=[abs(v) for v in odd], phi1=[-v for v in odd],
+            offsets=[0, 3, 3, 3, 5, 5, 6, 6, 7],
+            positions=[-0.0, 5e-324, 1e-05, 1e-05, 0.1, 1.0, 5e-324],
+            weights=[1e+16, -1e-05, 5e-324, -5e-324, 1e22, -0.1, 2.0],
+            reference="m", zeta=1e-05,
+        )
+        text = self._check(dm)
+        for spelling in ("1e-05", "1e+16", "5e-324", "-0.0", "1e+22", "-2.5e-300"):
+            assert spelling in text
+        self._check_every_chunk_size(dm, monkeypatch)
 
 
 def _lp_norm(mu, zeta=1.0):

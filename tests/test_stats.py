@@ -177,6 +177,20 @@ class TestCorrelationBirkhoff:
         got = correlation_birkhoff(sys_, u, g, 6, **kw)
         assert got.to_dict() == _birkhoff_per_step(sys_, u, g, 6, **kw).to_dict()
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(burn_in=-1), "burn_in"),
+        (dict(orbits=1), "orbits"),
+        (dict(orbits=0), "orbits"),
+        (dict(samples_per_orbit=0), "samples_per_orbit"),
+        (dict(N=0), "N"),
+    ])
+    def test_invalid_arguments_raise(self, tsujii_system, kw, match):
+        # raised before any orbit array is filled, with no numpy warning
+        y = Observable.coord_y()
+        args = dict(N=2, orbits=4, burn_in=0, samples_per_orbit=5) | kw
+        with pytest.raises(ValueError, match=match):
+            correlation_birkhoff(tsujii_system, y, y, **args)
+
     def test_non_elementwise_observable_raises(self, tsujii_system):
         y = Observable.coord_y()
         first_only = Observable(fn=lambda x, y: np.asarray(y, dtype=float)[:1], name="first")
