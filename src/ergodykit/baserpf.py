@@ -410,7 +410,7 @@ def _densify(src: np.ndarray, w: np.ndarray) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RPFDiscretization:
     """Grid discretization of the transfer operator with its eigendata.
 
@@ -432,6 +432,7 @@ class RPFDiscretization:
     precision in operator applications.  The value is immutable: derived
     operators (``twisted_operator``) and measurements
     (``spectral_radius_on_kernel``) are returned, never stored on it.
+    ``==`` and ``hash`` go by identity.
     """
 
     n: int

@@ -11,6 +11,7 @@ round-trip ``repr``, so files can be re-ingested bit-faithfully.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys as _sys
 from dataclasses import dataclass, field
@@ -18,10 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .baserpf import ConstructionError, Potential, build_rpf, check_hypotheses
+from .baserpf import (
+    ConstructionError,
+    Potential,
+    RPFDiscretization,
+    build_rpf,
+    check_hypotheses,
+)
 from .disint import (
     DisintegratedMeasure,
     Observable,
+    _write_json_floats,
     convert_reference,
     disintegration_holder,
     l1_norm,
@@ -308,12 +316,32 @@ def _np_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _write_json(path: Path, payload: dict | DisintegratedMeasure):
+def _write_eigen_json(fh, rpf: RPFDiscretization):
+    """Write ``json.dumps(rpf.eigen_dict(), indent=1, sort_keys=True)`` and
+    a newline to ``fh``, byte for byte, with h, m and nu streamed from
+    their arrays.  The eigendata is finite, so every float is its repr."""
+    fh.write('{\n "h": ')
+    _write_json_floats(fh, rpf.h)
+    fh.write(',\n "lambda": %r,\n "m": ' % float(rpf.lam))
+    _write_json_floats(fh, rpf.m)
+    fh.write(',\n "nu": ')
+    _write_json_floats(fh, rpf.nu)
+    fh.write(
+        ',\n "resid_left": %r,\n "resid_right": %r\n}\n'
+        % (float(rpf.resid_left), float(rpf.resid_right))
+    )
+
+
+def _write_json(path: Path, payload: dict | DisintegratedMeasure | RPFDiscretization):
     """Indented, key-sorted JSON of ``payload``; a measure is streamed from
-    its flat arrays (``DisintegratedMeasure.write_json``) to the same bytes."""
+    its flat arrays (``DisintegratedMeasure.write_json``) and a
+    discretization's eigendata from its vectors, to the same bytes as
+    ``json.dumps`` of ``to_dict()`` / ``eigen_dict()``."""
     with open(path, "w") as fh:
         if isinstance(payload, DisintegratedMeasure):
             payload.write_json(fh)
+        elif isinstance(payload, RPFDiscretization):
+            _write_eigen_json(fh, payload)
         else:
             fh.write(json.dumps(payload, indent=1, sort_keys=True, default=_np_default) + "\n")
 
@@ -351,7 +379,7 @@ def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
     _, rpf, mu, report = _equilibrium(cfg, out_dir)
     if "json" in cfg.formats:
         _write_json(out_dir / "equilibrium.json", mu)
-        _write_json(out_dir / "eigen.json", rpf.eigen_dict())
+        _write_json(out_dir / "eigen.json", rpf)
         _write_json(out_dir / "convergence.json", report.to_dict())
     if "csv" in cfg.formats:
         _write_csv(
@@ -459,6 +487,20 @@ def cmd_gallery() -> int:
 
 
 def main(argv=None) -> int:
+    """Run one ``ergodykit`` command; returns its exit code (0, 2 or 3).
+
+    The first thing ``main`` does is ``gc.freeze()``: every object alive at
+    that point (the imported numpy, stdlib and ergodykit modules, classes
+    and functions) moves to the collector's permanent generation.  The
+    collections that interpreter shutdown runs skip that generation, so a
+    CLI process no longer walks and frees its import-time heap object by
+    object on exit.  The freeze is not undone on return.  An in-process
+    caller inherits it: cyclic garbage that exists when it calls ``main``
+    is never collected (``gc.unfreeze()`` undoes that), while objects
+    created afterwards, and acyclic ones freed by reference counting, are
+    collected as before.  Importing the package changes nothing.
+    """
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="ergodykit",
         description="equilibrium states of piecewise partially hyperbolic skew products",

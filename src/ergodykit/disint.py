@@ -93,7 +93,7 @@ def _write_json_floats(fh: TextIO, values: np.ndarray):
     fh.write("\n ]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisintegratedMeasure:
     """Marginal density plus the fiber restriction over each base cell.
 
@@ -105,7 +105,8 @@ class DisintegratedMeasure:
     is the mass of restriction j (the operators compute the two
     separately, so they agree to roundoff).  The serialized form keeps a
     ``"normalized"`` key, always false; files with ``"normalized": true``
-    store unit-mass fibers and are scaled by phi1 on reading.
+    store unit-mass fibers and are scaled by phi1 on reading.  ``==`` and
+    ``hash`` go by identity.
     """
 
     x: np.ndarray

@@ -51,14 +51,15 @@ def _checked_positions(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.clip(pos, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicSignedMeasure:
     """A finite signed combination of Dirac atoms on [0, 1].
 
     ``positions`` and ``weights`` are parallel arrays.  A measure is
     *canonical* when positions are strictly increasing and no weight is
     zero; all constructors here return canonical measures.  Instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads.  ``==`` and ``hash`` go by
+    identity; compare the arrays to compare contents.
     """
 
     positions: np.ndarray
@@ -290,17 +291,11 @@ def _lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 def _group_sums(new_group: np.ndarray, *values: np.ndarray):
     """Sums of each run of ``values`` that ``new_group`` starts, in order.
 
-    ``np.add.at`` adds each run in index order from 0.0, whatever the
-    other runs hold.
+    ``np.bincount`` adds each run in index order from 0.0, whatever the
+    other runs hold, as ``np.add.at`` into zeros would, to the same bits.
     """
     idx = np.cumsum(new_group) - 1
-    k = int(idx[-1]) + 1
-    sums = []
-    for v in values:
-        s = np.zeros(k)
-        np.add.at(s, idx, v)
-        sums.append(s)
-    return sums
+    return [np.bincount(idx, weights=v) for v in values]
 
 
 def canonicalize_segments(cell: np.ndarray, pos: np.ndarray, w: np.ndarray):

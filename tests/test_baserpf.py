@@ -52,6 +52,11 @@ class TestEigenOracles:
         assert np.max(np.abs(rpf.h - 1.0)) < 1e-8
         assert np.max(np.abs(rpf.nu - 1.0 / 64)) < 1e-8
 
+    def test_equal_content_discretizations_compare_and_hash_by_identity(self, tripling_rpf):
+        a, b = tripling_rpf, dataclasses.replace(tripling_rpf)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_tripling_log3_is_averaging(self, tripling_rpf):
         rpf = tripling_rpf
         assert rpf.lam == pytest.approx(1.0, abs=1e-8)

@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+import io
 import json
 import os
 import re
@@ -5,12 +8,14 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ergodykit
+from ergodykit import cli, disint
 from ergodykit.cli import main, parse_config, ConfigError, RunConfig
 from ergodykit.disint import DisintegratedMeasure
 
@@ -174,6 +179,41 @@ class TestEquilibriumCommand:
         conv = json.loads((out / "convergence.json").read_text())
         assert conv["realized_delta_max"] == conv["compress_delta"]
         assert conv["compress_error_bound"] == conv["compress_delta"]
+
+
+class TestEigenJson:
+    """eigen.json is streamed from the eigenvectors to the bytes of
+    ``json.dumps(rpf.eigen_dict(), indent=1, sort_keys=True)`` and a newline."""
+
+    @staticmethod
+    def _text(rpf):
+        buf = io.StringIO()
+        cli._write_eigen_json(buf, rpf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("name", [e.name for e in ergodykit.gallery()])
+    def test_bytes_match_json_dumps(self, name, monkeypatch):
+        system = ergodykit.gallery_entry(name).build()
+        full = ergodykit.build_rpf(system.base, system.potential, 97)
+        # build_rpf needs 8 cells; the list text at 1 and 2 entries comes
+        # from the first vector entries of the n = 97 discretization
+        for n in (1, 2, 97):
+            rpf = dataclasses.replace(full, n=n, h=full.h[:n], m=full.m[:n], nu=full.nu[:n])
+            want = json.dumps(rpf.eigen_dict(), indent=1, sort_keys=True) + "\n"
+            assert self._text(rpf) == want
+            monkeypatch.setattr(disint, "_JSON_CHUNK_ATOMS", 1)
+            assert self._text(rpf) == want
+            monkeypatch.undo()
+
+    def test_cli_writes_it_without_eigen_dict(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the CLI serialized the eigendata through eigen_dict")
+
+        monkeypatch.setattr(ergodykit.RPFDiscretization, "eigen_dict", refuse)
+        cfg, out = write_config(tmp_path)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        text = (out / "eigen.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
 class TestVerifyCommand:
@@ -471,6 +511,53 @@ class TestModuleEntryPoint:
         done = _fresh("-m", "ergodykit", "equilibrium")
         assert done.returncode == 2
         assert done.stderr.strip() == "error: --config is required"
+
+
+class TestCollectorFreeze:
+    """``main`` freezes the heap that exists when it is called, so that
+    interpreter shutdown skips it, and changes nothing else of the collector."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_freezes_and_keeps_enabled_state(self, tmp_path, enabled):
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG)
+        was_enabled = gc.isenabled()
+        gc.unfreeze()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert gc.get_freeze_count() == 0
+            assert main(["equilibrium", "--config", str(cfg)]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() > 0
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_cycle_made_after_main_is_collected(self, tmp_path):
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        assert ref() is not None
+        gc.collect()
+        assert ref() is None
+
+    def test_fresh_interpreter_writes_same_bytes(self, tmp_path):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        fresh_out = tmp_path / "fresh"
+        done = _fresh("-m", "ergodykit", "equilibrium", "--config", str(cfg),
+                      "--out", str(fresh_out))
+        assert done.returncode == 0, done.stderr
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in fresh_out.iterdir())
+        assert len(names) == 4
+        for name in names:
+            assert (fresh_out / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestImportFootprint:

@@ -616,6 +616,12 @@ class TestFlatLayout:
             weights=np.asarray(weights, dtype=float), reference="m",
         )
 
+    def test_equal_content_measures_compare_and_hash_by_identity(self):
+        args = ([0, 2, 2, 3], [0.1, 0.4, 0.4], [0.5, -1.0, 2.0])
+        a, b = self._dm(*args), self._dm(*args)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_valid_layout_and_fibers(self):
         dm = self._dm([0, 2, 2, 3], [0.1, 0.4, 0.4], [0.5, -1.0, 2.0])
         assert [f.to_pairs() for f in dm.fibers] == [

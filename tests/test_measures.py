@@ -17,6 +17,7 @@ from ergodykit.measures import (
     total_variation,
     zero_measure,
 )
+from ergodykit import measures
 from ergodykit.dualnorm import _dual_norm_lp
 
 from conftest import canonicalize_loop, compress_loop, compress_to_cap_loop, random_measure
@@ -36,6 +37,14 @@ atoms_strategy = st.lists(
     min_size=0,
     max_size=24,
 )
+
+
+class TestIdentity:
+    def test_equal_content_measures_compare_and_hash_by_identity(self):
+        pos, w = np.array([0.2, 0.7]), np.array([1.0, -0.5])
+        a, b = AtomicSignedMeasure(pos, w), AtomicSignedMeasure(pos, w)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestCanonicalize:
@@ -269,3 +278,40 @@ class TestOneCellKernels:
         want, want_used = compress_to_cap_loop(mu, delta, cap)
         self._same(out, want)
         assert used == want_used
+
+
+class TestGroupSums:
+    """``_group_sums`` against ``np.add.at`` into zeros, bit for bit."""
+
+    @staticmethod
+    def _add_at(new_group, v):
+        idx = np.cumsum(new_group) - 1
+        out = np.zeros(int(idx[-1]) + 1)
+        np.add.at(out, idx, v)
+        return out
+
+    def test_matches_add_at(self):
+        rng = np.random.default_rng(17)
+        sizes = np.r_[np.arange(1, 201), rng.integers(1, 201, size=100)]
+        rng.shuffle(sizes)
+        new_group = np.zeros(int(sizes.sum()), dtype=bool)
+        new_group[np.r_[0, np.cumsum(sizes)[:-1]]] = True
+        n = new_group.size
+        mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, size=n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        # runs of -0.0 only, of cancelling pairs, and of one tiny atom next to huge ones
+        cancel = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n] * np.resize([1.0, -1.0], n)
+        spiky = np.where(rng.random(n) < 0.1, 1e300, 5e-324) * rng.choice([-1.0, 1.0], n)
+        values = (mixed, zeros, np.full(n, -0.0), cancel, spiky)
+        got = measures._group_sums(new_group, *values)
+        assert len(got) == len(values)
+        for g, v in zip(got, values):
+            assert g.tobytes() == self._add_at(new_group, v).tobytes()
+        assert np.signbit(got[2]).sum() == 0  # a run of -0.0 sums to +0.0 from 0.0
+
+    def test_one_group_and_singletons(self):
+        v = np.array([0.1, 0.2, 0.3, -0.6])
+        for new_group in ([True, False, False, False], [True] * 4):
+            new_group = np.array(new_group)
+            (got,) = measures._group_sums(new_group, v)
+            assert got.tobytes() == self._add_at(new_group, v).tobytes()
