@@ -3,7 +3,9 @@
 The configuration is a flat structured-text file of ``[section]`` headers
 and ``key = value`` lines (no nesting), so any language can write one.
 Exit codes are a stable contract: 0 success, 2 configuration error
-(message anchored to the offending line), 3 numeric failure.  CSV floats
+(message anchored to the offending line), 3 numeric failure (running out
+of memory included).  Every integer value must fit in 64 bits, as numpy
+holds it.  CSV floats
 are printed with 17 significant digits and JSON floats as their shortest
 round-trip ``repr``, so files can be re-ingested bit-faithfully.
 """
@@ -164,6 +166,8 @@ def _parse_value(raw: str, typ, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not np.isfinite(val):
         raise ConfigError(f"{where}: value {raw!r} is not finite")
+    if typ is int and not -(2**63) <= val < 2**63:
+        raise ConfigError(f"{where}: value {raw!r} does not fit in 64 bits")
     return val
 
 
@@ -545,8 +549,8 @@ def main(argv=None) -> int:
     except (ConfigError, ConstructionError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=_sys.stderr)
+    except (NumericError, MemoryError) as exc:
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=_sys.stderr)
         return 3
 
 

@@ -310,10 +310,10 @@ class DisintegratedMeasure:
 class Observable:
     """A function on Sigma with a declared zeta-Holder bound.
 
-    ``fn(x, y)`` takes a base point and an array of fiber points.
-    Birkhoff averages call it once on the paired (time, orbit) arrays of
-    a whole trajectory, so it should also be elementwise in x, for arrays
-    of any shape (the constructors below are).
+    ``fn(x, y)`` must be elementwise in x and y: every caller makes one
+    call on paired arrays of base and fiber points (all atoms of a
+    measure, or the (time, orbit) arrays of Birkhoff orbits), and a
+    result of another shape raises ValueError.
     ``holder_bound`` is |s|_zeta = H_zeta(s) + |s|_inf for the max metric
     on the product space; it must dominate every sampled quotient.  It is
     declared by whoever builds the observable (the constructors below give
@@ -358,11 +358,22 @@ class Observable:
         )
 
 
-def _fiber_eval(fn, x: float, pos: np.ndarray, w: np.ndarray) -> float:
-    """Integral of fn(x, .) against the atoms (pos, w) of one fiber."""
-    if pos.size == 0:
-        return 0.0
-    return float(np.dot(w, np.asarray(fn(x, pos), dtype=float)))
+def _elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn(x, y) for an observable or fiber map ``fn`` on broadcastable
+    arrays of base and fiber points, as a float array of their shape.
+
+    Raises ValueError, naming ``fn``, when the result has another shape:
+    the callable is not elementwise in x and y.
+    """
+    out = np.asarray(fn(x, y), dtype=float)
+    shape = np.broadcast(x, y).shape
+    if out.shape != shape:
+        name = getattr(fn, "name", getattr(fn, "__name__", type(fn).__name__))
+        raise ValueError(
+            f"{name!r} returned shape {out.shape} for points of shape {shape}; "
+            "observables and fiber maps must be elementwise in x and y"
+        )
+    return out
 
 
 def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.ndarray:
@@ -418,8 +429,6 @@ def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
     positions with different values give inf, a non-finite value NaN.
     """
     v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return 0.0
     if positions is None:
         positions = (np.arange(v.size) + 0.5) / v.size
     return discrete_holder_constant(np.asarray(positions, dtype=float), v, _as_zeta(zeta))
@@ -504,34 +513,28 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
 def multiply_observable(dm: DisintegratedMeasure, s) -> DisintegratedMeasure:
     """The signed measure s * mu.
 
-    Each restriction has its atoms reweighted by s(x_j, .), and the new
-    marginal phi1[j] is the mass of the reweighted restriction.
+    Each restriction has its atoms reweighted by s(x_j, .), evaluated by
+    one call of s on every atom, and the new marginal phi1[j] is the mass
+    of the reweighted restriction, summed cell by cell in atom order.
     """
-    fn = s.fn if isinstance(s, Observable) else s
-    new_phi1 = np.zeros(dm.n)
-    sv = np.ones(dm.positions.size)
-    off = dm.offsets.tolist()
-    for j in range(dm.n):
-        a, b = off[j], off[j + 1]
-        if a == b:
-            continue
-        sv[a:b] = fn(float(dm.x[j]), dm.positions[a:b])
-        new_phi1[j] = float(np.dot(dm.weights[a:b], sv[a:b]))
-    return dm._reweighted(sv, phi1=new_phi1)
+    cells = dm.atom_cells
+    sv = _elementwise(s, dm.x[cells], dm.positions)
+    phi1 = np.bincount(cells, weights=dm.weights * sv, minlength=dm.n)
+    return dm._reweighted(sv, phi1=phi1)
 
 
 def integrate(dm: DisintegratedMeasure, g) -> float:
-    """Integral of an observable: sum_j ref_j * <restriction_j, g(x_j, .)>."""
-    fn = g.fn if isinstance(g, Observable) else g
-    off = dm.offsets.tolist()
-    total = 0.0
-    for j in range(dm.n):
-        rmj = float(dm.ref_masses[j])
-        if rmj == 0.0:
-            continue
-        a, b = off[j], off[j + 1]
-        total += rmj * _fiber_eval(fn, float(dm.x[j]), dm.positions[a:b], dm.weights[a:b])
-    return total
+    """Integral of an observable: sum_j ref_j * <restriction_j, g(x_j, .)>.
+
+    g is called once, on the atoms of the cells of positive reference
+    mass; the other cells add nothing, whatever g is there.
+    """
+    cells = dm.atom_cells
+    live = dm.ref_masses[cells] > 0
+    cells = cells[live]
+    gv = _elementwise(g, dm.x[cells], dm.positions[live])
+    per_cell = np.bincount(cells, weights=dm.weights[live] * gv, minlength=dm.n)
+    return float(np.dot(dm.ref_masses, per_cell))
 
 
 def product_measure(

@@ -19,6 +19,7 @@ from .baserpf import RPFDiscretization
 from .disint import (
     DisintegratedMeasure,
     Observable,
+    _elementwise,
     integrate,
     multiply_observable,
     sinf_norm,
@@ -153,17 +154,6 @@ def correlation_operator(
     )
 
 
-def _eval_pairs(obs: Observable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate an observable on paired arrays of orbit points."""
-    out = np.asarray(obs.fn(xs, ys), dtype=float)
-    if out.shape != xs.shape:
-        raise ValueError(
-            f"observable {obs.name!r} returned shape {out.shape} for {xs.shape} "
-            "orbit points; it must be elementwise in x and y"
-        )
-    return out
-
-
 def correlation_birkhoff(
     sys: SkewSystem,
     u: Observable,
@@ -215,13 +205,13 @@ def correlation_birkhoff(
         if t >= burn_in:
             xs[t - burn_in] = x
             ys[t - burn_in] = y
-        y_new = np.asarray(sys.fiber(x, y), dtype=float)
+        y_new = _elementwise(sys.fiber, x, y)
         x = sys.base.apply(x)
         if orbit_noise:
             x = np.mod(x + noise[t], 1.0)
         y = y_new
-    u_traj = _eval_pairs(u, xs, ys)
-    g_traj = _eval_pairs(g, xs, ys)
+    u_traj = _elementwise(u, xs, ys)
+    g_traj = _elementwise(g, xs, ys)
     t_use = samples_per_orbit
     mu_u = u_traj[:t_use].mean(axis=0)
     mu_g = g_traj[:t_use].mean(axis=0)

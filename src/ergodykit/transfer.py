@@ -38,6 +38,7 @@ from .disint import (
     DisintegratedMeasure,
     Observable,
     _cell_atoms,
+    _elementwise,
     _offsets,
     _sinf_norms,
     linf_distance,
@@ -85,11 +86,12 @@ DEFAULT_ATOM_CAP = 64
 class FiberMap:
     """Fiber dynamics G(x, .): K -> K with declared contraction data.
 
-    ``fn(x, y)`` must be elementwise over broadcastable arrays x and y:
-    the operator step calls it once on the paired (preimage, atom)
-    arrays of every cell (of every trial at once in the spectral-gap
-    estimate), and Birkhoff orbits once per time step on the arrays of
-    all orbit points.  A scalar x with an array y works as well.
+    ``fn(x, y)`` must be elementwise in x and y, over broadcastable
+    arrays: the operator step calls it once on the paired (preimage,
+    atom) arrays of every cell (of every trial at once in the
+    spectral-gap estimate), Birkhoff orbits once per time step on the
+    arrays of all orbit points, and the sampled checks once on all their
+    samples.  A result of another shape raises ValueError.
     ``alpha`` bounds the fiber contraction
     |G(x, z1) - G(x, z2)| <= alpha |z1 - z2| and ``g_holder`` the
     per-branch x-Holder constant
@@ -136,28 +138,26 @@ class SkewSystem:
         return (self.alpha * self.base.lip_max) ** self.zeta
 
     def sampled_invariants(self, samples: int = 200, seed: int = 0) -> dict:
-        """Spot-check the declared contraction and fiber-Holder bounds."""
+        """Spot-check the declared contraction and fiber-Holder bounds,
+        with one fiber-map call for all contraction pairs and one per
+        branch for the Holder grid."""
         rng = np.random.default_rng(seed)
-        worst_contract = 0.0
-        for _ in range(samples):
-            x = float(rng.uniform())
-            z = rng.uniform(0, 1, size=2)
-            d = abs(z[1] - z[0])
-            if d < 1e-12:
-                continue
-            gz = self.fiber(x, z)
-            worst_contract = max(worst_contract, abs(gz[1] - gz[0]) / d)
+        u = rng.uniform(0, 1, size=(samples, 3))  # x, then two fiber points
+        d = np.abs(u[:, 2] - u[:, 1])
+        gz = _elementwise(self.fiber, u[:, :1], u[:, 1:])
+        keep = d >= 1e-12
+        worst_contract = float(
+            (np.abs(gz[:, 1] - gz[:, 0])[keep] / d[keep]).max(initial=0.0)
+        )
         worst_holder = 0.0
         for b in self.base.branches:
             xs = rng.uniform(b.lo, b.hi, size=samples)
             ys = rng.uniform(0, 1, size=8)
-            vals = np.array([self.fiber(float(x), ys) for x in xs])
-            for a in range(samples - 1):
-                dx = abs(xs[a + 1] - xs[a])
-                if dx < 1e-9:
-                    continue
-                q = float(np.max(np.abs(vals[a + 1] - vals[a]))) / dx**self.zeta
-                worst_holder = max(worst_holder, q)
+            vals = _elementwise(self.fiber, xs[:, None], ys)
+            dx = np.abs(np.diff(xs))
+            keep = dx >= 1e-9
+            q = np.abs(np.diff(vals, axis=0)).max(axis=1)[keep] / dx[keep] ** self.zeta
+            worst_holder = max(worst_holder, float(q.max(initial=0.0)))
         return {
             "contraction_quotient": worst_contract,
             "alpha": self.alpha,
@@ -199,12 +199,7 @@ def _step(
     x = rpf.preimages.T.reshape(-1)[piece_of // 2]
     y = dm.positions[idx]
     w = np.repeat(bw[pieces], counts) * dm.weights[idx]
-    img = np.asarray(sys.fiber(x, y), dtype=float) if y.size else y
-    if img.shape != y.shape:
-        raise ValueError(
-            f"fiber map {sys.fiber.name!r} returned shape {img.shape} for "
-            f"{y.shape} points; it must be elementwise in x and y"
-        )
+    img = _elementwise(sys.fiber, x, y) if y.size else y
     outside = (img < -_RANGE_SLACK) | (img > 1.0 + _RANGE_SLACK)
     if outside.any():
         k = int(np.argmax(outside))
@@ -590,40 +585,38 @@ def check_class_S(
     """Search for a horizontal section fixed by every fiber map.
 
     Solves the 1-d fixed point of G(x, .) on a dense x-sample in every
-    branch domain (the contraction makes plain iteration exact to roundoff)
-    and intersects: returns y0 with sup_x |G(x, y0) - y0| below tol, or
-    None when the fixed points disagree across x.
+    branch domain (the contraction makes plain iteration exact to roundoff;
+    all samples advance together, one fiber-map call per step) and
+    intersects: returns y0 with sup_x |G(x, y0) - y0| below tol, or None
+    when the fixed points disagree across x.
     """
-    candidates = []
-    xs_all = []
-    for b in sys.base.branches:
-        xs = np.linspace(b.lo + 1e-9, b.hi - 1e-9, n_samples)
-        xs_all.append(xs)
-        for x in xs:
-            y = 0.5
-            for _ in range(200):
-                y_new = float(sys.fiber(float(x), np.array([y]))[0])
-                if abs(y_new - y) < 1e-16:
-                    y = y_new
-                    break
-                y = y_new
-            candidates.append(y)
-    y0 = float(np.median(candidates))
-    worst = max(
-        abs(float(sys.fiber(float(x), np.array([y0]))[0]) - y0)
-        for xs in xs_all
-        for x in xs
+    xs = np.concatenate(
+        [np.linspace(b.lo + 1e-9, b.hi - 1e-9, n_samples) for b in sys.base.branches]
     )
+    # every sample iterates from 0.5 until its first step of less than 1e-16
+    y = np.full_like(xs, 0.5)
+    moving = np.ones(xs.size, dtype=bool)
+    for _ in range(200):
+        y_new = _elementwise(sys.fiber, xs, y)
+        settled = np.abs(y_new - y) < 1e-16
+        y = np.where(moving, y_new, y)
+        moving &= ~settled
+        if not moving.any():
+            break
+    y0 = float(np.median(y))
+    worst = float(np.max(np.abs(_elementwise(sys.fiber, xs, np.full_like(xs, y0)) - y0)))
     return y0 if worst < tol else None
 
 
 def reduce_potential(Phi: Observable, y0: float) -> Potential:
-    """Collapse a fiber-fixing potential to the base: x -> Phi(x, y0)."""
-    yarr = np.array([float(y0)])
+    """Collapse a fiber-fixing potential to the base: x -> Phi(x, y0).
+
+    The base potential evaluates Phi once on any array of x it is given.
+    """
 
     def base_fn(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.array([float(Phi.fn(float(x), yarr)[0]) for x in xs])
+        xs = np.asarray(xs, dtype=float)
+        return _elementwise(Phi, xs, np.full_like(xs, float(y0)))
 
     pot = Potential.from_callable(base_fn, zeta=Phi.zeta, name=f"{Phi.name}@y0={y0:g}")
     # the section inherits the ambient Holder bound

@@ -121,6 +121,40 @@ def from_dict_per_cell(d):
     )
 
 
+def integrate_loop(dm, g):
+    """The per-cell ``integrate`` that one array call of the observable
+    replaced: g(x_j, .) on the atoms of each cell of positive reference
+    mass, one ``np.dot`` per cell, the cells added in order."""
+    fn = g.fn if isinstance(g, ek.Observable) else g
+    off = dm.offsets.tolist()
+    total = 0.0
+    for j in range(dm.n):
+        rmj = float(dm.ref_masses[j])
+        a, b = off[j], off[j + 1]
+        if rmj == 0.0 or a == b:
+            continue
+        gv = np.asarray(fn(float(dm.x[j]), dm.positions[a:b]), dtype=float)
+        total += rmj * float(np.dot(dm.weights[a:b], gv))
+    return total
+
+
+def multiply_observable_loop(dm, s):
+    """The per-cell ``multiply_observable`` that one array call of the
+    observable replaced: the atoms of cell j reweighted by s(x_j, .), and
+    phi1[j] their new mass, one ``np.dot`` per cell."""
+    fn = s.fn if isinstance(s, ek.Observable) else s
+    new_phi1 = np.zeros(dm.n)
+    sv = np.ones(dm.positions.size)
+    off = dm.offsets.tolist()
+    for j in range(dm.n):
+        a, b = off[j], off[j + 1]
+        if a == b:
+            continue
+        sv[a:b] = fn(float(dm.x[j]), dm.positions[a:b])
+        new_phi1[j] = float(np.dot(dm.weights[a:b], sv[a:b]))
+    return dm._reweighted(sv, phi1=new_phi1)
+
+
 def holder_rows_all_pairs(x, v, zeta, block=2**18):
     """The all-pairs Holder quotient the pruned ``baserpf._holder_rows``
     replaced: every pair i < j of the sorted, de-tied points, in row blocks

@@ -336,9 +336,9 @@ def test_criterion_11_duality_identity(tsujii_system, tsujii_rpf512,
             s, g = _random_holder_pair(rng)
 
             def g_of_f(x, yy):
-                fx = float(sys_.base.apply(np.array([x]))[0])
                 return np.asarray(
-                    g.fn(fx, sys_.fiber(x, np.asarray(yy, dtype=float))), dtype=float
+                    g.fn(sys_.base.apply(x), sys_.fiber(x, np.asarray(yy, dtype=float))),
+                    dtype=float,
                 )
 
             smu = multiply_observable(mu, s)

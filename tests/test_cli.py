@@ -451,6 +451,29 @@ class TestExitCodes:
         assert err.startswith("config error") and err.count("\n") == 1
         assert re.search(r"bad\.cfg:\d+: seed must be >= 0", err)
 
+    @pytest.mark.parametrize("command, old, new", [
+        # both fail before anything is allocated: numpy cannot index them
+        ("equilibrium", "base_cells = 16", "base_cells = 10000000000000000000"),
+        ("correlations", "seed = 0",
+         "seed = 0\nphysical = true\nmc_burn_in = 100000000000000000000"),
+    ])
+    def test_integer_beyond_64_bits_exits_2(self, tmp_path, capsys, command, old, new):
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG.replace(old, new), name="bad.cfg")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert re.search(r"bad\.cfg:\d+: value '1000+' does not fit in 64 bits", err)
+
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*a, **k):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "build_rpf", exhausted)
+        cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: Unable to allocate 8.00 EiB for an array\n"
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, TSUJII_16_CONFIG)
         assert main(["correlations", "--config", str(cfg), "--seed", "-1"]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 import ergodykit as ek
 from ergodykit import disint
-from ergodykit.cli import RunConfig, build_system
+from ergodykit.cli import _OBSERVABLES, RunConfig, build_system
 from ergodykit.disint import (
     DisintegratedMeasure,
     Observable,
@@ -33,9 +33,14 @@ from ergodykit.measures import (
     uniform_atoms,
     zero_measure,
 )
-from ergodykit.transfer import _random_zero_average, initial_product
+from ergodykit.transfer import _random_zero_average, apply_F_phih_normalized, initial_product
 
-from conftest import from_dict_per_cell, random_measure
+from conftest import (
+    from_dict_per_cell,
+    integrate_loop,
+    multiply_observable_loop,
+    random_measure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +139,15 @@ class TestHolderConstant:
     def test_constant_vector(self):
         assert holder_constant(np.ones(32), 1.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_value_is_nan(self, bad):
+        assert np.isnan(holder_constant([bad], 1.0))
+        assert np.isnan(holder_constant([bad], 0.5))
+
+    def test_fewer_than_two_finite_values(self):
+        assert holder_constant([], 1.0) == 0.0
+        assert holder_constant([3.0], 0.5) == 0.0
+
     def test_identity_on_midpoints(self):
         x = (np.arange(64) + 0.5) / 64
         assert holder_constant(x, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -215,7 +229,7 @@ class TestMultiplyObservable:
 
     def test_base_only_observable_scales_marginal(self, rpf64):
         psi = Observable(fn=lambda x, y: np.full_like(np.asarray(y, dtype=float),
-                                                      np.cos(float(x))),
+                                                      np.cos(x)),
                          zeta=1.0, holder_bound=2.0)
         dm = product_measure(np.ones(64), uniform_atoms(4), rpf=rpf64, reference="m")
         out = multiply_observable(dm, psi)
@@ -270,6 +284,79 @@ class TestIntegrate:
         dm = product_measure(np.ones(64), dirac(0.0), rpf=rpf64, reference="nu")
         got = integrate(dm, Observable.coord_x())
         assert got == pytest.approx(0.5, abs=1.0 / 64)
+
+
+def _gallery_measures(name):
+    """Measures on a gallery system at n = 32: three normalized steps from a
+    two-atom product (positive, several atoms per cell), a random signed
+    zero-average measure, and that signed measure with every fourth cell
+    emptied and every third cell of zero reference mass."""
+    sys_ = ek.gallery_entry(name).build()
+    rpf = ek.build_rpf(sys_.base, sys_.potential, 32)
+    pos = initial_product(rpf, 0.5 * dirac(0.2) + 0.5 * dirac(0.9), zeta=sys_.zeta)
+    for _ in range(3):
+        pos = apply_F_phih_normalized(sys_, rpf, pos)
+    signed = _random_zero_average(rpf, sys_.zeta, np.random.default_rng(8))
+    keep = signed.atom_cells % 4 != 0
+    holey = signed.with_atoms(
+        signed.atom_cells[keep], signed.positions[keep], signed.weights[keep],
+        ref_masses=np.where(np.arange(32) % 3 == 0, 0.0, signed.ref_masses),
+    )
+    return {"positive": pos, "signed": signed, "holey": holey}
+
+
+GALLERY_MEASURES = {e.name: _gallery_measures(e.name) for e in ek.gallery()}
+
+
+class TestObservableArrayCall:
+    """``integrate`` and ``multiply_observable`` call the observable once on
+    every atom and sum cell by cell; the per-cell loops they replaced
+    (``conftest.integrate_loop`` / ``multiply_observable_loop``) agree."""
+
+    @pytest.mark.parametrize("obs", sorted(_OBSERVABLES))
+    @pytest.mark.parametrize("kind", ["positive", "signed", "holey"])
+    @pytest.mark.parametrize("system", sorted(GALLERY_MEASURES))
+    def test_matches_per_cell_loops(self, system, kind, obs):
+        dm = GALLERY_MEASURES[system][kind]
+        g = _OBSERVABLES[obs](dm.zeta)
+        assert integrate(dm, g) == pytest.approx(integrate_loop(dm, g), rel=0, abs=1e-12)
+        got, want = multiply_observable(dm, g), multiply_observable_loop(dm, g)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.allclose(got.phi1, want.phi1, rtol=0, atol=1e-12)
+        assert np.array_equal(got.ref_masses, dm.ref_masses)
+
+    def test_zero_reference_mass_cells_add_nothing(self):
+        dm = GALLERY_MEASURES["tsujii"]["holey"]
+        dead = dm.ref_masses == 0.0
+        x_dead = dm.x[dead]
+        g = Observable(fn=lambda x, y: np.where(np.isin(x, x_dead), np.nan, y), name="nan")
+        got = integrate(dm, g)
+        assert np.isfinite(got)
+        assert got == pytest.approx(integrate_loop(dm, g), rel=0, abs=1e-12)
+
+    def test_observable_called_once(self):
+        dm = GALLERY_MEASURES["tsujii"]["holey"]
+        shapes = []
+
+        def fn(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return np.asarray(y, dtype=float)
+
+        obs = Observable(fn=fn)
+        integrate(dm, obs)
+        live = int(np.count_nonzero(dm.ref_masses[dm.atom_cells] > 0))
+        assert shapes == [((live,), (live,))]
+        multiply_observable(dm, obs)
+        assert shapes[1:] == [((dm.positions.size,), (dm.positions.size,))]
+
+    @pytest.mark.parametrize("fn", [integrate, multiply_observable])
+    def test_non_elementwise_observable_raises(self, rpf64, fn):
+        first = Observable(fn=lambda x, y: np.asarray(y, dtype=float)[:1], name="first")
+        dm = product_measure(np.ones(64), uniform_atoms(4), rpf=rpf64, reference="m")
+        with pytest.raises(ValueError, match="'first'.*elementwise"):
+            fn(dm, first)
 
 
 class TestProductMeasure:

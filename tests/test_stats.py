@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ergodykit as ek
+from ergodykit.cli import _OBSERVABLES
 from ergodykit.disint import Observable, integrate
 from ergodykit.stats import (
     CorrelationTable,
@@ -198,6 +199,14 @@ class TestCorrelationBirkhoff:
             correlation_birkhoff(tsujii_system, first_only, y, N=1, orbits=4, burn_in=0,
                                  samples_per_orbit=5)
 
+    def test_non_elementwise_fiber_map_raises(self, tsujii_system):
+        y = Observable.coord_y()
+        first_only = ek.FiberMap(fn=lambda x, y: 0.5 * np.asarray(y)[:1], alpha=0.5,
+                                 name="first")
+        bad = ek.SkewSystem(tsujii_system.base, first_only, tsujii_system.potential)
+        with pytest.raises(ValueError, match="'first'.*elementwise"):
+            correlation_birkhoff(bad, y, y, N=1, orbits=4, burn_in=0, samples_per_orbit=5)
+
 
 def _birkhoff_per_step(sys_, u, g, N, orbits, burn_in, rng_seed, samples_per_orbit,
                        orbit_noise):
@@ -234,11 +243,9 @@ class TestElementwiseObservables:
     """The library and CLI observables on paired arrays (1-d and 2-d) equal
     scalar-x calls."""
 
-    @pytest.mark.parametrize("name", ["one", "x", "y", "cosx", "cosy", "xy"])
+    @pytest.mark.parametrize("name", sorted(_OBSERVABLES))
     def test_paired_arrays_match_scalar_calls(self, name):
-        from ergodykit.cli import _observable
-
-        obs = _observable(name, 1.0)
+        obs = _OBSERVABLES[name](1.0)
         rng = np.random.default_rng(5)
         xs = np.r_[0.0, 0.5, 1.0, rng.uniform(0, 1, 100)]
         ys = np.r_[1.0, 0.0, 0.5, rng.uniform(0, 1, 100)]

@@ -151,6 +151,10 @@ class TestElementwiseFiberMaps:
         assert np.array_equal(paired, scalar)
         grid = f(xs[:, None], ys[None, :8])
         assert np.array_equal(grid, np.array([f(float(x), ys[:8]) for x in xs]))
+        # (k, m) arrays of paired points, as the sampled checks pass them
+        paired_2d = f(xs[4:].reshape(20, 10), ys[4:].reshape(20, 10))
+        assert paired_2d.shape == (20, 10)
+        assert np.array_equal(paired_2d.ravel(), scalar[4:])
 
     def test_split_point_takes_left_piece(self):
         assert FIBER_MAPS["mp-discontinuous"](np.array([0.5, 0.75]), np.ones(2)).tolist() == [

@@ -417,6 +417,21 @@ class TestReducePotential:
         xs = np.linspace(0, 1, 50)
         assert np.allclose(pot.fn(xs), np.cos(xs))
 
+    def test_reduced_potential_discretizes(self):
+        # build_rpf evaluates the potential once on the (deg, n) preimages
+        base = ek.linear_expanding(2)
+        Phi = Observable(fn=lambda x, y: np.sin(x) + np.asarray(y, dtype=float),
+                         zeta=1.0, holder_bound=3.0)
+        got = ek.build_rpf(base, reduce_potential(Phi, 0.25), 64)
+        want = ek.build_rpf(base, ek.Potential.from_callable(lambda x: Phi.fn(x, 0.25)), 64)
+        for field in ("lam", "h", "nu", "m", "wphi", "weights"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_non_elementwise_potential_raises(self):
+        Phi = Observable(fn=lambda x, y: np.sum(np.asarray(y, dtype=float)), name="total")
+        with pytest.raises(ValueError, match="'total'.*elementwise"):
+            reduce_potential(Phi, 0.0)
+
     def test_multiplicative_form(self):
         Phi = Observable(fn=lambda x, y: np.cos(x) * (1.0 + np.asarray(y, dtype=float)),
                          zeta=1.0, holder_bound=4.0)
@@ -477,9 +492,9 @@ class TestDuality:
             lhs = integrate(apply_F_phih_normalized(tsujii_system, rpf, smu), g)
 
             def g_of_F(x, y):
-                fx = float(tsujii_system.base.apply(np.array([x]))[0])
                 return np.asarray(
-                    g.fn(fx, tsujii_system.fiber(x, np.asarray(y, dtype=float))),
+                    g.fn(tsujii_system.base.apply(x),
+                         tsujii_system.fiber(x, np.asarray(y, dtype=float))),
                     dtype=float,
                 )
 
