@@ -56,7 +56,6 @@ from .transfer import (
     apply_F_phih_normalized,
     check_class_S,
     estimate_spectral_gap,
-    initial_product,
     iterate_to_equilibrium,
     reduce_potential,
     regularity_constants,

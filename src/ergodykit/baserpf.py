@@ -10,6 +10,7 @@ checked empirically through grid refinement and analytic special cases.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -86,12 +87,24 @@ def _branch_table(branches) -> tuple[np.ndarray, np.ndarray]:
     the branch of each gap.
     """
     last = len(branches) - 1
-    claims = [(b.lo, b.hi) for b in branches[:last]]
-    edges = np.array(sorted({float(e) for c in claims for e in c}))
+    lo, hi = np.array([(b.lo, b.hi) for b in branches[:last]], dtype=float).reshape(-1, 2).T
+    edges = np.array(sorted(set(lo.tolist() + hi.tolist())))
     pick = np.full(edges.size + 1, last, dtype=np.intp)
+    # claim i holds the gaps first[i]..final[i]; one sweep over the gaps keeps
+    # the claims begun in a heap, earliest on top, dropping ended ones: O(l log l)
+    first = (np.searchsorted(edges, lo) + 1).tolist()
+    final = np.searchsorted(edges, hi).tolist()
+    order = sorted(range(last), key=first.__getitem__)
+    k = 0
+    held: list[tuple[int, int]] = []
     for g in range(1, edges.size):
-        lo, hi = edges[g - 1], edges[g]
-        pick[g] = next((i for i, (a, b) in enumerate(claims) if a <= lo and hi <= b), last)
+        while k < last and first[order[k]] <= g:
+            heapq.heappush(held, (order[k], final[order[k]]))
+            k += 1
+        while held and held[0][1] < g:
+            heapq.heappop(held)
+        if held:
+            pick[g] = held[0][0]
     return edges, pick
 
 

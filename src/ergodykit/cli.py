@@ -36,6 +36,7 @@ from .disint import (
     disintegration_holder,
     l1_norm,
     linf_norm,
+    product_measure,
     s1_norm,
     sinf_norm,
 )
@@ -57,7 +58,6 @@ from .transfer import (
     DEFAULT_COMPRESS_DELTA,
     SkewSystem,
     estimate_spectral_gap,
-    initial_product,
     iterate_to_equilibrium,
     regularity_constants,
 )
@@ -371,7 +371,7 @@ def _equilibrium(cfg: RunConfig, out_dir: Path):
     fiber at 1, with the run's tolerance, iteration and compression limits.
     """
     system, rpf = _prepare(cfg, out_dir)
-    dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=system.zeta)
+    dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=system.zeta)
     mu, report = iterate_to_equilibrium(
         system, rpf, dm0, tol=cfg.tol, max_iter=cfg.max_iter,
         compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,

@@ -67,6 +67,9 @@ def _offsets(cell: np.ndarray, n: int) -> np.ndarray:
     return off
 
 
+# The keys ``DisintegratedMeasure.to_dict`` writes, the only ones ``from_dict`` reads.
+_DICT_KEYS = frozenset("fibers n normalized phi1 ref_masses reference x zeta".split())
+
 # Atoms (and entries of the per-cell lists) that one write of
 # ``DisintegratedMeasure.write_json`` formats: a few MB of text and floats.
 _JSON_CHUNK_ATOMS = 2**14
@@ -100,13 +103,13 @@ class DisintegratedMeasure:
     The restrictions of all cells share one CSR layout: the atoms over
     cell j are ``positions[offsets[j]:offsets[j+1]]`` with the weights at
     the same indices, positions strictly increasing within a cell and no
-    weight zero.  ``from_fibers`` builds a measure from one
-    AtomicSignedMeasure per cell, and ``fibers`` gives them back.  phi1[j]
-    is the mass of restriction j (the operators compute the two
-    separately, so they agree to roundoff).  The serialized form keeps a
-    ``"normalized"`` key, always false; files with ``"normalized": true``
-    store unit-mass fibers and are scaled by phi1 on reading.  ``==`` and
-    ``hash`` go by identity.
+    weight zero.  ``from_atoms`` builds a measure from atoms in any order
+    (``from_fibers``, from one AtomicSignedMeasure per cell, calls it), and
+    ``fibers`` gives the restrictions back.  phi1[j] is the mass of
+    restriction j (the operators compute the two separately, so they
+    agree to roundoff).  The serialized form keeps a ``"normalized"`` key,
+    always false, and ``from_dict`` reads no other.  ``==`` and ``hash``
+    go by identity.
     """
 
     x: np.ndarray
@@ -157,17 +160,31 @@ class DisintegratedMeasure:
         object.__setattr__(self, "zeta", _as_zeta(self.zeta))
 
     @staticmethod
+    def from_atoms(x, ref_masses, phi1, cell, pos, w, reference, zeta) -> "DisintegratedMeasure":
+        """A measure from atoms in any order, atom k over cell ``cell[k]`` of
+        the grid ``x`` at ``pos[k]`` with weight ``w[k]``: positions are
+        checked and clipped to [0, 1], then ``canonicalize_segments``
+        merges, drops and sorts the atoms of every cell."""
+        cell, pos, w = np.asarray(cell, np.intp), np.asarray(pos, float), np.asarray(w, float)
+        n = np.size(x)
+        if cell.size and cell.max() >= n:
+            raise ValueError(f"an atom lies over cell {cell.max()} of a measure of {n} cells")
+        cell, pos, w = canonicalize_segments(cell, _checked_positions(pos, w), w)
+        return DisintegratedMeasure(
+            x=x, ref_masses=ref_masses, phi1=phi1, offsets=_offsets(cell, n),
+            positions=pos, weights=w, reference=reference, zeta=zeta,
+        )
+
+    @staticmethod
     def from_fibers(x, ref_masses, phi1, fibers, reference, zeta=1.0) -> "DisintegratedMeasure":
-        """A measure from one AtomicSignedMeasure per cell, each canonicalized."""
+        """A measure from one AtomicSignedMeasure per cell, by ``from_atoms``."""
         fibers = list(fibers)
         counts = np.fromiter((f.n_atoms for f in fibers), dtype=np.intp, count=len(fibers))
-        cell = np.repeat(np.arange(len(fibers)), counts)
-        pos = np.concatenate([f.positions for f in fibers] or [np.empty(0)])
-        w = np.concatenate([f.weights for f in fibers] or [np.empty(0)])
-        cell, pos, w = canonicalize_segments(cell, pos, w)
-        return DisintegratedMeasure(
-            x=x, ref_masses=ref_masses, phi1=phi1, offsets=_offsets(cell, len(fibers)),
-            positions=pos, weights=w, reference=reference, zeta=zeta,
+        return DisintegratedMeasure.from_atoms(
+            x, ref_masses, phi1, np.repeat(np.arange(len(fibers)), counts),
+            np.concatenate([f.positions for f in fibers] or [np.empty(0)]),
+            np.concatenate([f.weights for f in fibers] or [np.empty(0)]),
+            reference, zeta,
         )
 
     @property
@@ -270,39 +287,29 @@ class DisintegratedMeasure:
     def from_dict(d: dict) -> "DisintegratedMeasure":
         """The measure ``to_dict`` wrote, read straight into the flat layout.
 
-        Each fiber is a list of [position, weight] pairs; positions are
-        range-checked and clipped to [0, 1], then every fiber is
-        canonicalized, and with ``"normalized": true`` (or no such key)
-        its weights are scaled by phi1, as ``AtomicSignedMeasure.from_pairs``
-        followed by ``phi1[j] * fiber`` would do cell by cell.
+        ``d`` must hold exactly the keys ``to_dict`` writes, with
+        ``"normalized"`` false (every fiber stored as a restriction) and
+        ``n`` the number of fibers; anything else raises ValueError.  Each
+        fiber is a list of [position, weight] pairs, and ``from_atoms``
+        builds the measure from all of them.
         """
-        phi1 = np.asarray(d["phi1"], dtype=float)
+        missing, unknown = _DICT_KEYS - set(d), set(d) - _DICT_KEYS
+        if missing or unknown:
+            raise ValueError(f"measure keys missing {sorted(missing)}, unknown {sorted(unknown)}")
+        if d["normalized"] is not False:
+            raise ValueError(f'"normalized" is {d["normalized"]!r}; only restrictions are read')
         fibers = d["fibers"]
+        if d["n"] != len(fibers):
+            raise ValueError(f"n = {d['n']!r} for {len(fibers)} fibers")
         counts = np.fromiter((len(f) for f in fibers), dtype=np.intp, count=len(fibers))
         pairs = np.asarray([p for f in fibers for p in f], dtype=float)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.shape != (counts.sum(), 2):
             raise ValueError("fiber atoms must be [position, weight] pairs")
-        w = pairs[:, 1]
-        cell, pos, w = canonicalize_segments(
-            np.repeat(np.arange(counts.size), counts), _checked_positions(pairs[:, 0], w), w
-        )
-        if d.get("normalized", True):  # unit-mass fibers: scale to restrictions
-            if phi1.shape != counts.shape:
-                raise ValueError(f"{phi1.size} phi1 values for {counts.size} fibers")
-            w = phi1[cell] * w
-            keep = w != 0.0
-            cell, pos, w = cell[keep], pos[keep], w[keep]
-        return DisintegratedMeasure(
-            x=np.asarray(d["x"], dtype=float),
-            ref_masses=np.asarray(d["ref_masses"], dtype=float),
-            phi1=phi1,
-            offsets=_offsets(cell, counts.size),
-            positions=pos,
-            weights=w,
-            reference=d["reference"],
-            zeta=d.get("zeta", 1.0),
+        return DisintegratedMeasure.from_atoms(
+            d["x"], d["ref_masses"], d["phi1"], np.repeat(np.arange(counts.size), counts),
+            pairs[:, 0], pairs[:, 1], d["reference"], d["zeta"],
         )
 
 
@@ -546,20 +553,17 @@ def product_measure(
     zeta=1.0,
 ) -> DisintegratedMeasure:
     """Constant-path disintegration: dens[j] times the same probability
-    fiber over every cell."""
+    fiber over every cell, its atoms tiled over the cells by ``from_atoms``."""
     if abs(fiber.total_mass() - 1.0) > 1e-10:
         raise ValueError("product_measure expects a probability fiber")
     dens = np.asarray(base_density, dtype=float)
     if dens.ndim == 0:
         dens = np.full(rpf.n, float(dens))
     ref = rpf.nu if reference == "nu" else rpf.m
-    return DisintegratedMeasure.from_fibers(
-        x=rpf.x,
-        ref_masses=ref.copy(),
-        phi1=dens,
-        fibers=[float(d) * fiber for d in dens],
-        reference=reference,
-        zeta=zeta,
+    return DisintegratedMeasure.from_atoms(
+        rpf.x, ref.copy(), dens, np.repeat(np.arange(dens.size), fiber.n_atoms),
+        np.tile(fiber.positions, dens.size), (dens.reshape(-1, 1) * fiber.weights).ravel(),
+        reference, zeta,
     )
 
 

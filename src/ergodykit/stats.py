@@ -181,7 +181,8 @@ def correlation_birkhoff(
     base state is jittered by uniform noise of size orbit_noise each step;
     the bias this adds is orders of magnitude below the Monte Carlo error.
     The noise of all steps is drawn in one call, after the initial points.
-    Pass orbit_noise=0 to disable.
+    Pass orbit_noise=0 to disable.  Arrays too big for numpy to address
+    raise MemoryError before anything is drawn.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -193,8 +194,12 @@ def correlation_birkhoff(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if samples_per_orbit < 1:
         raise ValueError(f"samples_per_orbit must be at least 1, got {samples_per_orbit}")
-    rng = np.random.default_rng(rng_seed)
     total = burn_in + samples_per_orbit + N
+    # the largest array below, sized first: numpy refuses it with a ValueError
+    rows = total if orbit_noise else samples_per_orbit + N
+    if rows * orbits * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{rows} x {orbits} floats are more than numpy can address")
+    rng = np.random.default_rng(rng_seed)
     x = rng.uniform(0.0, 1.0, size=orbits)
     y = rng.uniform(0.0, 1.0, size=orbits)
     if orbit_noise:

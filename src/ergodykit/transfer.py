@@ -48,11 +48,9 @@ from .disint import (
 from .dualnorm import _as_zeta
 from .measures import (
     _RANGE_SLACK,
-    AtomicSignedMeasure,
     MeasureDomainError,
     canonicalize_segments,
     compress_to_cap_segments,
-    dirac,
 )
 
 # Nothing here calls the one-fiber compression or the one-measure Sinf norm
@@ -75,7 +73,6 @@ __all__ = [
     "reduce_potential",
     "verify_LY_S1",
     "regularity_constants",
-    "initial_product",
 ]
 
 DEFAULT_COMPRESS_DELTA = 1e-4
@@ -265,25 +262,6 @@ def apply_F_phih_normalized(
     return out
 
 
-def initial_product(
-    rpf: RPFDiscretization,
-    fiber: AtomicSignedMeasure | None = None,
-    reference: str = "m",
-    zeta=1.0,
-) -> DisintegratedMeasure:
-    """The product probability (reference measure) x (given fiber)."""
-    fib = fiber if fiber is not None else dirac(1.0)
-    ref = rpf.nu if reference == "nu" else rpf.m
-    return DisintegratedMeasure.from_fibers(
-        x=rpf.x,
-        ref_masses=ref.copy(),
-        phi1=np.ones(rpf.n),
-        fibers=[fib] * rpf.n,
-        reference=reference,
-        zeta=zeta,
-    )
-
-
 @dataclass
 class ConvergenceReport:
     """Per-iteration distances of the equilibrium iteration and rate data."""
@@ -383,10 +361,14 @@ def iterate_to_equilibrium(
     sqrt(alpha**zeta)) with r_hat the measured kernel decay of the twisted
     base operator.  The report gives the largest compression width any
     cell reached (``realized_delta_max``) and the drift bound of that
-    cell's widths (``compress_error_bound``).
+    cell's widths (``compress_error_bound``).  ``dm0`` must be a
+    probability: its marginal and its restrictions of mass 1 within 1e-8.
     """
-    if abs(dm0.total_mass() - 1.0) > 1e-8:
-        raise ValueError("iterate_to_equilibrium expects a probability measure")
+    cell_mass = np.bincount(dm0.atom_cells, weights=dm0.weights, minlength=dm0.n)
+    masses = (dm0.total_mass(), float(np.dot(dm0.ref_masses, cell_mass)))
+    if max(abs(m - 1.0) for m in masses) > 1e-8:
+        raise ValueError(f"iterate_to_equilibrium expects a probability measure; "
+                         f"its marginal and restrictions have masses {masses}")
     delta = homogeneous_delta(compress_delta, atom_cap)
     cur = dm0
     distances: list[float] = []
@@ -476,17 +458,11 @@ def _random_zero_average(
     cell = np.concatenate([np.flatnonzero(drawn[:, 0]), np.tile(np.flatnonzero(dipole), 2)])
     pos = np.concatenate([u[drawn[:, 0], 0], a[dipole], b[dipole]])
     wts = np.concatenate([phi1[drawn[:, 0]], w[dipole], -w[dipole]])
-    cell, pos, wts = canonicalize_segments(cell, pos, wts)
-    return DisintegratedMeasure(
-        x=rpf.x,
-        ref_masses=rpf.m.copy(),
-        phi1=np.bincount(cell, weights=wts, minlength=n),
-        offsets=_offsets(cell, n),
-        positions=pos,
-        weights=wts,
-        reference="m",
-        zeta=zeta,
+    dm = DisintegratedMeasure.from_atoms(
+        rpf.x, rpf.m.copy(), np.zeros(n), cell, pos, wts, "m", zeta
     )
+    # phi1 is the mass of each restriction, summed in canonical atom order
+    return replace(dm, phi1=np.bincount(dm.atom_cells, weights=dm.weights, minlength=n))
 
 
 def _side_by_side(rpf: RPFDiscretization, k: int) -> RPFDiscretization:

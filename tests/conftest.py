@@ -110,15 +110,47 @@ def compress_to_cap_loop(mu, delta, cap):
 
 
 def from_dict_per_cell(d):
-    """The per-cell reader the flat ``DisintegratedMeasure.from_dict`` replaced."""
-    phi1 = np.asarray(d["phi1"], dtype=float)
-    fibers = [AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]]
-    if d.get("normalized", True):
-        fibers = [float(p) * f for p, f in zip(phi1, fibers, strict=True)]
+    """The per-cell reader the flat ``DisintegratedMeasure.from_dict``
+    replaced: one ``AtomicSignedMeasure.from_pairs`` per fiber.  Reads
+    restriction files only; a file without ``"normalized": false`` (its
+    fibers of unit mass) is refused."""
+    if d.get("normalized", True) is not False:
+        raise ValueError("unit-mass fiber files are not read")
     return ek.DisintegratedMeasure.from_fibers(
         x=np.asarray(d["x"], dtype=float), ref_masses=np.asarray(d["ref_masses"], dtype=float),
-        phi1=phi1, fibers=fibers, reference=d["reference"], zeta=d.get("zeta", 1.0),
+        phi1=np.asarray(d["phi1"], dtype=float),
+        fibers=[AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]],
+        reference=d["reference"], zeta=d["zeta"],
     )
+
+
+def product_measure_per_cell(base_density, fiber, *, rpf, reference="m", zeta=1.0):
+    """The ``product_measure`` that tiling the fiber's atoms replaced: one
+    ``float(dens[j]) * fiber`` per cell, through ``from_fibers``."""
+    if abs(fiber.total_mass() - 1.0) > 1e-10:
+        raise ValueError("product_measure expects a probability fiber")
+    dens = np.asarray(base_density, dtype=float)
+    if dens.ndim == 0:
+        dens = np.full(rpf.n, float(dens))
+    ref = rpf.nu if reference == "nu" else rpf.m
+    return ek.DisintegratedMeasure.from_fibers(
+        x=rpf.x, ref_masses=ref.copy(), phi1=dens,
+        fibers=[float(d) * fiber for d in dens], reference=reference, zeta=zeta,
+    )
+
+
+def branch_table_loop(branches):
+    """The branch lookup table ``baserpf._branch_table`` builds, by the scan
+    it replaced: for every gap between claim edges, the first claim in
+    tuple order that covers it, else the last branch."""
+    last = len(branches) - 1
+    claims = [(b.lo, b.hi) for b in branches[:last]]
+    edges = np.array(sorted({float(e) for c in claims for e in c}))
+    pick = np.full(edges.size + 1, last, dtype=np.intp)
+    for g in range(1, edges.size):
+        lo, hi = edges[g - 1], edges[g]
+        pick[g] = next((i for i, (a, b) in enumerate(claims) if a <= lo and hi <= b), last)
+    return edges, pick
 
 
 def integrate_loop(dm, g):
@@ -230,7 +262,7 @@ def tsujii_rpf128(tsujii_system):
 
 @pytest.fixture(scope="session")
 def tsujii_equilibrium128(tsujii_system, tsujii_rpf128):
-    dm0 = ek.initial_product(tsujii_rpf128, ek.dirac(1.0), reference="m", zeta=1.0)
+    dm0 = ek.product_measure(1.0, ek.dirac(1.0), rpf=tsujii_rpf128, reference="m", zeta=1.0)
     mu, report = ek.iterate_to_equilibrium(
         tsujii_system, tsujii_rpf128, dm0, tol=1e-11, max_iter=90
     )
@@ -245,7 +277,7 @@ def tsujii_rpf512(tsujii_system):
 
 @pytest.fixture(scope="session")
 def tsujii_equilibrium512(tsujii_system, tsujii_rpf512):
-    dm0 = ek.initial_product(tsujii_rpf512, ek.dirac(1.0), reference="m", zeta=1.0)
+    dm0 = ek.product_measure(1.0, ek.dirac(1.0), rpf=tsujii_rpf512, reference="m", zeta=1.0)
     mu, report = ek.iterate_to_equilibrium(
         tsujii_system, tsujii_rpf512, dm0, tol=1e-10, max_iter=90
     )

@@ -32,7 +32,6 @@ from ergodykit.transfer import (
     apply_F_phi,
     apply_F_phih_normalized,
     estimate_spectral_gap,
-    initial_product,
     iterate_to_equilibrium,
     regularity_constants,
 )
@@ -129,7 +128,7 @@ def test_criterion_05_operator_eigen_relation():
     """apply_F_phi fixes the equilibrium up to lambda; mass is conserved."""
     sys_ = gallery_entry("doubling-linear").build()
     rpf = build_rpf(sys_.base, sys_.potential, 64)
-    mu0 = initial_product(rpf, dirac(0.0), reference="nu", zeta=1.0)
+    mu0 = product_measure(1.0, dirac(0.0), rpf=rpf, reference="nu", zeta=1.0)
     out = apply_F_phi(sys_, rpf, mu0)
     marg = float(np.max(np.abs(out.phi1 - rpf.lam * mu0.phi1)))
     fib = max(
@@ -139,7 +138,7 @@ def test_criterion_05_operator_eigen_relation():
     for entry in gallery():
         s = entry.build()
         r = build_rpf(s.base, s.potential, 48)
-        dm = initial_product(r, dirac(1.0), reference="m", zeta=s.zeta)
+        dm = product_measure(1.0, dirac(1.0), rpf=r, reference="m", zeta=s.zeta)
         for _ in range(3):
             dm = apply_F_phih_normalized(s, r, dm)
             mass_worst = max(mass_worst, abs(dm.total_mass() - 1.0))
@@ -173,7 +172,7 @@ def test_criterion_07_convergence_rate(tsujii_equilibrium128):
     """Geometric convergence with the predicted per-step ratio."""
     sys_ = gallery_entry("doubling-linear").build()
     rpf = build_rpf(sys_.base, sys_.potential, 64)
-    dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+    dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
     mu, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-8, max_iter=80)
     ratios = np.array(rep.distances[1:12]) / np.array(rep.distances[:11])
     ratio_ok = bool(np.all(np.abs(ratios - sys_.alpha_zeta) <= 0.01 * sys_.alpha_zeta))
@@ -226,7 +225,7 @@ def test_criterion_09_regularity(tsujii_system):
         if sys_.regularity_precondition >= 1.0:
             continue
         rpf = build_rpf(sys_.base, sys_.potential, 96)
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
         mu, _ = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-10, max_iter=120)
         bnd = regularity_constants(sys_, rpf)
         emp = disintegration_holder(mu)
@@ -273,7 +272,7 @@ def test_criterion_10_correlations(tsujii_system, tsujii_rpf128, tsujii_equilibr
     worst_const = max(worst_const, max(tab.values))
     sys_d = gallery_entry("doubling-linear").build()
     rpf_d = build_rpf(sys_d.base, sys_d.potential, 64)
-    dm0 = initial_product(rpf_d, dirac(1.0), reference="m", zeta=1.0)
+    dm0 = product_measure(1.0, dirac(1.0), rpf=rpf_d, reference="m", zeta=1.0)
     mu_d, _ = iterate_to_equilibrium(sys_d, rpf_d, dm0, tol=1e-10, max_iter=60)
     x_obs = Observable.coord_x()
     tab_d1 = correlation_operator(sys_d, rpf_d, mu_d, one, x_obs, N=15)
@@ -328,7 +327,7 @@ def test_criterion_11_duality_identity(tsujii_system, tsujii_rpf512,
     mu_t, _ = tsujii_equilibrium512
     sys_d = gallery_entry("doubling-linear").build()
     rpf_d = build_rpf(sys_d.base, sys_d.potential, 512)
-    dm0 = initial_product(rpf_d, dirac(1.0), reference="m", zeta=1.0)
+    dm0 = product_measure(1.0, dirac(1.0), rpf=rpf_d, reference="m", zeta=1.0)
     mu_d, _ = iterate_to_equilibrium(sys_d, rpf_d, dm0, tol=1e-11, max_iter=80)
     for sys_, rpf, mu in ((tsujii_system, tsujii_rpf512, mu_t),
                           (sys_d, rpf_d, mu_d)):

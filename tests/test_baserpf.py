@@ -1,4 +1,5 @@
 import dataclasses
+import types
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from ergodykit.systems import (
     mp_geometric_potential,
 )
 
-from conftest import holder_rows_all_pairs
+from conftest import branch_table_loop, holder_rows_all_pairs
 
 
 # values whose differences stay far from the subnormal range
@@ -711,6 +712,42 @@ class TestBaseMapApply:
             got = labelled.apply(x) * 8.0
         assert got.tolist() == _cascade_branch(base, x).tolist()
         assert float(labelled.apply(1.0)) * 8.0 == _cascade_branch(base, 1.0)
+
+    @staticmethod
+    def _jittered_tilings():
+        """Tilings of 2 to 300 branches, exact and with every edge moved
+        apart or together by up to 4e-13 (within the 1e-12 tiling slack),
+        in order and shuffled."""
+        rng = np.random.default_rng(4)
+        for l in (2, 3, 17, 300):
+            base = linear_expanding(l)
+            yield base
+            brs = [dataclasses.replace(b, lo=max(b.lo + float(rng.uniform(-4e-13, 4e-13)), 0.0),
+                                       hi=min(b.hi + float(rng.uniform(-4e-13, 4e-13)), 1.0))
+                   for b in base.branches]
+            yield dataclasses.replace(base, branches=tuple(brs))
+            yield dataclasses.replace(base, branches=tuple(rng.permutation(brs)))
+
+    def test_branch_table_matches_scan(self):
+        # the table the scan of every claim for every gap built, bit for bit
+        bases = list(_unordered_bases().values()) + list(self._jittered_tilings())
+        for base in bases:
+            edges, pick = base._branch_of
+            want_edges, want_pick = branch_table_loop(base.branches)
+            assert edges.tobytes() == want_edges.tobytes()
+            assert pick.tobytes() == want_pick.tobytes()
+
+    def test_branch_table_matches_scan_on_any_claims(self):
+        # claims on a coarse grid nest, overlap, coincide, are empty or inverted
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 9)
+        for _ in range(300):
+            ends = rng.choice(grid, (int(rng.integers(1, 40)), 2))
+            brs = [types.SimpleNamespace(lo=float(a), hi=float(b)) for a, b in ends]
+            edges, pick = baserpf._branch_table(brs)
+            want_edges, want_pick = branch_table_loop(brs)
+            assert edges.tobytes() == want_edges.tobytes()
+            assert pick.tobytes() == want_pick.tobytes()
 
     @pytest.mark.parametrize("name", ["linear3-shuffled", "mp-reversed"])
     def test_forward_values_match_cascade(self, name):

@@ -281,8 +281,9 @@ class TestNormsCommand:
         assert norms["sinf"] == pytest.approx(2.0, abs=1e-6)
         assert norms["l1"] == pytest.approx(1.0, abs=1e-8)
 
-    def test_unit_mass_fiber_file_matches_restriction_file(self, tmp_path):
-        # files with "normalized": true store phi1[j] times unit-mass fibers
+    def test_unit_mass_fiber_file_refused(self, tmp_path, capsys):
+        # a file with "normalized": true stores phi1[j] times unit-mass
+        # fibers; norms reads restriction files only
         text = BASE_CONFIG.replace("doubling-linear", "mp-geometric-holder")
         cfg, out = write_config(tmp_path, text)
         rng = np.random.default_rng(9)
@@ -300,22 +301,25 @@ class TestNormsCommand:
         restr = dict(common, normalized=False, fibers=[
             [[y, float(p) * w] for y, w in f] if p else [] for p, f in zip(phi1, probs)
         ])
-        norms = []
         for name, payload in (("unit", unit), ("restr", restr)):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(payload))
-            assert main(["norms", "--config", str(cfg), "--measure", str(path),
-                         "--out", str(out / name)]) == 0
-            norms.append(json.loads((out / name / "norms.json").read_text()))
-        assert norms[0]["l1"] > 0.0
-        for key in ("l1", "linf", "s1", "sinf"):
-            assert norms[0][key] == pytest.approx(norms[1][key], rel=1e-12, abs=0.0)
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg), "--measure", str(tmp_path / "unit.json"),
+                     "--out", str(out / "unit")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "measure file schema mismatch" in err and '"normalized"' in err
+        assert not (out / "unit" / "norms.json").exists()
+        assert main(["norms", "--config", str(cfg), "--measure", str(tmp_path / "restr.json"),
+                     "--out", str(out / "restr")]) == 0
+        assert json.loads((out / "restr" / "norms.json").read_text())["l1"] > 0.0
 
     @pytest.mark.parametrize("text", [TSUJII_16_CONFIG, BASE_CONFIG.replace(
         "doubling-linear", "mp-geometric-holder").replace("base_cells = 64", "base_cells = 24")])
     def test_bytes_match_per_cell_reader(self, tmp_path, text):
-        # norms.json of a written equilibrium, and of the same measure as a
-        # "normalized": true file, equal the norms of the per-cell reader's measure
+        # norms.json of a written equilibrium equals the norms of the per-cell
+        # reader's measure; the same measure as a "normalized": true file is
+        # refused by both readers
         from ergodykit.cli import _write_json, build_system, parse_config
         from ergodykit.disint import convert_reference, l1_norm, linf_norm, s1_norm, sinf_norm
 
@@ -333,16 +337,42 @@ class TestNormsCommand:
         for name, payload in (("restr", restr), ("unit", unit)):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(payload))
-            assert main(["norms", "--config", str(cfg), "--measure", str(path),
-                         "--out", str(out / name)]) == 0
-            dm = from_dict_per_cell(payload)
-            dm_nu, dm_m = convert_reference(dm, rpf, "nu"), convert_reference(dm, rpf, "m")
-            _write_json(tmp_path / f"{name}-ref.json", {
-                "l1": l1_norm(dm_nu), "linf": linf_norm(dm_m), "s1": s1_norm(dm_nu),
-                "sinf": sinf_norm(dm_m), "zeta": dm.zeta,
-            })
-            assert (out / name / "norms.json").read_bytes() == \
-                (tmp_path / f"{name}-ref.json").read_bytes()
+        assert main(["norms", "--config", str(cfg), "--measure", str(tmp_path / "restr.json"),
+                     "--out", str(out / "restr")]) == 0
+        dm = from_dict_per_cell(restr)
+        dm_nu, dm_m = convert_reference(dm, rpf, "nu"), convert_reference(dm, rpf, "m")
+        _write_json(tmp_path / "restr-ref.json", {
+            "l1": l1_norm(dm_nu), "linf": linf_norm(dm_m), "s1": s1_norm(dm_nu),
+            "sinf": sinf_norm(dm_m), "zeta": dm.zeta,
+        })
+        assert (out / "restr" / "norms.json").read_bytes() == \
+            (tmp_path / "restr-ref.json").read_bytes()
+        assert main(["norms", "--config", str(cfg), "--measure", str(tmp_path / "unit.json"),
+                     "--out", str(out / "unit")]) == 2
+        with pytest.raises(ValueError, match="unit-mass"):
+            from_dict_per_cell(unit)
+
+    @pytest.mark.parametrize("key, value", [
+        ("normalized", True), ("normalized", None), ("zeta", None), ("n", None), ("n", 15),
+    ])
+    def test_file_beyond_the_written_schema_exits_2(self, tmp_path, capsys, key, value):
+        # a written equilibrium with "normalized": true, or without its
+        # normalized, zeta or n key, or with n not the number of fibers
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        payload = json.loads((out / "equilibrium.json").read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg), "--measure", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "measure file schema mismatch" in err and key in err
+        assert not (out / "norms.json").exists()
 
     def test_schema_mismatch_exit_2(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -463,6 +493,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert re.search(r"bad\.cfg:\d+: value '1000+' does not fit in 64 bits", err)
+
+    def test_unaddressable_orbit_arrays_exit_3(self, tmp_path, capsys):
+        # 2**62 fits in 64 bits, but the noise array of 2**62 steps does not
+        # fit numpy's address space: refused before anything is allocated
+        text = TSUJII_16_CONFIG.replace(
+            "seed = 0", "seed = 0\nphysical = true\nmc_burn_in = 4611686018427387904")
+        cfg, _ = write_config(tmp_path, text)
+        assert main(["correlations", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "more than numpy can address" in err
 
     def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def exhausted(*a, **k):

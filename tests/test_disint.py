@@ -33,14 +33,22 @@ from ergodykit.measures import (
     uniform_atoms,
     zero_measure,
 )
-from ergodykit.transfer import _random_zero_average, apply_F_phih_normalized, initial_product
+from ergodykit.transfer import _random_zero_average, apply_F_phih_normalized
 
 from conftest import (
     from_dict_per_cell,
     integrate_loop,
     multiply_observable_loop,
+    product_measure_per_cell,
     random_measure,
 )
+
+
+def assert_same_measure(got, want):
+    """The two measures hold the same arrays, bit for bit."""
+    for field in ("x", "ref_masses", "phi1", "offsets", "positions", "weights"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert (got.reference, got.zeta) == (want.reference, want.zeta)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +301,7 @@ def _gallery_measures(name):
     emptied and every third cell of zero reference mass."""
     sys_ = ek.gallery_entry(name).build()
     rpf = ek.build_rpf(sys_.base, sys_.potential, 32)
-    pos = initial_product(rpf, 0.5 * dirac(0.2) + 0.5 * dirac(0.9), zeta=sys_.zeta)
+    pos = product_measure(1.0, 0.5 * dirac(0.2) + 0.5 * dirac(0.9), rpf=rpf, zeta=sys_.zeta)
     for _ in range(3):
         pos = apply_F_phih_normalized(sys_, rpf, pos)
     signed = _random_zero_average(rpf, sys_.zeta, np.random.default_rng(8))
@@ -375,6 +383,51 @@ class TestProductMeasure:
         dm = product_measure(dens, dirac(0.5), rpf=rpf64, reference="nu")
         assert l1_norm(dm) == pytest.approx(float(np.dot(rpf64.nu, np.abs(dens))), abs=1e-10)
 
+    @staticmethod
+    def _fibers(rng):
+        """Probability fibers: a Dirac, positive and signed ones, and
+        non-canonical ones (unsorted, coincident and zero-weight atoms,
+        atoms that cancel, weights that underflow against 1e-320)."""
+        signed = rng.standard_normal(5)
+        signed[-1] = 1.0 - signed[:-1].sum()
+        merged = rng.uniform(0.1, 1.0, 5)  # coincident atoms, summed after scaling
+        return [
+            dirac(1.0),
+            random_measure(rng, 6, "probability"),
+            AtomicSignedMeasure(rng.uniform(0, 1, 5), signed),
+            dirac(0.2, 1.5) + dirac(0.7, -0.5),
+            AtomicSignedMeasure([0.5, 0.25, 0.5, 0.75, 0.25, 1.0 + 5e-13],
+                                [0.3, 0.2, 0.3, 0.0, 0.2, 0.0]),
+            AtomicSignedMeasure([0.6, 0.1, 0.6, 0.1], [2.0, 1e-5, -1.0, -1e-5]),
+            AtomicSignedMeasure([0.3, 0.9], [1.0 - 1e-300, 1e-300]),
+            AtomicSignedMeasure([0.4, 0.8, 0.4, 0.4, 0.8], merged / merged.sum()),
+        ]
+
+    @pytest.mark.parametrize("name", [e.name for e in ek.gallery()])
+    def test_matches_per_cell_oracle(self, name):
+        # bit for bit the measure built from float(dens[j]) * fiber cell by cell
+        sys_ = ek.gallery_entry(name).build()
+        rpf = ek.build_rpf(sys_.base, sys_.potential, 24)
+        rng = np.random.default_rng(13)
+        dens = rng.uniform(-1.0, 2.0, rpf.n)
+        dens[::5] = 0.0
+        dens[[3, 7]] = [1e-320, -1e-320]
+        dens[11] = -0.0
+        for fib in self._fibers(rng):
+            for d in (1.0, 0.0, dens, np.ones(rpf.n)):
+                for reference in ("m", "nu"):
+                    assert_same_measure(
+                        product_measure(d, fib, rpf=rpf, reference=reference, zeta=sys_.zeta),
+                        product_measure_per_cell(d, fib, rpf=rpf, reference=reference,
+                                                 zeta=sys_.zeta),
+                    )
+
+    @pytest.mark.parametrize("size", [63, 65])
+    def test_density_of_wrong_length_raises(self, rpf64, size):
+        for build in (product_measure, product_measure_per_cell):
+            with pytest.raises(ValueError):
+                build(np.ones(size), dirac(0.5), rpf=rpf64)
+
 
 class TestConversionAndSerialization:
     def test_round_trip_reference(self):
@@ -433,20 +486,37 @@ class TestFromDict:
         common = {"n": n, "reference": "m", "zeta": 0.5, "x": ((np.arange(n) + 0.5) / n).tolist(),
                   "ref_masses": np.full(n, 1.0 / n).tolist(), "phi1": phi1.tolist(),
                   "fibers": fibers}
-        legacy = dict(common)
-        legacy.pop("reference")
-        legacy["reference"] = "nu"
         return {"restrictions": dict(common, normalized=False),
                 "unit-mass": dict(common, normalized=True),
-                "no-key": legacy}
+                "no-key": common}
 
-    @pytest.mark.parametrize("kind", ["restrictions", "unit-mass", "no-key"])
+    @pytest.mark.parametrize("kind", ["restrictions"])
     def test_matches_per_cell_reader(self, kind):
         d = self._payloads()[kind]
-        got, want = DisintegratedMeasure.from_dict(d), from_dict_per_cell(d)
-        for field in ("x", "ref_masses", "phi1", "offsets", "positions", "weights"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (got.reference, got.zeta) == (want.reference, want.zeta)
+        assert_same_measure(DisintegratedMeasure.from_dict(d), from_dict_per_cell(d))
+
+    @pytest.mark.parametrize("kind", ["unit-mass", "no-key"])
+    def test_refuses_unit_mass_files(self, kind):
+        # a file of unit-mass fibers, or one that does not say how its
+        # fibers are stored, is refused, by the per-cell reader too
+        d = self._payloads()[kind]
+        with pytest.raises(ValueError, match="normalized"):
+            DisintegratedMeasure.from_dict(d)
+        with pytest.raises(ValueError, match="unit-mass"):
+            from_dict_per_cell(d)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"normalized": 0}, "normalized"),
+        ({"zeta": None}, "missing \\['zeta'\\]"),
+        ({"n": None}, "missing \\['n'\\]"),
+        ({"n": 23}, "n = 23 for 24 fibers"),
+        ({"extra": 1}, "unknown \\['extra'\\]"),
+    ])
+    def test_reads_exactly_the_written_keys(self, change, match):
+        d = dict(self._payloads()["restrictions"], **change)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ValueError, match=match):
+            DisintegratedMeasure.from_dict(d)
 
     def test_round_trip_of_an_iterate(self):
         sys_ = build_system(RunConfig(system=dict(
@@ -466,8 +536,8 @@ class TestFromDict:
         ([[[0.5, 1.0]], 3], [1.0, 1.0], None),
     ])
     def test_malformed_fibers_raise_value_error(self, fibers, phi1, match):
-        d = {"n": 2, "reference": "m", "x": [0.25, 0.75], "ref_masses": [0.5, 0.5],
-             "phi1": phi1, "fibers": fibers}
+        d = {"n": 2, "reference": "m", "zeta": 1.0, "normalized": False, "x": [0.25, 0.75],
+             "ref_masses": [0.5, 0.5], "phi1": phi1, "fibers": fibers}
         with pytest.raises((ValueError, TypeError), match=match):
             DisintegratedMeasure.from_dict(d)
 
@@ -503,7 +573,7 @@ class TestStreamedJson:
     def test_gallery_iterates(self, name, monkeypatch):
         sys_ = ek.gallery_entry(name).build()
         rpf = ek.build_rpf(sys_.base, sys_.potential, 16)
-        dm = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+        dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
         for _ in range(3):
             dm = ek.apply_F_phih_normalized(sys_, rpf, dm)
         self._check_every_chunk_size(dm, monkeypatch)

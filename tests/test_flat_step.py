@@ -131,7 +131,7 @@ def test_one_fiber_call_per_step():
         alpha=sys_.fiber.alpha, g_holder=sys_.fiber.g_holder,
     )
     counted = ek.SkewSystem(sys_.base, counting, sys_.potential, sys_.zeta)
-    dm = ek.initial_product(rpf, ek.dirac(1.0))
+    dm = ek.product_measure(1.0, ek.dirac(1.0), rpf=rpf)
     for _ in range(3):
         dm = ek.apply_F_phih_normalized(counted, rpf, dm)
     assert len(calls) == 3
@@ -141,7 +141,7 @@ def test_step_rejects_non_elementwise_fiber_map():
     sys_, rpf = _system("doubling-linear")
     scalar_only = ek.FiberMap(fn=lambda x, y: 0.5 * np.asarray(y)[:1], alpha=0.5)
     bad = ek.SkewSystem(sys_.base, scalar_only, sys_.potential, sys_.zeta)
-    dm = ek.initial_product(rpf, ek.dirac(0.5) + ek.dirac(1.0))
+    dm = ek.product_measure(1.0, 0.5 * (ek.dirac(0.5) + ek.dirac(1.0)), rpf=rpf)
     with pytest.raises(ValueError, match="elementwise"):
         ek.apply_F_phih_normalized(bad, rpf, dm)
 
@@ -150,7 +150,7 @@ def test_step_names_escaping_image():
     sys_, rpf = _system("doubling-linear")
     escaping = ek.FiberMap(fn=lambda x, y: 2.0 * np.asarray(y), alpha=0.5)
     bad = ek.SkewSystem(sys_.base, escaping, sys_.potential, sys_.zeta)
-    dm = ek.initial_product(rpf, ek.dirac(0.9))
+    dm = ek.product_measure(1.0, ek.dirac(0.9), rpf=rpf)
     with pytest.raises(ek.measures.MeasureDomainError, match="1.8"):
         ek.apply_F_phih_normalized(bad, rpf, dm)
 

@@ -3,21 +3,21 @@ import pytest
 
 import ergodykit as ek
 from ergodykit.cli import _OBSERVABLES
-from ergodykit.disint import Observable, integrate
+from ergodykit.disint import Observable, integrate, product_measure
 from ergodykit.stats import (
     CorrelationTable,
     correlation_birkhoff,
     correlation_operator,
     fit_exponential,
 )
-from ergodykit.transfer import initial_product, iterate_to_equilibrium
+from ergodykit.transfer import iterate_to_equilibrium
 
 
 @pytest.fixture(scope="module")
 def dbl_equilibrium():
     sys_ = ek.gallery_entry("doubling-linear").build()
     rpf = ek.build_rpf(sys_.base, sys_.potential, 64)
-    dm0 = initial_product(rpf, ek.dirac(1.0), reference="m", zeta=1.0)
+    dm0 = product_measure(1.0, ek.dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
     mu, _ = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-10, max_iter=60)
     return sys_, rpf, mu
 
@@ -191,6 +191,17 @@ class TestCorrelationBirkhoff:
         args = dict(N=2, orbits=4, burn_in=0, samples_per_orbit=5) | kw
         with pytest.raises(ValueError, match=match):
             correlation_birkhoff(tsujii_system, y, y, **args)
+
+    @pytest.mark.parametrize("kw", [
+        dict(burn_in=2**62),  # the noise of every step
+        dict(burn_in=2**58),  # 2**62 floats: only their byte count is too big
+        dict(samples_per_orbit=2**62, orbit_noise=0.0),  # the kept points
+    ])
+    def test_unaddressable_orbit_arrays_raise_memory_error(self, tsujii_system, kw):
+        # numpy would refuse these sizes with a ValueError; none is allocated
+        y = Observable.coord_y()
+        with pytest.raises(MemoryError, match="more than numpy can address"):
+            correlation_birkhoff(tsujii_system, y, y, N=2, orbits=16, **kw)
 
     def test_non_elementwise_observable_raises(self, tsujii_system):
         y = Observable.coord_y()

@@ -31,7 +31,6 @@ from ergodykit.transfer import (
     check_class_S,
     estimate_spectral_gap,
     homogeneous_delta,
-    initial_product,
     iterate_to_equilibrium,
     reduce_potential,
     regularity_constants,
@@ -71,7 +70,7 @@ class TestSkewSystem:
 class TestApplyFPhi:
     def test_equilibrium_is_eigenvector(self, dbl):
         sys_, rpf = dbl
-        mu0 = initial_product(rpf, dirac(0.0), reference="nu", zeta=1.0)
+        mu0 = product_measure(1.0, dirac(0.0), rpf=rpf, reference="nu", zeta=1.0)
         out = apply_F_phi(sys_, rpf, mu0)
         assert np.max(np.abs(out.phi1 - rpf.lam * mu0.phi1)) <= 1e-8
         for j in range(rpf.n):
@@ -79,7 +78,7 @@ class TestApplyFPhi:
 
     def test_delta_one_maps_to_half(self, dbl):
         sys_, rpf = dbl
-        dm = initial_product(rpf, dirac(1.0), reference="nu", zeta=1.0)
+        dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="nu", zeta=1.0)
         out = apply_F_phi(sys_, rpf, dm)
         assert np.allclose(out.phi1, 2.0)  # lambda = 2 scales the marginal
         for j, f in enumerate(out.fibers):
@@ -96,7 +95,7 @@ class TestApplyFPhi:
 
     def test_reference_guard(self, dbl):
         sys_, rpf = dbl
-        dm = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         with pytest.raises(ValueError):
             apply_F_phi(sys_, rpf, dm)
 
@@ -106,7 +105,7 @@ class TestNormalizedOperator:
         for entry in ek.gallery():
             sys_ = entry.build()
             rpf = ek.build_rpf(sys_.base, sys_.potential, 48)
-            dm = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+            dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
             out = apply_F_phih_normalized(sys_, rpf, dm)
             assert out.total_mass() == pytest.approx(1.0, abs=1e-10), entry.name
             for j, f in enumerate(out.fibers):
@@ -142,7 +141,7 @@ class TestNormalizedOperator:
 class TestIterate:
     def test_geometric_single_atom_distances(self, dbl):
         sys_, rpf = dbl
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         mu, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-9, max_iter=60)
         assert rep.converged
         # fibers delta at alpha**k: distance at step k is exactly 0.5**k
@@ -155,13 +154,23 @@ class TestIterate:
 
     def test_requires_probability(self, dbl):
         sys_, rpf = dbl
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         with pytest.raises(ValueError):
             iterate_to_equilibrium(sys_, rpf, dm0.scaled(2.0))
 
+    @pytest.mark.parametrize("phi1, weight", [(1.0, 2.0), (2.0, 1.0)])
+    def test_requires_restrictions_of_a_probability(self, dbl, phi1, weight):
+        # marginal and restrictions must both have mass 1: a marginal of
+        # mass 1 over restrictions of mass 2 is no probability, nor the reverse
+        sys_, rpf = dbl
+        dm0 = DisintegratedMeasure.from_fibers(
+            rpf.x, rpf.m, np.full(rpf.n, phi1), [dirac(0.5, weight)] * rpf.n, "m")
+        with pytest.raises(ValueError, match="probability"):
+            iterate_to_equilibrium(sys_, rpf, dm0)
+
     def test_non_convergence_is_reported(self, dbl):
         sys_, rpf = dbl
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-300, max_iter=5)
         assert not rep.converged and rep.iterations == 5
 
@@ -171,7 +180,7 @@ class TestIterate:
         half = replace(tsujii_system, zeta=0.5)
 
         def report(sys_, rpf):
-            dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=sys_.zeta)
+            dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
             return iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=3)[1]
 
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 64)
@@ -194,7 +203,7 @@ class TestSpectralGap:
     def test_doubling_linear_gap(self, dbl):
         sys_, rpf = dbl
         gap = estimate_spectral_gap(sys_, rpf, trials=6, n_steps=14, seed=0)
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-9, max_iter=50)
         assert gap.xi <= max(np.sqrt(rep.r_hat), np.sqrt(sys_.alpha_zeta)) + 0.05
         assert gap.xi < 1.0
@@ -479,7 +488,7 @@ class TestDuality:
         errs = []
         for n in (64, 128):
             rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, n)
-            dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+            dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
             mu, _ = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=1e-11,
                                            max_iter=80)
             s = Observable(fn=lambda x, y: np.cos(2 * np.pi * x)
@@ -506,9 +515,9 @@ class TestDuality:
 
 class TestZeroMarginalFallback:
     def test_fallback_choice_is_irrelevant(self, dbl):
-        # cells with zero output marginal hold the zero measure; whatever
-        # unit-mass fiber a stored file puts on a massless cell changes
-        # nothing that carries weight
+        # cells with zero output marginal hold the zero measure; a file of
+        # unit-mass fibers, which must put some fiber on every massless
+        # cell, is refused, and restriction files put nothing there
         sys_, rpf = dbl
         phi1 = np.zeros(rpf.n)
         phi1[0] = 1.0 / rpf.nu[0]  # all mass on the first cell
@@ -517,21 +526,15 @@ class TestZeroMarginalFallback:
             fibers=tuple([dirac(0.7, phi1[0])] + [ek.zero_measure()] * (rpf.n - 1)),
             reference="nu", zeta=1.0,
         ).to_dict()
-        outs = []
-        for filler in (0.7, 0.123):
-            d = dict(stored, normalized=True,
-                     fibers=[[[0.7, 1.0]]] + [[[filler, 1.0]]] * (rpf.n - 1))
-            outs.append(apply_F_phi(sys_, rpf, DisintegratedMeasure.from_dict(d)))
-        out1, out2 = outs
-        empty = out1.phi1 == 0.0
-        assert np.any(empty)  # some leaves really carry nothing
-        assert all(out1.fibers[j].n_atoms == 0 for j in np.nonzero(empty)[0])
-        g = Observable(fn=lambda x, y: np.cos(x) * (1 + np.asarray(y, dtype=float)),
-                       zeta=1.0, holder_bound=5.0)
-        assert integrate(out1, g) == pytest.approx(integrate(out2, g), abs=1e-14)
-        assert l1_norm(out1) == pytest.approx(l1_norm(out2), abs=1e-14)
+        assert stored["fibers"][1:] == [[]] * (rpf.n - 1)
+        unit = dict(stored, normalized=True,
+                    fibers=[[[0.7, 1.0]]] + [[[0.123, 1.0]]] * (rpf.n - 1))
+        with pytest.raises(ValueError, match="normalized"):
+            DisintegratedMeasure.from_dict(unit)
         direct = apply_F_phi(sys_, rpf, DisintegratedMeasure.from_dict(stored))
-        assert integrate(out1, g) == pytest.approx(integrate(direct, g), abs=1e-14)
+        empty = direct.phi1 == 0.0
+        assert np.any(empty)  # some leaves really carry nothing
+        assert all(direct.fibers[j].n_atoms == 0 for j in np.nonzero(empty)[0])
 
 
 class TestRegularity:
@@ -569,7 +572,7 @@ class TestRealizedCompressionWidth:
 
     def test_no_doubling_keeps_delta_bound(self, tsujii_system):
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
-        dm0 = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=12)
         # positive fibers fit the homogeneous grid of cap buckets
         assert rep.realized_delta_max == rep.compress_delta == homogeneous_delta(1e-4, 64)
@@ -579,7 +582,7 @@ class TestRealizedCompressionWidth:
     def test_doubling_widens_the_bound(self, tsujii_system):
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
         signed = dirac(0.2, 1.5) + dirac(0.7, -0.5)  # a signed probability
-        dm0 = initial_product(rpf, signed, reference="m", zeta=1.0)
+        dm0 = product_measure(1.0, signed, rpf=rpf, reference="m", zeta=1.0)
         _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=8,
                                         atom_cap=4)
         delta = rep.compress_delta
@@ -610,6 +613,6 @@ class TestRealizedCompressionWidth:
     def test_widths_sink(self, dbl):
         sys_, rpf = dbl
         widths = []
-        dm = initial_product(rpf, dirac(1.0), reference="m", zeta=1.0)
+        dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         apply_F_phih_normalized(sys_, rpf, dm, 1e-3, 8, widths=widths)
         assert len(widths) == 1 and widths[0].tolist() == [1e-3] * rpf.n
