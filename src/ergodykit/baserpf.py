@@ -162,16 +162,29 @@ class BaseMap:
         holds it, and to the last branch when none of the others does
         (x = 1, points outside [0, 1], NaN).  The choice is one
         ``searchsorted`` lookup in the table ``_branch_table`` builds.
+        One stable sort groups the points by branch, and each branch that
+        holds a point gets one ``forward`` call on its points in their
+        input order, so a call costs O(points log points + touched
+        branches), not O(deg x points).
         """
         x = np.asarray(x, dtype=float)
+        flat = x.ravel()
         edges, pick = self._branch_of
-        k = pick[np.searchsorted(edges, x, side="right")]
-        out = np.empty_like(x)
-        for i, b in enumerate(self.branches):
-            mask = k == i
-            if mask.any():
-                out[mask] = b.forward(x[mask])
-        return np.clip(out, 0.0, 1.0)
+        # array methods: the numpy functions add a dispatch layer that
+        # costs more than the work on a few orbit points
+        k = pick[edges.searchsorted(flat, side="right")]
+        order = k.argsort(kind="stable")
+        k = k[order]
+        xs = flat[order]
+        ys = np.empty_like(xs)
+        changes = ((k[1:] != k[:-1]).nonzero()[0] + 1).tolist()
+        s = 0
+        for e in [*changes, k.size] if k.size else ():
+            ys[s:e] = self.branches[k[s]].forward(xs[s:e])
+            s = e
+        out = np.empty_like(flat)
+        out[order] = ys
+        return out.reshape(x.shape).clip(0.0, 1.0)
 
     def preimages(self, x: np.ndarray) -> np.ndarray:
         """deg x len(x) array of branch preimages of x."""

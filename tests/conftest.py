@@ -153,6 +153,20 @@ def branch_table_loop(branches):
     return edges, pick
 
 
+def apply_loop(basemap, x):
+    """The ``BaseMap.apply`` that grouping the points by branch replaced:
+    one ``k == i`` mask and one ``forward`` call per branch of the map."""
+    x = np.asarray(x, dtype=float)
+    edges, pick = basemap._branch_of
+    k = pick[np.searchsorted(edges, x, side="right")]
+    out = np.empty_like(x)
+    for i, b in enumerate(basemap.branches):
+        mask = k == i
+        if mask.any():
+            out[mask] = b.forward(x[mask])
+    return np.clip(out, 0.0, 1.0)
+
+
 def integrate_loop(dm, g):
     """The per-cell ``integrate`` that one array call of the observable
     replaced: g(x_j, .) on the atoms of each cell of positive reference

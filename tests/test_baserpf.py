@@ -30,7 +30,7 @@ from ergodykit.systems import (
     mp_geometric_potential,
 )
 
-from conftest import branch_table_loop, holder_rows_all_pairs
+from conftest import apply_loop, branch_table_loop, holder_rows_all_pairs
 
 
 # values whose differences stay far from the subnormal range
@@ -697,6 +697,11 @@ def _unordered_bases():
     }
 
 
+def _mask_loop_bases():
+    return {**{f"linear{l}": linear_expanding(l) for l in (2, 3, 200)},
+            **{e.name: e.build().base for e in gallery()}}
+
+
 class TestBaseMapApply:
     @pytest.mark.parametrize("name", list(_unordered_bases()))
     def test_branch_choice_matches_cascade(self, name):
@@ -758,6 +763,24 @@ class TestBaseMapApply:
         for i, b in enumerate(base.branches):
             want[k == i] = b.forward(x[k == i])
         assert base.apply(x).tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("name", list(_mask_loop_bases()))
+    def test_matches_per_branch_mask_loop(self, name):
+        # every shape, and the points no branch domain holds, bit for bit
+        base = _mask_loop_bases()[name]
+        rng = np.random.default_rng(6)
+        inputs = [
+            np.r_[rng.uniform(-0.1, 1.1, 400), 0.0, -0.0, 1.0, 1.0 + 1e-16, -1e-17, 2.0,
+                  np.nan, np.inf, -np.inf],
+            rng.uniform(0.0, 1.0, (5, 7)),
+            rng.uniform(0.0, 1.0, (40, 3))[::3, 1:],
+            np.array(0.75), 1.0, np.empty(0), np.empty((0, 4)),
+        ]
+        for x in inputs:
+            with np.errstate(invalid="ignore"):
+                got, want = base.apply(x), apply_loop(base, x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestExport:

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -385,6 +387,72 @@ class TestNormsCommand:
         assert main(["norms", "--config", str(cfg)]) == 2
 
 
+@pytest.fixture
+def no_worker_left():
+    """After the test this process has no child: every worker was reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the corr-tsujii-16 benchmark workload, and a zeta = 0.5 physical run
+CORR_TSUJII_16_CONFIG = (TSUJII_16_CONFIG.replace("max_iter = 3", "max_iter = 12")
+                         .replace("tol = 0", "tol = 1e-300")
+                         .replace("seed = 0", "seed = 0\ncorrelation_n = 10\n"
+                                  "physical = true\nmc_orbits = 16"))
+CORR_HOLDER05_12_CONFIG = HOLDER05_12_CONFIG.replace(
+    "seed = 0", "seed = 0\ncorrelation_n = 6\nphysical = true\nmc_orbits = 8\nu = xy\ng = cosy")
+
+
+@pytest.mark.usefixtures("no_worker_left")
+class TestBirkhoffWorker:
+    """``correlations`` with ``physical = true`` runs the Birkhoff estimate
+    in a forked worker; outputs, exit codes and stderr are those of the
+    inline call, and no process outlives ``main``."""
+
+    @pytest.mark.parametrize("text, seed", [
+        (CORR_TSUJII_16_CONFIG, 0), (CORR_TSUJII_16_CONFIG, 1), (CORR_HOLDER05_12_CONFIG, 0),
+    ])
+    def test_outputs_match_inline_run(self, tmp_path, monkeypatch, text, seed):
+        cfg, out = write_config(tmp_path, text)
+        inline = tmp_path / "inline"
+        assert main(["correlations", "--config", str(cfg), "--seed", str(seed)]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main(["correlations", "--config", str(cfg), "--seed", str(seed),
+                     "--out", str(inline)]) == 0
+        for name in ("correlations.json", "correlations.csv"):
+            assert (out / name).read_bytes() == (inline / name).read_bytes(), name
+        methods = [t["method"] for t in json.loads((out / "correlations.json").read_text())["tables"]]
+        assert methods == ["operator", "birkhoff"]
+
+    def test_killed_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        def killed(*a, **k):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "correlation_birkhoff", killed)
+        cfg, _ = write_config(tmp_path, CORR_TSUJII_16_CONFIG)
+        assert main(["correlations", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "killed by signal 9" in err
+
+    def test_parent_failure_kills_worker(self, tmp_path, monkeypatch, capsys):
+        from ergodykit.dualnorm import NumericError
+
+        def gap_fails(*a, **k):
+            raise NumericError("gap estimate did not converge")
+
+        # a worker that would outlive the test unless it is killed
+        monkeypatch.setattr(cli, "correlation_birkhoff", lambda *a, **k: time.sleep(120))
+        monkeypatch.setattr(cli, "estimate_spectral_gap", gap_fails)
+        cfg, _ = write_config(tmp_path, CORR_TSUJII_16_CONFIG)
+        t0 = time.monotonic()
+        assert main(["correlations", "--config", str(cfg)]) == 3
+        assert time.monotonic() - t0 < 60
+        assert capsys.readouterr().err == "numeric failure: gap estimate did not converge\n"
+
+
+@pytest.mark.usefixtures("no_worker_left")
 class TestExitCodes:
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import ergodykit.cli as cli
