@@ -55,6 +55,7 @@ from .transfer import (
     apply_F_phi,
     apply_F_phih_normalized,
     check_class_S,
+    convergence_constants,
     estimate_spectral_gap,
     iterate_to_equilibrium,
     reduce_potential,

@@ -60,6 +60,7 @@ from .transfer import (
     DEFAULT_ATOM_CAP,
     DEFAULT_COMPRESS_DELTA,
     SkewSystem,
+    convergence_constants,
     estimate_spectral_gap,
     iterate_to_equilibrium,
     regularity_constants,
@@ -446,7 +447,8 @@ def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
     if "json" in cfg.formats:
         _write_json(out_dir / "equilibrium.json", mu)
         _write_json(out_dir / "eigen.json", rpf)
-        _write_json(out_dir / "convergence.json", report.to_dict())
+        _write_json(out_dir / "convergence.json",
+                    {**report.to_dict(), **convergence_constants(system, rpf)})
     if "csv" in cfg.formats:
         _write_csv(
             out_dir / "convergence.csv",

@@ -474,10 +474,33 @@ def sinf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     return float(_sinf_norms(dm, 1, zeta)[0])
 
 
-# Gathered atoms per batched call of the all-pairs zeta < 1 Holder constant:
-# the pairs hold O(n^2) atoms in all, and this keeps each call's copy of
-# them near 20 MB whatever n is.
+# Gathered atoms per batched norm call of the zeta < 1 Holder constant: the
+# pairs hold O(n^2) atoms in all, and this keeps each call's copy of them
+# near 20 MB whatever n is.
 _PAIR_BLOCK_ATOMS = 2**18
+
+# Relative slack of the pair bounds of ``disintegration_holder``: far above
+# the rounding of the masses, zeta = 1 norms and exact norms they are
+# compared through, far below the gaps they prune by.
+_PAIR_BOUND_SLACK = 2.0**-30
+
+
+def _jensen_bounds(ma, mb, d1, z: float) -> np.ndarray:
+    """Upper bounds on the zeta-Holder distances of positive measures of
+    masses ``ma`` and ``mb`` whose zeta = 1 distances are at most ``d1``.
+
+    The Jensen bound of the ``dualnorm`` module docstring,
+    M + P**(1 - zeta) (D1 - M)**zeta with M = |ma - mb| and
+    P = min(ma, mb), with a rounding slack of ``_PAIR_BOUND_SLACK`` times
+    ma + mb added to M, to P and to D1 - M inside the powers, and a
+    relative slack of as much on the whole.
+    """
+    big_m = np.abs(ma - mb)
+    slack = _PAIR_BOUND_SLACK * (ma + mb)
+    return (1.0 + _PAIR_BOUND_SLACK) * (
+        big_m + slack
+        + (np.minimum(ma, mb) + slack) ** (1.0 - z) * (np.maximum(d1 - big_m, 0.0) + slack) ** z
+    )
 
 
 def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
@@ -491,10 +514,26 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     is exact: the dual distance obeys the triangle inequality and midpoint
     distances add along the line, so by the mediant inequality no pair
     beats the better of its two halves.  Those n - 1 distances are one
-    batched ``chain_norms`` call.  At zeta < 1 all pairs are compared,
-    their distances coming from the level matchings of ``transport_norms``,
-    one call per about ``_PAIR_BLOCK_ATOMS`` gathered atoms (one call for
-    small n).
+    batched ``chain_norms`` call.
+
+    At zeta < 1 exact distances (the level matchings of
+    ``transport_norms``) are computed only for the pairs whose bound on
+    the quotient beats the best quotient found.  A pair's distance is at
+    most M + P**(1 - zeta) (D1 - M)**zeta (``_jensen_bounds``, the Jensen
+    bound of the ``dualnorm`` module docstring), with M = |m_a - m_b| and
+    P = min(m_a, m_b) from the masses of the two restrictions and D1 any
+    bound on their zeta = 1 distance.  First every pair is bounded with
+    D1 the sum of the zeta = 1 distances of the neighbours in midpoint
+    order between them (the triangle inequality; n - 1 ``chain_norms``
+    distances in all), and the pair of largest bound quotient gets its
+    exact distance.  Then the pairs whose bound beats that quotient are
+    bounded again with their own zeta = 1 distance, and those still above
+    it get exact distances by decreasing bound, a pair dropping out as
+    soon as the best quotient found reaches its bound.  Every bound
+    carries a rounding slack (``_PAIR_BOUND_SLACK``), so no pair left out
+    has a computed quotient above the best, and the result is the
+    all-pairs maximum bit for bit.  Each norm call gathers about
+    ``_PAIR_BLOCK_ATOMS`` atoms, so memory stays bounded as n grows.
     """
     if not dm.is_positive():
         raise ValueError("disintegration Holder constant is defined for positive measures")
@@ -506,14 +545,53 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         return float((dist / np.diff(dm.x[idx])).max(initial=0.0))
     ia, ib = np.triu_indices(idx.size, k=1)
     i, j = idx[ia], idx[ib]
+    if i.size == 0:
+        return 0.0
     size = np.diff(dm.offsets)
-    ends = np.cumsum(size[i] + size[j])
-    total = int(ends[-1]) if ends.size else 0
-    groups = np.searchsorted(ends, np.arange(_PAIR_BLOCK_ATOMS, total, _PAIR_BLOCK_ATOMS))
-    best = 0.0
-    for p, q in zip(np.split(i, groups), np.split(j, groups)):
+    mass = np.bincount(dm.atom_cells, weights=dm.weights, minlength=dm.n)
+
+    def blocks(pairs):
+        # ``pairs`` in runs of about _PAIR_BLOCK_ATOMS gathered atoms
+        ends = np.cumsum(size[i[pairs]] + size[j[pairs]])
+        total = int(ends[-1]) if ends.size else 0
+        return np.split(pairs, np.searchsorted(ends, np.arange(_PAIR_BLOCK_ATOMS, total,
+                                                               _PAIR_BLOCK_ATOMS)))
+
+    def bound_quotients(pairs, d1):
+        p, q = i[pairs], j[pairs]
+        return _jensen_bounds(mass[p], mass[q], d1, z) / np.abs(dm.x[p] - dm.x[q]) ** z
+
+    def best_of(pairs):
+        p, q = i[pairs], j[pairs]
         dist = _fiber_norms(z, dm, p, dm, q)
-        best = max(best, float((dist / np.abs(dm.x[p] - dm.x[q]) ** z).max(initial=0.0)))
+        return float((dist / np.abs(dm.x[p] - dm.x[q]) ** z).max(initial=0.0))
+
+    # s[k] sums the zeta = 1 distances of neighbours in midpoint order up to
+    # cell idx[k], so |s[b] - s[a]| bounds the zeta = 1 distance of the pair
+    # (a, b); the slack covers the rounding of each distance and of the sums
+    order = np.argsort(dm.x[idx], kind="stable")
+    s = np.zeros(idx.size)
+    s[order[1:]] = np.cumsum(_fiber_norms(1.0, dm, idx[order[:-1]], dm, idx[order[1:]]))
+    s_slack = _PAIR_BOUND_SLACK * (s.max() + 2.0 * mass[idx].sum())
+    ub = np.concatenate([
+        bound_quotients(b, (1.0 + _PAIR_BOUND_SLACK) * np.abs(s[ib[b]] - s[ia[b]]) + s_slack)
+        for b in blocks(np.arange(i.size))
+    ])
+    top = int(np.argmax(ub))
+    best = best_of(np.array([top]))
+    # the pairs whose bound beats the top pair's quotient, bounded again
+    # from their own zeta = 1 distances
+    live = np.flatnonzero(ub > best)
+    live = live[live != top]
+    for b in blocks(live):
+        ub[b] = np.minimum(ub[b], bound_quotients(b, _fiber_norms(1.0, dm, i[b], dm, j[b])))
+    live = live[ub[live] > best]
+    live = live[np.argsort(-ub[live], kind="stable")]
+    while live.size:
+        take = blocks(live)[0].size
+        best = max(best, best_of(live[:take]))
+        live = live[take:]
+        live = live[ub[live] > best]
     return best
 
 

@@ -108,6 +108,29 @@ of F, so the norm is the sum over those levels of K times their width.
 At zeta = 1 it equals the closed form above; the tests check the two
 routes against each other, and both against the LP to 1e-9.
 
+Jensen bound.  The zeta = 1 norm bounds the zeta < 1 norm from above, at
+the cost of one ``chain_norms`` evaluation.  Flip the sign of mu so that
+M >= 0, let T be its total variation, P = (T - M) / 2 the mass of its
+negative part, and D1 its zeta = 1 norm.  By the argument above at
+zeta = 1, some optimal plan removes exactly M units and ships the rest
+of the positive part, P units, onto the negative part, at cost |x - y|
+per unit (<= 1 on K).  So its shipping part pi, of mass P, costs
+D1 - M.  The same plan is feasible at zeta, and there each unit costs at
+most |x - y|**zeta.  The map t -> t**zeta is concave, so by Jensen's
+inequality
+
+    ||mu||_zeta <= M + integral of |x - y|**zeta d(pi)
+                <= M + P (integral of |x - y| d(pi) / P)**zeta
+                 = M + P**(1 - zeta) (D1 - M)**zeta.
+
+The right side grows with P, so any P' >= P can replace it.  For
+mu = mu_a - mu_b with mu_a, mu_b >= 0, T <= |mu_a| + |mu_b|, so
+P' = min(|mu_a|, |mu_b|) works without forming the difference.
+``disint.disintegration_holder`` prunes its pairs of cells by this bound.
+It adds a rounding slack inside the powers as well as outside them: a
+relative slack alone would fail when D1 - M lies below the rounding of
+D1, because t -> t**zeta turns an absolute error e into about e**zeta.
+
 scipy (HiGHS) is needed only by the oracle ``_dual_norm_lp``, so
 ``linprog`` below imports it on its first call, and the library itself
 never solves an LP.  The module-level ``linprog`` is also the one name the

@@ -68,6 +68,7 @@ __all__ = [
     "apply_F_phi",
     "apply_F_phih_normalized",
     "iterate_to_equilibrium",
+    "convergence_constants",
     "estimate_spectral_gap",
     "check_class_S",
     "reduce_potential",
@@ -272,11 +273,7 @@ class ConvergenceReport:
     tol: float
     fitted_rate: float
     fit_r2: float
-    r_hat: float
     alpha_zeta: float
-    beta3: float
-    D3: float
-    D4: float
     compress_delta: float
     atom_cap: int
     compress_error_bound: float
@@ -357,12 +354,11 @@ def iterate_to_equilibrium(
     an exception).  The iterates can reach an exact floating-point fixed
     point (distance 0), so only tol = 0 guarantees max_iter steps.  The
     fitted geometric rate comes from the tail half of the distance
-    sequence; the theoretical rate is beta3 = max(sqrt(r_hat),
-    sqrt(alpha**zeta)) with r_hat the measured kernel decay of the twisted
-    base operator.  The report gives the largest compression width any
-    cell reached (``realized_delta_max``) and the drift bound of that
-    cell's widths (``compress_error_bound``).  ``dm0`` must be a
-    probability: its marginal and its restrictions of mass 1 within 1e-8.
+    sequence; ``convergence_constants`` gives the theoretical one.  The
+    report gives the largest compression width any cell reached
+    (``realized_delta_max``) and the drift bound of that cell's widths
+    (``compress_error_bound``).  ``dm0`` must be a probability: its
+    marginal and its restrictions of mass 1 within 1e-8.
     """
     cell_mass = np.bincount(dm0.atom_cells, weights=dm0.weights, minlength=dm0.n)
     masses = (dm0.total_mass(), float(np.dot(dm0.ref_masses, cell_mass)))
@@ -385,6 +381,34 @@ def iterate_to_equilibrium(
             converged = True
             break
     rate, r2 = _fit_geometric(distances)
+    report = ConvergenceReport(
+        distances=distances,
+        converged=converged,
+        iterations=len(distances),
+        tol=tol,
+        fitted_rate=rate,
+        fit_r2=r2,
+        alpha_zeta=sys.alpha_zeta,
+        compress_delta=delta,
+        atom_cap=atom_cap,
+        compress_error_bound=compression_drift_bound(delta, realized, sys.zeta),
+        realized_delta_max=realized,
+    )
+    return cur, report
+
+
+def convergence_constants(sys: SkewSystem, rpf: RPFDiscretization) -> dict:
+    """Theoretical rate data of the equilibrium iteration on ``rpf``.
+
+    Measures the kernel decay r_hat (with prefactor D_hat) of the twisted
+    base operator at the system's zeta, and returns ``r_hat``, the rate
+    ``beta3`` = max(sqrt(r_hat), sqrt(alpha**zeta)) and the constants
+    ``D3`` = a + D_hat / sqrt(r_hat) / (1 - alpha**zeta) and
+    ``D4`` = a + D_hat / sqrt(r_hat) (1 + alpha**zeta) / (1 - alpha**zeta),
+    with a = alpha**(-zeta / 2).  The decay is a measurement in the
+    zeta-Holder strong norm, so it depends on zeta, and nothing is cached
+    on the discretization.
+    """
     decay = spectral_radius_on_kernel(twisted_operator(rpf), sys.zeta)
     r_hat = decay.r_hat
     az = sys.alpha_zeta
@@ -393,24 +417,12 @@ def iterate_to_equilibrium(
     alpha_bar2 = (1.0 + az) / (1.0 - az) if az < 1 else np.inf
     d_term = decay.D_hat / np.sqrt(r_hat) if r_hat > 0 else 0.0
     a_term = 1.0 / np.sqrt(az) if az > 0 else 1.0
-    report = ConvergenceReport(
-        distances=distances,
-        converged=converged,
-        iterations=len(distances),
-        tol=tol,
-        fitted_rate=rate,
-        fit_r2=r2,
-        r_hat=r_hat,
-        alpha_zeta=az,
-        beta3=float(beta3),
-        D3=float(a_term + alpha_bar1 * d_term),
-        D4=float(a_term + alpha_bar2 * d_term),
-        compress_delta=delta,
-        atom_cap=atom_cap,
-        compress_error_bound=compression_drift_bound(delta, realized, sys.zeta),
-        realized_delta_max=realized,
-    )
-    return cur, report
+    return {
+        "r_hat": r_hat,
+        "beta3": float(beta3),
+        "D3": float(a_term + alpha_bar1 * d_term),
+        "D4": float(a_term + alpha_bar2 * d_term),
+    }
 
 
 @dataclass

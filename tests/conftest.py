@@ -296,3 +296,25 @@ def tsujii_equilibrium512(tsujii_system, tsujii_rpf512):
         tsujii_system, tsujii_rpf512, dm0, tol=1e-10, max_iter=90
     )
     return mu, report
+
+
+def disintegration_holder_all_pairs(dm, zeta=None, block=2**18):
+    """The all-pairs zeta < 1 ``disint.disintegration_holder`` that bounding
+    every pair first replaced: the exact distance of every pair of cells of
+    positive reference mass, in batched calls of about ``block`` gathered
+    atoms, the best quotient of each call kept."""
+    from ergodykit.disint import _fiber_norms
+
+    z = dm.zeta if zeta is None else zeta
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    ia, ib = np.triu_indices(idx.size, k=1)
+    i, j = idx[ia], idx[ib]
+    size = np.diff(dm.offsets)
+    ends = np.cumsum(size[i] + size[j])
+    total = int(ends[-1]) if ends.size else 0
+    groups = np.searchsorted(ends, np.arange(block, total, block))
+    best = 0.0
+    for p, q in zip(np.split(i, groups), np.split(j, groups)):
+        dist = _fiber_norms(z, dm, p, dm, q)
+        best = max(best, float((dist / np.abs(dm.x[p] - dm.x[q]) ** z).max(initial=0.0)))
+    return best

@@ -183,6 +183,39 @@ class TestEquilibriumCommand:
         assert conv["compress_error_bound"] == conv["compress_delta"]
 
 
+class TestKernelDecayWhereWritten:
+    """The kernel decay feeds only the constants in ``convergence.json``, so
+    only ``equilibrium`` measures it, once; ``regularity`` and
+    ``correlations`` iterate without it."""
+
+    @pytest.mark.parametrize("command, text, calls", [
+        ("equilibrium", TSUJII_16_CONFIG, 1),
+        ("regularity", HOLDER05_12_CONFIG, 0),
+        ("correlations", TSUJII_16_CONFIG.replace("seed = 0", "seed = 0\ncorrelation_n = 4"), 0),
+    ])
+    def test_calls_per_command(self, tmp_path, monkeypatch, command, text, calls):
+        from ergodykit import transfer
+
+        seen = []
+        real = transfer.spectral_radius_on_kernel
+        monkeypatch.setattr(transfer, "spectral_radius_on_kernel",
+                            lambda *a, **k: seen.append(a) or real(*a, **k))
+        cfg, _ = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg)]) == 0
+        assert len(seen) == calls
+
+    def test_convergence_json_keys(self, tmp_path):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        conv = json.loads((out / "convergence.json").read_text())
+        assert sorted(conv) == sorted([
+            "D3", "D4", "alpha_zeta", "atom_cap", "beta3", "compress_delta",
+            "compress_error_bound", "converged", "distances", "fit_r2", "fitted_rate",
+            "iterations", "r_hat", "realized_delta_max", "tol",
+        ])
+        assert conv["beta3"] == max(np.sqrt(conv["r_hat"]), np.sqrt(conv["alpha_zeta"]))
+
+
 class TestEigenJson:
     """eigen.json is streamed from the eigenvectors to the bytes of
     ``json.dumps(rpf.eigen_dict(), indent=1, sort_keys=True)`` and a newline."""
@@ -718,6 +751,18 @@ class TestImportFootprint:
         """)
         assert got.strip() == "0 []"
         assert json.loads((out / "regularity.json").read_text())["satisfied"] is True
+
+    def test_zeta_half_regularity_loads_no_numpy_random(self, tmp_path):
+        # nothing that regularity computes draws random numbers: the kernel
+        # decay's test vectors are drawn only where convergence.json is written
+        cfg, out = write_config(tmp_path, HOLDER05_12_CONFIG)
+        got = _run_fresh(f"""
+            from ergodykit import cli
+            rc = cli.main(["regularity", "--config", {str(cfg)!r}])
+            print(rc, "numpy.random" in sys.modules)
+        """)
+        assert got.strip() == "0 False"
+        assert (out / "regularity.json").exists()
 
     def test_lp_oracle_loads_scipy(self):
         got = _run_fresh("""

@@ -36,6 +36,7 @@ from ergodykit.measures import (
 from ergodykit.transfer import _random_zero_average, apply_F_phih_normalized
 
 from conftest import (
+    disintegration_holder_all_pairs,
     from_dict_per_cell,
     integrate_loop,
     multiply_observable_loop,
@@ -742,6 +743,111 @@ class TestBatchedZetaHalf:
         assert linf_distance(a, b, self.Z) == pytest.approx(want, abs=1e-9)
         _, (p, _) = _system_iterates(system, 12, list(range(1, 12)), "positive", self.Z)
         assert disintegration_holder(p) == 0.0
+
+
+class TestPrunedHolder:
+    """At zeta < 1 ``disintegration_holder`` bounds every pair and computes
+    exact distances only where a bound beats the best quotient; the result
+    is the all-pairs maximum bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        # the reg-holder05-12 benchmark system: linear base, tsujii fiber
+        # with alpha = 0.5, zeta = 0.5
+        return build_system(RunConfig(system=dict(
+            base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=0.5,
+        )))
+
+    @staticmethod
+    def _equilibrium(sys_, n, steps=20, fiber=dirac(1.0)):
+        rpf = ek.build_rpf(sys_.base, sys_.potential, n)
+        dm0 = product_measure(1.0, fiber, rpf=rpf, reference="m", zeta=sys_.zeta)
+        return ek.iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=steps)[0]
+
+    @pytest.mark.parametrize("n", [12, 24, 48])
+    def test_holder05_system_matches_all_pairs(self, system, n):
+        mu = self._equilibrium(system, n)
+        assert np.diff(mu.offsets).mean() > 20  # the level DP is exercised
+        want = disintegration_holder_all_pairs(mu)
+        assert want > 0.0
+        assert disintegration_holder(mu) == want
+
+    @pytest.mark.parametrize("name", [e.name for e in ek.gallery() if e.build().zeta < 1])
+    def test_gallery_matches_all_pairs(self, name):
+        # the regularity command's iterate, and an earlier one of several
+        # atoms per cell (mp-discontinuous's quotients are at rounding level)
+        sys_ = ek.gallery_entry(name).build()
+        for mu in (self._equilibrium(sys_, 64, steps=12),
+                   self._equilibrium(sys_, 64, steps=4, fiber=uniform_atoms(5))):
+            assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
+
+    def test_block_edges_crossed(self, system, monkeypatch):
+        mu = self._equilibrium(system, 24)
+        calls = []
+        real = disint._fiber_norms
+        monkeypatch.setattr(disint, "_fiber_norms",
+                            lambda *a: calls.append(a[0]) or real(*a))
+        monkeypatch.setattr(disint, "_PAIR_BLOCK_ATOMS", 150)
+        assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
+        # both passes ran in several blocks
+        assert calls.count(1.0) > 10 and calls.count(0.5) > 2
+
+    def test_rounding_level_transport_needs_the_slack(self):
+        # A = 2 delta_0 against B = delta_9e-17: the transport part of their
+        # distance, 9e-17, is below the rounding of the zeta = 1 distance
+        # 1 + 9e-17, which reads as 1.0, while the exact zeta = 1/2 distance
+        # is 1 + (9e-17)**0.5, about 1 + 9.5e-9
+        dm = DisintegratedMeasure.from_atoms(
+            [0.25, 0.0, 0.75], np.ones(3), [2.0, 1.0, 2.0], [0, 1, 2, 2],
+            [0.0, 9e-17, 0.2, 0.8], [2.0, 1.0, 1.0, 1.0], "m", 0.5,
+        )
+        d1 = disint._fiber_norms(1.0, dm, [0], dm, [1])[0]
+        exact = disint._fiber_norms(0.5, dm, [0], dm, [1])[0]
+        assert d1 == 1.0 and exact > 1.0 + 9e-9
+        # slack added to M and to the whole, but not inside the power, would
+        # leave the bound below the distance
+        slack = disint._PAIR_BOUND_SLACK
+        assert (1.0 + slack) * (d1 + 3.0 * slack) < exact
+        assert disint._jensen_bounds(2.0, 1.0, d1, 0.5) >= exact
+        assert disintegration_holder(dm) == disintegration_holder_all_pairs(dm)
+
+    def test_cells_in_any_order(self, monkeypatch):
+        # the neighbour sums of the first bounds follow midpoint order, not
+        # cell order: shuffled cells are pruned as well as sorted ones (on
+        # this iterate one exact distance of the 2016 pairs settles it)
+        mu = self._equilibrium(ek.gallery_entry("mp-geometric-holder").build(), 64,
+                               steps=4, fiber=uniform_atoms(5))
+        perm = np.random.default_rng(3).permutation(mu.n)
+        shuffled = DisintegratedMeasure.from_fibers(
+            mu.x[perm], mu.ref_masses[perm], mu.phi1[perm], [mu.fiber(k) for k in perm],
+            "m", mu.zeta,
+        )
+        real = disint._fiber_norms
+        exact = []
+
+        def counted(z, a, ia, b, ib):
+            if z < 1:
+                exact.extend(ia)
+            return real(z, a, ia, b, ib)
+
+        for dm in (mu, shuffled):
+            exact.clear()
+            monkeypatch.setattr(disint, "_fiber_norms", counted)
+            got = disintegration_holder(dm)
+            monkeypatch.setattr(disint, "_fiber_norms", real)
+            assert got == disintegration_holder_all_pairs(dm)
+            assert len(exact) <= 20
+
+    @pytest.mark.parametrize("z", [0.5, 0.2])
+    def test_bounds_hold_for_every_pair(self, system, z):
+        mu = self._equilibrium(system, 24)
+        idx = np.flatnonzero(mu.ref_masses > 0)
+        i, j = (idx[k] for k in np.triu_indices(idx.size, k=1))
+        mass = np.bincount(mu.atom_cells, weights=mu.weights, minlength=mu.n)
+        d1 = disint._fiber_norms(1.0, mu, i, mu, j)
+        exact = disint._fiber_norms(z, mu, i, mu, j)
+        assert np.all(disint._jensen_bounds(mass[i], mass[j], d1, z) >= exact)
+        assert disintegration_holder(mu, z) == disintegration_holder_all_pairs(mu, z)
 
 
 class TestDistanceArguments:

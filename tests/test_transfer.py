@@ -29,6 +29,7 @@ from ergodykit.transfer import (
     apply_F_phi,
     apply_F_phih_normalized,
     check_class_S,
+    convergence_constants,
     estimate_spectral_gap,
     homogeneous_delta,
     iterate_to_equilibrium,
@@ -176,19 +177,21 @@ class TestIterate:
 
     def test_kernel_decay_follows_zeta(self, tsujii_system):
         # r_hat is measured in the zeta-Holder norm, so a discretization
-        # iterated at zeta = 1 first must report what a fresh one does
+        # iterated and measured at zeta = 1 first must report what a fresh
+        # one does
         half = replace(tsujii_system, zeta=0.5)
 
-        def report(sys_, rpf):
+        def constants(sys_, rpf):
             dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
-            return iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=3)[1]
+            iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=3)
+            return convergence_constants(sys_, rpf)
 
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 64)
-        report(tsujii_system, rpf)
-        got = report(half, rpf)
-        want = report(half, ek.build_rpf(half.base, half.potential, 64))
-        assert (got.r_hat, got.beta3, got.D3, got.D4) == (want.r_hat, want.beta3,
-                                                          want.D3, want.D4)
+        constants(tsujii_system, rpf)
+        got = constants(half, rpf)
+        want = constants(half, ek.build_rpf(half.base, half.potential, 64))
+        assert (got["r_hat"], got["beta3"], got["D3"], got["D4"]) == (
+            want["r_hat"], want["beta3"], want["D3"], want["D4"])
 
     def test_tsujii_mean_identity_small_grid(self, tsujii_system, tsujii_rpf128,
                                              tsujii_equilibrium128):
@@ -196,16 +199,33 @@ class TestIterate:
         ybar = integrate(mu, Observable.coord_y())
         assert ybar == pytest.approx(0.5, abs=2e-3)
         assert rep.fitted_rate < 1.0 and rep.fit_r2 > 0.99
-        assert rep.beta3 == pytest.approx(max(np.sqrt(rep.r_hat), np.sqrt(0.5)))
+        c = convergence_constants(tsujii_system, tsujii_rpf128)
+        assert c["beta3"] == pytest.approx(max(np.sqrt(c["r_hat"]), np.sqrt(0.5)))
+
+    def test_iteration_measures_no_kernel_decay(self, dbl, monkeypatch):
+        # the report carries the iteration's own numbers only; the kernel
+        # decay is measured by convergence_constants, once per call
+        sys_, rpf = dbl
+        calls = []
+        real = transfer.spectral_radius_on_kernel
+        monkeypatch.setattr(transfer, "spectral_radius_on_kernel",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
+        _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=4)
+        assert calls == []
+        assert not {"r_hat", "beta3", "D3", "D4"} & set(rep.to_dict())
+        c = convergence_constants(sys_, rpf)
+        assert len(calls) == 1 and calls[0][1] == sys_.zeta
+        assert sorted(c) == ["D3", "D4", "beta3", "r_hat"]
+        assert all(type(v) is float for v in c.values())
 
 
 class TestSpectralGap:
     def test_doubling_linear_gap(self, dbl):
         sys_, rpf = dbl
         gap = estimate_spectral_gap(sys_, rpf, trials=6, n_steps=14, seed=0)
-        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
-        _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-9, max_iter=50)
-        assert gap.xi <= max(np.sqrt(rep.r_hat), np.sqrt(sys_.alpha_zeta)) + 0.05
+        r_hat = convergence_constants(sys_, rpf)["r_hat"]
+        assert gap.xi <= max(np.sqrt(r_hat), np.sqrt(sys_.alpha_zeta)) + 0.05
         assert gap.xi < 1.0
 
     def test_pure_fiber_dipoles_decay_at_alpha(self, dbl):
