@@ -368,16 +368,20 @@ def _prepare(cfg: RunConfig, out_dir: Path):
     return system, rpf
 
 
-def _equilibrium(cfg: RunConfig, system: SkewSystem, rpf: RPFDiscretization):
+def _equilibrium(cfg: RunConfig, system: SkewSystem, rpf: RPFDiscretization,
+                 distances: bool = True):
     """The equilibrium state and its report.
 
     Iterates the normalized operator from the product of m with the Dirac
     fiber at 1, with the run's tolerance, iteration and compression limits.
+    A caller that does not read the report's distances passes
+    ``distances=False`` (see ``iterate_to_equilibrium``).
     """
     dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=system.zeta)
     return iterate_to_equilibrium(
         system, rpf, dm0, tol=cfg.tol, max_iter=cfg.max_iter,
         compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
+        distances=distances,
     )
 
 
@@ -486,7 +490,7 @@ def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
             burn_in=cfg.mc_burn_in, rng_seed=cfg.seed,
         )
     try:
-        mu, _ = _equilibrium(cfg, system, rpf)
+        mu, _ = _equilibrium(cfg, system, rpf, distances=False)
         gap = estimate_spectral_gap(
             system, rpf, trials=5, n_steps=12, seed=cfg.seed,
             compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
@@ -523,7 +527,7 @@ def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_regularity(cfg: RunConfig, out_dir: Path) -> int:
     system, rpf = _prepare(cfg, out_dir)
-    mu, _ = _equilibrium(cfg, system, rpf)
+    mu, _ = _equilibrium(cfg, system, rpf, distances=False)
     bound = regularity_constants(system, rpf)
     payload = bound.to_dict()
     payload["empirical_holder"] = disintegration_holder(mu)

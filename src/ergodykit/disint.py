@@ -479,9 +479,11 @@ def sinf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
 # near 20 MB whatever n is.
 _PAIR_BLOCK_ATOMS = 2**18
 
-# Relative slack of the pair bounds of ``disintegration_holder``: far above
-# the rounding of the masses, zeta = 1 norms and exact norms they are
-# compared through, far below the gaps they prune by.
+# Slack of the pair bounds of ``disintegration_holder`` and of the lower
+# bounds of ``_linf_lower_bounds``, relative to the masses or total
+# variations bounded: far above the rounding of the masses, zeta = 1 norms
+# and exact norms they are compared through, far below the gaps they prune
+# or decide by.
 _PAIR_BOUND_SLACK = 2.0**-30
 
 
@@ -685,6 +687,21 @@ def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -
     Measures on different grids or references raise ValueError.
     """
     return float(_fiber_distances(a, b, zeta)[1].max(initial=0.0))
+
+
+def _linf_lower_bounds(a: DisintegratedMeasure, b: DisintegratedMeasure) -> np.ndarray:
+    """Lower bounds, at every zeta, on the fiber dual distances that
+    ``linf_distance`` takes the maximum of, cell by cell.
+
+    Each is the cell's zeta = 1 distance (one ``chain_norms`` call for all
+    cells) less a rounding slack of ``_PAIR_BOUND_SLACK`` times the total
+    variation of the two restrictions: the lower bound of the ``dualnorm``
+    module docstring.
+    """
+    idx, d1 = _fiber_distances(a, b, 1.0)
+    tv = (np.bincount(a.atom_cells, weights=np.abs(a.weights), minlength=a.n)
+          + np.bincount(b.atom_cells, weights=np.abs(b.weights), minlength=b.n))
+    return d1 - _PAIR_BOUND_SLACK * tv[idx]
 
 
 def l1_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:

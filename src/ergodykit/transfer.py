@@ -39,6 +39,7 @@ from .disint import (
     Observable,
     _cell_atoms,
     _elementwise,
+    _linf_lower_bounds,
     _offsets,
     _sinf_norms,
     linf_distance,
@@ -288,9 +289,12 @@ def _fit_geometric(values: list[float], floor: float = 1e-14):
 
     Points sitting on the terminal plateau (within 20x of the final level,
     where the iteration has hit its fixed point or the tolerance) are
-    excluded so the fit sees the geometric phase only.
+    excluded so the fit sees the geometric phase only.  An empty series
+    has no fit: (0.0, 0.0).
     """
     v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return 0.0, 0.0
     cut = max(floor, 20.0 * float(v.min()))
     usable = np.nonzero(v > cut)[0]
     if usable.size < 3:
@@ -338,6 +342,21 @@ def compression_drift_bound(delta: float, realized: float, zeta: float) -> float
     return total
 
 
+def _below_tol(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta: float,
+               tol: float) -> bool:
+    """``linf_distance(a, b, zeta) < tol``, from lower bounds where they decide.
+
+    A tol <= 0 is never reached, and a cell's zeta = 1 lower bound at or
+    above tol shows the distance is not below it; otherwise the exact
+    ``linf_distance`` decides.
+    """
+    if tol <= 0:
+        return False
+    if np.any(_linf_lower_bounds(a, b) >= tol):
+        return False
+    return bool(linf_distance(a, b, zeta) < tol)
+
+
 def iterate_to_equilibrium(
     sys: SkewSystem,
     rpf: RPFDiscretization,
@@ -346,45 +365,63 @@ def iterate_to_equilibrium(
     max_iter: int = 200,
     compress_delta: float = DEFAULT_COMPRESS_DELTA,
     atom_cap: int = DEFAULT_ATOM_CAP,
+    *,
+    distances: bool = True,
 ) -> tuple[DisintegratedMeasure, ConvergenceReport]:
     """Iterate the normalized operator until successive iterates stall.
 
-    Stops when the sup fiber distance between successive iterates drops
-    below tol, or after max_iter steps (reported as converged=False, not
-    an exception).  The iterates can reach an exact floating-point fixed
-    point (distance 0), so only tol = 0 guarantees max_iter steps.  The
-    fitted geometric rate comes from the tail half of the distance
-    sequence; ``convergence_constants`` gives the theoretical one.  The
-    report gives the largest compression width any cell reached
-    (``realized_delta_max``) and the drift bound of that cell's widths
-    (``compress_error_bound``).  ``dm0`` must be a probability: its
-    marginal and its restrictions of mass 1 within 1e-8.
+    Stops when the sup fiber distance between successive iterates
+    (``linf_distance``) drops below tol, or after max_iter >= 1 steps
+    (reported as converged=False, not an exception).  The iterates can
+    reach an exact floating-point fixed point (distance 0), so only
+    tol <= 0 guarantees max_iter steps.  The fitted geometric rate comes
+    from the tail half of the distance sequence; ``convergence_constants``
+    gives the theoretical one.  The report gives the largest compression
+    width any cell reached (``realized_delta_max``) and the drift bound of
+    that cell's widths (``compress_error_bound``).  ``dm0`` must be a
+    probability: its marginal and its restrictions of mass 1 within 1e-8.
+
+    ``distances=False`` is for callers that read only the stop decision.
+    At zeta < 1 each step then decides it without the exact distances
+    where it can: a tol <= 0 is never reached, and a cell whose zeta = 1
+    lower bound (``_linf_lower_bounds``) is at least tol shows that the
+    iteration goes on; only when no cell shows it is ``linf_distance``
+    computed.  The steps, the stop and the final measure are those of
+    ``distances=True``, but the report's ``distances`` is empty and its
+    ``fitted_rate`` and ``fit_r2`` are 0.0.  At zeta = 1 the exact
+    distance costs what its lower bound does, so both modes compute and
+    report it.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     cell_mass = np.bincount(dm0.atom_cells, weights=dm0.weights, minlength=dm0.n)
     masses = (dm0.total_mass(), float(np.dot(dm0.ref_masses, cell_mass)))
     if max(abs(m - 1.0) for m in masses) > 1e-8:
         raise ValueError(f"iterate_to_equilibrium expects a probability measure; "
                          f"its marginal and restrictions have masses {masses}")
     delta = homogeneous_delta(compress_delta, atom_cap)
+    exact = distances or sys.zeta == 1.0
     cur = dm0
-    distances: list[float] = []
+    dists: list[float] = []
     converged = False
     realized = delta
-    for _ in range(max_iter):
+    iterations = 0
+    while iterations < max_iter and not converged:
         widths: list[np.ndarray] = []
         nxt = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap, widths=widths)
         realized = max(realized, float(widths[0].max(initial=delta)))
-        d = linf_distance(nxt, cur, sys.zeta)
-        distances.append(d)
+        iterations += 1
+        if exact:
+            dists.append(linf_distance(nxt, cur, sys.zeta))
+            converged = bool(dists[-1] < tol)
+        else:
+            converged = _below_tol(nxt, cur, sys.zeta, tol)
         cur = nxt
-        if d < tol:
-            converged = True
-            break
-    rate, r2 = _fit_geometric(distances)
+    rate, r2 = _fit_geometric(dists)
     report = ConvergenceReport(
-        distances=distances,
+        distances=dists,
         converged=converged,
-        iterations=len(distances),
+        iterations=iterations,
         tol=tol,
         fitted_rate=rate,
         fit_r2=r2,
@@ -538,6 +575,8 @@ def estimate_spectral_gap(
     """
     if trials < 5:
         raise ValueError("need at least 5 trials")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(seed)
     delta = homogeneous_delta(compress_delta, atom_cap)
     big = _side_by_side(rpf, trials)

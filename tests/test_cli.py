@@ -216,6 +216,63 @@ class TestKernelDecayWhereWritten:
         assert conv["beta3"] == max(np.sqrt(conv["r_hat"]), np.sqrt(conv["alpha_zeta"]))
 
 
+class TestDistancesWhereRead:
+    """``regularity`` and ``correlations`` read only the stop decision of the
+    iteration, so they iterate with ``distances=False``: their outputs are
+    the bytes of a run that computes every exact distance.  ``equilibrium``
+    writes the distances and keeps computing them."""
+
+    @staticmethod
+    def _spy(monkeypatch, force=None):
+        seen = []
+        real = cli.iterate_to_equilibrium
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["distances"])
+            if force is not None:
+                kwargs["distances"] = force
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "iterate_to_equilibrium", spy)
+        return seen
+
+    OUTPUTS = {"regularity": ("regularity.json",),
+               "correlations": ("correlations.json", "correlations.csv")}
+
+    # tol 0.05 stops the regularity runs after 9-10 of the 12 steps
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("command, tol", [
+        ("regularity", "0"), ("regularity", "1e-300"), ("regularity", "0.05"),
+        ("correlations", "1e-300"),
+    ])
+    def test_bytes_match_exact_distances(self, tmp_path, monkeypatch, n, command, tol):
+        text = (HOLDER05_12_CONFIG.replace("base_cells = 12", f"base_cells = {n}")
+                .replace("max_iter = 6", "max_iter = 12")
+                .replace("tol = 0", f"tol = {tol}\ncorrelation_n = 4"))
+        cfg, out = write_config(tmp_path, text)
+        exact = tmp_path / "exact"
+        seen = self._spy(monkeypatch)
+        assert main([command, "--config", str(cfg)]) == 0
+        assert seen == [False]
+        monkeypatch.undo()
+        self._spy(monkeypatch, force=True)
+        assert main([command, "--config", str(cfg), "--out", str(exact)]) == 0
+        for name in self.OUTPUTS[command]:
+            assert (out / name).read_bytes() == (exact / name).read_bytes(), name
+
+    def test_equilibrium_keeps_exact_distances(self, tmp_path, monkeypatch):
+        from ergodykit.transfer import _fit_geometric
+
+        seen = self._spy(monkeypatch)
+        cfg, out = write_config(tmp_path, HOLDER05_12_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        assert seen == [True]
+        conv = json.loads((out / "convergence.json").read_text())
+        assert len(conv["distances"]) == conv["iterations"] == 6
+        assert min(conv["distances"]) > 0.0
+        assert (conv["fitted_rate"], conv["fit_r2"]) == _fit_geometric(conv["distances"])
+
+
 class TestEigenJson:
     """eigen.json is streamed from the eigenvectors to the bytes of
     ``json.dumps(rpf.eigen_dict(), indent=1, sort_keys=True)`` and a newline."""

@@ -48,6 +48,16 @@ def dbl():
     return sys_, rpf
 
 
+def _holder05_system():
+    # the reg-holder05-12 benchmark system: linear base, tsujii fiber with
+    # alpha = 0.5, zeta = 0.5
+    from ergodykit.cli import RunConfig, build_system
+
+    return build_system(RunConfig(system=dict(
+        base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=0.5,
+    )))
+
+
 class TestSkewSystem:
     def test_sampled_invariants_gallery(self):
         for entry in ek.gallery():
@@ -175,6 +185,16 @@ class TestIterate:
         _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-300, max_iter=5)
         assert not rep.converged and rep.iterations == 5
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_positive(self, dbl, max_iter):
+        sys_, rpf = dbl
+        dm0 = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            iterate_to_equilibrium(sys_, rpf, dm0, max_iter=max_iter)
+
+    def test_empty_series_has_no_fit(self):
+        assert _fit_geometric([]) == (0.0, 0.0)
+
     def test_kernel_decay_follows_zeta(self, tsujii_system):
         # r_hat is measured in the zeta-Holder norm, so a discretization
         # iterated and measured at zeta = 1 first must report what a fresh
@@ -254,6 +274,12 @@ class TestSpectralGap:
         with pytest.raises(ValueError):
             estimate_spectral_gap(sys_, rpf, trials=2)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_n_steps_validation(self, dbl, n_steps):
+        sys_, rpf = dbl
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            estimate_spectral_gap(sys_, rpf, n_steps=n_steps)
+
 
 def _gap_one_trial_at_a_time(sys_, rpf, trials, n_steps, seed, delta=1e-4, cap=64):
     """The per-trial loop the batched ``estimate_spectral_gap`` replaced."""
@@ -288,12 +314,7 @@ class TestBatchedGap:
 
     @pytest.fixture(scope="class")
     def holder05(self):
-        # the reg-holder05-12 benchmark system
-        from ergodykit.cli import RunConfig, build_system
-
-        sys_ = build_system(RunConfig(system=dict(
-            base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=0.5,
-        )))
+        sys_ = _holder05_system()
         return sys_, ek.build_rpf(sys_.base, sys_.potential, 12)
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -636,3 +657,119 @@ class TestRealizedCompressionWidth:
         dm = product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
         apply_F_phih_normalized(sys_, rpf, dm, 1e-3, 8, widths=widths)
         assert len(widths) == 1 and widths[0].tolist() == [1e-3] * rpf.n
+
+
+def _start(sys_, n):
+    rpf = ek.build_rpf(sys_.base, sys_.potential, n)
+    return rpf, product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)
+
+
+class TestStopFromLowerBounds:
+    """``distances=False`` decides the stop rule at zeta < 1 from zeta = 1
+    lower bounds where they decide it: the steps, the stop and the final
+    measure are those of the exact route, and only the distances and the
+    fit are missing from the report."""
+
+    STEPS = 16
+
+    @pytest.fixture(scope="class", params=[("holder05", 12), ("holder05", 64),
+                                           ("mp-geometric-holder", 64)],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def case(self, request):
+        name, n = request.param
+        sys_ = _holder05_system() if name == "holder05" else ek.gallery_entry(name).build()
+        rpf, dm0 = _start(sys_, n)
+        _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=self.STEPS)
+        assert sys_.zeta == 0.5 and len(rep.distances) == self.STEPS
+        return sys_, rpf, dm0, rep.distances
+
+    def _both(self, case, tol):
+        sys_, rpf, dm0, _ = case
+        exact, rep_e = iterate_to_equilibrium(sys_, rpf, dm0, tol=tol, max_iter=self.STEPS)
+        fast, rep_f = iterate_to_equilibrium(sys_, rpf, dm0, tol=tol, max_iter=self.STEPS,
+                                             distances=False)
+        for field in ("offsets", "positions", "weights", "phi1"):
+            assert np.array_equal(getattr(fast, field), getattr(exact, field)), field
+        want = {**rep_e.to_dict(), "distances": [], "fitted_rate": 0.0, "fit_r2": 0.0}
+        assert rep_f.to_dict() == want
+        assert type(rep_f.converged) is type(rep_e.converged) is bool
+        return rep_e
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-300])
+    def test_tolerance_never_reached(self, case, tol):
+        rep = self._both(case, tol)
+        assert rep.iterations == self.STEPS and not rep.converged
+
+    @pytest.mark.parametrize("k", [3, 8, 15])
+    @pytest.mark.parametrize("side", [-np.inf, None, np.inf], ids=["below", "at", "above"])
+    def test_tolerance_at_a_distance(self, case, k, side):
+        d = case[3][k - 1]
+        # a numpy tolerance still reports converged as a bool
+        tol = np.float64(d if side is None else np.nextafter(d, side))
+        rep = self._both(case, tol)
+        stop = next((j + 1 for j, dj in enumerate(case[3]) if dj < tol), self.STEPS)
+        assert rep.iterations == stop and rep.converged == (case[3][stop - 1] < tol)
+
+    def test_no_level_matching_at_a_tiny_tolerance(self, monkeypatch):
+        from ergodykit import dualnorm
+
+        sys_ = _holder05_system()
+        rpf, dm0 = _start(sys_, 12)
+        calls = []
+        real = dualnorm.transport_norms
+        monkeypatch.setattr(dualnorm, "transport_norms",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-300, max_iter=6,
+                                        distances=False)
+        assert rep.iterations == 6 and calls == []
+        iterate_to_equilibrium(sys_, rpf, dm0, tol=1e-300, max_iter=6)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("distances", [True, False])
+    def test_zeta_one_computes_every_distance(self, tsujii_system, monkeypatch, distances):
+        rpf, dm0 = _start(tsujii_system, 16)
+        calls = []
+        real = transfer.linf_distance
+        monkeypatch.setattr(transfer, "linf_distance",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=1e-300, max_iter=5,
+                                        distances=distances)
+        assert len(calls) == rep.iterations == 5
+        assert len(rep.distances) == 5 and rep.fitted_rate > 0.0
+
+    @pytest.mark.parametrize("z", [0.5, 0.2])
+    def test_bounds_hold_on_every_cell(self, z):
+        from ergodykit import disint
+
+        sys_ = _holder05_system()
+        rpf, cur = _start(sys_, 24)
+        for _ in range(8):
+            nxt = apply_F_phih_normalized(sys_, rpf, cur)
+            idx = np.flatnonzero(nxt.ref_masses > 0)
+            exact = disint._fiber_norms(z, nxt, idx, cur, idx)
+            assert np.all(disint._linf_lower_bounds(nxt, cur) <= exact)
+            cur = nxt
+
+    def test_rounding_level_bound_needs_the_slack(self):
+        # At zeta = 1 - 2**-50 the zeta = 1 and exact distances agree to
+        # rounding, and the computed zeta = 1 distance of some random signed
+        # measures exceeds the computed exact one.  Read as a lower bound
+        # without the slack, it would call a tolerance just above the exact
+        # distance unreached.
+        from ergodykit import disint
+
+        z = 1.0 - 2.0**-50
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            pos, w = rng.uniform(0.0, 1.0, 12), rng.uniform(-1.0, 1.0, 12)
+            a, b = (DisintegratedMeasure.from_atoms(
+                [0.5], [1.0], [1.0], np.zeros(np.sum(keep), dtype=int), pos[keep],
+                np.abs(w[keep]), "m", z) for keep in (w > 0, w < 0))
+            d1 = disint._fiber_norms(1.0, a, [0], b, [0])[0]
+            exact = disint._fiber_norms(z, a, [0], b, [0])[0]
+            if d1 > exact:
+                break
+        assert d1 > exact
+        assert disint._linf_lower_bounds(a, b)[0] <= exact
+        assert transfer._below_tol(a, b, z, float(np.nextafter(exact, np.inf)))
+        assert not transfer._below_tol(a, b, z, exact)
