@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .baserpf import RPFDiscretization, _holder_rows, discrete_holder_constant
-from .dualnorm import _as_zeta, dual_norms
+from .dualnorm import _as_zeta, chain_bounds, chain_norms, dual_norms
 from .measures import AtomicSignedMeasure, _checked_positions, canonicalize_segments
 
 # Nothing here calls the one-fiber distance any more; the benchmark's tracer
@@ -383,18 +383,12 @@ def _elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.ndarray:
-    """Dual norms of a's restriction over cell ia[k] minus b's over ib[k]
-    (a's alone when b is None).
-
-    The atoms are gathered from the flat layout into one (segment,
-    position, weight) array, and all the norms come from one
-    ``dual_norms`` call.
-    """
+def _gathered(a: DisintegratedMeasure, ia, b=None, ib=None):
+    """The atoms of a's restriction over cell ia[k] minus b's over ib[k]
+    (a's alone when b is None) as measure k of one flat (segment,
+    position, weight) layout, and the number of measures."""
     ia = np.asarray(ia, dtype=np.intp)
     k = ia.size
-    if k == 0:
-        return np.zeros(0)
     idx, counts = _cell_atoms(a.offsets, ia)
     seg = np.repeat(np.arange(k), counts)
     pos = a.positions[idx]
@@ -404,6 +398,20 @@ def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.n
         seg = np.concatenate([seg, np.repeat(np.arange(k), counts_b)])
         pos = np.concatenate([pos, b.positions[idx_b]])
         w = np.concatenate([w, -b.weights[idx_b]])
+    return seg, pos, w, k
+
+
+def _fiber_norms(z: float, a: DisintegratedMeasure, ia, b=None, ib=None) -> np.ndarray:
+    """Dual norms of a's restriction over cell ia[k] minus b's over ib[k]
+    (a's alone when b is None).
+
+    The atoms are gathered from the flat layout into one (segment,
+    position, weight) array, and all the norms come from one
+    ``dual_norms`` call.
+    """
+    if np.size(ia) == 0:
+        return np.zeros(0)
+    seg, pos, w, k = _gathered(a, ia, b, ib)
     return dual_norms(seg, pos, w, k, z)
 
 
@@ -417,12 +425,11 @@ def l1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
 
 
 def linf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
-    """Largest fiber dual norm over cells of positive m-mass (one batched call)."""
+    """Largest fiber dual norm over cells of positive m-mass (``_largest_norms``)."""
     if dm.reference != "m":
         raise ValueError("linf_norm needs an m-referenced measure; convert first")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
-    idx = np.flatnonzero(dm.ref_masses > 0)
-    return float(_fiber_norms(z, dm, idx).max(initial=0.0))
+    return float(_largest_norms(dm, z)[0])
 
 
 def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
@@ -454,36 +461,11 @@ def s1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     return float(_phi1_strong(dm, z)[0]) + l1_norm(dm, z)
 
 
-def _sinf_norms(dm: DisintegratedMeasure, blocks: int, zeta=None) -> np.ndarray:
-    """Sinf of each of ``blocks`` equal runs of cells, each run read as a
-    measure of its own on the grid of the first run.
-
-    The fiber norms of all runs come from one ``_fiber_norms`` call, and
-    each run's value is the one ``sinf_norm`` gives it alone, bit for bit
-    (the batched norms and Holder constants keep every fiber and row to
-    itself).
-    """
-    z = dm.zeta if zeta is None else _as_zeta(zeta)
-    idx = np.flatnonzero(dm.ref_masses > 0)
-    fib = np.zeros(dm.n)
-    fib[idx] = _fiber_norms(z, dm, idx)
-    return _phi1_strong(dm, z, blocks) + fib.reshape(blocks, -1).max(axis=1, initial=0.0)
-
-
-def sinf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
-    return float(_sinf_norms(dm, 1, zeta)[0])
-
-
-# Gathered atoms per batched norm call of the zeta < 1 Holder constant: the
-# pairs hold O(n^2) atoms in all, and this keeps each call's copy of them
-# near 20 MB whatever n is.
-_PAIR_BLOCK_ATOMS = 2**18
-
-# Slack of the pair bounds of ``disintegration_holder`` and of the lower
-# bounds of ``_linf_lower_bounds``, relative to the masses or total
-# variations bounded: far above the rounding of the masses, zeta = 1 norms
-# and exact norms they are compared through, far below the gaps they prune
-# or decide by.
+# Slack of the pair bounds of ``disintegration_holder``, of the norm bounds
+# of ``_norm_bounds`` and of the lower bounds of ``_linf_lower_bounds``,
+# relative to the masses or total variations bounded: far above the
+# rounding of the masses, zeta = 1 norms and exact norms they are compared
+# through, far below the gaps they prune or decide by.
 _PAIR_BOUND_SLACK = 2.0**-30
 
 
@@ -503,6 +485,87 @@ def _jensen_bounds(ma, mb, d1, z: float) -> np.ndarray:
         big_m + slack
         + (np.minimum(ma, mb) + slack) ** (1.0 - z) * (np.maximum(d1 - big_m, 0.0) + slack) ** z
     )
+
+
+def _norm_bounds(z: float, dm: DisintegratedMeasure, idx: np.ndarray):
+    """Bounds on the zeta-Holder dual norms of dm's restrictions over the
+    cells ``idx``, and their exact values on demand.
+
+    Returns ``(lower, upper, norms)``.  Each bound carries a rounding
+    slack of ``_PAIR_BOUND_SLACK`` times the restriction's total
+    variation.  At zeta = 1 the bounds are those of ``chain_bounds``: the
+    closed form without its integral term, and that plus M * span.  At
+    zeta < 1 the lower bound is the zeta = 1 norm (one ``chain_norms``
+    call) and the upper bound the Jensen bound of ``_jensen_bounds`` on
+    it, with the masses of the positive and the negative part of the
+    restriction.  Both pairs are proved in the ``dualnorm`` module
+    docstring.  ``norms(k)`` gives the exact norms over the cells
+    ``idx[k]``, bit for bit those of ``_fiber_norms``.
+    """
+    seg, pos, w, k = _gathered(dm, idx)
+    plus = np.bincount(seg, weights=np.maximum(w, 0.0), minlength=k)
+    minus = np.bincount(seg, weights=np.maximum(-w, 0.0), minlength=k)
+    slack = _PAIR_BOUND_SLACK * (plus + minus)
+    if z == 1.0:
+        lower, upper, norms = chain_bounds(seg, pos, w, k)
+        return lower - slack, (1.0 + _PAIR_BOUND_SLACK) * upper + slack, norms
+    d1 = chain_norms(seg, pos, w, k)
+    return (d1 - slack, _jensen_bounds(plus, minus, d1, z),
+            lambda sub: _fiber_norms(z, dm, idx[sub]))
+
+
+def _largest_norms(dm: DisintegratedMeasure, z: float, blocks: int = 1) -> np.ndarray:
+    """The largest fiber dual norm over the cells of positive reference
+    mass in each of ``blocks`` equal runs of cells, 0 for a run without
+    such a cell.
+
+    Exact norms are computed in two rounds: first, in each run, for the
+    cell of the largest lower bound and the cell of the largest upper
+    bound (``_norm_bounds``), then for the other cells whose upper bound
+    exceeds the best norm of their run.  A cell left out has a norm at
+    most its upper bound, so at most that best, and the result is the
+    maximum over all cells bit for bit (a cell's norm does not depend on
+    which other cells are evaluated with it).
+    """
+    best = np.zeros(blocks)
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    if idx.size == 0:
+        return best
+    run = idx // (dm.n // blocks)
+    lower, upper, norms = _norm_bounds(z, dm, idx)
+    first = np.zeros(idx.size, dtype=bool)
+    for key in (lower, upper):
+        # the cell of the largest key in each run
+        order = np.lexsort((-key, run))
+        first[order[np.diff(run[order], prepend=-1) != 0]] = True
+    cells = np.flatnonzero(first)
+    np.maximum.at(best, run[cells], norms(cells))
+    cells = np.flatnonzero((upper > best[run]) & ~first)
+    np.maximum.at(best, run[cells], norms(cells))
+    return best
+
+
+def _sinf_norms(dm: DisintegratedMeasure, blocks: int, zeta=None) -> np.ndarray:
+    """Sinf of each of ``blocks`` equal runs of cells, each run read as a
+    measure of its own on the grid of the first run.
+
+    The largest fiber norm of each run comes from ``_largest_norms``, and
+    each run's value is the one ``sinf_norm`` gives it alone, bit for bit
+    (the batched norms and Holder constants keep every fiber and row to
+    itself).
+    """
+    z = dm.zeta if zeta is None else _as_zeta(zeta)
+    return _phi1_strong(dm, z, blocks) + _largest_norms(dm, z, blocks)
+
+
+def sinf_norm(dm: DisintegratedMeasure, zeta=None) -> float:
+    return float(_sinf_norms(dm, 1, zeta)[0])
+
+
+# Gathered atoms per batched norm call of the zeta < 1 Holder constant: the
+# pairs hold O(n^2) atoms in all, and this keeps each call's copy of them
+# near 20 MB whatever n is.
+_PAIR_BLOCK_ATOMS = 2**18
 
 
 def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:

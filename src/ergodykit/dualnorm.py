@@ -49,6 +49,26 @@ monotone S, and the minimum is attained exactly:
 The integrand is constant between the F_i in (0, M), so the integral is a
 finite sum.  Agreement with the LP to 1e-9 is enforced in the test suite.
 
+Zeta = 1 bounds.  Let L = M + sum_i d_i dist(F_i, [0, M]) be the first two
+terms of the closed form and span = sum_i d_i the distance from the first
+atom to the last.  As P_0(t) = 0,
+
+    B(t) + min(0, min_k P_k(t))
+        = min over k = 0..n of  sum_{i<k} d_i [F_i > t] + sum_{i>=k} d_i [F_i <= t],
+
+a minimum of sums of non-negative terms, so the integrand is at least 0;
+the term k = 0 is B(t) <= span, so it is at most span.  Integrated over
+[0, M],
+
+    L <= ||mu||_o <= L + M span = U,
+
+and both are the norm when M = 0.  L and U need the sort and the prefix
+sums of the closed form but not its level sum, and ``chain_bounds`` gives
+them.  In floating point the computed norm is the computed L plus a sum
+of non-negative terms, so it is never below it; the computed integral can
+exceed M span by the rounding of its O(n) terms, far below 2**-30 of the
+total variation T >= M.  ``disint._norm_bounds`` adds that slack to both.
+
 At zeta < 1 ``transport_norms`` splits the norm over the same levels t,
 with a small matching problem per level, for many measures at once.  For
 0 < zeta <= 1 the cost c(x, y) = |x - y|**zeta is a metric, and the LP
@@ -126,10 +146,13 @@ inequality
 The right side grows with P, so any P' >= P can replace it.  For
 mu = mu_a - mu_b with mu_a, mu_b >= 0, T <= |mu_a| + |mu_b|, so
 P' = min(|mu_a|, |mu_b|) works without forming the difference.
-``disint.disintegration_holder`` prunes its pairs of cells by this bound.
-It adds a rounding slack inside the powers as well as outside them: a
-relative slack alone would fail when D1 - M lies below the rounding of
-D1, because t -> t**zeta turns an absolute error e into about e**zeta.
+For one signed measure with positive part of mass a and negative part of
+mass b, M = |a - b| and P = min(a, b).  ``disint.disintegration_holder``
+prunes its pairs of cells by this bound, and ``disint._largest_norms`` its
+cells at zeta < 1.  Both add a rounding slack inside the powers as well as
+outside them: a relative slack alone would fail when D1 - M lies below the
+rounding of D1, because t -> t**zeta turns an absolute error e into about
+e**zeta.
 
 Zeta = 1 lower bound.  The zeta = 1 norm also bounds the zeta < 1 norm
 from below.  On K = [0, 1], |x - y| <= |x - y|**zeta, so a g with
@@ -137,7 +160,8 @@ from below.  On K = [0, 1], |x - y| <= |x - y|**zeta, so a g with
 lies inside the zeta unit ball, and the supremum over the larger ball is
 at least D1.  ``transfer.iterate_to_equilibrium(..., distances=False)``
 decides its stop rule from this bound where it can: a cell with
-D1 - s >= tol shows that the largest distance is not below tol.  The two
+D1 - s >= tol shows that the largest distance is not below tol.
+``disint._largest_norms`` pairs it with the Jensen bound above.  The two
 norms are computed by different routes, and where they nearly agree the
 computed D1 can exceed the computed zeta-norm by a few roundings (up to
 about 2e-16 of the total variation T on 12-atom measures at
@@ -163,6 +187,7 @@ __all__ = [
     "dual_norms",
     "distance_value",
     "lower_bound_sample",
+    "chain_bounds",
     "chain_norms",
     "transport_norms",
 ]
@@ -218,6 +243,118 @@ def _segmented_cumsum(w: np.ndarray, col: np.ndarray) -> np.ndarray:
     return f
 
 
+def _chain_terms(cell, pos, w):
+    """The pieces of the zeta = 1 closed form of many measures.
+
+    Canonicalizes the flat layout of ``chain_norms`` and returns, for its
+    segments (the measures with atoms, in measure order): ``cell`` the
+    measure of each canonical atom, ``seg_start`` and ``seg_len`` each
+    segment's atoms, ``seg_of`` each atom's segment, ``f`` the cumulative
+    weights and ``mass`` the mass M >= 0 (both sign-flipped where the mass
+    is negative), ``d`` each atom's gap to the next atom of its segment
+    (0 for the last) and ``value`` = M + sum_i d_i dist(F_i, [0, M]), the
+    closed form without its integral term (``_chain_integrals``).
+    """
+    cell, pos, w = canonicalize_segments(
+        np.asarray(cell, dtype=np.intp), np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
+    )
+    n = cell.size
+    # segments: the atoms of one measure, in position order
+    seg_start = np.flatnonzero(np.diff(cell, prepend=-1))
+    seg_len = np.diff(np.r_[seg_start, n])
+    seg_of = np.repeat(np.arange(seg_start.size), seg_len)
+    col = np.arange(n) - seg_start[seg_of]
+    f = _segmented_cumsum(w, col)
+    mass = f[seg_start + seg_len - 1]
+    sign = np.where(mass < 0, -1.0, 1.0)
+    f *= sign[seg_of]
+    mass = np.abs(mass)
+    d = np.zeros(n)
+    d[:-1] = np.where(cell[1:] == cell[:-1], np.diff(pos), 0.0)
+
+    m_atom = mass[seg_of]
+    outside = np.maximum(f - m_atom, 0.0) + np.maximum(-f, 0.0)
+    value = mass + np.bincount(seg_of, weights=d * outside, minlength=seg_start.size)
+    return cell, seg_start, seg_len, seg_of, f, mass, d, value
+
+
+def _chain_integrals(terms, sel: np.ndarray) -> np.ndarray:
+    """The integral term of the zeta = 1 closed form, for the segments of
+    ``terms`` (from ``_chain_terms``) where the mask ``sel`` is true, 0.0
+    elsewhere.
+
+    The integrand is constant between the F_i lying in (0, M), and is
+    evaluated at 0 and at each of them, ``_CHAIN_BLOCK_ENTRIES`` entries at
+    a time.  A segment's value depends neither on the block size nor on
+    which other segments are selected.
+    """
+    _, seg_start, seg_len, seg_of, f, mass, d, _ = terms
+    out = np.zeros(seg_start.size)
+    # breakpoints of the integrand: 0 for each measure with M > 0, and
+    # every F_i strictly inside (0, M)
+    inner = np.flatnonzero((f > 0.0) & (f < mass[seg_of]) & sel[seg_of])
+    has_mass = np.flatnonzero((mass > 0.0) & sel)
+    t_seg = np.r_[has_mass, seg_of[inner]]
+    t = np.r_[np.zeros(has_mass.size), f[inner]]
+    if t.size == 0:
+        return out
+    o = _lex_order(t_seg, t)
+    t_seg, t = t_seg[o], t[o]
+    t_next = np.r_[t[1:], 0.0]
+    last = np.r_[t_seg[1:] != t_seg[:-1], True]
+    t_next[last] = mass[t_seg[last]]
+    level = np.empty(t.size)
+    width = max(1, _CHAIN_BLOCK_ENTRIES // int(seg_len.max()))
+    for lo in range(0, t.size, width):
+        rows = slice(lo, lo + width)
+        s = t_seg[rows]
+        pad = np.arange(int(seg_len[s].max()))
+        valid = pad < seg_len[s][:, None]
+        idx = np.where(valid, seg_start[s][:, None] + pad, 0)
+        dp = np.where(valid, d[idx], 0.0)
+        below = f[idx] <= t[rows][:, None]
+        b = np.cumsum(np.where(below, dp, 0.0), axis=1)[:, -1]
+        p = np.cumsum(np.where(below, -dp, dp), axis=1).min(axis=1)
+        level[rows] = b + np.minimum(p, 0.0)
+    return np.bincount(t_seg, weights=level * (t_next - t), minlength=seg_start.size)
+
+
+def chain_bounds(cell, pos, w, ncell: int):
+    """Bounds on the ``chain_norms`` of many measures, and their exact values
+    on demand.
+
+    Takes the flat layout of ``chain_norms`` and returns ``(L, U, norms)``.
+    L and U hold ``ncell`` values: L = M + sum_i d_i dist(F_i, [0, M]), the
+    closed form without its integral term, and U = L + M * span, span the
+    distance from the first atom of the measure to its last, since the
+    integral term lies in [0, M * span] (the zeta = 1 bounds of the module
+    docstring).  Both are 0 for a measure without atoms, and L = U is the
+    norm when M = 0.  They are computed values: a caller comparing them
+    with computed norms adds a rounding slack.  ``norms(k)`` gives the
+    norms of the measures numbered ``k``, bit for bit those of
+    ``chain_norms``, from the same sorted atoms and paying the level sum
+    of those measures only.  L and U cost the sort and prefix sums of
+    ``chain_norms``, not its level sum.
+    """
+    terms = _chain_terms(cell, pos, w)
+    cell, seg_start, _, _, _, mass, d, value = terms
+    lower = np.zeros(ncell)
+    upper = np.zeros(ncell)
+    lower[cell[seg_start]] = value
+    upper[cell[seg_start]] = value + mass * np.add.reduceat(d, seg_start)
+    # the segment of each measure; -1, the appended 0.0 below, for none
+    seg = np.full(ncell, -1)
+    seg[cell[seg_start]] = np.arange(seg_start.size)
+
+    def norms(k) -> np.ndarray:
+        s = seg[np.asarray(k, dtype=np.intp)]
+        sel = np.zeros(seg_start.size, dtype=bool)
+        sel[s[s >= 0]] = True
+        return np.r_[value + _chain_integrals(terms, sel), 0.0][s]
+
+    return lower, upper, norms
+
+
 def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
     """zeta = 1 dual norms of many atomic measures at once.
 
@@ -231,64 +368,14 @@ def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
         M + sum_i d_i dist(F_i, [0, M]) + integral over [0, M] of
             min over k of [B(t) + P_k(t)] dt,
 
-    B(t) = sum_i d_i [F_i <= t], P_k(t) = sum_{i<k} d_i ([F_i > t] - [F_i <= t]).
-    The integrand is constant between the F_i lying in (0, M), and is
-    evaluated at 0 and at each of them, ``_CHAIN_BLOCK_ENTRIES`` entries at
-    a time; the result does not depend on the block size.
+    B(t) = sum_i d_i [F_i <= t], P_k(t) = sum_{i<k} d_i ([F_i > t] - [F_i <= t]);
+    ``_chain_terms`` gives the first two terms and ``_chain_integrals`` the
+    integral.
     """
-    cell, pos, w = canonicalize_segments(
-        np.asarray(cell, dtype=np.intp), np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
-    )
+    terms = _chain_terms(cell, pos, w)
+    cell, seg_start, _, _, _, _, _, value = terms
     out = np.zeros(ncell)
-    if cell.size == 0:
-        return out
-    n = cell.size
-
-    # segments: the atoms of one measure, in position order
-    seg_start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-    seg_len = np.diff(np.r_[seg_start, n])
-    seg_of = np.repeat(np.arange(seg_start.size), seg_len)
-    col = np.arange(n) - seg_start[seg_of]
-    f = _segmented_cumsum(w, col)
-    mass = f[seg_start + seg_len - 1]
-    sign = np.where(mass < 0, -1.0, 1.0)
-    f *= sign[seg_of]
-    mass = np.abs(mass)
-    d = np.r_[np.where(cell[1:] == cell[:-1], np.diff(pos), 0.0), 0.0]
-
-    m_atom = mass[seg_of]
-    outside = np.maximum(f - m_atom, 0.0) + np.maximum(-f, 0.0)
-    value = mass + np.bincount(seg_of, weights=d * outside, minlength=seg_start.size)
-
-    # breakpoints of the integrand: 0 for each measure with M > 0, and
-    # every F_i strictly inside (0, M)
-    inner = np.flatnonzero((f > 0.0) & (f < m_atom))
-    has_mass = np.flatnonzero(mass > 0.0)
-    t_seg = np.r_[has_mass, seg_of[inner]]
-    t = np.r_[np.zeros(has_mass.size), f[inner]]
-    if t.size:
-        o = _lex_order(t_seg, t)
-        t_seg, t = t_seg[o], t[o]
-        t_next = np.r_[t[1:], 0.0]
-        last = np.r_[t_seg[1:] != t_seg[:-1], True]
-        t_next[last] = mass[t_seg[last]]
-        level = np.empty(t.size)
-        width = max(1, _CHAIN_BLOCK_ENTRIES // int(seg_len.max()))
-        for lo in range(0, t.size, width):
-            rows = slice(lo, lo + width)
-            s = t_seg[rows]
-            pad = np.arange(int(seg_len[s].max()))
-            valid = pad < seg_len[s][:, None]
-            idx = np.where(valid, seg_start[s][:, None] + pad, 0)
-            dp = np.where(valid, d[idx], 0.0)
-            below = f[idx] <= t[rows][:, None]
-            b = np.cumsum(np.where(below, dp, 0.0), axis=1)[:, -1]
-            p = np.cumsum(np.where(below, -dp, dp), axis=1).min(axis=1)
-            level[rows] = b + np.minimum(p, 0.0)
-        value += np.bincount(
-            t_seg, weights=level * (t_next - t), minlength=seg_start.size
-        )
-    out[cell[seg_start]] = value
+    out[cell[seg_start]] = value + _chain_integrals(terms, np.ones(seg_start.size, dtype=bool))
     return out
 
 
@@ -313,8 +400,8 @@ def _matching_costs(x: np.ndarray, z: float) -> np.ndarray:
     arc from a to a + o with everything inside it matched.  The terms of
     one length, odd offset o against level and start, are a strided view
     of ``cl`` (the row L = length - 1 - o read from column a + o + 1) added
-    to a slice of ``arc``, and one ``np.min`` over the offsets takes their
-    minimum.
+    to a slice of ``arc``, and one ``np.minimum.reduce`` over the offsets
+    takes their minimum.
     """
     nl, m = x.shape
     cl = np.zeros((m // 2 + 1, nl, m + 1))
@@ -328,11 +415,11 @@ def _matching_costs(x: np.ndarray, z: float) -> np.ndarray:
             np.minimum((x[:, o:] - x[:, :-o]) ** z, 1.0) + cl[half - 1, :, 1 : m - o + 1]
         )
         # entry (k, l, a) is cl[half - 1 - k][l, a + 2 + 2 k], for the offset o = 2 k + 1
-        inner = np.lib.stride_tricks.as_strided(
-            cl[half - 1, :, 2:], shape=(half, nl, na),
-            strides=(2 * s_col - s_len, s_lev, s_col), writeable=False,
+        inner = np.ndarray(
+            (half, nl, na), buffer=cl, offset=(half - 1) * s_len + 2 * s_col,
+            strides=(2 * s_col - s_len, s_lev, s_col),
         )
-        np.min(arc[:half, :, :na] + inner, axis=0, out=cl[half, :, :na])
+        np.minimum.reduce(arc[:half, :, :na] + inner, axis=0, out=cl[half, :, :na])
     return cl[m // 2, :, 0]
 
 
@@ -344,11 +431,12 @@ def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     ``w[i]``, in any order, coincident atoms adding.  Returns the ``k``
     norms, 0 for a measure without atoms.  Evaluates the level sum of the
     module docstring: the levels between consecutive values of
-    F = (0, F_1, ..., F_n) of every measure are grouped by their count m of
-    crossings, and each group's matchings are solved together by
-    ``_matching_costs``, about ``_CHAIN_BLOCK_ENTRIES // m**2`` levels at a
+    F = (0, F_1, ..., F_n) of every measure are grouped by the number c of
+    points they match (their m crossings, and the sink when m is odd, so
+    c = m + m % 2), and each group's matchings are solved together by
+    ``_matching_costs``, about ``_CHAIN_BLOCK_ENTRIES // c**2`` levels at a
     time (its arrays hold about half that many entries each); the result
-    does not depend on the block size.
+    depends neither on the block size nor on the other levels.
     """
     z = _as_zeta(zeta)
     seg, pos, w = canonicalize_segments(
@@ -389,19 +477,22 @@ def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     start = np.cumsum(count) - count
 
     # an odd count means 0 <= t < M, one more crossing up than down: the
-    # sink, at +inf, is appended to those levels
+    # sink, at +inf, is appended to those levels, so a level of m crossings
+    # is a matching of m + m % 2 points; the levels of m = 2k - 1 and of
+    # m = 2k are matched together
     cost = np.zeros(t.size)
-    # the levels with count m are by_count[bounds[m] : bounds[m + 1]]
-    by_count = np.argsort(count, kind="stable")
-    bounds = np.searchsorted(count[by_count], np.arange(count.max() + 2))
-    for m in np.flatnonzero(np.diff(bounds)[1:]) + 1:
-        levels = by_count[bounds[m] : bounds[m + 1]]
-        cols = m + m % 2
+    size = count + count % 2
+    # the levels with size c are by_size[bounds[c] : bounds[c + 1]]
+    by_size = np.argsort(size, kind="stable")
+    bounds = np.searchsorted(size[by_size], np.arange(size.max() + 2))
+    for cols in np.flatnonzero(np.diff(bounds)[1:]) + 1:
+        levels = by_size[bounds[cols] : bounds[cols + 1]]
         step = max(1, _CHAIN_BLOCK_ENTRIES // (cols * cols))
         for b in range(0, levels.size, step):
             lv = levels[b : b + step]
-            x = np.full((lv.size, cols), np.inf)
-            x[:, :m] = xs[start[lv][:, None] + np.arange(m)]
+            j = np.arange(cols)
+            real = j < count[lv][:, None]
+            x = np.where(real, xs[np.where(real, start[lv][:, None] + j, 0)], np.inf)
             cost[lv] = _matching_costs(x, z)
     width = np.r_[np.diff(t), 0.0]
     out[seg[seg_start]] = np.bincount(t_seg, weights=cost * width, minlength=nseg)

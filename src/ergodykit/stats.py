@@ -30,6 +30,7 @@ from .transfer import (
     GapReport,
     SkewSystem,
     apply_F_phih_normalized,
+    homogeneous_delta,
 )
 
 __all__ = [
@@ -129,10 +130,13 @@ def correlation_operator(
 
     mu0 must be the computed equilibrium (m-referenced).  Builds u * mu0
     once, then iterates the normalized operator and integrates g at every
-    step; C_0 is the plain covariance.
+    step; C_0 is the plain covariance.  Like every iteration of the
+    operator, it compresses at the width ``homogeneous_delta(compress_delta,
+    atom_cap)`` fixed up front, so the steps share one bucket grid.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    delta = homogeneous_delta(compress_delta, atom_cap)
     i_u = integrate(mu0, u)
     i_g = integrate(mu0, g)
     kappa = multiply_observable(mu0, u)
@@ -140,7 +144,7 @@ def correlation_operator(
     values = [abs(integrate(kappa, g) - i_g * i_u)]
     cur = kappa
     for n in range(1, N + 1):
-        cur = apply_F_phih_normalized(sys, rpf, cur, compress_delta, atom_cap)
+        cur = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap)
         ns.append(n)
         values.append(abs(integrate(cur, g) - i_g * i_u))
     bound_pref = None

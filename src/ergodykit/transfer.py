@@ -679,8 +679,13 @@ def verify_LY_S1(
     compress_delta: float = DEFAULT_COMPRESS_DELTA,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> LYS1Fit:
-    """Fit the Lasota-Yorke constants of the normalized operator on S1."""
+    """Fit the Lasota-Yorke constants of the normalized operator on S1.
+
+    The steps compress at ``homogeneous_delta(compress_delta, atom_cap)``,
+    as every iteration of the operator does.
+    """
     rng = np.random.default_rng(seed)
+    delta = homogeneous_delta(compress_delta, atom_cap)
     lam = rpf.lam
     trajs = []
     for _ in range(samples):
@@ -692,7 +697,7 @@ def verify_LY_S1(
         cur = dm
         sn = []
         for _ in range(n_steps):
-            cur = apply_F_phi(sys, rpf, cur, compress_delta, atom_cap)
+            cur = apply_F_phi(sys, rpf, cur, delta, atom_cap)
             cur = cur.scaled(1.0 / lam)
             sn.append(s1_norm(cur))
         trajs.append((s0, w0, sn))

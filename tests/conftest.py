@@ -318,3 +318,34 @@ def disintegration_holder_all_pairs(dm, zeta=None, block=2**18):
         dist = _fiber_norms(z, dm, p, dm, q)
         best = max(best, float((dist / np.abs(dm.x[p] - dm.x[q]) ** z).max(initial=0.0)))
     return best
+
+
+def largest_norms_all_cells(dm, zeta, blocks=1):
+    """The all-cells maxima that bounding every cell first replaced in
+    ``disint._sinf_norms`` and ``linf_norm``: the exact norm of every cell
+    of positive reference mass from one ``_fiber_norms`` call, and the
+    largest of each of ``blocks`` equal runs of cells (0 for a run without
+    such a cell)."""
+    from ergodykit.disint import _fiber_norms
+
+    idx = np.flatnonzero(dm.ref_masses > 0)
+    fib = np.zeros(dm.n)
+    fib[idx] = _fiber_norms(zeta, dm, idx)
+    return fib.reshape(blocks, -1).max(axis=1, initial=0.0)
+
+
+def sinf_norms_all_cells(dm, blocks, zeta=None):
+    """The all-cells ``disint._sinf_norms``: the strong norm of the density
+    of each run plus its largest fiber norm by ``largest_norms_all_cells``."""
+    from ergodykit.disint import _phi1_strong
+
+    z = dm.zeta if zeta is None else zeta
+    return _phi1_strong(dm, z, blocks) + largest_norms_all_cells(dm, z, blocks)
+
+
+def linf_norm_all_cells(dm, zeta=None):
+    """The all-cells ``disint.linf_norm``."""
+    if dm.reference != "m":
+        raise ValueError("linf_norm needs an m-referenced measure; convert first")
+    z = dm.zeta if zeta is None else zeta
+    return float(largest_norms_all_cells(dm, z)[0])

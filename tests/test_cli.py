@@ -543,6 +543,31 @@ class TestBirkhoffWorker:
 
 
 @pytest.mark.usefixtures("no_worker_left")
+class TestPrunedSinfNorms:
+    """The gap estimate's Sinf norms (and the bound prefactor's) evaluate
+    exact fiber norms only where a bound can reach the maximum; at
+    zeta = 0.5 ``correlations.json`` is the bytes of a run that evaluates
+    every cell."""
+
+    def test_bytes_match_all_cells(self, tmp_path, monkeypatch):
+        from conftest import sinf_norms_all_cells
+        from ergodykit import transfer
+
+        text = (HOLDER05_12_CONFIG.replace("base_cells = 12", "base_cells = 64")
+                .replace("seed = 0", "seed = 0\ncorrelation_n = 4"))
+        cfg, out = write_config(tmp_path, text)
+        every = tmp_path / "every"
+        assert main(["correlations", "--config", str(cfg)]) == 0
+        monkeypatch.setattr(transfer, "_sinf_norms", sinf_norms_all_cells)
+        monkeypatch.setattr(disint, "_sinf_norms", sinf_norms_all_cells)
+        assert main(["correlations", "--config", str(cfg), "--out", str(every)]) == 0
+        got, want = ((d / "correlations.json").read_text() for d in (out, every))
+        gap = [json.dumps(json.loads(t)["gap"], indent=1, sort_keys=True) for t in (got, want)]
+        assert gap[0] == gap[1]
+        assert got == want
+        assert (out / "correlations.csv").read_bytes() == (every / "correlations.csv").read_bytes()
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import ergodykit.cli as cli
@@ -783,7 +808,9 @@ class TestCollectorFreeze:
 
 
 class TestImportFootprint:
-    """No run solves an LP, so none pays for importing scipy; the oracle does."""
+    """No run solves an LP, so none pays for importing scipy; the oracle does.
+    ``numpy.random`` is loaded only where random numbers are drawn, and in
+    ``correlations`` once, before the Birkhoff worker is forked."""
 
     def test_import_loads_no_scipy(self):
         out = _run_fresh("import ergodykit, ergodykit.cli\nprint(scipy_loaded())")
@@ -820,6 +847,33 @@ class TestImportFootprint:
         """)
         assert got.strip() == "0 False"
         assert (out / "regularity.json").exists()
+
+    def test_correlations_worker_starts_with_numpy_random(self, tmp_path):
+        # the CLI process imports numpy.random after the set-up and before it
+        # forks the Birkhoff worker, which inherits the module
+        cfg, out = write_config(tmp_path, CORR_TSUJII_16_CONFIG)
+        seen = tmp_path / "seen.txt"
+        got = _run_fresh(f"""
+            import os
+            from ergodykit import cli
+            real = cli.correlation_birkhoff
+
+            def spy(*args, **kwargs):
+                with open({str(seen)!r}, "w") as fh:
+                    print(os.getpid(), "numpy.random" in sys.modules, file=fh)
+                return real(*args, **kwargs)
+
+            cli.correlation_birkhoff = spy
+            loaded = "numpy.random" in sys.modules
+            rc = cli.main(["correlations", "--config", {str(cfg)!r}])
+            print(rc, loaded, os.getpid())
+        """)
+        rc, loaded_at_start, cli_pid = got.split()
+        worker_pid, loaded_in_worker = seen.read_text().split()
+        assert (rc, loaded_at_start, loaded_in_worker) == ("0", "False", "True")
+        assert worker_pid != cli_pid
+        methods = [t["method"] for t in json.loads((out / "correlations.json").read_text())["tables"]]
+        assert methods == ["operator", "birkhoff"]
 
     def test_lp_oracle_loads_scipy(self):
         got = _run_fresh("""

@@ -33,15 +33,18 @@ from ergodykit.measures import (
     uniform_atoms,
     zero_measure,
 )
+from ergodykit import transfer
 from ergodykit.transfer import _random_zero_average, apply_F_phih_normalized
 
 from conftest import (
     disintegration_holder_all_pairs,
     from_dict_per_cell,
     integrate_loop,
+    linf_norm_all_cells,
     multiply_observable_loop,
     product_measure_per_cell,
     random_measure,
+    sinf_norms_all_cells,
 )
 
 
@@ -848,6 +851,135 @@ class TestPrunedHolder:
         exact = disint._fiber_norms(z, mu, i, mu, j)
         assert np.all(disint._jensen_bounds(mass[i], mass[j], d1, z) >= exact)
         assert disintegration_holder(mu, z) == disintegration_holder_all_pairs(mu, z)
+
+
+def _holder05_system(zeta=0.5):
+    # the reg-holder05-12 benchmark system: linear base, tsujii fiber with
+    # alpha = 0.5, zeta = 0.5
+    return build_system(RunConfig(system=dict(
+        base="linear", l=2, fiber="tsujii", alpha=0.5, zeta=zeta,
+    )))
+
+
+def _gap_trials(sys_, n, steps=12, trials=5, seed=0):
+    """The stacked signed trials of ``estimate_spectral_gap`` on n cells:
+    the start and every step."""
+    rpf = ek.build_rpf(sys_.base, sys_.potential, n)
+    big = transfer._side_by_side(rpf, trials)
+    rng = np.random.default_rng(seed)
+    seq = [transfer._stack(
+        [_random_zero_average(rpf, sys_.zeta, rng) for _ in range(trials)], big)]
+    delta = transfer.homogeneous_delta(transfer.DEFAULT_COMPRESS_DELTA, transfer.DEFAULT_ATOM_CAP)
+    for _ in range(steps):
+        seq.append(apply_F_phih_normalized(sys_, big, seq[-1], delta))
+    return seq
+
+
+def _equilibrium_iterates(sys_, n, steps):
+    """Positive iterates of the equilibrium iteration on n cells, every step."""
+    rpf = ek.build_rpf(sys_.base, sys_.potential, n)
+    seq = [product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=sys_.zeta)]
+    for _ in range(steps):
+        seq.append(apply_F_phih_normalized(sys_, rpf, seq[-1]))
+    return seq
+
+
+def assert_same_maxima(dm, blocks=1, zeta=None):
+    """``_sinf_norms`` and ``linf_norm`` give the all-cells values bit for bit."""
+    got = disint._sinf_norms(dm, blocks, zeta)
+    assert got.tobytes() == sinf_norms_all_cells(dm, blocks, zeta).tobytes()
+    assert linf_norm(dm, zeta) == linf_norm_all_cells(dm, zeta)
+
+
+class TestPrunedMaxima:
+    """``_sinf_norms`` and ``linf_norm`` bound every cell and compute exact
+    norms only for the cells whose bound can reach the best norm of their
+    run; the results are those of the all-cells evaluation bit for bit."""
+
+    @pytest.mark.parametrize("name", [e.name for e in ek.gallery()])
+    def test_gallery_systems(self, name):
+        sys_ = ek.gallery_entry(name).build()
+        for dm in _gap_trials(sys_, 32):
+            assert_same_maxima(dm, 5)
+        for dm in _equilibrium_iterates(sys_, 32, 8):
+            assert_same_maxima(dm)
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_holder05_system(self, n):
+        sys_ = _holder05_system()
+        for dm in _gap_trials(sys_, n):
+            assert_same_maxima(dm, 5)
+        iterates = _equilibrium_iterates(sys_, n, 12)
+        assert np.diff(iterates[-1].offsets).mean() > 20  # the level DP is exercised
+        for dm in iterates:
+            assert_same_maxima(dm)
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    def test_gap_trials_each_zeta(self, zeta, monkeypatch):
+        # the same trials at both exponents, with the exact norms counted:
+        # each call evaluates in two rounds and leaves cells out
+        real = disint._norm_bounds
+        evaluated = []
+
+        def counted(z, dm, idx):
+            lower, upper, norms = real(z, dm, idx)
+            return lower, upper, lambda k: evaluated.append(np.size(k)) or norms(k)
+
+        monkeypatch.setattr(disint, "_norm_bounds", counted)
+        seq = _gap_trials(_holder05_system(zeta), 64)
+        for dm in seq:
+            assert_same_maxima(dm, 5)
+        # two rounds per call, two calls (sinf and linf) per measure
+        assert len(evaluated) == 2 * 2 * len(seq)
+        cells = sum(int(np.sum(dm.ref_masses > 0)) for dm in seq)
+        assert sum(evaluated) < 0.5 * 2 * cells
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5, 0.2])
+    def test_bounds_hold_for_every_cell(self, zeta):
+        for dm in _gap_trials(_holder05_system(), 24) + [self._edge_measure(zeta)]:
+            idx = np.flatnonzero(dm.ref_masses > 0)
+            lower, upper, norms = disint._norm_bounds(zeta, dm, idx)
+            exact = disint._fiber_norms(zeta, dm, idx)
+            assert norms(np.arange(idx.size)).tobytes() == exact.tobytes()
+            assert np.all(lower <= exact) and np.all(exact <= upper)
+
+    @staticmethod
+    def _edge_measure(zeta):
+        """Eight cells in two runs of four: an empty fiber, a fiber of zero
+        mass, two identical fibers (tied maxima, one in each run), a
+        zero-reference-mass cell holding the largest fiber, and
+        2 delta_0 - delta_9e-17, whose transport part lies below the
+        rounding of its zeta = 1 norm."""
+        cells = [
+            [],
+            [(0.2, 0.5), (0.7, -0.5)],
+            [(0.1, 1.5), (0.6, -0.25)],
+            [(0.0, 5.0), (1.0, -5.0)],
+            [(0.0, 2.0), (9e-17, -1.0)],
+            [(0.1, 1.5), (0.6, -0.25)],
+            [(0.3, 0.25)],
+            [],
+        ]
+        ref = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+        cell = np.repeat(np.arange(8), [len(c) for c in cells])
+        return DisintegratedMeasure.from_atoms(
+            np.tile([0.125, 0.375, 0.625, 0.875], 2), ref, np.linspace(-1.0, 1.0, 8), cell,
+            [p for c in cells for p, _ in c], [w for c in cells for _, w in c], "m", zeta,
+        )
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5, 0.2])
+    def test_edge_cases(self, zeta):
+        dm = self._edge_measure(zeta)
+        for blocks in (1, 2, 4, 8):
+            assert_same_maxima(dm, blocks)
+        # the tied fibers are the largest of each run
+        tied = disint._fiber_norms(zeta, dm, [2])[0]
+        assert disint._largest_norms(dm, zeta, 2).tolist() == [
+            tied, max(tied, disint._fiber_norms(zeta, dm, [4])[0])]
+        # no cell of positive reference mass, and a run without one
+        for ref in (np.zeros(8), np.r_[np.zeros(4), np.ones(4)]):
+            assert_same_maxima(replace(dm, ref_masses=ref), 2)
+        assert disint._largest_norms(replace(dm, ref_masses=np.zeros(8)), zeta, 2).tolist() == [0.0, 0.0]
 
 
 class TestDistanceArguments:

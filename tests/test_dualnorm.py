@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ergodykit import dualnorm
 from ergodykit.dualnorm import (
     _dual_norm_lp,
+    chain_bounds,
     chain_norms,
     distance_value,
     dual_norm,
@@ -212,6 +213,45 @@ class TestChainNorms:
         assert chain_norms(empty.astype(np.intp), empty, empty, 3).tolist() == [0.0] * 3
 
 
+class TestChainBounds:
+    """``chain_bounds``: the closed form without its integral term below the
+    norm, that plus M * span above it, and the norms of any measures on
+    demand, bit for bit those of ``chain_norms``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_flat_fibers(), st.integers(0, 2**32 - 1))
+    def test_bounds_and_norms(self, flat, seed):
+        cell, pos, w, ncell = flat
+        want = chain_norms(cell, pos, w, ncell)
+        lower, upper, norms = chain_bounds(cell, pos, w, ncell)
+        assert np.all(lower <= want)
+        assert np.all(want <= upper + 1e-12)
+        # any measures, in any order, repeated or without atoms
+        k = np.random.default_rng(seed).integers(0, ncell, size=2 * ncell)
+        assert norms(k).tobytes() == want[k].tobytes()
+        assert norms(np.arange(ncell)).tobytes() == want.tobytes()
+        assert norms(k[:0]).shape == (0,)
+
+    def test_worked_values(self):
+        # delta_0 - delta_1/2 + delta_1: M = 1 over a span of 1, F = (1, 0, 1)
+        # in [0, M], and an integral term of 1/2; M = 0, where both bounds
+        # are the norm; an empty measure; and a measure whose atoms cancel
+        cell = np.array([0, 0, 0, 1, 1, 3, 3])
+        pos = np.array([0.0, 0.5, 1.0, 0.25, 0.75, 0.5, 0.5])
+        w = np.array([1.0, -1.0, 1.0, 0.5, -0.5, 1.0, -1.0])
+        lower, upper, norms = chain_bounds(cell, pos, w, 4)
+        assert lower.tolist() == [1.0, 0.25, 0.0, 0.0]
+        assert upper.tolist() == [2.0, 0.25, 0.0, 0.0]
+        assert norms([3, 2, 1, 0]).tolist() == [0.0, 0.0, 0.25, 1.5]
+        assert chain_norms(cell, pos, w, 4).tolist() == [1.5, 0.25, 0.0, 0.0]
+
+    def test_no_atoms(self):
+        empty = np.empty(0)
+        lower, upper, norms = chain_bounds(empty.astype(np.intp), empty, empty, 3)
+        assert lower.tolist() == upper.tolist() == [0.0] * 3
+        assert norms([2, 0]).tolist() == [0.0, 0.0]
+
+
 def _per_cell_lp(cell, pos, w, ncell, zeta):
     out = []
     for c in range(ncell):
@@ -320,6 +360,33 @@ class TestTransportNorms:
             with mock.patch.object(dualnorm, "_matching_costs", matching_costs_loop):
                 want = transport_norms(cell, pos, w, k, 0.5)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5])
+    def test_sink_levels_matched_with_even_ones(self, zeta, monkeypatch):
+        # a level of 2k - 1 crossings and the sink is matched in one DP call
+        # with the levels of 2k crossings; solving the two kinds apart, as
+        # separate calls, gives the same norms bit for bit
+        real = dualnorm._matching_costs
+        mixed = []
+
+        def apart(x, z):
+            sink = np.isinf(x[:, -1])
+            mixed.append(sink.any() and not sink.all())
+            out = np.empty(x.shape[0])
+            for rows in (sink, ~sink):
+                if rows.any():
+                    out[rows] = real(x[rows], z)
+            return out
+
+        rng = np.random.default_rng(12)
+        k, n = 24, 40
+        pos = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=1).ravel()
+        w = rng.standard_normal(k * n)
+        cell = np.repeat(np.arange(k), n)
+        got = transport_norms(cell, pos, w, k, zeta)
+        monkeypatch.setattr(dualnorm, "_matching_costs", apart)
+        assert transport_norms(cell, pos, w, k, zeta).tobytes() == got.tobytes()
+        assert any(mixed)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 0.75]))

@@ -105,6 +105,25 @@ class TestCorrelationOperator:
         assert tab.bound_prefactor is not None and tab.bound_xi == gap.xi
 
 
+    def test_one_compression_round_per_step(self, tsujii_system, monkeypatch):
+        # the corr-tsujii-16 benchmark run: tsujii at n = 16, 12 iterations,
+        # correlation_n = 10.  At the homogeneous width every step
+        # compresses once or twice; from the raw 1e-4 it doubled 8 times
+        from ergodykit import measures
+
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        dm0 = product_measure(1.0, ek.dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
+        mu, _ = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=1e-300, max_iter=12,
+                                       distances=False)
+        calls = []
+        real = measures._compress_segments
+        monkeypatch.setattr(measures, "_compress_segments",
+                            lambda *a: calls.append(a[0].size) or real(*a))
+        y = Observable.coord_y()
+        correlation_operator(tsujii_system, rpf, mu, y, y, N=10)
+        assert 10 <= len(calls) <= 2 * 10
+
+
 class TestCorrelationBirkhoff:
     def test_constant_u_within_noise(self, tsujii_system):
         one = Observable.constant(1.0)

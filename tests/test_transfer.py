@@ -773,3 +773,43 @@ class TestStopFromLowerBounds:
         assert disint._linf_lower_bounds(a, b)[0] <= exact
         assert transfer._below_tol(a, b, z, float(np.nextafter(exact, np.inf)))
         assert not transfer._below_tol(a, b, z, exact)
+
+
+class TestHomogeneousWidth:
+    """Every iteration of the operator compresses at
+    ``homogeneous_delta(compress_delta, atom_cap)``, fixed up front."""
+
+    @pytest.mark.parametrize("compress_delta, atom_cap", [(1e-4, 64), (0.3, 8)])
+    def test_width_handed_to_compression(self, tsujii_system, monkeypatch,
+                                         compress_delta, atom_cap):
+        from ergodykit.stats import correlation_operator
+
+        rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
+        kw = dict(compress_delta=compress_delta, atom_cap=atom_cap)
+        dm0 = ek.product_measure(1.0, dirac(1.0), rpf=rpf, reference="m", zeta=1.0)
+        mu, _ = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=6, **kw)
+        y = Observable.coord_y()
+        runs = {
+            "iterate_to_equilibrium":
+                lambda: iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=0.0, max_iter=3, **kw),
+            "estimate_spectral_gap":
+                lambda: estimate_spectral_gap(tsujii_system, rpf, trials=5, n_steps=3, **kw),
+            "correlation_operator":
+                lambda: correlation_operator(tsujii_system, rpf, mu, y, y, 3, **kw),
+            "verify_LY_S1":
+                lambda: verify_LY_S1(tsujii_system, rpf, samples=2, n_steps=4, **kw),
+        }
+        widths = []
+        real = transfer.compress_to_cap_segments
+
+        def recorded(cell, pos, w, ncell, delta, cap):
+            widths.append((delta, cap))
+            return real(cell, pos, w, ncell, delta, cap)
+
+        monkeypatch.setattr(transfer, "compress_to_cap_segments", recorded)
+        want = transfer.homogeneous_delta(compress_delta, atom_cap)
+        assert want == max(compress_delta, 1.0 / (atom_cap - 1))
+        for name, run in runs.items():
+            widths.clear()
+            run()
+            assert widths and set(widths) == {(want, atom_cap)}, name
