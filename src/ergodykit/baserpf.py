@@ -11,6 +11,7 @@ checked empirically through grid refinement and analytic special cases.
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -761,19 +762,27 @@ def check_hypotheses(
 # empirical spectral estimates
 # ---------------------------------------------------------------------------
 
-def _test_vectors(n: int, x: np.ndarray, samples: int, seed: int = 0) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
+def _test_vectors(x: np.ndarray, samples: int, seed: int = 0) -> list[np.ndarray]:
+    """Seeded random Holder test vectors on the points x, max |g| = 1 each.
+
+    Even rows are three cosines with integer frequencies 1-4,
+    standard-normal amplitudes and uniform phases; odd rows interpolate six
+    standard-normal values through four sorted uniform knots.  The draws
+    come from the standard library's ``random.Random(seed)``, so measuring
+    the kernel decay never imports ``numpy.random``.
+    """
+    rng = random.Random(seed)
     out = []
     for k in range(samples):
         if k % 2 == 0:
-            freqs = rng.integers(1, 5, size=3)
-            amps = rng.standard_normal(3)
-            g = sum(a * np.cos(np.pi * f * x + rng.uniform(0, 2 * np.pi))
+            freqs = [rng.randint(1, 4) for _ in range(3)]
+            amps = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            g = sum(a * np.cos(np.pi * f * x + rng.uniform(0.0, 2 * np.pi))
                     for a, f in zip(amps, freqs))
         else:
-            knots = np.sort(rng.uniform(0, 1, size=4))
-            vals = rng.standard_normal(6)
-            g = np.interp(x, np.concatenate([[0.0], knots, [1.0]]), vals)
+            knots = sorted(rng.random() for _ in range(4))
+            vals = [rng.gauss(0.0, 1.0) for _ in range(6)]
+            g = np.interp(x, [0.0, *knots, 1.0], vals)
         g = np.asarray(g, dtype=float)
         g /= max(np.max(np.abs(g)), 1e-12)
         out.append(g)
@@ -860,8 +869,10 @@ def verify_lasota_yorke(
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     z = _as_zeta(zeta)
-    g = np.array(_test_vectors(rpf.n, rpf.x, samples, seed))
+    g = np.array(_test_vectors(rpf.x, samples, seed))
     s0, sn = _strong_norms(rpf, g, z, n_steps)
     w0 = np.max(np.abs(g), axis=1)
     c1 = max(1.0, float(np.max(sn[-5:].max(axis=0) / np.maximum(w0, 1e-300))))
@@ -900,12 +911,14 @@ def spectral_radius_on_kernel(
     """
     if samples < 10:
         raise ValueError("need at least 10 sample vectors")
+    if n_steps < 4:
+        raise ValueError(f"n_steps must be at least 4 for the decay fit, got {n_steps}")
     z = _as_zeta(zeta)
     # one BLAS dot per row: a matrix-vector product adds in another order
     # and would move r_hat in its last bits
     proj = lambda g: g - np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
     s0_all, sn_all = _strong_norms(
-        rpf, proj(np.array(_test_vectors(rpf.n, rpf.x, samples, seed))), z, n_steps, proj
+        rpf, proj(np.array(_test_vectors(rpf.x, samples, seed))), z, n_steps, proj
     )
     r_hat = 0.0
     d_hat = 1.0

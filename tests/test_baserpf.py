@@ -269,6 +269,11 @@ class TestLasotaYorke:
         with pytest.raises(ValueError):
             verify_lasota_yorke(tripling_rpf, 1.0, samples=3)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_step_validation(self, tripling_rpf, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            verify_lasota_yorke(tripling_rpf, 1.0, samples=10, n_steps=n_steps)
+
 
 def _strong_norm(x, v, zeta):
     return discrete_holder_constant(x, v, zeta) + float(np.max(np.abs(v)))
@@ -285,7 +290,7 @@ def _kernel_decay_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0
     else:
         proj = lambda g: g - float(np.dot(rpf.nu, g)) * rpf.h
     r_hat, d_hat = 0.0, 1.0
-    for g in baserpf._test_vectors(rpf.n, rpf.x, samples, seed):
+    for g in baserpf._test_vectors(rpf.x, samples, seed):
         v = proj(g)
         s0 = _strong_norm(rpf.x, v, zeta)
         if s0 < 1e-12:
@@ -311,7 +316,7 @@ def _kernel_decay_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0
 def _ly_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0):
     """C1 and the excess envelope rn of the per-vector Lasota-Yorke loop."""
     c1, trajs = 1.0, []
-    for g in baserpf._test_vectors(rpf.n, rpf.x, samples, seed):
+    for g in baserpf._test_vectors(rpf.x, samples, seed):
         s0, w0 = _strong_norm(rpf.x, g, zeta), float(np.max(np.abs(g)))
         sn, v = [], g.copy()
         for _ in range(n_steps):
@@ -323,6 +328,24 @@ def _ly_one_vector_at_a_time(rpf, zeta, samples=10, n_steps=30, seed=0):
     for s0, w0, sn in trajs:
         rn = np.maximum(rn, np.maximum(0.0, np.asarray(sn) - c1 * w0) / max(s0, 1e-300))
     return c1, rn
+
+
+class TestTestVectors:
+    """The kernel-decay test vectors: seeded standard-library draws."""
+
+    X = (np.arange(64) + 0.5) / 64
+
+    def test_same_seed_same_bits(self):
+        a = np.array(baserpf._test_vectors(self.X, 11, seed=5))
+        b = np.array(baserpf._test_vectors(self.X, 11, seed=5))
+        assert a.shape == (11, 64)
+        assert a.tobytes() == b.tobytes()
+        assert np.max(np.abs(a), axis=1).tolist() == [1.0] * 11
+
+    def test_other_seed_other_vectors(self):
+        a = np.array(baserpf._test_vectors(self.X, 10, seed=0))
+        b = np.array(baserpf._test_vectors(self.X, 10, seed=1))
+        assert all(not np.array_equal(u, v) for u, v in zip(a, b))
 
 
 class TestBatchedTestVectors:
@@ -357,7 +380,7 @@ class TestBatchedTestVectors:
                 fit = verify_lasota_yorke(rpf, zeta, samples=11, n_steps=20, seed=3)
             s0, sn = seen["out"]
             w0 = np.array([np.max(np.abs(g)) for g in
-                           baserpf._test_vectors(rpf.n, rpf.x, 11, 3)])
+                           baserpf._test_vectors(rpf.x, 11, 3)])
             assert fit.C1 == c1
             excess = np.maximum(0.0, sn - fit.C1 * w0) / np.maximum(s0, 1e-300)
             assert excess.max(axis=1).tobytes() == rn.tobytes()
@@ -462,6 +485,23 @@ class TestKernelDecay:
         b = spectral_radius_on_kernel(twisted_operator(bumped), sys_.zeta).r_hat
         assert a > 0.0
         assert abs(a - b) <= 1e-12 * a
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 3])
+    def test_too_few_steps_for_the_fit(self, n_steps):
+        # fewer than 4 steps leave no usable fit: refuse rather than claim
+        # instant decay (r_hat = 0)
+        sys_ = ek.gallery_entry("tsujii").build()
+        rpf = twisted_operator(build_rpf(sys_.base, sys_.potential, 64))
+        with pytest.raises(ValueError, match="n_steps"):
+            spectral_radius_on_kernel(rpf, 1.0, n_steps=n_steps)
+        assert spectral_radius_on_kernel(rpf, 1.0, n_steps=4).n_steps == 4
+
+    def test_pinned_rate(self):
+        # the bits of one r_hat at the default samples and seed: a change of
+        # the test-vector generator has to edit this value on purpose
+        sys_ = ek.gallery_entry("doubling-linear").build()
+        rpf = twisted_operator(build_rpf(sys_.base, sys_.potential, 64))
+        assert spectral_radius_on_kernel(rpf, 1.0).r_hat.hex() == "0x1.fbcc348fab603p-2"
 
     def test_twisted_matches_plain(self):
         rpf = build_rpf(manneville_pomeau(0.5), mp_geometric_potential(0.5, 0.1), 96)
@@ -611,7 +651,7 @@ class TestPrunedHolder:
         # and a few of their images under the operator
         sys_ = ek.gallery_entry("mp-geometric-holder").build()
         rpf = build_rpf(sys_.base, sys_.potential, 1024)
-        g = np.array(baserpf._test_vectors(rpf.n, rpf.x, 10))
+        g = np.array(baserpf._test_vectors(rpf.x, 10))
         g -= np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
         for step in range(6):
             if step in (0, 1, 5):

@@ -809,8 +809,10 @@ class TestCollectorFreeze:
 
 class TestImportFootprint:
     """No run solves an LP, so none pays for importing scipy; the oracle does.
-    ``numpy.random`` is loaded only where random numbers are drawn, and in
-    ``correlations`` once, before the Birkhoff worker is forked."""
+    ``numpy.random`` is loaded only where many random numbers are drawn: in
+    ``correlations`` once, before the Birkhoff worker is forked.  The kernel
+    decay's few test vectors come from the standard library's ``random``,
+    so ``equilibrium`` and ``regularity`` never load it."""
 
     def test_import_loads_no_scipy(self):
         out = _run_fresh("import ergodykit, ergodykit.cli\nprint(scipy_loaded())")
@@ -847,6 +849,18 @@ class TestImportFootprint:
         """)
         assert got.strip() == "0 False"
         assert (out / "regularity.json").exists()
+
+    def test_equilibrium_loads_no_numpy_random(self, tmp_path):
+        # convergence.json's kernel decay draws its test vectors from the
+        # standard library's random.Random
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        got = _run_fresh(f"""
+            from ergodykit import cli
+            rc = cli.main(["equilibrium", "--config", {str(cfg)!r}])
+            print(rc, "numpy.random" in sys.modules)
+        """)
+        assert got.strip() == "0 False"
+        assert json.loads((out / "convergence.json").read_text())["r_hat"] > 0.0
 
     def test_correlations_worker_starts_with_numpy_random(self, tmp_path):
         # the CLI process imports numpy.random after the set-up and before it
