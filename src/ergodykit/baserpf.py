@@ -11,13 +11,13 @@ checked empirically through grid refinement and analytic special cases.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dualnorm import NumericError, _as_zeta
+from .measures import seeded
 
 __all__ = [
     "Branch",
@@ -768,10 +768,9 @@ def _test_vectors(x: np.ndarray, samples: int, seed: int = 0) -> list[np.ndarray
     Even rows are three cosines with integer frequencies 1-4,
     standard-normal amplitudes and uniform phases; odd rows interpolate six
     standard-normal values through four sorted uniform knots.  The draws
-    come from the standard library's ``random.Random(seed)``, so measuring
-    the kernel decay never imports ``numpy.random``.
+    come from ``measures.seeded(seed)``, a ``random.Random``.
     """
-    rng = random.Random(seed)
+    rng = seeded(seed)
     out = []
     for k in range(samples):
         if k % 2 == 0:

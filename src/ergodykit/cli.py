@@ -478,13 +478,11 @@ def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
 
     The Birkhoff estimate needs only the system, so it runs in a forked
     worker (``_start_worker``) alongside the equilibrium, the gap estimate
-    and the operator route, which stay in this process.  Both draw random
-    numbers, so ``numpy.random`` is imported once, here, after the set-up
-    and before the fork: the worker inherits the module instead of
-    importing it again.
+    and the operator route, which stay in this process.  Each side draws
+    its numbers from a generator of its own seeded with ``cfg.seed``
+    (``measures.seeded``), so running them apart changes no output.
     """
     system, rpf = _prepare(cfg, out_dir)
-    import numpy.random  # noqa: F401
     u = _observable(cfg.u_name, system.zeta)
     g = _observable(cfg.g_name, system.zeta)
     birkhoff = None

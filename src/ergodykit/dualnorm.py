@@ -179,7 +179,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import AtomicSignedMeasure, _lex_order, canonicalize, canonicalize_segments
+from .measures import (
+    AtomicSignedMeasure,
+    _lex_order,
+    canonicalize,
+    canonicalize_segments,
+    seeded,
+    uniforms,
+)
 
 __all__ = [
     "NumericError",
@@ -600,21 +607,22 @@ def lower_bound_sample(
     z = _as_zeta(zeta)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = seeded(seed)
     mu = canonicalize(mu)
     if mu.n_atoms == 0:
         return 0.0
     pos = mu.positions
     w = mu.weights
     best = max(float(w.sum()), float(-w.sum()))  # g = +1 and g = -1
-    rng = np.random.default_rng(seed)
     n = pos.size
     gaps = np.abs(pos[:, None] - pos[None, :]) ** z
     # the sign pattern of the weights is the natural greedy anchor choice
     candidates = [np.sign(w)]
     for _ in range(trials):
-        k = int(rng.integers(1, n + 1))
-        anchors = rng.integers(0, n, size=k)
-        v = rng.uniform(-1.0, 1.0, size=k)
+        k = rng.randrange(1, n + 1)
+        u = uniforms(rng, (2, k))
+        anchors = (u[0] * n).astype(np.intp)  # u < 1, so u n rounds below n
+        v = 2.0 * u[1] - 1.0
         g = np.min(v[None, :] + gaps[:, anchors], axis=1)
         candidates.append(g)
     for g in candidates:

@@ -8,6 +8,7 @@ on K is |x - y|, so diam(K) = 1.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,6 +31,39 @@ __all__ = [
 
 # Images of fiber maps may overshoot [0, 1] by rounding; clamp within this.
 _RANGE_SLACK = 1e-12
+
+# 64-bit words that ``uniforms`` draws and converts at a time (64 KiB).
+_CHUNK_WORDS = 1 << 13
+
+
+def seeded(seed) -> random.Random:
+    """The generator every seeded draw in the package comes from.
+
+    ``random.Random`` would take abs() of a negative seed and hash any
+    other object, so a seed that is not a non-negative integer (Python or
+    numpy, not bool) raises ValueError instead.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(int(seed))
+
+
+def uniforms(rng: random.Random, shape) -> np.ndarray:
+    """Doubles in [0, 1) of the given shape, in C order: the top 53 bits
+    of one 64-bit word of ``rng.getrandbits`` each, times 2**-53.
+
+    The words come ``_CHUNK_WORDS`` at a time, so the temporaries stay one
+    chunk long.  The generator hands out its 32-bit outputs in order
+    whatever the size of the request, so the values are the same bits for
+    any chunk size, and k rows drawn at once equal k one-row calls.
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK_WORDS):
+        k = min(_CHUNK_WORDS, flat.size - lo)
+        words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u8")
+        np.multiply(words >> 11, 2.0**-53, out=flat[lo:lo + k])
+    return out
 
 
 class MeasureDomainError(ValueError):

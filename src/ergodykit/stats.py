@@ -24,6 +24,7 @@ from .disint import (
     multiply_observable,
     sinf_norm,
 )
+from .measures import seeded, uniforms
 from .transfer import (
     DEFAULT_ATOM_CAP,
     DEFAULT_COMPRESS_DELTA,
@@ -203,11 +204,13 @@ def correlation_birkhoff(
     rows = total if orbit_noise else samples_per_orbit + N
     if rows * orbits * 8 > np.iinfo(np.intp).max:
         raise MemoryError(f"{rows} x {orbits} floats are more than numpy can address")
-    rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(0.0, 1.0, size=orbits)
-    y = rng.uniform(0.0, 1.0, size=orbits)
+    rng = seeded(rng_seed)
+    x = uniforms(rng, orbits)
+    y = uniforms(rng, orbits)
     if orbit_noise:
-        noise = rng.uniform(-orbit_noise, orbit_noise, size=(total, orbits))
+        noise = uniforms(rng, (total, orbits))
+        noise *= 2 * orbit_noise
+        noise -= orbit_noise  # uniform in [-orbit_noise, orbit_noise)
     xs = np.empty((samples_per_orbit + N, orbits))
     ys = np.empty((samples_per_orbit + N, orbits))
     for t in range(total):

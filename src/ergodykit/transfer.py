@@ -18,6 +18,7 @@ bookkeeping for the disintegration Holder constant.
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
@@ -52,6 +53,8 @@ from .measures import (
     MeasureDomainError,
     canonicalize_segments,
     compress_to_cap_segments,
+    seeded,
+    uniforms,
 )
 
 # Nothing here calls the one-fiber compression or the one-measure Sinf norm
@@ -140,8 +143,8 @@ class SkewSystem:
         """Spot-check the declared contraction and fiber-Holder bounds,
         with one fiber-map call for all contraction pairs and one per
         branch for the Holder grid."""
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(0, 1, size=(samples, 3))  # x, then two fiber points
+        rng = seeded(seed)
+        u = uniforms(rng, (samples, 3))  # x, then two fiber points
         d = np.abs(u[:, 2] - u[:, 1])
         gz = _elementwise(self.fiber, u[:, :1], u[:, 1:])
         keep = d >= 1e-12
@@ -150,8 +153,8 @@ class SkewSystem:
         )
         worst_holder = 0.0
         for b in self.base.branches:
-            xs = rng.uniform(b.lo, b.hi, size=samples)
-            ys = rng.uniform(0, 1, size=8)
+            xs = b.lo + (b.hi - b.lo) * uniforms(rng, samples)
+            ys = uniforms(rng, 8)
             vals = _elementwise(self.fiber, xs[:, None], ys)
             dx = np.abs(np.diff(xs))
             keep = dx >= 1e-9
@@ -478,30 +481,32 @@ class GapReport:
 
 
 def _random_zero_average(
-    rpf: RPFDiscretization, zeta: float, rng: np.random.Generator
+    rpf: RPFDiscretization, zeta: float, rng: random.Random
 ) -> DisintegratedMeasure:
     """A random signed measure whose marginal density is m-zero-average.
 
     Restrictions combine a mass-carrying atom with a zero-mass dipole so
-    both the marginal and the pure-fiber directions get exercised.  Cell
-    by cell the generator draws the atom's position (only where the
+    both the marginal and the pure-fiber directions get exercised.  The
+    density is two cosines, each with a frequency in 1-3 (both drawn
+    first), then a standard-normal amplitude and a uniform phase.  Cell
+    by cell the generator then draws the atom's position (only where the
     density is non-zero), the dipole weight in [0.2, 1) and the dipole's
-    two positions; one call draws them all in that order.  A dipole whose
-    two positions coincide is the zero measure.
+    two positions; one ``uniforms`` call draws them all in that order.  A
+    dipole whose two positions coincide is the zero measure.
     """
     n = rpf.n
-    freqs = rng.integers(1, 4, size=2)
+    freqs = [rng.randrange(1, 4) for _ in range(2)]
     phi1 = sum(
-        float(rng.standard_normal()) * np.cos(np.pi * f * rpf.x + rng.uniform(0, 2 * np.pi))
+        rng.gauss(0.0, 1.0) * np.cos(np.pi * f * rpf.x + rng.uniform(0.0, 2 * np.pi))
         for f in freqs
     )
     phi1 = np.asarray(phi1, dtype=float)
     phi1 -= float(np.dot(rpf.m, phi1))  # project off the fixed direction
     drawn = np.ones((n, 4), dtype=bool)
     drawn[:, 0] = phi1 != 0
-    low = np.where(np.arange(4) == 1, 0.2, 0.0)
+    low = np.broadcast_to(np.where(np.arange(4) == 1, 0.2, 0.0), (n, 4))[drawn]
     u = np.zeros((n, 4))
-    u[drawn] = rng.uniform(np.broadcast_to(low, (n, 4))[drawn], 1.0)
+    u[drawn] = low + (1.0 - low) * uniforms(rng, low.size)
     w, a, b = u[:, 1], u[:, 2], u[:, 3]
     dipole = a != b
     cell = np.concatenate([np.flatnonzero(drawn[:, 0]), np.tile(np.flatnonzero(dipole), 2)])
@@ -577,7 +582,7 @@ def estimate_spectral_gap(
         raise ValueError("need at least 5 trials")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     delta = homogeneous_delta(compress_delta, atom_cap)
     big = _side_by_side(rpf, trials)
     cur = _stack([_random_zero_average(rpf, sys.zeta, rng) for _ in range(trials)], big)
@@ -684,7 +689,7 @@ def verify_LY_S1(
     The steps compress at ``homogeneous_delta(compress_delta, atom_cap)``,
     as every iteration of the operator does.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     delta = homogeneous_delta(compress_delta, atom_cap)
     lam = rpf.lam
     trajs = []

@@ -24,7 +24,7 @@ from ergodykit.disint import (
     product_measure,
 )
 from ergodykit.dualnorm import _dual_norm_lp, distance_value
-from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward
+from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward, seeded
 from ergodykit.stats import correlation_birkhoff, correlation_operator, fit_exponential
 from ergodykit.systems import check_example_constants, gallery, gallery_entry
 from ergodykit.transfer import (
@@ -148,7 +148,7 @@ def test_criterion_05_operator_eigen_relation():
 
 def test_criterion_06_weak_contraction():
     """Normalized operators never expand the weak norms."""
-    rng = np.random.default_rng(106)
+    rng = seeded(106)
     worst_l1 = -np.inf
     worst_linf = -np.inf
     for entry in gallery():

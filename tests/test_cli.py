@@ -809,10 +809,8 @@ class TestCollectorFreeze:
 
 class TestImportFootprint:
     """No run solves an LP, so none pays for importing scipy; the oracle does.
-    ``numpy.random`` is loaded only where many random numbers are drawn: in
-    ``correlations`` once, before the Birkhoff worker is forked.  The kernel
-    decay's few test vectors come from the standard library's ``random``,
-    so ``equilibrium`` and ``regularity`` never load it."""
+    No command loads ``numpy.random``: every seeded draw comes from the
+    standard library's ``random.Random`` (``measures.seeded``)."""
 
     def test_import_loads_no_scipy(self):
         out = _run_fresh("import ergodykit, ergodykit.cli\nprint(scipy_loaded())")
@@ -862,10 +860,13 @@ class TestImportFootprint:
         assert got.strip() == "0 False"
         assert json.loads((out / "convergence.json").read_text())["r_hat"] > 0.0
 
-    def test_correlations_worker_starts_with_numpy_random(self, tmp_path):
-        # the CLI process imports numpy.random after the set-up and before it
-        # forks the Birkhoff worker, which inherits the module
-        cfg, out = write_config(tmp_path, CORR_TSUJII_16_CONFIG)
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        # every command in one interpreter; the Birkhoff worker of
+        # correlations (physical = true) reports after its draws
+        eq_cfg, eq_out = write_config(tmp_path, TSUJII_16_CONFIG, "eq.cfg", tmp_path / "eq")
+        reg_cfg, _ = write_config(tmp_path, HOLDER05_12_CONFIG, "reg.cfg", tmp_path / "reg")
+        corr_cfg, corr_out = write_config(tmp_path, CORR_TSUJII_16_CONFIG, "corr.cfg",
+                                          tmp_path / "corr")
         seen = tmp_path / "seen.txt"
         got = _run_fresh(f"""
             import os
@@ -873,21 +874,31 @@ class TestImportFootprint:
             real = cli.correlation_birkhoff
 
             def spy(*args, **kwargs):
+                table = real(*args, **kwargs)
                 with open({str(seen)!r}, "w") as fh:
                     print(os.getpid(), "numpy.random" in sys.modules, file=fh)
-                return real(*args, **kwargs)
+                return table
 
             cli.correlation_birkhoff = spy
-            loaded = "numpy.random" in sys.modules
-            rc = cli.main(["correlations", "--config", {str(cfg)!r}])
-            print(rc, loaded, os.getpid())
+            eq = ["--config", {str(eq_cfg)!r}]
+            rcs = [
+                cli.main(["equilibrium", *eq]),
+                cli.main(["regularity", "--config", {str(reg_cfg)!r}]),
+                cli.main(["correlations", "--config", {str(corr_cfg)!r}]),
+                cli.main(["verify", *eq]),
+                cli.main(["norms", *eq, "--measure", {str(eq_out / "equilibrium.json")!r}]),
+                cli.main(["gallery"]),
+            ]
+            print(*rcs, "numpy.random" in sys.modules, os.getpid())
         """)
-        rc, loaded_at_start, cli_pid = got.split()
+        *rcs, loaded, cli_pid = got.splitlines()[-1].split()
         worker_pid, loaded_in_worker = seen.read_text().split()
-        assert (rc, loaded_at_start, loaded_in_worker) == ("0", "False", "True")
+        assert (rcs, loaded, loaded_in_worker) == (["0"] * 6, "False", "False")
         assert worker_pid != cli_pid
-        methods = [t["method"] for t in json.loads((out / "correlations.json").read_text())["tables"]]
-        assert methods == ["operator", "birkhoff"]
+        tables = json.loads((corr_out / "correlations.json").read_text())["tables"]
+        assert [t["method"] for t in tables] == ["operator", "birkhoff"]
+        assert (eq_out / "hypothesis_report.json").exists()
+        assert (eq_out / "norms.json").exists()
 
     def test_lp_oracle_loads_scipy(self):
         got = _run_fresh("""

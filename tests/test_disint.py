@@ -30,6 +30,7 @@ from ergodykit.measures import (
     AtomicSignedMeasure,
     canonicalize,
     dirac,
+    seeded,
     uniform_atoms,
     zero_measure,
 )
@@ -308,7 +309,7 @@ def _gallery_measures(name):
     pos = product_measure(1.0, 0.5 * dirac(0.2) + 0.5 * dirac(0.9), rpf=rpf, zeta=sys_.zeta)
     for _ in range(3):
         pos = apply_F_phih_normalized(sys_, rpf, pos)
-    signed = _random_zero_average(rpf, sys_.zeta, np.random.default_rng(8))
+    signed = _random_zero_average(rpf, sys_.zeta, seeded(8))
     keep = signed.atom_cells % 4 != 0
     holey = signed.with_atoms(
         signed.atom_cells[keep], signed.positions[keep], signed.weights[keep],
@@ -646,7 +647,7 @@ def _system_iterates(sys_, n, zero_cells, kind, zeta, steps=2):
         fibers = [random_measure(rng, int(rng.integers(1, 5)), "probability") for _ in range(n)]
         dm = make_dm(rpf, rng.uniform(0.1, 2.0, size=n), fibers, "m", zeta)
     else:
-        dm = _random_zero_average(rpf, zeta, rng)
+        dm = _random_zero_average(rpf, zeta, seeded(5))
     ref = rpf.m.copy()
     ref[zero_cells] = 0.0
     seq = [dm]
@@ -866,7 +867,7 @@ def _gap_trials(sys_, n, steps=12, trials=5, seed=0):
     the start and every step."""
     rpf = ek.build_rpf(sys_.base, sys_.potential, n)
     big = transfer._side_by_side(rpf, trials)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     seq = [transfer._stack(
         [_random_zero_average(rpf, sys_.zeta, rng) for _ in range(trials)], big)]
     delta = transfer.homogeneous_delta(transfer.DEFAULT_COMPRESS_DELTA, transfer.DEFAULT_ATOM_CAP)

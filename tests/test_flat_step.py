@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodykit as ek
-from ergodykit.measures import AtomicSignedMeasure, zero_measure
+from ergodykit.measures import AtomicSignedMeasure, seeded, zero_measure
 from ergodykit.transfer import _random_zero_average, _step
 
 from conftest import canonicalize_loop, compress_to_cap_loop, random_measure
@@ -62,7 +62,7 @@ def _oracle(sys_, rpf, dm, branch_weights, delta, cap):
 def _measure(sys_, rpf, kind, seed, reference):
     rng = np.random.default_rng(seed)
     if kind == "signed":
-        dm = _random_zero_average(rpf, sys_.zeta, rng)
+        dm = _random_zero_average(rpf, sys_.zeta, seeded(seed))
     else:
         fib = random_measure(rng, int(rng.integers(1, 6)), "probability")
         dm = ek.product_measure(np.ones(rpf.n), fib, rpf=rpf, reference="m", zeta=sys_.zeta)

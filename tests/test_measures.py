@@ -315,3 +315,111 @@ class TestGroupSums:
             new_group = np.array(new_group)
             (got,) = measures._group_sums(new_group, v)
             assert got.tobytes() == self._add_at(new_group, v).tobytes()
+
+
+class TestUniforms:
+    """``uniforms``: 53-bit doubles in [0, 1) from ``getrandbits``, drawn in
+    chunks that change neither the values nor where the stream stands."""
+
+    def test_same_seed_same_bits(self):
+        a = measures.uniforms(measures.seeded(7), 1000)
+        assert a.tobytes() == measures.uniforms(measures.seeded(7), 1000).tobytes()
+        assert not np.array_equal(a, measures.uniforms(measures.seeded(8), 1000))
+
+    def test_values_are_53_bit_in_unit_interval(self):
+        u = measures.uniforms(measures.seeded(1), 100_000)
+        assert u.dtype == np.float64
+        assert u.min() >= 0.0 and u.max() < 1.0
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
+        assert 0.49 < u.mean() < 0.51
+
+    def test_top_bits_of_little_endian_words(self):
+        word = measures.seeded(4).getrandbits(64)
+        assert measures.uniforms(measures.seeded(4), 1)[0] == (word >> 11) * 2.0**-53
+
+    @pytest.mark.parametrize("shape", [0, (0,), (0, 3), (3, 0)])
+    def test_empty_shape_draws_nothing(self, shape):
+        rng = measures.seeded(2)
+        state = rng.getstate()
+        assert measures.uniforms(rng, shape).shape == np.empty(shape).shape
+        assert rng.getstate() == state
+
+    def test_two_dimensional_shape_is_c_order(self):
+        grid = measures.uniforms(measures.seeded(3), (4, 5))
+        assert grid.shape == (4, 5)
+        assert grid.tobytes() == measures.uniforms(measures.seeded(3), 20).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 13])
+    def test_chunks_and_row_calls_give_the_same_stream(self, monkeypatch, chunk):
+        # k rows at once equal k one-row calls, for any chunk size, and the
+        # generator ends at the same place
+        whole_rng = measures.seeded(9)
+        whole = measures.uniforms(whole_rng, (5, 7001))
+        monkeypatch.setattr(measures, "_CHUNK_WORDS", chunk)
+        rng = measures.seeded(9)
+        rows = np.concatenate([measures.uniforms(rng, (1, 7001)) for _ in range(5)])
+        assert rows.tobytes() == whole.tobytes()
+        assert rng.getstate() == whole_rng.getstate()
+
+    def test_memory_is_one_chunk_beyond_the_output(self):
+        # a single getrandbits call for 2**20 words would hold the integer,
+        # its bytes and the shifted words at once: about 3 x 8 MiB
+        import tracemalloc
+
+        rng = measures.seeded(0)
+        tracemalloc.start()
+        try:
+            out = measures.uniforms(rng, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 8 * 2**20
+        assert peak < out.nbytes + 4 * 8 * measures._CHUNK_WORDS
+
+
+def _seeded_entry_points():
+    """Every public function that draws numbers, as ``call(seed)``, each on
+    the smallest input it takes."""
+    import ergodykit as ek
+    from ergodykit import baserpf, dualnorm, stats, transfer
+
+    sys_ = ek.gallery_entry("doubling-linear").build()
+    rpf = ek.build_rpf(sys_.base, sys_.potential, 16)
+    y = ek.Observable.coord_y()
+    return {
+        "spectral_radius_on_kernel": lambda s: baserpf.spectral_radius_on_kernel(
+            rpf, 1.0, samples=10, n_steps=4, seed=s),
+        "verify_lasota_yorke": lambda s: baserpf.verify_lasota_yorke(
+            rpf, 1.0, samples=10, n_steps=2, seed=s),
+        "estimate_spectral_gap": lambda s: transfer.estimate_spectral_gap(
+            sys_, rpf, trials=5, n_steps=1, seed=s),
+        "verify_LY_S1": lambda s: transfer.verify_LY_S1(sys_, rpf, samples=1, n_steps=2, seed=s),
+        "sampled_invariants": lambda s: sys_.sampled_invariants(samples=4, seed=s),
+        "correlation_birkhoff": lambda s: stats.correlation_birkhoff(
+            sys_, y, y, N=1, orbits=2, burn_in=0, rng_seed=s, samples_per_orbit=4),
+        "lower_bound_sample": lambda s: dualnorm.lower_bound_sample(
+            M([(0.2, 1.0), (0.7, -0.5)]), 1.0, trials=2, seed=s),
+    }
+
+
+class TestSeeded:
+    """``random.Random`` takes abs() of a negative seed and hashes a float
+    one; ``seeded`` and every entry point drawing from it refuse both."""
+
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, "1", None, np.float64(1.0), -np.int64(1)])
+    def test_refuses_all_but_non_negative_integers(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            measures.seeded(seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**70, np.int64(5), np.uint8(5)])
+    def test_python_and_numpy_integers(self, seed):
+        want = measures.seeded(int(seed)).getrandbits(128)
+        assert measures.seeded(seed).getrandbits(128) == want
+
+    @pytest.mark.parametrize("name", sorted(_seeded_entry_points()))
+    def test_every_entry_point_checks_its_seed(self, name):
+        call = _seeded_entry_points()[name]
+        for bad in (-3, 2.5):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                call(bad)
+        call(0)

@@ -4,6 +4,7 @@ import pytest
 import ergodykit as ek
 from ergodykit.cli import _OBSERVABLES
 from ergodykit.disint import Observable, integrate, product_measure
+from ergodykit.measures import seeded, uniforms
 from ergodykit.stats import (
     CorrelationTable,
     correlation_birkhoff,
@@ -242,10 +243,10 @@ def _birkhoff_per_step(sys_, u, g, N, orbits, burn_in, rng_seed, samples_per_orb
                        orbit_noise):
     """The loop the batched ``correlation_birkhoff`` replaced: noise drawn,
     and both observables called, once per time step."""
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded(rng_seed)
     total = burn_in + samples_per_orbit + N
-    x = rng.uniform(0.0, 1.0, size=orbits)
-    y = rng.uniform(0.0, 1.0, size=orbits)
+    x = uniforms(rng, orbits)
+    y = uniforms(rng, orbits)
     u_traj = np.empty((samples_per_orbit + N, orbits))
     g_traj = np.empty((samples_per_orbit + N, orbits))
     for t in range(total):
@@ -255,7 +256,7 @@ def _birkhoff_per_step(sys_, u, g, N, orbits, burn_in, rng_seed, samples_per_orb
         y_new = np.asarray(sys_.fiber(x, y), dtype=float)
         x = sys_.base.apply(x)
         if orbit_noise:
-            x = np.mod(x + rng.uniform(-orbit_noise, orbit_noise, size=orbits), 1.0)
+            x = np.mod(x + (uniforms(rng, orbits) * (2 * orbit_noise) - orbit_noise), 1.0)
         y = y_new
     mu_u = u_traj[:samples_per_orbit].mean(axis=0)
     mu_g = g_traj[:samples_per_orbit].mean(axis=0)

@@ -20,7 +20,7 @@ from ergodykit.disint import (
     sinf_norm,
 )
 from ergodykit.dualnorm import distance_value
-from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac
+from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, seeded, uniforms
 from ergodykit import transfer
 from ergodykit.transfer import (
     FiberMap,
@@ -97,7 +97,7 @@ class TestApplyFPhi:
 
     def test_l1_bounded_by_lambda(self, dbl):
         sys_, rpf = dbl
-        rng = np.random.default_rng(0)
+        rng = seeded(0)
         for _ in range(20):
             dm = _random_zero_average(rpf, 1.0, rng)
             dm = replace(dm, ref_masses=rpf.nu.copy(), reference="nu")
@@ -124,7 +124,7 @@ class TestNormalizedOperator:
 
     def test_weak_contraction_linf(self, dbl):
         sys_, rpf = dbl
-        rng = np.random.default_rng(1)
+        rng = seeded(1)
         for _ in range(25):
             dm = _random_zero_average(rpf, 1.0, rng)
             out = apply_F_phih_normalized(sys_, rpf, dm)
@@ -133,7 +133,7 @@ class TestNormalizedOperator:
     def test_strong_contraction_with_marginal_term(self, dbl):
         # ||Fbar mu||_inf <= alpha**zeta ||mu||_inf + |phi1|_inf
         sys_, rpf = dbl
-        rng = np.random.default_rng(2)
+        rng = seeded(2)
         az = sys_.alpha_zeta
         for _ in range(25):
             dm = _random_zero_average(rpf, 1.0, rng)
@@ -143,7 +143,7 @@ class TestNormalizedOperator:
 
     def test_mass_conserved_signed(self, dbl):
         sys_, rpf = dbl
-        rng = np.random.default_rng(3)
+        rng = seeded(3)
         dm = _random_zero_average(rpf, 1.0, rng)
         out = apply_F_phih_normalized(sys_, rpf, dm)
         assert out.total_mass() == pytest.approx(dm.total_mass(), abs=1e-10)
@@ -283,7 +283,7 @@ class TestSpectralGap:
 
 def _gap_one_trial_at_a_time(sys_, rpf, trials, n_steps, seed, delta=1e-4, cap=64):
     """The per-trial loop the batched ``estimate_spectral_gap`` replaced."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     delta = homogeneous_delta(delta, cap)
     rates, big_r, xi, widths = [], 1.0, 0.0, []
     for _ in range(trials):
@@ -351,7 +351,7 @@ class TestBatchedGap:
 
     def test_sinf_blocks_match_each_block_alone(self, holder05):
         sys_, rpf = holder05
-        rng = np.random.default_rng(2)
+        rng = seeded(2)
         parts = [_random_zero_average(rpf, sys_.zeta, rng) for _ in range(3)]
         stacked = transfer._stack(parts, transfer._side_by_side(rpf, 3))
         want = [sinf_norm(p) for p in parts]
@@ -361,18 +361,18 @@ class TestBatchedGap:
 def _zero_average_per_cell(rpf, zeta, rng):
     """The per-cell ``dirac`` / ``+`` build the flat ``_random_zero_average`` replaced."""
     n = rpf.n
-    freqs = rng.integers(1, 4, size=2)
+    freqs = [rng.randrange(1, 4) for _ in range(2)]
     phi1 = sum(
-        float(rng.standard_normal()) * np.cos(np.pi * f * rpf.x + rng.uniform(0, 2 * np.pi))
+        rng.gauss(0.0, 1.0) * np.cos(np.pi * f * rpf.x + rng.uniform(0.0, 2 * np.pi))
         for f in freqs
     )
     phi1 = np.asarray(phi1, dtype=float)
     phi1 -= float(np.dot(rpf.m, phi1))
     fibers = []
     for j in range(n):
-        parts = [dirac(float(rng.uniform()), float(phi1[j]))] if phi1[j] != 0 else []
-        w = float(rng.uniform(0.2, 1.0))
-        a, b = rng.uniform(0, 1, size=2)
+        parts = [dirac(float(uniforms(rng, 1)[0]), float(phi1[j]))] if phi1[j] != 0 else []
+        w = float(0.2 + (1.0 - 0.2) * uniforms(rng, 1)[0])
+        a, b = uniforms(rng, 2)
         parts.append(dirac(float(a), w) + dirac(float(b), -w))
         fiber = parts[0]
         for p in parts[1:]:
@@ -388,14 +388,14 @@ class TestRandomZeroAverage:
     @pytest.mark.parametrize("n, seed", [(16, 0), (16, 5), (64, 7), (128, 11)])
     def test_matches_per_cell_build(self, tsujii_system, n, seed):
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, n)
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_a, rng_b = seeded(seed), seeded(seed)
         for _ in range(3):  # consecutive draws share one generator
             got = _random_zero_average(rpf, 1.0, rng_a)
             want = _zero_average_per_cell(rpf, 1.0, rng_b)
             for field in ("phi1", "offsets", "positions", "weights", "ref_masses", "x"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
             assert got.phi1.tobytes() == want.phi1.tobytes()
-        assert rng_a.uniform() == rng_b.uniform()
+        assert rng_a.getrandbits(64) == rng_b.getrandbits(64)
 
     @pytest.mark.parametrize("normal, triple", [(0.0, False), (1.0, False), (1.0, True)])
     def test_zero_density_and_coincident_dipoles(self, tsujii_system, normal, triple):
@@ -403,7 +403,7 @@ class TestRandomZeroAverage:
         # uniform unit repeated twice makes dipole ends coincide in many
         # cells; triple puts the atom there too (draws p, w, a, b per cell)
         rpf = ek.build_rpf(tsujii_system.base, tsujii_system.potential, 16)
-        r = np.random.default_rng(3).uniform(size=(17, 2))
+        r = uniforms(seeded(3), (17, 2))
         if triple:
             units = np.r_[0.1, 0.2, r[:16, [0, 1, 0, 0]].ravel()]
         else:
@@ -417,23 +417,26 @@ class TestRandomZeroAverage:
 
 
 class _Scripted:
-    """A stand-in generator whose uniform draws replay ``units`` in order."""
+    """A stand-in ``random.Random`` whose uniform draws replay ``units``
+    (multiples of 2**-53) in order, through ``uniform`` and ``uniforms``."""
 
     def __init__(self, units, normal):
         self.units = iter(units)
         self.normal = normal
 
-    def integers(self, low, high, size):
-        return np.full(size, low)
+    def randrange(self, start, stop):
+        return start
 
-    def standard_normal(self):
+    def gauss(self, mu, sigma):
         return self.normal
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        shape = np.broadcast_shapes(np.shape(low), np.shape(high)) if size is None else size
-        u = np.array([next(self.units) for _ in range(int(np.prod(shape)))]).reshape(shape)
-        out = low + (np.asarray(high) - low) * u
-        return float(out) if out.ndim == 0 else out
+    def uniform(self, a, b):
+        return a + (b - a) * next(self.units)
+
+    def getrandbits(self, k):
+        # ``uniforms`` keeps the top 53 bits of each little-endian 64-bit word
+        words = [int(next(self.units) * 2.0**53) << 11 for _ in range(k // 64)]
+        return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
 
 
 class TestClassS:
@@ -508,7 +511,7 @@ class TestLYS1:
 
     def test_homogeneity_sanity(self, dbl):
         sys_, rpf = dbl
-        rng = np.random.default_rng(5)
+        rng = seeded(5)
         dm = _random_zero_average(rpf, 1.0, rng)
         dm = replace(dm, ref_masses=rpf.nu.copy(), reference="nu")
         out1 = apply_F_phi(sys_, rpf, dm)
