@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .baserpf import RPFDiscretization, _holder_rows, discrete_holder_constant
-from .dualnorm import _as_zeta, chain_bounds, chain_norms, dual_norms
+from .dualnorm import _BOUND_SLACK, _as_zeta, _jensen_bounds, dual_norms, norm_bounds
 from .measures import AtomicSignedMeasure, _checked_positions, canonicalize_segments
 
 # Nothing here calls the one-fiber distance any more; the benchmark's tracer
@@ -461,57 +461,17 @@ def s1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     return float(_phi1_strong(dm, z)[0]) + l1_norm(dm, z)
 
 
-# Slack of the pair bounds of ``disintegration_holder``, of the norm bounds
-# of ``_norm_bounds`` and of the lower bounds of ``_linf_lower_bounds``,
-# relative to the masses or total variations bounded: far above the
-# rounding of the masses, zeta = 1 norms and exact norms they are compared
-# through, far below the gaps they prune or decide by.
-_PAIR_BOUND_SLACK = 2.0**-30
-
-
-def _jensen_bounds(ma, mb, d1, z: float) -> np.ndarray:
-    """Upper bounds on the zeta-Holder distances of positive measures of
-    masses ``ma`` and ``mb`` whose zeta = 1 distances are at most ``d1``.
-
-    The Jensen bound of the ``dualnorm`` module docstring,
-    M + P**(1 - zeta) (D1 - M)**zeta with M = |ma - mb| and
-    P = min(ma, mb), with a rounding slack of ``_PAIR_BOUND_SLACK`` times
-    ma + mb added to M, to P and to D1 - M inside the powers, and a
-    relative slack of as much on the whole.
-    """
-    big_m = np.abs(ma - mb)
-    slack = _PAIR_BOUND_SLACK * (ma + mb)
-    return (1.0 + _PAIR_BOUND_SLACK) * (
-        big_m + slack
-        + (np.minimum(ma, mb) + slack) ** (1.0 - z) * (np.maximum(d1 - big_m, 0.0) + slack) ** z
-    )
-
-
-def _norm_bounds(z: float, dm: DisintegratedMeasure, idx: np.ndarray):
+def _norm_bounds(z: float, dm: DisintegratedMeasure, idx: np.ndarray, b=None):
     """Bounds on the zeta-Holder dual norms of dm's restrictions over the
-    cells ``idx``, and their exact values on demand.
+    cells ``idx`` (less b's over the same cells when b is given), and their
+    exact values on demand: ``dualnorm.norm_bounds`` of the gathered atoms.
 
-    Returns ``(lower, upper, norms)``.  Each bound carries a rounding
-    slack of ``_PAIR_BOUND_SLACK`` times the restriction's total
-    variation.  At zeta = 1 the bounds are those of ``chain_bounds``: the
-    closed form without its integral term, and that plus M * span.  At
-    zeta < 1 the lower bound is the zeta = 1 norm (one ``chain_norms``
-    call) and the upper bound the Jensen bound of ``_jensen_bounds`` on
-    it, with the masses of the positive and the negative part of the
-    restriction.  Both pairs are proved in the ``dualnorm`` module
-    docstring.  ``norms(k)`` gives the exact norms over the cells
-    ``idx[k]``, bit for bit those of ``_fiber_norms``.
+    Returns ``(lower, upper, norms)``, with the rounding slack applied;
+    ``norms(k)`` gives the exact norms over the cells ``idx[k]``, bit for
+    bit those of ``_fiber_norms``.
     """
-    seg, pos, w, k = _gathered(dm, idx)
-    plus = np.bincount(seg, weights=np.maximum(w, 0.0), minlength=k)
-    minus = np.bincount(seg, weights=np.maximum(-w, 0.0), minlength=k)
-    slack = _PAIR_BOUND_SLACK * (plus + minus)
-    if z == 1.0:
-        lower, upper, norms = chain_bounds(seg, pos, w, k)
-        return lower - slack, (1.0 + _PAIR_BOUND_SLACK) * upper + slack, norms
-    d1 = chain_norms(seg, pos, w, k)
-    return (d1 - slack, _jensen_bounds(plus, minus, d1, z),
-            lambda sub: _fiber_norms(z, dm, idx[sub]))
+    seg, pos, w, k = _gathered(dm, idx, b, idx)
+    return norm_bounds(seg, pos, w, k, z)
 
 
 def _largest_norms(dm: DisintegratedMeasure, z: float, blocks: int = 1) -> np.ndarray:
@@ -595,7 +555,7 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     bounded again with their own zeta = 1 distance, and those still above
     it get exact distances by decreasing bound, a pair dropping out as
     soon as the best quotient found reaches its bound.  Every bound
-    carries a rounding slack (``_PAIR_BOUND_SLACK``), so no pair left out
+    carries a rounding slack (``_BOUND_SLACK``), so no pair left out
     has a computed quotient above the best, and the result is the
     all-pairs maximum bit for bit.  Each norm call gathers about
     ``_PAIR_BLOCK_ATOMS`` atoms, so memory stays bounded as n grows.
@@ -637,9 +597,9 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     order = np.argsort(dm.x[idx], kind="stable")
     s = np.zeros(idx.size)
     s[order[1:]] = np.cumsum(_fiber_norms(1.0, dm, idx[order[:-1]], dm, idx[order[1:]]))
-    s_slack = _PAIR_BOUND_SLACK * (s.max() + 2.0 * mass[idx].sum())
+    s_slack = _BOUND_SLACK * (s.max() + 2.0 * mass[idx].sum())
     ub = np.concatenate([
-        bound_quotients(b, (1.0 + _PAIR_BOUND_SLACK) * np.abs(s[ib[b]] - s[ia[b]]) + s_slack)
+        bound_quotients(b, (1.0 + _BOUND_SLACK) * np.abs(s[ib[b]] - s[ia[b]]) + s_slack)
         for b in blocks(np.arange(i.size))
     ])
     top = int(np.argmax(ub))
@@ -750,21 +710,6 @@ def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -
     Measures on different grids or references raise ValueError.
     """
     return float(_fiber_distances(a, b, zeta)[1].max(initial=0.0))
-
-
-def _linf_lower_bounds(a: DisintegratedMeasure, b: DisintegratedMeasure) -> np.ndarray:
-    """Lower bounds, at every zeta, on the fiber dual distances that
-    ``linf_distance`` takes the maximum of, cell by cell.
-
-    Each is the cell's zeta = 1 distance (one ``chain_norms`` call for all
-    cells) less a rounding slack of ``_PAIR_BOUND_SLACK`` times the total
-    variation of the two restrictions: the lower bound of the ``dualnorm``
-    module docstring.
-    """
-    idx, d1 = _fiber_distances(a, b, 1.0)
-    tv = (np.bincount(a.atom_cells, weights=np.abs(a.weights), minlength=a.n)
-          + np.bincount(b.atom_cells, weights=np.abs(b.weights), minlength=b.n))
-    return d1 - _PAIR_BOUND_SLACK * tv[idx]
 
 
 def l1_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -> float:

@@ -63,14 +63,17 @@ the term k = 0 is B(t) <= span, so it is at most span.  Integrated over
     L <= ||mu||_o <= L + M span = U,
 
 and both are the norm when M = 0.  L and U need the sort and the prefix
-sums of the closed form but not its level sum, and ``chain_bounds`` gives
+sums of the closed form but not its level sum, and ``norm_bounds`` gives
 them.  In floating point the computed norm is the computed L plus a sum
 of non-negative terms, so it is never below it; the computed integral can
 exceed M span by the rounding of its O(n) terms, far below 2**-30 of the
-total variation T >= M.  ``disint._norm_bounds`` adds that slack to both.
+total variation T >= M.  ``norm_bounds`` applies that slack
+(``_BOUND_SLACK``) to both.
 
 At zeta < 1 ``transport_norms`` splits the norm over the same levels t,
-with a small matching problem per level, for many measures at once.  For
+with a small matching problem per level, for many measures at once: the
+sort and the cumulative weights of ``_chain_terms``, then the levels and
+their matchings in ``_transport_integrals``.  For
 0 < zeta <= 1 the cost c(x, y) = |x - y|**zeta is a metric, and the LP
 above is the Kantorovich dual of a transport problem: move the positive
 part of mu onto the negative part at cost c per unit, and create or remove
@@ -147,27 +150,29 @@ The right side grows with P, so any P' >= P can replace it.  For
 mu = mu_a - mu_b with mu_a, mu_b >= 0, T <= |mu_a| + |mu_b|, so
 P' = min(|mu_a|, |mu_b|) works without forming the difference.
 For one signed measure with positive part of mass a and negative part of
-mass b, M = |a - b| and P = min(a, b).  ``disint.disintegration_holder``
-prunes its pairs of cells by this bound, and ``disint._largest_norms`` its
-cells at zeta < 1.  Both add a rounding slack inside the powers as well as
-outside them: a relative slack alone would fail when D1 - M lies below the
-rounding of D1, because t -> t**zeta turns an absolute error e into about
-e**zeta.
+mass b, M = |a - b| and P = min(a, b).  ``_jensen_bounds`` evaluates the
+bound, the upper bound of ``norm_bounds`` at zeta < 1 and the pair bound
+of ``disint.disintegration_holder``.  It adds a rounding slack inside the
+powers as well as outside them: a relative slack alone would fail when
+D1 - M lies below the rounding of D1, because t -> t**zeta turns an
+absolute error e into about e**zeta.
 
 Zeta = 1 lower bound.  The zeta = 1 norm also bounds the zeta < 1 norm
 from below.  On K = [0, 1], |x - y| <= |x - y|**zeta, so a g with
 |g|_inf <= 1 and H_1(g) <= 1 has H_zeta(g) <= 1: the zeta = 1 unit ball
 lies inside the zeta unit ball, and the supremum over the larger ball is
-at least D1.  ``transfer.iterate_to_equilibrium(..., distances=False)``
-decides its stop rule from this bound where it can: a cell with
-D1 - s >= tol shows that the largest distance is not below tol.
-``disint._largest_norms`` pairs it with the Jensen bound above.  The two
+at least D1, the lower bound of ``norm_bounds`` at zeta < 1, which pairs
+it with the Jensen bound above.
+``transfer.iterate_to_equilibrium(..., distances=False)`` decides its stop
+rule from this bound where it can: a cell with D1 - s >= tol shows that
+the largest distance is not below tol.  The two
 norms are computed by different routes, and where they nearly agree the
 computed D1 can exceed the computed zeta-norm by a few roundings (up to
 about 2e-16 of the total variation T on 12-atom measures at
-zeta = 1 - 2**-50).  So the slack s is absolute,
-2**-30 (|mu_a| + |mu_b|) >= 2**-30 T for mu = mu_a - mu_b, far above that
-rounding and far below the distances the bound decides by.
+zeta = 1 - 2**-50).  So the slack s is absolute, ``_BOUND_SLACK`` times
+the total variation of the atoms given, 2**-30 (|mu_a| + |mu_b|) >= 2**-30 T
+for mu = mu_a - mu_b, far above that rounding and far below the distances
+the bound decides by.
 
 scipy (HiGHS) is needed only by the oracle ``_dual_norm_lp``, so
 ``linprog`` below imports it on its first call, and the library itself
@@ -194,8 +199,8 @@ __all__ = [
     "dual_norms",
     "distance_value",
     "lower_bound_sample",
-    "chain_bounds",
     "chain_norms",
+    "norm_bounds",
     "transport_norms",
 ]
 
@@ -229,7 +234,7 @@ def _as_zeta(zeta) -> float:
 # ---------------------------------------------------------------------------
 
 # Entries evaluated per block: thresholds x padded atoms here, levels x m**2
-# for the m-crossing matchings of ``transport_norms``.  2**17 float64
+# for the m-crossing matchings of ``_transport_integrals``.  2**17 float64
 # entries keep each temporary near 1 MB whatever the number of fibers.
 _CHAIN_BLOCK_ENTRIES = 2**17
 
@@ -255,12 +260,13 @@ def _chain_terms(cell, pos, w):
 
     Canonicalizes the flat layout of ``chain_norms`` and returns, for its
     segments (the measures with atoms, in measure order): ``cell`` the
-    measure of each canonical atom, ``seg_start`` and ``seg_len`` each
-    segment's atoms, ``seg_of`` each atom's segment, ``f`` the cumulative
-    weights and ``mass`` the mass M >= 0 (both sign-flipped where the mass
-    is negative), ``d`` each atom's gap to the next atom of its segment
-    (0 for the last) and ``value`` = M + sum_i d_i dist(F_i, [0, M]), the
-    closed form without its integral term (``_chain_integrals``).
+    measure and ``pos`` the position of each canonical atom, ``seg_start``
+    and ``seg_len`` each segment's atoms, ``seg_of`` each atom's segment,
+    ``f`` the cumulative weights and ``mass`` the mass M >= 0 (both
+    sign-flipped where the mass is negative), ``d`` each atom's gap to the
+    next atom of its segment (0 for the last) and ``value`` =
+    M + sum_i d_i dist(F_i, [0, M]), the closed form without its integral
+    term (``_chain_integrals``).
     """
     cell, pos, w = canonicalize_segments(
         np.asarray(cell, dtype=np.intp), np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
@@ -282,7 +288,7 @@ def _chain_terms(cell, pos, w):
     m_atom = mass[seg_of]
     outside = np.maximum(f - m_atom, 0.0) + np.maximum(-f, 0.0)
     value = mass + np.bincount(seg_of, weights=d * outside, minlength=seg_start.size)
-    return cell, seg_start, seg_len, seg_of, f, mass, d, value
+    return cell, pos, seg_start, seg_len, seg_of, f, mass, d, value
 
 
 def _chain_integrals(terms, sel: np.ndarray) -> np.ndarray:
@@ -295,7 +301,7 @@ def _chain_integrals(terms, sel: np.ndarray) -> np.ndarray:
     a time.  A segment's value depends neither on the block size nor on
     which other segments are selected.
     """
-    _, seg_start, seg_len, seg_of, f, mass, d, _ = terms
+    _, _, seg_start, seg_len, seg_of, f, mass, d, _ = terms
     out = np.zeros(seg_start.size)
     # breakpoints of the integrand: 0 for each measure with M > 0, and
     # every F_i strictly inside (0, M)
@@ -326,42 +332,6 @@ def _chain_integrals(terms, sel: np.ndarray) -> np.ndarray:
     return np.bincount(t_seg, weights=level * (t_next - t), minlength=seg_start.size)
 
 
-def chain_bounds(cell, pos, w, ncell: int):
-    """Bounds on the ``chain_norms`` of many measures, and their exact values
-    on demand.
-
-    Takes the flat layout of ``chain_norms`` and returns ``(L, U, norms)``.
-    L and U hold ``ncell`` values: L = M + sum_i d_i dist(F_i, [0, M]), the
-    closed form without its integral term, and U = L + M * span, span the
-    distance from the first atom of the measure to its last, since the
-    integral term lies in [0, M * span] (the zeta = 1 bounds of the module
-    docstring).  Both are 0 for a measure without atoms, and L = U is the
-    norm when M = 0.  They are computed values: a caller comparing them
-    with computed norms adds a rounding slack.  ``norms(k)`` gives the
-    norms of the measures numbered ``k``, bit for bit those of
-    ``chain_norms``, from the same sorted atoms and paying the level sum
-    of those measures only.  L and U cost the sort and prefix sums of
-    ``chain_norms``, not its level sum.
-    """
-    terms = _chain_terms(cell, pos, w)
-    cell, seg_start, _, _, _, mass, d, value = terms
-    lower = np.zeros(ncell)
-    upper = np.zeros(ncell)
-    lower[cell[seg_start]] = value
-    upper[cell[seg_start]] = value + mass * np.add.reduceat(d, seg_start)
-    # the segment of each measure; -1, the appended 0.0 below, for none
-    seg = np.full(ncell, -1)
-    seg[cell[seg_start]] = np.arange(seg_start.size)
-
-    def norms(k) -> np.ndarray:
-        s = seg[np.asarray(k, dtype=np.intp)]
-        sel = np.zeros(seg_start.size, dtype=bool)
-        sel[s[s >= 0]] = True
-        return np.r_[value + _chain_integrals(terms, sel), 0.0][s]
-
-    return lower, upper, norms
-
-
 def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
     """zeta = 1 dual norms of many atomic measures at once.
 
@@ -380,7 +350,7 @@ def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
     integral.
     """
     terms = _chain_terms(cell, pos, w)
-    cell, seg_start, _, _, _, _, _, value = terms
+    cell, _, seg_start, _, _, _, _, _, value = terms
     out = np.zeros(ncell)
     out[cell[seg_start]] = value + _chain_integrals(terms, np.ones(seg_start.size, dtype=bool))
     return out
@@ -430,56 +400,46 @@ def _matching_costs(x: np.ndarray, z: float) -> np.ndarray:
     return cl[m // 2, :, 0]
 
 
-def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
-    """zeta-Holder dual norms of many atomic measures at once, any zeta.
+def _transport_integrals(terms, sel: np.ndarray, z: float) -> np.ndarray:
+    """The level sum of the zeta < 1 norm of the module docstring, for the
+    segments of ``terms`` (from ``_chain_terms``) where the mask ``sel`` is
+    true, 0.0 elsewhere.
 
-    Takes the flat layout of ``chain_norms``: atom i lies in measure
-    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` in [0, 1] with weight
-    ``w[i]``, in any order, coincident atoms adding.  Returns the ``k``
-    norms, 0 for a measure without atoms.  Evaluates the level sum of the
-    module docstring: the levels between consecutive values of
-    F = (0, F_1, ..., F_n) of every measure are grouped by the number c of
-    points they match (their m crossings, and the sink when m is odd, so
-    c = m + m % 2), and each group's matchings are solved together by
-    ``_matching_costs``, about ``_CHAIN_BLOCK_ENTRIES // c**2`` levels at a
-    time (its arrays hold about half that many entries each); the result
-    depends neither on the block size nor on the other levels.
+    The levels between consecutive values of F = (0, F_1, ..., F_n) of the
+    selected measures are grouped by the number c of points they match
+    (their m crossings, and the sink when m is odd, so c = m + m % 2), and
+    each group's matchings are solved together by ``_matching_costs``,
+    about ``_CHAIN_BLOCK_ENTRIES // c**2`` levels at a time (its arrays
+    hold about half that many entries each).  A segment's value depends
+    neither on the block size nor on which other segments are selected.
     """
-    z = _as_zeta(zeta)
-    seg, pos, w = canonicalize_segments(
-        np.asarray(seg, dtype=np.intp), np.asarray(pos, dtype=float),
-        np.asarray(w, dtype=float),
-    )
-    out = np.zeros(k)
-    n = seg.size
-    if n == 0:
-        return out
-    seg_start = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-    seg_len = np.diff(np.r_[seg_start, n])
+    _, pos, seg_start, seg_len, seg_of, f, _, _, _ = terms
     nseg = seg_start.size
-    seg_of = np.repeat(np.arange(nseg), seg_len)
-    f = _segmented_cumsum(w, np.arange(n) - seg_start[seg_of])
-    f *= np.where(f[seg_start + seg_len - 1] < 0, -1.0, 1.0)[seg_of]
+    segs = np.flatnonzero(sel)
+    atoms = np.flatnonzero(sel[seg_of])
+    if atoms.size == 0:
+        return np.zeros(nseg)
+    first = np.cumsum(seg_len[segs]) - seg_len[segs]
 
     # breakpoints t: 0 and every F_i of each measure, sorted, without repeats;
     # level u is [t[u], t[u + 1]), and rank gives each value's index in t
-    b_seg = np.r_[np.arange(nseg), seg_of]
-    b_val = np.r_[np.zeros(nseg), f]
+    b_seg = np.r_[segs, seg_of[atoms]]
+    b_val = np.r_[np.zeros(segs.size), f[atoms]]
     o = _lex_order(b_seg, b_val)
     b_seg, b_val = b_seg[o], b_val[o]
     new = np.r_[True, (b_seg[1:] != b_seg[:-1]) | (b_val[1:] != b_val[:-1])]
     rank = np.empty(o.size, dtype=np.intp)
     rank[o] = np.cumsum(new) - 1
     t, t_seg = b_val[new], b_seg[new]
-    after = rank[nseg:]
+    after = rank[segs.size:]
     before = np.r_[0, after[:-1]]
-    before[seg_start] = rank[:nseg]
+    before[first] = rank[: segs.size]
     # atom i crosses the levels lo_i <= u < hi_i, the span of its jump in F;
     # xs lists the crossings level by level, each level's in position order
     lo = np.minimum(before, after)
     span = np.maximum(before, after) - lo
     lev = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(span.sum())
-    xs = pos[np.repeat(np.arange(n), span)[np.argsort(lev, kind="stable")]]
+    xs = pos[atoms[np.repeat(np.arange(atoms.size), span)[np.argsort(lev, kind="stable")]]]
     count = np.bincount(lev, minlength=t.size)
     start = np.cumsum(count) - count
 
@@ -502,8 +462,93 @@ def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
             x = np.where(real, xs[np.where(real, start[lv][:, None] + j, 0)], np.inf)
             cost[lv] = _matching_costs(x, z)
     width = np.r_[np.diff(t), 0.0]
-    out[seg[seg_start]] = np.bincount(t_seg, weights=cost * width, minlength=nseg)
+    return np.bincount(t_seg, weights=cost * width, minlength=nseg)
+
+
+def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
+    """zeta-Holder dual norms of many atomic measures at once, any zeta.
+
+    Takes the flat layout of ``chain_norms``: atom i lies in measure
+    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` in [0, 1] with weight
+    ``w[i]``, in any order, coincident atoms adding.  Returns the ``k``
+    norms, 0 for a measure without atoms: the level sum of the module
+    docstring, from the sorted atoms and cumulative weights of
+    ``_chain_terms`` and the level matchings of ``_transport_integrals``.
+    """
+    z = _as_zeta(zeta)
+    terms = _chain_terms(seg, pos, w)
+    cell, _, seg_start = terms[:3]
+    out = np.zeros(k)
+    out[cell[seg_start]] = _transport_integrals(terms, np.ones(seg_start.size, dtype=bool), z)
     return out
+
+
+# Rounding slack of every bound on the dual norms (``norm_bounds``, and the
+# pair bounds of ``disint.disintegration_holder``), relative to the masses
+# or total variations bounded: far above the rounding of the masses, zeta = 1
+# norms and exact norms they are compared through, far below the gaps they
+# prune or decide by.
+_BOUND_SLACK = 2.0**-30
+
+
+def _jensen_bounds(ma, mb, d1, z: float) -> np.ndarray:
+    """Upper bounds on the zeta-Holder distances of positive measures of
+    masses ``ma`` and ``mb`` whose zeta = 1 distances are at most ``d1``.
+
+    The Jensen bound of the module docstring, M + P**(1 - zeta) (D1 - M)**zeta
+    with M = |ma - mb| and P = min(ma, mb), with a rounding slack of
+    ``_BOUND_SLACK`` times ma + mb added to M, to P and to D1 - M inside the
+    powers, and a relative slack of as much on the whole.
+    """
+    big_m = np.abs(ma - mb)
+    slack = _BOUND_SLACK * (ma + mb)
+    return (1.0 + _BOUND_SLACK) * (
+        big_m + slack
+        + (np.minimum(ma, mb) + slack) ** (1.0 - z) * (np.maximum(d1 - big_m, 0.0) + slack) ** z
+    )
+
+
+def norm_bounds(seg, pos, w, k: int, zeta):
+    """Bounds on the ``dual_norms`` of many measures, and their exact values
+    on demand, from one sort of the atoms.
+
+    Takes the arguments of ``dual_norms`` and returns ``(lower, upper,
+    norms)``, the bounds of the module docstring (k values each): at
+    zeta = 1, L and L + M span; at zeta < 1, the zeta = 1 norm D1 and the
+    Jensen bound on it.  Each carries a slack of ``_BOUND_SLACK`` times the
+    measure's total variation as given.  ``norms(k)`` gives the norms of
+    the measures numbered ``k``, bit for bit those of ``dual_norms``,
+    paying the level sum of those measures only.
+    """
+    z = _as_zeta(zeta)
+    seg = np.asarray(seg, dtype=np.intp)
+    w = np.asarray(w, dtype=float)
+    plus = np.bincount(seg, weights=np.maximum(w, 0.0), minlength=k)
+    minus = np.bincount(seg, weights=np.maximum(-w, 0.0), minlength=k)
+    slack = _BOUND_SLACK * (plus + minus)
+    terms = _chain_terms(seg, pos, w)
+    cell, _, seg_start, _, _, _, mass, d, value = terms
+    measures = cell[seg_start]
+    # the segment of each measure; -1, the appended 0.0 below, for none
+    at = np.full(k, -1)
+    at[measures] = np.arange(seg_start.size)
+
+    def norms(sub) -> np.ndarray:
+        s = at[np.asarray(sub, dtype=np.intp)]
+        sel = np.zeros(seg_start.size, dtype=bool)
+        sel[s[s >= 0]] = True
+        exact = (value + _chain_integrals(terms, sel) if z == 1.0
+                 else _transport_integrals(terms, sel, z))
+        return np.r_[exact, 0.0][s]
+
+    lower = np.zeros(k)
+    upper = np.zeros(k)
+    if z == 1.0:
+        lower[measures] = value
+        upper[measures] = value + mass * np.add.reduceat(d, seg_start)
+        return lower - slack, (1.0 + _BOUND_SLACK) * upper + slack, norms
+    lower[measures] = value + _chain_integrals(terms, np.ones(seg_start.size, dtype=bool))
+    return lower - slack, _jensen_bounds(plus, minus, lower, z), norms
 
 
 def dual_norms(seg, pos, w, k: int, zeta) -> np.ndarray:

@@ -40,7 +40,7 @@ from .disint import (
     Observable,
     _cell_atoms,
     _elementwise,
-    _linf_lower_bounds,
+    _norm_bounds,
     _offsets,
     _sinf_norms,
     linf_distance,
@@ -349,15 +349,18 @@ def _below_tol(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta: float,
                tol: float) -> bool:
     """``linf_distance(a, b, zeta) < tol``, from lower bounds where they decide.
 
-    A tol <= 0 is never reached, and a cell's zeta = 1 lower bound at or
-    above tol shows the distance is not below it; otherwise the exact
-    ``linf_distance`` decides.
+    A tol <= 0 is never reached, and a cell's lower bound (``_norm_bounds``
+    of the differences: at zeta < 1 the zeta = 1 distance) at or above tol
+    shows the distance is not below it; otherwise the largest exact
+    distance, from the same sorted atoms, decides.
     """
     if tol <= 0:
         return False
-    if np.any(_linf_lower_bounds(a, b) >= tol):
+    idx = np.flatnonzero(a.ref_masses > 0)
+    lower, _, norms = _norm_bounds(zeta, a, idx, b)
+    if np.any(lower >= tol):
         return False
-    return bool(linf_distance(a, b, zeta) < tol)
+    return bool(norms(np.arange(idx.size)).max(initial=0.0) < tol)
 
 
 def iterate_to_equilibrium(
@@ -387,8 +390,8 @@ def iterate_to_equilibrium(
     ``distances=False`` is for callers that read only the stop decision.
     At zeta < 1 each step then decides it without the exact distances
     where it can: a tol <= 0 is never reached, and a cell whose zeta = 1
-    lower bound (``_linf_lower_bounds``) is at least tol shows that the
-    iteration goes on; only when no cell shows it is ``linf_distance``
+    lower bound (``_norm_bounds``) is at least tol shows that the
+    iteration goes on; only when no cell shows it are the exact distances
     computed.  The steps, the stop and the final measure are those of
     ``distances=True``, but the report's ``distances`` is empty and its
     ``fitted_rate`` and ``fit_r2`` are 0.0.  At zeta = 1 the exact
@@ -571,8 +574,10 @@ def estimate_spectral_gap(
     Every trial draws a random zero-average measure (``_random_zero_average``,
     trial after trial from one generator), and the fitted rate of its
     Sinf norms over ``n_steps`` steps of the normalized operator is one
-    entry of ``per_trial_rates``; xi is the largest rate and R the largest
-    prefactor.  A trial whose starting norm is below 1e-12 is skipped.
+    entry of ``per_trial_rates``; xi is the largest rate, and R the
+    smallest prefactor, at least 1, for which ||mu_k|| <= R xi**k ||mu_0||
+    holds on every trial and step (1 when xi is 0).  A trial whose
+    starting norm is below 1e-12 is skipped.
     The trials advance together, side by side on a block-diagonal copy of
     the discretization: one operator call and one batch of Sinf norms per
     step, each trial's numbers being the ones it has alone.
@@ -595,18 +600,14 @@ def estimate_spectral_gap(
         cur = apply_F_phih_normalized(sys, big, cur, delta, atom_cap, widths=widths)
         norms[k] = _sinf_norms(cur, trials)
         realized = max(realized, float(widths[0].reshape(trials, -1)[live].max(initial=delta)))
-    rates = []
+    rates = [_fit_geometric(norms[:, t], floor=1e-12 * s0[t])[0] for t in np.flatnonzero(live)]
+    xi = max(rates, default=0.0)
     big_r = 1.0
-    xi = 0.0
-    ns = np.arange(1, n_steps + 1, dtype=float)
-    for t in np.flatnonzero(live):
-        rate, _ = _fit_geometric(norms[:, t], floor=1e-12 * s0[t])
-        rates.append(rate)
-        xi = max(xi, rate)
-        if rate > 0:
-            with np.errstate(over="ignore"):
-                pref = norms[:, t] / (s0[t] * rate**ns)
-            big_r = max(big_r, float(np.nanmax(pref[np.isfinite(pref)])))
+    if xi > 0:
+        ns = np.arange(1, n_steps + 1, dtype=float)
+        with np.errstate(over="ignore"):
+            pref = norms[:, live] / (s0[live] * xi ** ns[:, None])
+        big_r = float(pref[np.isfinite(pref)].max(initial=big_r))
     return GapReport(xi=float(xi), R=float(big_r), trials=trials,
                      n_steps=n_steps, per_trial_rates=rates, realized_delta_max=realized)
 

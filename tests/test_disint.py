@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ergodykit as ek
-from ergodykit import disint
+from ergodykit import disint, dualnorm
 from ergodykit.cli import _OBSERVABLES, RunConfig, build_system
 from ergodykit.disint import (
     DisintegratedMeasure,
@@ -810,9 +810,9 @@ class TestPrunedHolder:
         assert d1 == 1.0 and exact > 1.0 + 9e-9
         # slack added to M and to the whole, but not inside the power, would
         # leave the bound below the distance
-        slack = disint._PAIR_BOUND_SLACK
+        slack = dualnorm._BOUND_SLACK
         assert (1.0 + slack) * (d1 + 3.0 * slack) < exact
-        assert disint._jensen_bounds(2.0, 1.0, d1, 0.5) >= exact
+        assert dualnorm._jensen_bounds(2.0, 1.0, d1, 0.5) >= exact
         assert disintegration_holder(dm) == disintegration_holder_all_pairs(dm)
 
     def test_cells_in_any_order(self, monkeypatch):
@@ -850,7 +850,7 @@ class TestPrunedHolder:
         mass = np.bincount(mu.atom_cells, weights=mu.weights, minlength=mu.n)
         d1 = disint._fiber_norms(1.0, mu, i, mu, j)
         exact = disint._fiber_norms(z, mu, i, mu, j)
-        assert np.all(disint._jensen_bounds(mass[i], mass[j], d1, z) >= exact)
+        assert np.all(dualnorm._jensen_bounds(mass[i], mass[j], d1, z) >= exact)
         assert disintegration_holder(mu, z) == disintegration_holder_all_pairs(mu, z)
 
 

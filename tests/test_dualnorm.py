@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from ergodykit import dualnorm
 from ergodykit.dualnorm import (
+    _BOUND_SLACK,
     _dual_norm_lp,
-    chain_bounds,
     chain_norms,
     distance_value,
     dual_norm,
+    dual_norms,
     lower_bound_sample,
+    norm_bounds,
     transport_norms,
 )
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward, uniform_atoms, zero_measure
@@ -214,16 +216,17 @@ class TestChainNorms:
 
 
 class TestChainBounds:
-    """``chain_bounds``: the closed form without its integral term below the
-    norm, that plus M * span above it, and the norms of any measures on
-    demand, bit for bit those of ``chain_norms``."""
+    """``norm_bounds`` at zeta = 1: the closed form without its integral
+    term below the norm, that plus M * span above it, both with the
+    rounding slack, and the norms of any measures on demand, bit for bit
+    those of ``chain_norms``."""
 
     @settings(max_examples=150, deadline=None)
     @given(_flat_fibers(), st.integers(0, 2**32 - 1))
     def test_bounds_and_norms(self, flat, seed):
         cell, pos, w, ncell = flat
         want = chain_norms(cell, pos, w, ncell)
-        lower, upper, norms = chain_bounds(cell, pos, w, ncell)
+        lower, upper, norms = norm_bounds(cell, pos, w, ncell, 1.0)
         assert np.all(lower <= want)
         assert np.all(want <= upper + 1e-12)
         # any measures, in any order, repeated or without atoms
@@ -235,21 +238,46 @@ class TestChainBounds:
     def test_worked_values(self):
         # delta_0 - delta_1/2 + delta_1: M = 1 over a span of 1, F = (1, 0, 1)
         # in [0, M], and an integral term of 1/2; M = 0, where both bounds
-        # are the norm; an empty measure; and a measure whose atoms cancel
+        # are the norm; an empty measure; and a measure whose atoms cancel.
+        # The slack is 2**-30 times each measure's total variation as given
         cell = np.array([0, 0, 0, 1, 1, 3, 3])
         pos = np.array([0.0, 0.5, 1.0, 0.25, 0.75, 0.5, 0.5])
         w = np.array([1.0, -1.0, 1.0, 0.5, -0.5, 1.0, -1.0])
-        lower, upper, norms = chain_bounds(cell, pos, w, 4)
-        assert lower.tolist() == [1.0, 0.25, 0.0, 0.0]
-        assert upper.tolist() == [2.0, 0.25, 0.0, 0.0]
+        lower, upper, norms = norm_bounds(cell, pos, w, 4, 1.0)
+        slack = _BOUND_SLACK * np.array([3.0, 1.0, 0.0, 2.0])
+        assert _BOUND_SLACK == 2.0**-30
+        assert lower.tolist() == (np.array([1.0, 0.25, 0.0, 0.0]) - slack).tolist()
+        assert upper.tolist() == (
+            (1.0 + _BOUND_SLACK) * np.array([2.0, 0.25, 0.0, 0.0]) + slack).tolist()
         assert norms([3, 2, 1, 0]).tolist() == [0.0, 0.0, 0.25, 1.5]
         assert chain_norms(cell, pos, w, 4).tolist() == [1.5, 0.25, 0.0, 0.0]
 
     def test_no_atoms(self):
         empty = np.empty(0)
-        lower, upper, norms = chain_bounds(empty.astype(np.intp), empty, empty, 3)
+        lower, upper, norms = norm_bounds(empty.astype(np.intp), empty, empty, 3, 1.0)
         assert lower.tolist() == upper.tolist() == [0.0] * 3
         assert norms([2, 0]).tolist() == [0.0, 0.0]
+
+
+class TestNormBounds:
+    """``norm_bounds`` at every zeta: the bounds hold on the exact norms, and
+    ``norms(k)`` is ``dual_norms`` bit for bit whichever measures it is
+    asked for (the selection-independence of ``_transport_integrals``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_flat_fibers(), st.sampled_from([0.5, 0.2, 1.0 - 2.0**-50]),
+           st.integers(0, 2**32 - 1))
+    def test_bounds_and_norms(self, flat, zeta, seed):
+        cell, pos, w, ncell = flat
+        want = dual_norms(cell, pos, w, ncell, zeta)
+        lower, upper, norms = norm_bounds(cell, pos, w, ncell, zeta)
+        assert np.all(lower <= want) and np.all(want <= upper)
+        # any measures, in any order, repeated or without atoms
+        k = np.random.default_rng(seed).integers(0, ncell, size=2 * ncell)
+        assert norms(k).tobytes() == want[k].tobytes()
+        assert norms(k[:1]).tobytes() == want[k[:1]].tobytes()
+        assert norms(np.arange(ncell)).tobytes() == want.tobytes()
+        assert norms(k[:0]).shape == (0,)
 
 
 def _per_cell_lp(cell, pos, w, ncell, zeta):
