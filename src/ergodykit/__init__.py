@@ -18,7 +18,6 @@ from .measures import (
 from .dualnorm import (
     NumericError,
     dual_norm,
-    lower_bound_sample,
 )
 from .baserpf import (
     BaseMap,

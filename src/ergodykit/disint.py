@@ -539,19 +539,19 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     is exact: the dual distance obeys the triangle inequality and midpoint
     distances add along the line, so by the mediant inequality no pair
     beats the better of its two halves.  Those n - 1 distances are one
-    batched ``chain_norms`` call.
+    batched ``dual_norms`` call.
 
-    At zeta < 1 exact distances (the level matchings of
-    ``transport_norms``) are computed only for the pairs whose bound on
-    the quotient beats the best quotient found.  A pair's distance is at
-    most M + P**(1 - zeta) (D1 - M)**zeta (``_jensen_bounds``, the Jensen
+    At zeta < 1 exact distances (the level matchings of ``dual_norms``)
+    are computed only for the pairs whose bound on the quotient beats the
+    best quotient found.  A pair's distance is at most
+    M + P**(1 - zeta) (D1 - M)**zeta (``_jensen_bounds``, the Jensen
     bound of the ``dualnorm`` module docstring), with M = |m_a - m_b| and
     P = min(m_a, m_b) from the masses of the two restrictions and D1 any
     bound on their zeta = 1 distance.  First every pair is bounded with
     D1 the sum of the zeta = 1 distances of the neighbours in midpoint
-    order between them (the triangle inequality; n - 1 ``chain_norms``
-    distances in all), and the pair of largest bound quotient gets its
-    exact distance.  Then the pairs whose bound beats that quotient are
+    order between them (the triangle inequality; n - 1 zeta = 1
+    ``dual_norms`` distances in all), and the pair of largest bound
+    quotient gets its exact distance.  Then the pairs whose bound beats that quotient are
     bounded again with their own zeta = 1 distance, and those still above
     it get exact distances by decreasing bound, a pair dropping out as
     soon as the best quotient found reaches its bound.  Every bound
@@ -705,8 +705,7 @@ def linf_distance(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta=None) -
     """m-essential sup of the fiber dual distances between two measures.
 
     Every cell's distance comes from one batched ``dual_norms`` call: the
-    closed form of ``chain_norms`` at zeta = 1, the level matchings of
-    ``transport_norms`` at zeta < 1.
+    isotonic closed form at zeta = 1, the level matchings at zeta < 1.
     Measures on different grids or references raise ValueError.
     """
     return float(_fiber_distances(a, b, zeta)[1].max(initial=0.0))

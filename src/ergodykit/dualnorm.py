@@ -16,10 +16,12 @@ turns the evaluation into a finite linear program:
 ``_dual_norm_lp`` solves it with all pair constraints (n variables, n bound
 rows plus n(n-1)/2 Holder rows) and returns an optimal g as a witness; it
 is the test oracle.  ``dual_norms`` (and ``dual_norm``, its one-measure
-case) takes one of two exact routes instead, by zeta.
+case) is exact without an LP: it sorts the atoms once and takes one of two
+routes by zeta, and ``norm_bounds`` bounds the same norms from that sort
+and gives them on demand.
 
 At zeta == 1 the norm has an exact closed form, evaluated by
-``chain_norms`` for many measures at once.  On a line the adjacent-pair
+``dual_norms`` for many measures at once.  On a line the adjacent-pair
 constraints |g_{i+1} - g_i| <= d_i (d_i the gap to the next atom) imply
 all others.  The dual of that LP transports the cumulative weights
 F_i = w_1 + ... + w_i along the chain at cost d_i per unit, and removes
@@ -70,7 +72,7 @@ exceed M span by the rounding of its O(n) terms, far below 2**-30 of the
 total variation T >= M.  ``norm_bounds`` applies that slack
 (``_BOUND_SLACK``) to both.
 
-At zeta < 1 ``transport_norms`` splits the norm over the same levels t,
+At zeta < 1 ``dual_norms`` splits the norm over the same levels t,
 with a small matching problem per level, for many measures at once: the
 sort and the cumulative weights of ``_chain_terms``, then the levels and
 their matchings in ``_transport_integrals``.  For
@@ -132,9 +134,9 @@ At zeta = 1 it equals the closed form above; the tests check the two
 routes against each other, and both against the LP to 1e-9.
 
 Jensen bound.  The zeta = 1 norm bounds the zeta < 1 norm from above, at
-the cost of one ``chain_norms`` evaluation.  Flip the sign of mu so that
-M >= 0, let T be its total variation, P = (T - M) / 2 the mass of its
-negative part, and D1 its zeta = 1 norm.  By the argument above at
+the cost of one zeta = 1 ``dual_norms`` evaluation.  Flip the sign of mu
+so that M >= 0, let T be its total variation, P = (T - M) / 2 the mass of
+its negative part, and D1 its zeta = 1 norm.  By the argument above at
 zeta = 1, some optimal plan removes exactly M units and ships the rest
 of the positive part, P units, onto the negative part, at cost |x - y|
 per unit (<= 1 on K).  So its shipping part pi, of mass P, costs
@@ -162,17 +164,18 @@ from below.  On K = [0, 1], |x - y| <= |x - y|**zeta, so a g with
 |g|_inf <= 1 and H_1(g) <= 1 has H_zeta(g) <= 1: the zeta = 1 unit ball
 lies inside the zeta unit ball, and the supremum over the larger ball is
 at least D1, the lower bound of ``norm_bounds`` at zeta < 1, which pairs
-it with the Jensen bound above.
+it with the Jensen bound above.  The two norms are computed by different
+routes, and where they nearly agree the computed D1 can exceed the
+computed zeta-norm by a few roundings (up to about 2e-16 of the total
+variation T on 12-atom measures at zeta = 1 - 2**-50).  So the slack s is
+absolute, ``_BOUND_SLACK`` times the total variation of the atoms given,
+2**-30 (|mu_a| + |mu_b|) >= 2**-30 T for mu = mu_a - mu_b, far above that
+rounding and far below the distances the bound decides by.
+
 ``transfer.iterate_to_equilibrium(..., distances=False)`` decides its stop
-rule from this bound where it can: a cell with D1 - s >= tol shows that
-the largest distance is not below tol.  The two
-norms are computed by different routes, and where they nearly agree the
-computed D1 can exceed the computed zeta-norm by a few roundings (up to
-about 2e-16 of the total variation T on 12-atom measures at
-zeta = 1 - 2**-50).  So the slack s is absolute, ``_BOUND_SLACK`` times
-the total variation of the atoms given, 2**-30 (|mu_a| + |mu_b|) >= 2**-30 T
-for mu = mu_a - mu_b, far above that rounding and far below the distances
-the bound decides by.
+rule from the lower bound of ``norm_bounds`` where it can, at every zeta:
+a cell with a lower bound (L - s at zeta = 1, D1 - s below) at or above
+tol shows that the largest distance is not below tol.
 
 scipy (HiGHS) is needed only by the oracle ``_dual_norm_lp``, so
 ``linprog`` below imports it on its first call, and the library itself
@@ -189,8 +192,6 @@ from .measures import (
     _lex_order,
     canonicalize,
     canonicalize_segments,
-    seeded,
-    uniforms,
 )
 
 __all__ = [
@@ -198,10 +199,7 @@ __all__ = [
     "dual_norm",
     "dual_norms",
     "distance_value",
-    "lower_bound_sample",
-    "chain_norms",
     "norm_bounds",
-    "transport_norms",
 ]
 
 _LP_OPTIONS = dict(
@@ -258,7 +256,7 @@ def _segmented_cumsum(w: np.ndarray, col: np.ndarray) -> np.ndarray:
 def _chain_terms(cell, pos, w):
     """The pieces of the zeta = 1 closed form of many measures.
 
-    Canonicalizes the flat layout of ``chain_norms`` and returns, for its
+    Canonicalizes the flat layout of ``dual_norms`` and returns, for its
     segments (the measures with atoms, in measure order): ``cell`` the
     measure and ``pos`` the position of each canonical atom, ``seg_start``
     and ``seg_len`` each segment's atoms, ``seg_of`` each atom's segment,
@@ -330,30 +328,6 @@ def _chain_integrals(terms, sel: np.ndarray) -> np.ndarray:
         p = np.cumsum(np.where(below, -dp, dp), axis=1).min(axis=1)
         level[rows] = b + np.minimum(p, 0.0)
     return np.bincount(t_seg, weights=level * (t_next - t), minlength=seg_start.size)
-
-
-def chain_norms(cell, pos, w, ncell: int) -> np.ndarray:
-    """zeta = 1 dual norms of many atomic measures at once.
-
-    Atom i lies in measure ``cell[i]`` (0 <= cell < ncell) at ``pos[i]``
-    with weight ``w[i]``; atoms of one measure may come in any order and
-    may coincide (their weights add).  Returns the ``ncell`` norms, 0 for
-    a measure without atoms.  Evaluates the closed form of the module
-    docstring: with F the cumulative weights, M the mass (the sign of the
-    measure flipped so that M >= 0) and d_i the gap to the next atom,
-
-        M + sum_i d_i dist(F_i, [0, M]) + integral over [0, M] of
-            min over k of [B(t) + P_k(t)] dt,
-
-    B(t) = sum_i d_i [F_i <= t], P_k(t) = sum_{i<k} d_i ([F_i > t] - [F_i <= t]);
-    ``_chain_terms`` gives the first two terms and ``_chain_integrals`` the
-    integral.
-    """
-    terms = _chain_terms(cell, pos, w)
-    cell, _, seg_start, _, _, _, _, _, value = terms
-    out = np.zeros(ncell)
-    out[cell[seg_start]] = value + _chain_integrals(terms, np.ones(seg_start.size, dtype=bool))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +439,17 @@ def _transport_integrals(terms, sel: np.ndarray, z: float) -> np.ndarray:
     return np.bincount(t_seg, weights=cost * width, minlength=nseg)
 
 
-def transport_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
-    """zeta-Holder dual norms of many atomic measures at once, any zeta.
-
-    Takes the flat layout of ``chain_norms``: atom i lies in measure
-    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` in [0, 1] with weight
-    ``w[i]``, in any order, coincident atoms adding.  Returns the ``k``
-    norms, 0 for a measure without atoms: the level sum of the module
-    docstring, from the sorted atoms and cumulative weights of
-    ``_chain_terms`` and the level matchings of ``_transport_integrals``.
+def _exact_norms(terms, sel: np.ndarray, z: float) -> np.ndarray:
+    """The exact zeta-Holder dual norms of the segments of ``terms`` (from
+    ``_chain_terms``) where the mask ``sel`` is true, 0.0 elsewhere: the
+    closed form at zeta = 1, ``value`` plus ``_chain_integrals``, and the
+    level matchings of ``_transport_integrals`` below.  A segment's value
+    depends neither on the block size nor on which other segments are
+    selected.
     """
-    z = _as_zeta(zeta)
-    terms = _chain_terms(seg, pos, w)
-    cell, _, seg_start = terms[:3]
-    out = np.zeros(k)
-    out[cell[seg_start]] = _transport_integrals(terms, np.ones(seg_start.size, dtype=bool), z)
-    return out
+    if z == 1.0:
+        return np.where(sel, terms[-1], 0.0) + _chain_integrals(terms, sel)
+    return _transport_integrals(terms, sel, z)
 
 
 # Rounding slack of every bound on the dual norms (``norm_bounds``, and the
@@ -537,9 +506,7 @@ def norm_bounds(seg, pos, w, k: int, zeta):
         s = at[np.asarray(sub, dtype=np.intp)]
         sel = np.zeros(seg_start.size, dtype=bool)
         sel[s[s >= 0]] = True
-        exact = (value + _chain_integrals(terms, sel) if z == 1.0
-                 else _transport_integrals(terms, sel, z))
-        return np.r_[exact, 0.0][s]
+        return np.r_[_exact_norms(terms, sel, z), 0.0][s]
 
     lower = np.zeros(k)
     upper = np.zeros(k)
@@ -547,30 +514,34 @@ def norm_bounds(seg, pos, w, k: int, zeta):
         lower[measures] = value
         upper[measures] = value + mass * np.add.reduceat(d, seg_start)
         return lower - slack, (1.0 + _BOUND_SLACK) * upper + slack, norms
-    lower[measures] = value + _chain_integrals(terms, np.ones(seg_start.size, dtype=bool))
+    lower[measures] = _exact_norms(terms, np.ones(seg_start.size, dtype=bool), 1.0)
     return lower - slack, _jensen_bounds(plus, minus, lower, z), norms
 
 
 def dual_norms(seg, pos, w, k: int, zeta) -> np.ndarray:
     """Exact dual norms of many atomic measures at once.
 
-    Takes the flat layout of ``chain_norms``: atom i lies in measure
-    ``seg[i]`` (0 <= seg < k) at ``pos[i]`` with weight ``w[i]``, in any
-    order, coincident atoms adding.  Returns the ``k`` norms, 0 for a
-    measure without atoms: the isotonic closed form ``chain_norms`` at
-    zeta = 1, the level matchings of ``transport_norms`` at zeta < 1.
+    Atom i lies in measure ``seg[i]`` (0 <= seg < k) at ``pos[i]`` in
+    [0, 1] with weight ``w[i]``; atoms of one measure may come in any order
+    and may coincide (their weights add).  Returns the ``k`` norms, 0 for
+    a measure without atoms: one sort of the atoms (``_chain_terms``), then
+    the isotonic closed form at zeta = 1 or the level matchings at
+    zeta < 1 (``_exact_norms``).
     """
     z = _as_zeta(zeta)
-    return chain_norms(seg, pos, w, k) if z == 1.0 else transport_norms(seg, pos, w, k, z)
+    terms = _chain_terms(seg, pos, w)
+    cell, _, seg_start = terms[:3]
+    out = np.zeros(k)
+    out[cell[seg_start]] = _exact_norms(terms, np.ones(seg_start.size, dtype=bool), z)
+    return out
 
 
 def dual_norm(mu: AtomicSignedMeasure, zeta=1.0) -> float:
     """||mu||_o = sup { integral of g d(mu) : |g|_inf <= 1, H_zeta(g) <= 1 }.
 
     The one-measure case of ``dual_norms``, exact by one of two routes,
-    neither an LP: at zeta = 1 the isotonic closed form of ``chain_norms``,
-    at zeta < 1 the level matchings of ``transport_norms``.  The zero
-    measure gives 0.
+    neither an LP: at zeta = 1 the isotonic closed form, at zeta < 1 the
+    level matchings.  The zero measure gives 0.
     ``_dual_norm_lp`` gives the same value, with a witness, by the
     all-pairs LP.
     """
@@ -635,43 +606,3 @@ def _dual_norm_lp(mu: AtomicSignedMeasure, zeta=1.0):
     value = float(-res.fun)
     witness = [(float(p), float(g)) for p, g in zip(pos, res.x)]
     return value, witness
-
-
-def lower_bound_sample(
-    mu: AtomicSignedMeasure, zeta=1.0, trials: int = 100, seed: int = 0
-) -> float:
-    """Independent lower bound on the dual norm from sampled test functions.
-
-    Generates feasible g by clipping random Holder envelopes
-    g(x) = min_j (v_j + |x - x_j|**zeta) to [-1, 1]; the envelope of any
-    values is zeta-Holder with constant 1 and clipping preserves both
-    bounds, so every trial value is a certified lower bound.  The constant
-    functions +-1 are always tried deterministically, hence probabilities
-    report exactly 1.
-    """
-    z = _as_zeta(zeta)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = seeded(seed)
-    mu = canonicalize(mu)
-    if mu.n_atoms == 0:
-        return 0.0
-    pos = mu.positions
-    w = mu.weights
-    best = max(float(w.sum()), float(-w.sum()))  # g = +1 and g = -1
-    n = pos.size
-    gaps = np.abs(pos[:, None] - pos[None, :]) ** z
-    # the sign pattern of the weights is the natural greedy anchor choice
-    candidates = [np.sign(w)]
-    for _ in range(trials):
-        k = rng.randrange(1, n + 1)
-        u = uniforms(rng, (2, k))
-        anchors = (u[0] * n).astype(np.intp)  # u < 1, so u n rounds below n
-        v = 2.0 * u[1] - 1.0
-        g = np.min(v[None, :] + gaps[:, anchors], axis=1)
-        candidates.append(g)
-    for g in candidates:
-        g = (g[None, :] + gaps).min(axis=1)
-        g = np.clip(g, -1.0, 1.0)
-        best = max(best, float(np.dot(w, g)))
-    return best

@@ -350,9 +350,10 @@ def _below_tol(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta: float,
     """``linf_distance(a, b, zeta) < tol``, from lower bounds where they decide.
 
     A tol <= 0 is never reached, and a cell's lower bound (``_norm_bounds``
-    of the differences: at zeta < 1 the zeta = 1 distance) at or above tol
-    shows the distance is not below it; otherwise the largest exact
-    distance, from the same sorted atoms, decides.
+    of the differences: at zeta = 1 the closed form without its level sum,
+    below it the zeta = 1 distance) at or above tol shows the distance is
+    not below it; otherwise the largest exact distance, from the same
+    sorted atoms, decides.
     """
     if tol <= 0:
         return False
@@ -388,15 +389,14 @@ def iterate_to_equilibrium(
     probability: its marginal and its restrictions of mass 1 within 1e-8.
 
     ``distances=False`` is for callers that read only the stop decision.
-    At zeta < 1 each step then decides it without the exact distances
-    where it can: a tol <= 0 is never reached, and a cell whose zeta = 1
-    lower bound (``_norm_bounds``) is at least tol shows that the
-    iteration goes on; only when no cell shows it are the exact distances
-    computed.  The steps, the stop and the final measure are those of
+    Each step then decides it without the exact distances where it can: a
+    tol <= 0 is never reached, and a cell whose lower bound
+    (``_norm_bounds``: the closed form without its level sum at zeta = 1,
+    the zeta = 1 distance below) is at least tol shows that the iteration
+    goes on; only when no cell shows it are the exact distances computed.
+    The steps, the stop and the final measure are those of
     ``distances=True``, but the report's ``distances`` is empty and its
-    ``fitted_rate`` and ``fit_r2`` are 0.0.  At zeta = 1 the exact
-    distance costs what its lower bound does, so both modes compute and
-    report it.
+    ``fitted_rate`` and ``fit_r2`` are 0.0.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -406,7 +406,6 @@ def iterate_to_equilibrium(
         raise ValueError(f"iterate_to_equilibrium expects a probability measure; "
                          f"its marginal and restrictions have masses {masses}")
     delta = homogeneous_delta(compress_delta, atom_cap)
-    exact = distances or sys.zeta == 1.0
     cur = dm0
     dists: list[float] = []
     converged = False
@@ -417,7 +416,7 @@ def iterate_to_equilibrium(
         nxt = apply_F_phih_normalized(sys, rpf, cur, delta, atom_cap, widths=widths)
         realized = max(realized, float(widths[0].max(initial=delta)))
         iterations += 1
-        if exact:
+        if distances:
             dists.append(linf_distance(nxt, cur, sys.zeta))
             converged = bool(dists[-1] < tol)
         else:

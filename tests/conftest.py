@@ -5,7 +5,14 @@ import pytest
 
 import ergodykit as ek
 from ergodykit import dualnorm
-from ergodykit.measures import AtomicSignedMeasure, canonicalize, jordan, zero_measure
+from ergodykit.measures import (
+    AtomicSignedMeasure,
+    canonicalize,
+    jordan,
+    seeded,
+    uniforms,
+    zero_measure,
+)
 
 
 def counting_linprog(rows):
@@ -252,6 +259,58 @@ def matching_costs_loop(x, z):
             np.minimum(best, t, out=best)
         cl[length] = best
     return cl[m][:, 0]
+
+
+def level_matching_norms(seg, pos, w, k, zeta):
+    """Dual norms of many measures by the level matchings of the
+    ``dualnorm`` module docstring at any zeta, zeta = 1 included, where
+    ``dual_norms`` takes the isotonic closed form instead: the sort of
+    ``dualnorm._chain_terms``, then ``dualnorm._transport_integrals``."""
+    terms = dualnorm._chain_terms(seg, pos, w)
+    cell, _, seg_start = terms[:3]
+    out = np.zeros(k)
+    out[cell[seg_start]] = dualnorm._transport_integrals(
+        terms, np.ones(seg_start.size, dtype=bool), float(zeta)
+    )
+    return out
+
+
+def lower_bound_sample(mu, zeta=1.0, trials=100, seed=0):
+    """Independent lower bound on the dual norm from sampled test functions.
+
+    Generates feasible g by clipping random Holder envelopes
+    g(x) = min_j (v_j + |x - x_j|**zeta) to [-1, 1]; the envelope of any
+    values is zeta-Holder with constant 1 and clipping preserves both
+    bounds, so every trial value is a certified lower bound.  The constant
+    functions +-1 are always tried deterministically, hence probabilities
+    report exactly 1.
+    """
+    z = dualnorm._as_zeta(zeta)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = seeded(seed)
+    mu = canonicalize(mu)
+    if mu.n_atoms == 0:
+        return 0.0
+    pos = mu.positions
+    w = mu.weights
+    best = max(float(w.sum()), float(-w.sum()))  # g = +1 and g = -1
+    n = pos.size
+    gaps = np.abs(pos[:, None] - pos[None, :]) ** z
+    # the sign pattern of the weights is the natural greedy anchor choice
+    candidates = [np.sign(w)]
+    for _ in range(trials):
+        k = rng.randrange(1, n + 1)
+        u = uniforms(rng, (2, k))
+        anchors = (u[0] * n).astype(np.intp)  # u < 1, so u n rounds below n
+        v = 2.0 * u[1] - 1.0
+        g = np.min(v[None, :] + gaps[:, anchors], axis=1)
+        candidates.append(g)
+    for g in candidates:
+        g = (g[None, :] + gaps).min(axis=1)
+        g = np.clip(g, -1.0, 1.0)
+        best = max(best, float(np.dot(w, g)))
+    return best
 
 
 @pytest.fixture(scope="session")

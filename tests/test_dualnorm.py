@@ -10,17 +10,20 @@ from ergodykit import dualnorm
 from ergodykit.dualnorm import (
     _BOUND_SLACK,
     _dual_norm_lp,
-    chain_norms,
     distance_value,
     dual_norm,
     dual_norms,
-    lower_bound_sample,
     norm_bounds,
-    transport_norms,
 )
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, pushforward, uniform_atoms, zero_measure
 
-from conftest import counting_linprog, matching_costs_loop, random_measure
+from conftest import (
+    counting_linprog,
+    level_matching_norms,
+    lower_bound_sample,
+    matching_costs_loop,
+    random_measure,
+)
 
 
 def M(pairs):
@@ -158,38 +161,40 @@ def _flat_fibers(draw):
 
 
 class TestChainNorms:
-    """The batched zeta = 1 route against the all-pairs LP, cell by cell."""
+    """The batched zeta = 1 route of ``dual_norms``, the isotonic closed
+    form, against the all-pairs LP, cell by cell."""
 
     @settings(max_examples=150, deadline=None)
     @given(_flat_fibers())
     def test_matches_lp_per_cell(self, flat):
         cell, pos, w, ncell = flat
-        got = chain_norms(cell, pos, w, ncell)
+        got = dual_norms(cell, pos, w, ncell, 1.0)
         assert got.shape == (ncell,)
         for c in range(ncell):
             mu = AtomicSignedMeasure(pos[cell == c], w[cell == c])
             assert got[c] == pytest.approx(_dual_norm_lp(mu, 1.0)[0], abs=1e-9)
         for block in (1, 7):
             with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
-                assert np.array_equal(chain_norms(cell, pos, w, ncell), got)
+                assert np.array_equal(dual_norms(cell, pos, w, ncell, 1.0), got)
 
     def test_masses_of_each_sign(self):
         # M > 0, M < 0 and M = 0 in one call, with the values worked by hand
         cell = np.array([0, 0, 1, 1, 2, 2, 3])
         pos = np.array([0.25, 0.75, 0.25, 0.75, 0.25, 0.75, 0.5])
         w = np.array([1.0, -0.5, -1.0, 0.5, 0.5, -0.5, 0.0])
-        got = chain_norms(cell, pos, w, 5)
+        got = dual_norms(cell, pos, w, 5, 1.0)
         assert got.tolist() == pytest.approx([0.75, 0.75, 0.25, 0.0, 0.0], abs=1e-15)
 
     def test_random_fibers_match_lp(self):
         rng = np.random.default_rng(11)
         fibers = [random_measure(rng, int(rng.integers(1, 40))) for _ in range(12)]
         cell = np.repeat(np.arange(12), [f.n_atoms for f in fibers])
-        got = chain_norms(
+        got = dual_norms(
             cell,
             np.concatenate([f.positions for f in fibers]),
             np.concatenate([f.weights for f in fibers]),
             12,
+            1.0,
         )
         for c, f in enumerate(fibers):
             assert got[c] == pytest.approx(_dual_norm_lp(f, 1.0)[0], abs=1e-9)
@@ -200,11 +205,12 @@ class TestChainNorms:
             for f in fibers[1:]
         ]
         cell = np.repeat(np.arange(12), [f.n_atoms + g.n_atoms for f, g in zip(fibers, others)])
-        got = chain_norms(
+        got = dual_norms(
             cell,
             np.concatenate([np.r_[f.positions, g.positions] for f, g in zip(fibers, others)]),
             np.concatenate([np.r_[f.weights, -g.weights] for f, g in zip(fibers, others)]),
             12,
+            1.0,
         )
         assert got[0] == 0.0
         for c, (f, g) in enumerate(zip(fibers, others)):
@@ -212,20 +218,20 @@ class TestChainNorms:
 
     def test_no_atoms(self):
         empty = np.empty(0)
-        assert chain_norms(empty.astype(np.intp), empty, empty, 3).tolist() == [0.0] * 3
+        assert dual_norms(empty.astype(np.intp), empty, empty, 3, 1.0).tolist() == [0.0] * 3
 
 
 class TestChainBounds:
     """``norm_bounds`` at zeta = 1: the closed form without its integral
     term below the norm, that plus M * span above it, both with the
     rounding slack, and the norms of any measures on demand, bit for bit
-    those of ``chain_norms``."""
+    those of ``dual_norms``."""
 
     @settings(max_examples=150, deadline=None)
     @given(_flat_fibers(), st.integers(0, 2**32 - 1))
     def test_bounds_and_norms(self, flat, seed):
         cell, pos, w, ncell = flat
-        want = chain_norms(cell, pos, w, ncell)
+        want = dual_norms(cell, pos, w, ncell, 1.0)
         lower, upper, norms = norm_bounds(cell, pos, w, ncell, 1.0)
         assert np.all(lower <= want)
         assert np.all(want <= upper + 1e-12)
@@ -250,7 +256,7 @@ class TestChainBounds:
         assert upper.tolist() == (
             (1.0 + _BOUND_SLACK) * np.array([2.0, 0.25, 0.0, 0.0]) + slack).tolist()
         assert norms([3, 2, 1, 0]).tolist() == [0.0, 0.0, 0.25, 1.5]
-        assert chain_norms(cell, pos, w, 4).tolist() == [1.5, 0.25, 0.0, 0.0]
+        assert dual_norms(cell, pos, w, 4, 1.0).tolist() == [1.5, 0.25, 0.0, 0.0]
 
     def test_no_atoms(self):
         empty = np.empty(0)
@@ -265,7 +271,7 @@ class TestNormBounds:
     asked for (the selection-independence of ``_transport_integrals``)."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_flat_fibers(), st.sampled_from([0.5, 0.2, 1.0 - 2.0**-50]),
+    @given(_flat_fibers(), st.sampled_from([0.5, 0.2, 1.0 - 2.0**-50, 1.0]),
            st.integers(0, 2**32 - 1))
     def test_bounds_and_norms(self, flat, zeta, seed):
         cell, pos, w, ncell = flat
@@ -289,32 +295,35 @@ def _per_cell_lp(cell, pos, w, ncell, zeta):
 
 
 class TestTransportNorms:
-    """The batched zeta < 1 route against the all-pairs LP, cell by cell."""
+    """The batched zeta < 1 route of ``dual_norms``, the level matchings,
+    against the all-pairs LP, cell by cell."""
 
     @settings(max_examples=60, deadline=None)
     @given(_flat_fibers(), st.sampled_from([0.25, 0.5, 0.75]))
     def test_matches_lp_per_cell(self, flat, zeta):
         cell, pos, w, ncell = flat
-        got = transport_norms(cell, pos, w, ncell, zeta)
+        got = dual_norms(cell, pos, w, ncell, zeta)
         assert got.shape == (ncell,)
         assert np.abs(got - _per_cell_lp(cell, pos, w, ncell, zeta)).max() <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(_flat_fibers(), st.sampled_from([0.25, 0.5, 1.0]))
     def test_block_size_does_not_change_norms(self, flat, zeta):
+        # the level matchings, at zeta = 1 too
         cell, pos, w, ncell = flat
-        got = transport_norms(cell, pos, w, ncell, zeta)
+        got = level_matching_norms(cell, pos, w, ncell, zeta)
         for block in (1, 7):
             with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
-                assert np.array_equal(transport_norms(cell, pos, w, ncell, zeta), got)
+                assert np.array_equal(level_matching_norms(cell, pos, w, ncell, zeta), got)
 
     @settings(max_examples=150, deadline=None)
     @given(_flat_fibers())
-    def test_zeta_one_matches_chain_norms(self, flat):
-        # the two exact routes, checked against each other without an LP
+    def test_zeta_one_matches_closed_form(self, flat):
+        # the two exact routes, checked against each other without an LP:
+        # the level matchings at zeta = 1 against the closed form
         cell, pos, w, ncell = flat
-        got = transport_norms(cell, pos, w, ncell, 1.0)
-        assert np.abs(got - chain_norms(cell, pos, w, ncell)).max() <= 1e-12
+        got = level_matching_norms(cell, pos, w, ncell, 1.0)
+        assert np.abs(got - dual_norms(cell, pos, w, ncell, 1.0)).max() <= 1e-12
 
     @pytest.mark.parametrize("zeta", [0.25, 0.5, 0.75])
     def test_edge_cases_match_lp(self, zeta):
@@ -334,7 +343,7 @@ class TestTransportNorms:
         cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
         pos = np.array([p for c in cells for p, _ in c])
         w = np.array([x for c in cells for _, x in c])
-        got = transport_norms(cell, pos, w, len(cells), zeta)
+        got = dual_norms(cell, pos, w, len(cells), zeta)
         want = _per_cell_lp(cell, pos, w, len(cells), zeta)
         assert np.abs(got - want).max() <= 1e-9
         assert got[0] == got[4] == got[-1] == 0.0
@@ -344,7 +353,7 @@ class TestTransportNorms:
         cell = np.array([0, 0, 1, 1, 2])
         pos = np.array([0.1, 0.9, 0.2, 0.4, 0.5])
         w = np.array([0.25, 0.5, -1.0, -0.5, -2.0])
-        got = transport_norms(cell, pos, w, 4, 0.5)
+        got = dual_norms(cell, pos, w, 4, 0.5)
         assert got.tolist() == [0.75, 1.5, 2.0, 0.0]
 
     def test_alternating_worst_case(self):
@@ -356,7 +365,7 @@ class TestTransportNorms:
         w = np.tile([0.25, -0.25], k * n // 2)
         cell = np.repeat(np.arange(k), n)
         start = time.perf_counter()
-        got = transport_norms(cell, pos, w, k, 0.5)
+        got = dual_norms(cell, pos, w, k, 0.5)
         assert time.perf_counter() - start < 2.0
         for c in (0, k - 1):
             mu = AtomicSignedMeasure(pos[cell == c], w[cell == c])
@@ -364,7 +373,7 @@ class TestTransportNorms:
 
     def test_no_atoms(self):
         empty = np.empty(0)
-        assert transport_norms(empty.astype(np.intp), empty, empty, 2, 0.5).tolist() == [0.0] * 2
+        assert dual_norms(empty.astype(np.intp), empty, empty, 2, 0.5).tolist() == [0.0] * 2
 
     @pytest.mark.parametrize("zeta", [0.25, 0.5, 0.75, 1.0])
     def test_level_dp_matches_offset_loop(self, zeta):
@@ -384,9 +393,9 @@ class TestTransportNorms:
         w = np.tile((np.arange(1, n + 1) * (-1.0) ** np.arange(n)), k)
         cell = np.repeat(np.arange(k), n)
         with mock.patch.object(dualnorm, "_CHAIN_BLOCK_ENTRIES", block):
-            got = transport_norms(cell, pos, w, k, 0.5)
+            got = dual_norms(cell, pos, w, k, 0.5)
             with mock.patch.object(dualnorm, "_matching_costs", matching_costs_loop):
-                want = transport_norms(cell, pos, w, k, 0.5)
+                want = dual_norms(cell, pos, w, k, 0.5)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("zeta", [0.25, 0.5])
@@ -411,9 +420,9 @@ class TestTransportNorms:
         pos = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=1).ravel()
         w = rng.standard_normal(k * n)
         cell = np.repeat(np.arange(k), n)
-        got = transport_norms(cell, pos, w, k, zeta)
+        got = dual_norms(cell, pos, w, k, zeta)
         monkeypatch.setattr(dualnorm, "_matching_costs", apart)
-        assert transport_norms(cell, pos, w, k, zeta).tobytes() == got.tobytes()
+        assert dual_norms(cell, pos, w, k, zeta).tobytes() == got.tobytes()
         assert any(mixed)
 
     @settings(max_examples=40, deadline=None)
@@ -424,7 +433,7 @@ class TestTransportNorms:
         seg = np.zeros(mu.n_atoms, dtype=np.intp)
         value = dual_norm(mu, zeta)
         assert type(value) is float
-        assert value == transport_norms(seg, mu.positions, mu.weights, 1, zeta)[0]
+        assert value == dual_norms(seg, mu.positions, mu.weights, 1, zeta)[0]
         assert value == pytest.approx(_dual_norm_lp(mu, zeta)[0], abs=1e-9)
 
 

@@ -20,7 +20,13 @@ from ergodykit.measures import (
 from ergodykit import measures
 from ergodykit.dualnorm import _dual_norm_lp
 
-from conftest import canonicalize_loop, compress_loop, compress_to_cap_loop, random_measure
+from conftest import (
+    canonicalize_loop,
+    compress_loop,
+    compress_to_cap_loop,
+    lower_bound_sample,
+    random_measure,
+)
 
 
 def M(pairs):
@@ -381,7 +387,7 @@ def _seeded_entry_points():
     """Every public function that draws numbers, as ``call(seed)``, each on
     the smallest input it takes."""
     import ergodykit as ek
-    from ergodykit import baserpf, dualnorm, stats, transfer
+    from ergodykit import baserpf, stats, transfer
 
     sys_ = ek.gallery_entry("doubling-linear").build()
     rpf = ek.build_rpf(sys_.base, sys_.potential, 16)
@@ -397,7 +403,8 @@ def _seeded_entry_points():
         "sampled_invariants": lambda s: sys_.sampled_invariants(samples=4, seed=s),
         "correlation_birkhoff": lambda s: stats.correlation_birkhoff(
             sys_, y, y, N=1, orbits=2, burn_in=0, rng_seed=s, samples_per_orbit=4),
-        "lower_bound_sample": lambda s: dualnorm.lower_bound_sample(
+        # the test oracle of ``conftest``, drawing from ``measures.seeded`` too
+        "lower_bound_sample": lambda s: lower_bound_sample(
             M([(0.2, 1.0), (0.7, -0.5)]), 1.0, trials=2, seed=s),
     }
 

@@ -690,22 +690,24 @@ def _start(sys_, n):
 
 
 class TestStopFromLowerBounds:
-    """``distances=False`` decides the stop rule at zeta < 1 from zeta = 1
-    lower bounds where they decide it: the steps, the stop and the final
-    measure are those of the exact route, and only the distances and the
-    fit are missing from the report."""
+    """``distances=False`` decides the stop rule from the lower bounds of
+    ``_norm_bounds`` where they decide it (L at zeta = 1, the zeta = 1
+    distance below): the steps, the stop and the final measure are those of
+    the exact route, and only the distances and the fit are missing from
+    the report."""
 
     STEPS = 16
 
-    @pytest.fixture(scope="class", params=[("holder05", 12), ("holder05", 64),
-                                           ("mp-geometric-holder", 64)],
+    @pytest.fixture(scope="class", params=[("holder05", 12, 0.5), ("holder05", 64, 0.5),
+                                           ("mp-geometric-holder", 64, 0.5),
+                                           ("tsujii", 16, 1.0), ("doubling-linear", 64, 1.0)],
                     ids=lambda p: f"{p[0]}-{p[1]}")
     def case(self, request):
-        name, n = request.param
+        name, n, zeta = request.param
         sys_ = _holder05_system() if name == "holder05" else ek.gallery_entry(name).build()
         rpf, dm0 = _start(sys_, n)
         _, rep = iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=self.STEPS)
-        assert sys_.zeta == 0.5 and len(rep.distances) == self.STEPS
+        assert sys_.zeta == zeta and len(rep.distances) == self.STEPS
         return sys_, rpf, dm0, rep.distances
 
     def _both(self, case, tol):
@@ -753,18 +755,32 @@ class TestStopFromLowerBounds:
         assert len(calls) >= 6
 
     @pytest.mark.parametrize("distances", [True, False])
-    def test_zeta_one_computes_every_distance(self, tsujii_system, monkeypatch, distances):
+    def test_zeta_one_distances_only_when_asked(self, tsujii_system, monkeypatch, distances):
+        # at zeta = 1 too, only distances=True computes the exact distances:
+        # at a tiny tolerance a lower bound decides every step of the other,
+        # which then never reaches the integral term of the closed form
+        from ergodykit import dualnorm
+
+        assert tsujii_system.zeta == 1.0
         rpf, dm0 = _start(tsujii_system, 16)
-        calls = []
+        calls, integrals = [], []
         real = transfer.linf_distance
         monkeypatch.setattr(transfer, "linf_distance",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
+        real_integrals = dualnorm._chain_integrals
+        monkeypatch.setattr(dualnorm, "_chain_integrals",
+                            lambda *a, **k: integrals.append(a) or real_integrals(*a, **k))
         _, rep = iterate_to_equilibrium(tsujii_system, rpf, dm0, tol=1e-300, max_iter=5,
                                         distances=distances)
-        assert len(calls) == rep.iterations == 5
-        assert len(rep.distances) == 5 and rep.fitted_rate > 0.0
+        assert rep.iterations == 5 and not rep.converged
+        if distances:
+            assert len(calls) == 5 and len(integrals) >= 5
+            assert len(rep.distances) == 5 and rep.fitted_rate > 0.0
+        else:
+            assert calls == [] and integrals == []
+            assert rep.distances == [] and rep.fitted_rate == 0.0
 
-    @pytest.mark.parametrize("z", [0.5, 0.2])
+    @pytest.mark.parametrize("z", [0.5, 0.2, 1.0])
     def test_bounds_hold_on_every_cell(self, z):
         from ergodykit import disint
 
