@@ -10,7 +10,6 @@ checked empirically through grid refinement and analytic special cases.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -91,21 +90,12 @@ def _branch_table(branches) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.array([(b.lo, b.hi) for b in branches[:last]], dtype=float).reshape(-1, 2).T
     edges = np.array(sorted(set(lo.tolist() + hi.tolist())))
     pick = np.full(edges.size + 1, last, dtype=np.intp)
-    # claim i holds the gaps first[i]..final[i]; one sweep over the gaps keeps
-    # the claims begun in a heap, earliest on top, dropping ended ones: O(l log l)
+    # claim i holds the gaps first[i]..final[i]; painting the claims in
+    # reverse tuple order leaves the earliest on every gap it holds
     first = (np.searchsorted(edges, lo) + 1).tolist()
     final = np.searchsorted(edges, hi).tolist()
-    order = sorted(range(last), key=first.__getitem__)
-    k = 0
-    held: list[tuple[int, int]] = []
-    for g in range(1, edges.size):
-        while k < last and first[order[k]] <= g:
-            heapq.heappush(held, (order[k], final[order[k]]))
-            k += 1
-        while held and held[0][1] < g:
-            heapq.heappop(held)
-        if held:
-            pick[g] = held[0][0]
+    for i in reversed(range(last)):
+        pick[first[i]:final[i] + 1] = i
     return edges, pick
 
 

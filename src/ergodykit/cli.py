@@ -128,6 +128,8 @@ _RANGES = {
     ("run", "mc_orbits"): (lambda v: v >= 2, "mc_orbits must be >= 2"),
     ("run", "mc_burn_in"): (lambda v: v >= 0, "mc_burn_in must be >= 0"),
     ("run", "seed"): (lambda v: v >= 0, "seed must be >= 0"),
+    ("output", "formats"): (lambda v: v and set(v) <= {"json", "csv"},
+                            "formats must list json, csv or both"),
 }
 
 
@@ -206,6 +208,8 @@ def parse_config(path: str | Path) -> RunConfig:
         if key in data[section]:
             raise ConfigError(f"{where}: duplicate key {key!r} in [{section}]")
         val = _parse_value(raw, _SCHEMA[section][key], where)
+        if key == "formats":
+            val = tuple(f.strip() for f in val.split(",") if f.strip())
         check = _RANGES.get((section, key))
         if check and not check[0](val):
             raise ConfigError(f"{where}: {check[1]} (got {val!r})")
@@ -220,11 +224,6 @@ def parse_config(path: str | Path) -> RunConfig:
         for section in ("discretization", "run", "output")
         for key, val in data.get(section, {}).items()
     }
-    if "formats" in given:
-        given["formats"] = tuple(f.strip() for f in given["formats"].split(",") if f.strip())
-        for f in given["formats"]:
-            if f not in ("json", "csv"):
-                raise ConfigError(f"{path}: unknown output format {f!r}")
     return RunConfig(system=data.get("system", {}), **given)
 
 

@@ -1,11 +1,12 @@
 """Disintegrated measures on Sigma = [0,1] x K and their norms.
 
-A measure is stored as a marginal density over base cells (with respect to
-either the conformal measure nu or the invariant measure m) together with
-one atomic fiber measure per cell, attached at the cell midpoint.  The
-fiber over cell j is the restriction mu|_gamma of the measure to that
-leaf, positive and signed measures alike, and phi1[j] is its mass; a cell
-that carries nothing holds the zero measure.  All fibers live in one flat
+A measure is stored as one atomic fiber measure per base cell, attached
+at the cell midpoint, with the reference masses (of either the conformal
+measure nu or the invariant measure m) of the cells.  The fiber over cell
+j is the restriction mu|_gamma of the measure to that leaf, positive and
+signed measures alike; a cell that carries nothing holds the zero
+measure.  The marginal density phi1 is not stored: phi1[j] is the mass of
+restriction j, computed from its atoms.  All fibers live in one flat
 layout (``offsets``, ``positions``, ``weights``), so the operator step and
 the norms act on every cell at once.
 
@@ -105,16 +106,16 @@ class DisintegratedMeasure:
     the same indices, positions strictly increasing within a cell and no
     weight zero.  ``from_atoms`` builds a measure from atoms in any order
     (``from_fibers``, from one AtomicSignedMeasure per cell, calls it), and
-    ``fibers`` gives the restrictions back.  phi1[j] is the mass of
-    restriction j (the operators compute the two separately, so they
-    agree to roundoff).  The serialized form keeps a ``"normalized"`` key,
+    ``fibers`` gives the restrictions back.  The marginal density ``phi1``
+    is a property, not a field: phi1[j] is the mass of restriction j, its
+    weights summed in atom order, so the two cannot disagree.  The
+    serialized form writes ``phi1`` and keeps a ``"normalized"`` key,
     always false, and ``from_dict`` reads no other.  ``==`` and ``hash``
     go by identity.
     """
 
     x: np.ndarray
     ref_masses: np.ndarray
-    phi1: np.ndarray
     offsets: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
@@ -124,19 +125,16 @@ class DisintegratedMeasure:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         rm = np.asarray(self.ref_masses, dtype=float)
-        p1 = np.asarray(self.phi1, dtype=float)
         off = np.asarray(self.offsets)
         pos = np.asarray(self.positions, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if off.ndim != 1 or off.dtype.kind not in "iu":
             raise ValueError("offsets must be a 1-d integer array")
         off = off.astype(np.intp)
-        if not (x.size == rm.size == p1.size == off.size - 1):
-            raise ValueError(
-                "x, ref_masses, phi1 and the cells of offsets must have equal length"
-            )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rm)) and np.all(np.isfinite(p1))):
-            raise ValueError("x, ref_masses and phi1 must be finite")
+        if not (x.size == rm.size == off.size - 1):
+            raise ValueError("x, ref_masses and the cells of offsets must have equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rm))):
+            raise ValueError("x and ref_masses must be finite")
         if np.any(rm < 0):
             raise ValueError("ref_masses must be non-negative")
         if self.reference not in ("nu", "m"):
@@ -153,35 +151,37 @@ class DisintegratedMeasure:
         same_cell[bounds[(bounds > 0) & (bounds < pos.size)] - 1] = False
         if np.any(np.diff(pos)[same_cell] <= 0.0):
             raise ValueError("positions must increase strictly within each cell")
-        for name, arr in (("x", x), ("ref_masses", rm), ("phi1", p1),
-                          ("offsets", off), ("positions", pos), ("weights", w)):
+        for name, arr in (("x", x), ("ref_masses", rm), ("offsets", off),
+                          ("positions", pos), ("weights", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "zeta", _as_zeta(self.zeta))
 
     @staticmethod
-    def from_atoms(x, ref_masses, phi1, cell, pos, w, reference, zeta) -> "DisintegratedMeasure":
+    def from_atoms(x, ref_masses, cell, pos, w, reference, zeta) -> "DisintegratedMeasure":
         """A measure from atoms in any order, atom k over cell ``cell[k]`` of
         the grid ``x`` at ``pos[k]`` with weight ``w[k]``: positions are
         checked and clipped to [0, 1], then ``canonicalize_segments``
-        merges, drops and sorts the atoms of every cell."""
+        merges, drops and sorts the atoms of every cell.  The marginal
+        density is the mass of each cell's atoms; it takes no argument."""
         cell, pos, w = np.asarray(cell, np.intp), np.asarray(pos, float), np.asarray(w, float)
         n = np.size(x)
         if cell.size and cell.max() >= n:
             raise ValueError(f"an atom lies over cell {cell.max()} of a measure of {n} cells")
         cell, pos, w = canonicalize_segments(cell, _checked_positions(pos, w), w)
         return DisintegratedMeasure(
-            x=x, ref_masses=ref_masses, phi1=phi1, offsets=_offsets(cell, n),
+            x=x, ref_masses=ref_masses, offsets=_offsets(cell, n),
             positions=pos, weights=w, reference=reference, zeta=zeta,
         )
 
     @staticmethod
-    def from_fibers(x, ref_masses, phi1, fibers, reference, zeta=1.0) -> "DisintegratedMeasure":
-        """A measure from one AtomicSignedMeasure per cell, by ``from_atoms``."""
+    def from_fibers(x, ref_masses, fibers, reference, zeta=1.0) -> "DisintegratedMeasure":
+        """A measure from one AtomicSignedMeasure per cell (the restriction
+        over that cell, whose mass is phi1 there), by ``from_atoms``."""
         fibers = list(fibers)
         counts = np.fromiter((f.n_atoms for f in fibers), dtype=np.intp, count=len(fibers))
         return DisintegratedMeasure.from_atoms(
-            x, ref_masses, phi1, np.repeat(np.arange(len(fibers)), counts),
+            x, ref_masses, np.repeat(np.arange(len(fibers)), counts),
             np.concatenate([f.positions for f in fibers] or [np.empty(0)]),
             np.concatenate([f.weights for f in fibers] or [np.empty(0)]),
             reference, zeta,
@@ -195,6 +195,11 @@ class DisintegratedMeasure:
     def atom_cells(self) -> np.ndarray:
         """The cell of every atom."""
         return np.repeat(np.arange(self.n), np.diff(self.offsets))
+
+    @property
+    def phi1(self) -> np.ndarray:
+        """The marginal density: each restriction's weights summed in atom order."""
+        return np.bincount(self.atom_cells, weights=self.weights, minlength=self.n)
 
     def fiber(self, j: int) -> AtomicSignedMeasure:
         """The restriction over cell j."""
@@ -225,10 +230,10 @@ class DisintegratedMeasure:
         return float(np.dot(self.ref_masses, self.phi1))
 
     def is_positive(self) -> bool:
-        return not (np.any(self.phi1 < 0) or np.any(self.weights < 0))
+        return not np.any(self.weights < 0)
 
     def scaled(self, c: float) -> "DisintegratedMeasure":
-        return self._reweighted(c, phi1=c * self.phi1)
+        return self._reweighted(c)
 
     def to_dict(self) -> dict:
         pairs = np.column_stack([self.positions, self.weights]).tolist()
@@ -291,7 +296,11 @@ class DisintegratedMeasure:
         ``"normalized"`` false (every fiber stored as a restriction) and
         ``n`` the number of fibers; anything else raises ValueError.  Each
         fiber is a list of [position, weight] pairs, and ``from_atoms``
-        builds the measure from all of them.
+        builds the measure from all of them.  ``"phi1"`` is not read into
+        the measure, whose marginal is the mass of its restrictions; an
+        entry that differs from its restriction's mass by more than 1e-9
+        times (1 + the restriction's total variation) raises ValueError
+        naming the cell.
         """
         missing, unknown = _DICT_KEYS - set(d), set(d) - _DICT_KEYS
         if missing or unknown:
@@ -307,10 +316,19 @@ class DisintegratedMeasure:
             pairs = pairs.reshape(0, 2)
         if pairs.shape != (counts.sum(), 2):
             raise ValueError("fiber atoms must be [position, weight] pairs")
-        return DisintegratedMeasure.from_atoms(
-            d["x"], d["ref_masses"], d["phi1"], np.repeat(np.arange(counts.size), counts),
+        dm = DisintegratedMeasure.from_atoms(
+            d["x"], d["ref_masses"], np.repeat(np.arange(counts.size), counts),
             pairs[:, 0], pairs[:, 1], d["reference"], d["zeta"],
         )
+        phi1, mass = np.asarray(d["phi1"], dtype=float), dm.phi1
+        if phi1.shape != mass.shape:
+            raise ValueError(f"phi1 has shape {phi1.shape} for {dm.n} cells")
+        tv = np.bincount(dm.atom_cells, weights=np.abs(dm.weights), minlength=dm.n)
+        bad = np.flatnonzero(~(np.abs(phi1 - mass) <= 1e-9 * (1.0 + tv)))  # NaN too
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"phi1[{j}] = {phi1[j]!r} is not the mass {mass[j]!r} of cell {j}")
+        return dm
 
 
 @dataclass(frozen=True)
@@ -573,7 +591,7 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     if i.size == 0:
         return 0.0
     size = np.diff(dm.offsets)
-    mass = np.bincount(dm.atom_cells, weights=dm.weights, minlength=dm.n)
+    mass = dm.phi1
 
     def blocks(pairs):
         # ``pairs`` in runs of about _PAIR_BLOCK_ATOMS gathered atoms
@@ -629,8 +647,7 @@ def multiply_observable(dm: DisintegratedMeasure, s) -> DisintegratedMeasure:
     """
     cells = dm.atom_cells
     sv = _elementwise(s, dm.x[cells], dm.positions)
-    phi1 = np.bincount(cells, weights=dm.weights * sv, minlength=dm.n)
-    return dm._reweighted(sv, phi1=phi1)
+    return dm._reweighted(sv)
 
 
 def integrate(dm: DisintegratedMeasure, g) -> float:
@@ -662,9 +679,11 @@ def product_measure(
     dens = np.asarray(base_density, dtype=float)
     if dens.ndim == 0:
         dens = np.full(rpf.n, float(dens))
+    if dens.shape != (rpf.n,):
+        raise ValueError(f"a density of shape {dens.shape} for {rpf.n} cells")
     ref = rpf.nu if reference == "nu" else rpf.m
     return DisintegratedMeasure.from_atoms(
-        rpf.x, ref.copy(), dens, np.repeat(np.arange(dens.size), fiber.n_atoms),
+        rpf.x, ref.copy(), np.repeat(np.arange(dens.size), fiber.n_atoms),
         np.tile(fiber.positions, dens.size), (dens.reshape(-1, 1) * fiber.weights).ravel(),
         reference, zeta,
     )
@@ -685,7 +704,7 @@ def convert_reference(
     factor = 1.0 / rpf.h if to == "m" else rpf.h
     ref = rpf.nu if to == "nu" else rpf.m
     return dm._reweighted(
-        factor[dm.atom_cells], phi1=dm.phi1 * factor, ref_masses=ref.copy(), reference=to
+        factor[dm.atom_cells], ref_masses=ref.copy(), reference=to
     )
 
 

@@ -30,6 +30,7 @@ from .transfer import (
     DEFAULT_COMPRESS_DELTA,
     GapReport,
     SkewSystem,
+    _log_fit,
     apply_F_phih_normalized,
     homogeneous_delta,
 )
@@ -102,13 +103,7 @@ def fit_exponential(table: CorrelationTable, floor: float = 1e-12) -> ExpFit:
         return fit
     if mask.sum() < 4:
         raise ValueError("need at least 4 entries above the floor to fit")
-    x = ns[mask]
-    y = np.log(vs[mask])
-    slope, icept = np.polyfit(x, y, 1)
-    pred = slope * x + icept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, icept, r2 = _log_fit(ns[mask], vs[mask])
     rate = float(np.exp(slope))
     flag = "non-decaying" if rate >= 1.0 - 1e-9 else "ok"
     fit = ExpFit(float(np.exp(icept)), rate, float(r2), flag)

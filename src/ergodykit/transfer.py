@@ -29,7 +29,6 @@ from .baserpf import (
     Potential,
     RPFDiscretization,
     _envelope_fit,
-    _gather,
     check_hypotheses,
     discrete_holder_constant,
     spectral_radius_on_kernel,
@@ -184,8 +183,8 @@ def _step(
 
     The output restriction over cell j is the branch-weighted sum of the
     pushforwards of the source restrictions through G(y_ij, .).  The
-    source restriction at a preimage is read by the same two-cell linear
-    stencil as the marginal, and both stencil cells share the fiber map
+    source restriction at a preimage is read by the two-cell linear
+    stencil of the base operator, and both stencil cells share the fiber map
     G(y_ij, .).  The atoms of every (cell, branch, stencil side) piece
     are gathered in that order, pushed forward by one fiber-map call,
     canonicalized and compressed to the cap cell by cell.  The second
@@ -212,8 +211,7 @@ def _step(
         raise ValueError("fiber images and weights must be finite")
     cell, pos, w = canonicalize_segments(cell, np.clip(img, 0.0, 1.0), w)
     cell, pos, w, widths = compress_to_cap_segments(cell, pos, w, n, delta, cap)
-    phi1 = _gather(rpf.src, branch_weights, dm.phi1)
-    return dm.with_atoms(cell, pos, w, phi1=phi1, ref_masses=ref_masses.copy()), widths
+    return dm.with_atoms(cell, pos, w, ref_masses=ref_masses.copy()), widths
 
 
 def apply_F_phi(
@@ -307,14 +305,19 @@ def _fit_geometric(values: list[float], floor: float = 1e-14):
     tail = usable[usable.size // 2:]
     if tail.size < 2:
         tail = usable
-    ns = tail.astype(float)
-    logs = np.log(v[tail])
-    slope, icept = np.polyfit(ns, logs, 1)
-    pred = slope * ns + icept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = _log_fit(tail.astype(float), v[tail])
     return float(np.exp(slope)), r2
+
+
+def _log_fit(x: np.ndarray, v: np.ndarray):
+    """Least squares of log v against x: (slope, intercept, r2), with
+    r2 = 1 when log v is constant."""
+    y = np.log(v)
+    slope, icept = np.polyfit(x, y, 1)
+    pred = slope * x + icept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return slope, icept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def homogeneous_delta(compress_delta: float, atom_cap: int) -> float:
@@ -386,7 +389,7 @@ def iterate_to_equilibrium(
     gives the theoretical one.  The report gives the largest compression
     width any cell reached (``realized_delta_max``) and the drift bound of
     that cell's widths (``compress_error_bound``).  ``dm0`` must be a
-    probability: its marginal and its restrictions of mass 1 within 1e-8.
+    probability: its restrictions of total mass 1 within 1e-8.
 
     ``distances=False`` is for callers that read only the stop decision.
     Each step then decides it without the exact distances where it can: a
@@ -400,11 +403,9 @@ def iterate_to_equilibrium(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    cell_mass = np.bincount(dm0.atom_cells, weights=dm0.weights, minlength=dm0.n)
-    masses = (dm0.total_mass(), float(np.dot(dm0.ref_masses, cell_mass)))
-    if max(abs(m - 1.0) for m in masses) > 1e-8:
-        raise ValueError(f"iterate_to_equilibrium expects a probability measure; "
-                         f"its marginal and restrictions have masses {masses}")
+    mass = dm0.total_mass()
+    if abs(mass - 1.0) > 1e-8:
+        raise ValueError(f"iterate_to_equilibrium expects a probability measure, not mass {mass}")
     delta = homogeneous_delta(compress_delta, atom_cap)
     cur = dm0
     dists: list[float] = []
@@ -514,11 +515,7 @@ def _random_zero_average(
     cell = np.concatenate([np.flatnonzero(drawn[:, 0]), np.tile(np.flatnonzero(dipole), 2)])
     pos = np.concatenate([u[drawn[:, 0], 0], a[dipole], b[dipole]])
     wts = np.concatenate([phi1[drawn[:, 0]], w[dipole], -w[dipole]])
-    dm = DisintegratedMeasure.from_atoms(
-        rpf.x, rpf.m.copy(), np.zeros(n), cell, pos, wts, "m", zeta
-    )
-    # phi1 is the mass of each restriction, summed in canonical atom order
-    return replace(dm, phi1=np.bincount(dm.atom_cells, weights=dm.weights, minlength=n))
+    return DisintegratedMeasure.from_atoms(rpf.x, rpf.m.copy(), cell, pos, wts, "m", zeta)
 
 
 def _side_by_side(rpf: RPFDiscretization, k: int) -> RPFDiscretization:
@@ -550,7 +547,6 @@ def _stack(dms: list[DisintegratedMeasure], rpf: RPFDiscretization) -> Disintegr
     return DisintegratedMeasure(
         x=rpf.x,
         ref_masses=rpf.m.copy(),
-        phi1=np.concatenate([dm.phi1 for dm in dms]),
         offsets=_offsets(cell, rpf.n),
         positions=np.concatenate([dm.positions for dm in dms]),
         weights=np.concatenate([dm.weights for dm in dms]),

@@ -125,7 +125,6 @@ def from_dict_per_cell(d):
         raise ValueError("unit-mass fiber files are not read")
     return ek.DisintegratedMeasure.from_fibers(
         x=np.asarray(d["x"], dtype=float), ref_masses=np.asarray(d["ref_masses"], dtype=float),
-        phi1=np.asarray(d["phi1"], dtype=float),
         fibers=[AtomicSignedMeasure.from_pairs(p) for p in d["fibers"]],
         reference=d["reference"], zeta=d["zeta"],
     )
@@ -139,9 +138,11 @@ def product_measure_per_cell(base_density, fiber, *, rpf, reference="m", zeta=1.
     dens = np.asarray(base_density, dtype=float)
     if dens.ndim == 0:
         dens = np.full(rpf.n, float(dens))
+    if dens.shape != (rpf.n,):
+        raise ValueError(f"a density of shape {dens.shape} for {rpf.n} cells")
     ref = rpf.nu if reference == "nu" else rpf.m
     return ek.DisintegratedMeasure.from_fibers(
-        x=rpf.x, ref_masses=ref.copy(), phi1=dens,
+        x=rpf.x, ref_masses=ref.copy(),
         fibers=[float(d) * fiber for d in dens], reference=reference, zeta=zeta,
     )
 
@@ -193,10 +194,9 @@ def integrate_loop(dm, g):
 
 def multiply_observable_loop(dm, s):
     """The per-cell ``multiply_observable`` that one array call of the
-    observable replaced: the atoms of cell j reweighted by s(x_j, .), and
-    phi1[j] their new mass, one ``np.dot`` per cell."""
+    observable replaced: the atoms of cell j reweighted by s(x_j, .), one
+    call of s per cell."""
     fn = s.fn if isinstance(s, ek.Observable) else s
-    new_phi1 = np.zeros(dm.n)
     sv = np.ones(dm.positions.size)
     off = dm.offsets.tolist()
     for j in range(dm.n):
@@ -204,8 +204,7 @@ def multiply_observable_loop(dm, s):
         if a == b:
             continue
         sv[a:b] = fn(float(dm.x[j]), dm.positions[a:b])
-        new_phi1[j] = float(np.dot(dm.weights[a:b], sv[a:b]))
-    return dm._reweighted(sv, phi1=new_phi1)
+    return dm._reweighted(sv)
 
 
 def holder_rows_all_pairs(x, v, zeta, block=2**18):

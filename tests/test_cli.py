@@ -128,6 +128,19 @@ class TestConfigParsing:
         cfg.write_text("[discretization]\nbase_cells = 16\n")
         assert parse_config(cfg) == RunConfig(base_cells=16)
 
+    @pytest.mark.parametrize("formats", ["xml", ",", "json, xml"])
+    def test_bad_formats_exit_2_at_their_line(self, tmp_path, capsys, formats):
+        # the list is checked where the key is read: the message names the
+        # line, and an empty list is refused before any output is written
+        text = TSUJII_16_CONFIG.replace("formats = json,csv", f"formats = {formats}")
+        cfg, out = write_config(tmp_path, text, name="f1.ini")
+        line = text.splitlines().index(f"formats = {formats}") + 1
+        assert main(["equilibrium", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"f1.ini:{line}: formats must list json, csv or both" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_every_key_sets_its_field(self, tmp_path):
         cfg = tmp_path / "all.cfg"
         cfg.write_text(
@@ -566,6 +579,35 @@ class TestPrunedSinfNorms:
         assert gap[0] == gap[1]
         assert got == want
         assert (out / "correlations.csv").read_bytes() == (every / "correlations.csv").read_bytes()
+
+
+class TestMeasureFileContract:
+    """``equilibrium.json`` writes each cell's ``phi1`` as the mass of its
+    fiber, and ``norms`` refuses a file whose ``phi1`` disagrees."""
+
+    @pytest.mark.parametrize("name", [e.name for e in ergodykit.gallery()])
+    def test_phi1_is_the_sum_of_each_fiber_in_file_order(self, tmp_path, name):
+        text = (BASE_CONFIG.replace("doubling-linear", name)
+                .replace("base_cells = 64", "base_cells = 12"))
+        cfg, out = write_config(tmp_path, text)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        d = json.loads((out / "equilibrium.json").read_text())
+        sums = [sum(w for _, w in f) for f in d["fibers"]]
+        assert np.array(d["phi1"]).tobytes() == np.array(sums, dtype=float).tobytes()
+
+    def test_phi1_disagreeing_with_its_fiber_exits_2(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, TSUJII_16_CONFIG)
+        assert main(["equilibrium", "--config", str(cfg)]) == 0
+        payload = json.loads((out / "equilibrium.json").read_text())
+        payload["phi1"][5] *= 1.0 + 1e-6
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg), "--measure", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "measure file schema mismatch" in err and "phi1[5]" in err and "cell 5" in err
+        assert not (out / "norms.json").exists()
 
 
 class TestExitCodes:

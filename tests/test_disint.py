@@ -67,7 +67,7 @@ def make_dm(rpf, phi1, fibers, reference="nu", zeta=1.0):
     ref = rpf.nu if reference == "nu" else rpf.m
     phi1 = np.asarray(phi1, dtype=float)
     return DisintegratedMeasure.from_fibers(
-        x=rpf.x, ref_masses=ref.copy(), phi1=phi1,
+        x=rpf.x, ref_masses=ref.copy(),
         fibers=tuple(float(p) * f for p, f in zip(phi1, fibers)),
         reference=reference, zeta=zeta,
     )
@@ -122,9 +122,7 @@ class TestWeakNorms:
         rng = np.random.default_rng(1)
         fibers = [random_measure(rng, 3) for _ in range(64)]
         dm = DisintegratedMeasure.from_fibers(
-            x=rpf64.x, ref_masses=rpf64.nu.copy(),
-            phi1=np.array([f.total_mass() for f in fibers]), fibers=tuple(fibers),
-            reference="nu",
+            x=rpf64.x, ref_masses=rpf64.nu.copy(), fibers=tuple(fibers), reference="nu",
         )
         assert abs(dm.total_mass()) <= l1_norm(dm) + 1e-9
         for j in range(64):
@@ -337,7 +335,8 @@ class TestObservableArrayCall:
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.weights, want.weights)
-        assert np.allclose(got.phi1, want.phi1, rtol=0, atol=1e-12)
+        mass = [f.total_mass() for f in want.fibers]
+        assert np.allclose(got.phi1, mass, rtol=0, atol=1e-12)
         assert np.array_equal(got.ref_masses, dm.ref_masses)
 
     def test_zero_reference_mass_cells_add_nothing(self):
@@ -454,8 +453,7 @@ class TestConversionAndSerialization:
         rng = np.random.default_rng(8)
         fibers = [random_measure(rng, 4) for _ in range(64)]
         dm = DisintegratedMeasure.from_fibers(
-            x=rpf64.x, ref_masses=rpf64.m.copy(), phi1=rng.standard_normal(64),
-            fibers=tuple(fibers), reference="m",
+            x=rpf64.x, ref_masses=rpf64.m.copy(), fibers=tuple(fibers), reference="m",
         )
         d = dm.to_dict()
         assert d["normalized"] is False
@@ -474,8 +472,6 @@ class TestFromDict:
     def _payloads():
         rng = np.random.default_rng(12)
         n = 24
-        phi1 = rng.uniform(-1.0, 2.0, n)
-        phi1[[2, 9]] = 0.0
         fibers = []
         for j in range(n):
             k = int(rng.integers(0, 6))
@@ -486,10 +482,11 @@ class TestFromDict:
             if j == 5 and pos.size:
                 w[:] = 0.0  # zero weights drop
             fibers.append([[float(a), float(b)] for a, b in zip(pos, w)])
-        fibers[7] = [[0.25, 1e-300], [0.75, -2.0]]  # 1e-300 * phi1 underflows
-        phi1[7] = 1e-30
+        fibers[7] = [[0.25, 1e-300], [0.75, -2.0]]
+        # phi1[j] is the mass of fiber j, summed as written
+        phi1 = [sum(w for _, w in f) for f in fibers]
         common = {"n": n, "reference": "m", "zeta": 0.5, "x": ((np.arange(n) + 0.5) / n).tolist(),
-                  "ref_masses": np.full(n, 1.0 / n).tolist(), "phi1": phi1.tolist(),
+                  "ref_masses": np.full(n, 1.0 / n).tolist(), "phi1": phi1,
                   "fibers": fibers}
         return {"restrictions": dict(common, normalized=False),
                 "unit-mass": dict(common, normalized=True),
@@ -522,6 +519,31 @@ class TestFromDict:
         d = {k: v for k, v in d.items() if v is not None}
         with pytest.raises(ValueError, match=match):
             DisintegratedMeasure.from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["positive", "signed", "holey"])
+    @pytest.mark.parametrize("system", sorted(GALLERY_MEASURES))
+    def test_round_trip_keeps_phi1_bytes(self, system, kind):
+        dm = GALLERY_MEASURES[system][kind]
+        d = json.loads(json.dumps(dm.to_dict()))
+        back = DisintegratedMeasure.from_dict(d)
+        assert np.array(d["phi1"]).tobytes() == dm.phi1.tobytes() == back.phi1.tobytes()
+
+    @pytest.mark.parametrize("change, ok", [
+        (lambda v: v * (1.0 + 1e-12), True),
+        (lambda v: v + 1e-12, True),
+        (lambda v: v * (1.0 + 1e-6) + 1e-6, False),
+        (lambda v: float("nan"), False),
+    ])
+    def test_phi1_must_be_the_mass_of_its_fiber(self, change, ok):
+        # within 1e-9 (1 + total variation) of the fiber's mass, or refused
+        # with the cell named
+        d = self._payloads()["restrictions"]
+        d["phi1"][11] = change(d["phi1"][11])
+        if ok:
+            DisintegratedMeasure.from_dict(d)
+        else:
+            with pytest.raises(ValueError, match=r"phi1\[11\].*cell 11"):
+                DisintegratedMeasure.from_dict(d)
 
     def test_round_trip_of_an_iterate(self):
         sys_ = build_system(RunConfig(system=dict(
@@ -592,7 +614,7 @@ class TestStreamedJson:
             fibers[j] = zero_measure()
         fibers[7] = random_measure(rng, 9)
         dm = DisintegratedMeasure.from_fibers(
-            dm.x, dm.ref_masses, dm.phi1, fibers, dm.reference, dm.zeta
+            dm.x, dm.ref_masses, fibers, dm.reference, dm.zeta
         )
         self._check_every_chunk_size(dm, monkeypatch)
 
@@ -600,14 +622,14 @@ class TestStreamedJson:
     def test_one_cell(self, atoms, monkeypatch):
         pos = np.linspace(0.0, 1.0, atoms)
         dm = DisintegratedMeasure(
-            x=[0.5], ref_masses=[1.0], phi1=[float(atoms)], offsets=[0, atoms],
+            x=[0.5], ref_masses=[1.0], offsets=[0, atoms],
             positions=pos, weights=np.ones(atoms), reference="nu",
         )
         self._check_every_chunk_size(dm, monkeypatch)
 
     def test_no_cells(self):
         dm = DisintegratedMeasure(
-            x=[], ref_masses=[], phi1=[], offsets=[0], positions=[], weights=[],
+            x=[], ref_masses=[], offsets=[0], positions=[], weights=[],
             reference="m",
         )
         self._check(dm)
@@ -617,7 +639,7 @@ class TestStreamedJson:
         # every array the file holds
         odd = [1e-05, 1e+16, 5e-324, -0.0, 0.1, 123456789.0, 1e22, -2.5e-300]
         dm = DisintegratedMeasure(
-            x=odd, ref_masses=[abs(v) for v in odd], phi1=[-v for v in odd],
+            x=odd, ref_masses=[abs(v) for v in odd],
             offsets=[0, 3, 3, 3, 5, 5, 6, 6, 7],
             positions=[-0.0, 5e-324, 1e-05, 1e-05, 0.1, 1.0, 5e-324],
             weights=[1e+16, -1e-05, 5e-324, -5e-324, 1e22, -0.1, 2.0],
@@ -689,7 +711,7 @@ class TestBatchedZetaOne:
         # a fixed point reached exactly in floating point has distance 0.0
         _, (a, _) = _iterates("tsujii", kind)
         same = DisintegratedMeasure.from_fibers(
-            a.x, a.ref_masses, a.phi1,
+            a.x, a.ref_masses,
             [AtomicSignedMeasure(f.positions.copy(), f.weights.copy()) for f in a.fibers],
             a.reference, a.zeta,
         )
@@ -802,7 +824,7 @@ class TestPrunedHolder:
         # 1 + 9e-17, which reads as 1.0, while the exact zeta = 1/2 distance
         # is 1 + (9e-17)**0.5, about 1 + 9.5e-9
         dm = DisintegratedMeasure.from_atoms(
-            [0.25, 0.0, 0.75], np.ones(3), [2.0, 1.0, 2.0], [0, 1, 2, 2],
+            [0.25, 0.0, 0.75], np.ones(3), [0, 1, 2, 2],
             [0.0, 9e-17, 0.2, 0.8], [2.0, 1.0, 1.0, 1.0], "m", 0.5,
         )
         d1 = disint._fiber_norms(1.0, dm, [0], dm, [1])[0]
@@ -823,7 +845,7 @@ class TestPrunedHolder:
                                steps=4, fiber=uniform_atoms(5))
         perm = np.random.default_rng(3).permutation(mu.n)
         shuffled = DisintegratedMeasure.from_fibers(
-            mu.x[perm], mu.ref_masses[perm], mu.phi1[perm], [mu.fiber(k) for k in perm],
+            mu.x[perm], mu.ref_masses[perm], [mu.fiber(k) for k in perm],
             "m", mu.zeta,
         )
         real = disint._fiber_norms
@@ -964,7 +986,7 @@ class TestPrunedMaxima:
         ref = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
         cell = np.repeat(np.arange(8), [len(c) for c in cells])
         return DisintegratedMeasure.from_atoms(
-            np.tile([0.125, 0.375, 0.625, 0.875], 2), ref, np.linspace(-1.0, 1.0, 8), cell,
+            np.tile([0.125, 0.375, 0.625, 0.875], 2), ref, cell,
             [p for c in cells for p, _ in c], [w for c in cells for _, w in c], "m", zeta,
         )
 
@@ -1007,7 +1029,7 @@ class TestFlatLayout:
     def _dm(self, offsets, positions, weights, n=3):
         x = (np.arange(n) + 0.5) / n
         return DisintegratedMeasure(
-            x=x, ref_masses=np.full(n, 1.0 / n), phi1=np.ones(n),
+            x=x, ref_masses=np.full(n, 1.0 / n),
             offsets=np.asarray(offsets), positions=np.asarray(positions, dtype=float),
             weights=np.asarray(weights, dtype=float), reference="m",
         )
@@ -1069,7 +1091,7 @@ class TestFlatLayout:
         rng = np.random.default_rng(3)
         raw = [AtomicSignedMeasure(rng.choice([0.25, 0.5, 0.75], 4), rng.normal(size=4))
                for _ in range(64)]
-        dm = DisintegratedMeasure.from_fibers(rpf64.x, rpf64.m, np.ones(64), raw, "m")
+        dm = DisintegratedMeasure.from_fibers(rpf64.x, rpf64.m, raw, "m")
         for got, f in zip(dm.fibers, raw):
             want = canonicalize(f)
             assert np.array_equal(got.positions, want.positions)

@@ -73,8 +73,7 @@ def _measure(sys_, rpf, kind, seed, reference):
         for j in rng.choice(rpf.n, size=rpf.n // 3, replace=False):
             fibers[j] = zero_measure()
         dm = ek.DisintegratedMeasure.from_fibers(
-            dm.x, dm.ref_masses, [f.total_mass() for f in fibers], fibers,
-            dm.reference, dm.zeta,
+            dm.x, dm.ref_masses, fibers, dm.reference, dm.zeta,
         )
     if reference == "nu":
         dm = replace(dm, ref_masses=rpf.nu.copy(), reference="nu")

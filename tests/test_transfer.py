@@ -169,13 +169,11 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate_to_equilibrium(sys_, rpf, dm0.scaled(2.0))
 
-    @pytest.mark.parametrize("phi1, weight", [(1.0, 2.0), (2.0, 1.0)])
-    def test_requires_restrictions_of_a_probability(self, dbl, phi1, weight):
-        # marginal and restrictions must both have mass 1: a marginal of
-        # mass 1 over restrictions of mass 2 is no probability, nor the reverse
+    @pytest.mark.parametrize("weight", [2.0, 0.5])
+    def test_requires_restrictions_of_a_probability(self, dbl, weight):
+        # restrictions of mass 2 (or 1/2) over every cell are no probability
         sys_, rpf = dbl
-        dm0 = DisintegratedMeasure.from_fibers(
-            rpf.x, rpf.m, np.full(rpf.n, phi1), [dirac(0.5, weight)] * rpf.n, "m")
+        dm0 = DisintegratedMeasure.from_fibers(rpf.x, rpf.m, [dirac(0.5, weight)] * rpf.n, "m")
         with pytest.raises(ValueError, match="probability"):
             iterate_to_equilibrium(sys_, rpf, dm0)
 
@@ -258,8 +256,7 @@ class TestSpectralGap:
             a, b = rng.uniform(0, 1, 2)
             fibers.append(dirac(float(a), 0.7) + dirac(float(b), -0.7))
         dm = DisintegratedMeasure.from_fibers(
-            x=rpf.x, ref_masses=rpf.m.copy(), phi1=np.zeros(rpf.n),
-            fibers=tuple(fibers), reference="m", zeta=1.0,
+            x=rpf.x, ref_masses=rpf.m.copy(), fibers=tuple(fibers), reference="m", zeta=1.0,
         )
         norms = []
         cur = dm
@@ -401,8 +398,7 @@ def _zero_average_per_cell(rpf, zeta, rng):
             fiber = fiber + p
         fibers.append(fiber)
     return DisintegratedMeasure.from_fibers(
-        x=rpf.x, ref_masses=rpf.m.copy(), phi1=np.array([f.total_mass() for f in fibers]),
-        fibers=fibers, reference="m", zeta=zeta,
+        x=rpf.x, ref_masses=rpf.m.copy(), fibers=fibers, reference="m", zeta=zeta,
     )
 
 
@@ -524,7 +520,7 @@ class TestLYS1:
     def test_zero_measure_trivial(self, dbl):
         sys_, rpf = dbl
         dm = DisintegratedMeasure.from_fibers(
-            x=rpf.x, ref_masses=rpf.nu.copy(), phi1=np.zeros(rpf.n),
+            x=rpf.x, ref_masses=rpf.nu.copy(),
             fibers=tuple([ek.zero_measure()] * rpf.n), reference="nu", zeta=1.0,
         )
         assert s1_norm(dm) == 0.0
@@ -585,11 +581,9 @@ class TestZeroMarginalFallback:
         # unit-mass fibers, which must put some fiber on every massless
         # cell, is refused, and restriction files put nothing there
         sys_, rpf = dbl
-        phi1 = np.zeros(rpf.n)
-        phi1[0] = 1.0 / rpf.nu[0]  # all mass on the first cell
         stored = DisintegratedMeasure.from_fibers(
-            x=rpf.x, ref_masses=rpf.nu.copy(), phi1=phi1,
-            fibers=tuple([dirac(0.7, phi1[0])] + [ek.zero_measure()] * (rpf.n - 1)),
+            x=rpf.x, ref_masses=rpf.nu.copy(),  # all mass on the first cell
+            fibers=tuple([dirac(0.7, 1.0 / rpf.nu[0])] + [ek.zero_measure()] * (rpf.n - 1)),
             reference="nu", zeta=1.0,
         ).to_dict()
         assert stored["fibers"][1:] == [[]] * (rpf.n - 1)
@@ -806,7 +800,7 @@ class TestStopFromLowerBounds:
         for _ in range(2000):
             pos, w = rng.uniform(0.0, 1.0, 12), rng.uniform(-1.0, 1.0, 12)
             a, b = (DisintegratedMeasure.from_atoms(
-                [0.5], [1.0], [1.0], np.zeros(np.sum(keep), dtype=int), pos[keep],
+                [0.5], [1.0], np.zeros(np.sum(keep), dtype=int), pos[keep],
                 np.abs(w[keep]), "m", z) for keep in (w > 0, w < 0))
             d1 = disint._fiber_norms(1.0, a, [0], b, [0])[0]
             exact = disint._fiber_norms(z, a, [0], b, [0])[0]
