@@ -2,8 +2,8 @@
 
 The transfer operator of a branched covering map f with potential phi acts
 on functions by (L g)(x) = sum over branch preimages y of g(y) exp(phi(y)).
-We discretize by collocation at cell midpoints with piecewise-constant
-interpolation of g, which matches the pointwise operator formula directly.
+We discretize by collocation at cell midpoints, reading g at each preimage
+through the two-cell piecewise-linear stencil of ``_interp_stencil``.
 The numerics are not rigorous (no validated enclosures); accuracy is
 checked empirically through grid refinement and analytic special cases.
 """

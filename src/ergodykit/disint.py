@@ -479,48 +479,59 @@ def s1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
     return float(_phi1_strong(dm, z)[0]) + l1_norm(dm, z)
 
 
-def _norm_bounds(z: float, dm: DisintegratedMeasure, idx: np.ndarray, b=None):
-    """Bounds on the zeta-Holder dual norms of dm's restrictions over the
-    cells ``idx`` (less b's over the same cells when b is given), and their
-    exact values on demand: ``dualnorm.norm_bounds`` of the gathered atoms.
+def _norm_bounds(z: float, a: DisintegratedMeasure, ia, b=None, ib=None):
+    """Bounds on the zeta-Holder dual norms of a's restrictions over the
+    cells ``ia`` (less b's over the cells ``ib``, by default the same, when
+    b is given), and their exact values on demand: ``dualnorm.norm_bounds``
+    of the gathered atoms.
 
     Returns ``(lower, upper, norms)``, with the rounding slack applied;
-    ``norms(k)`` gives the exact norms over the cells ``idx[k]``, bit for
-    bit those of ``_fiber_norms``.
+    ``norms(k)`` gives the exact norms of the measures numbered ``k``, bit
+    for bit those of ``_fiber_norms``.
     """
-    seg, pos, w, k = _gathered(dm, idx, b, idx)
+    seg, pos, w, k = _gathered(a, ia, b, ia if ib is None else ib)
     return norm_bounds(seg, pos, w, k, z)
+
+
+def _largest(bounds, run=0, runs=1, denom=1.0, best=None) -> np.ndarray:
+    """The largest exact norm divided by ``denom`` in each of ``runs``
+    groups of candidates, from the ``(lower, upper, norms)`` of
+    ``_norm_bounds``; candidate k is in group ``run[k]`` (``run`` and
+    ``denom`` may be scalars).
+
+    Without ``best`` exact norms are computed in two rounds: in each group,
+    first for the candidates of the largest lower and of the largest upper
+    bound, then for every other candidate whose upper bound beats the
+    group's best quotient; a group without candidates gives 0.  With
+    ``best``, one round evaluates the candidates whose upper bound beats
+    it, and the result is at least ``best``.  A candidate left out has a
+    quotient at most its upper bound over ``denom``, so at most the best,
+    and the result is the maximum over every candidate bit for bit (a norm
+    does not depend on which others are evaluated with it).
+    """
+    lower, upper, norms = bounds
+    run, denom = np.broadcast_arrays(run, denom, upper)[:2]
+    top = np.full(runs, 0.0 if best is None else best)
+    upper = upper / denom
+    first = np.zeros(upper.size, dtype=bool)
+    if best is None:
+        for key in (lower / denom, upper):
+            # the candidate of the largest key in each group
+            order = np.lexsort((-key, run))
+            first[order[np.diff(run[order], prepend=-1) != 0]] = True
+        cells = np.flatnonzero(first)
+        np.maximum.at(top, run[cells], norms(cells) / denom[cells])
+    cells = np.flatnonzero((upper > top[run]) & ~first)
+    np.maximum.at(top, run[cells], norms(cells) / denom[cells])
+    return top
 
 
 def _largest_norms(dm: DisintegratedMeasure, z: float, blocks: int = 1) -> np.ndarray:
     """The largest fiber dual norm over the cells of positive reference
     mass in each of ``blocks`` equal runs of cells, 0 for a run without
-    such a cell.
-
-    Exact norms are computed in two rounds: first, in each run, for the
-    cell of the largest lower bound and the cell of the largest upper
-    bound (``_norm_bounds``), then for the other cells whose upper bound
-    exceeds the best norm of their run.  A cell left out has a norm at
-    most its upper bound, so at most that best, and the result is the
-    maximum over all cells bit for bit (a cell's norm does not depend on
-    which other cells are evaluated with it).
-    """
-    best = np.zeros(blocks)
+    such a cell (``_largest``)."""
     idx = np.flatnonzero(dm.ref_masses > 0)
-    if idx.size == 0:
-        return best
-    run = idx // (dm.n // blocks)
-    lower, upper, norms = _norm_bounds(z, dm, idx)
-    first = np.zeros(idx.size, dtype=bool)
-    for key in (lower, upper):
-        # the cell of the largest key in each run
-        order = np.lexsort((-key, run))
-        first[order[np.diff(run[order], prepend=-1) != 0]] = True
-    cells = np.flatnonzero(first)
-    np.maximum.at(best, run[cells], norms(cells))
-    cells = np.flatnonzero((upper > best[run]) & ~first)
-    np.maximum.at(best, run[cells], norms(cells))
-    return best
+    return _largest(_norm_bounds(z, dm, idx), idx // (dm.n // blocks), blocks)
 
 
 def _sinf_norms(dm: DisintegratedMeasure, blocks: int, zeta=None) -> np.ndarray:
@@ -559,24 +570,19 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     beats the better of its two halves.  Those n - 1 distances are one
     batched ``dual_norms`` call.
 
-    At zeta < 1 exact distances (the level matchings of ``dual_norms``)
-    are computed only for the pairs whose bound on the quotient beats the
-    best quotient found.  A pair's distance is at most
-    M + P**(1 - zeta) (D1 - M)**zeta (``_jensen_bounds``, the Jensen
-    bound of the ``dualnorm`` module docstring), with M = |m_a - m_b| and
-    P = min(m_a, m_b) from the masses of the two restrictions and D1 any
-    bound on their zeta = 1 distance.  First every pair is bounded with
-    D1 the sum of the zeta = 1 distances of the neighbours in midpoint
-    order between them (the triangle inequality; n - 1 zeta = 1
-    ``dual_norms`` distances in all), and the pair of largest bound
-    quotient gets its exact distance.  Then the pairs whose bound beats that quotient are
-    bounded again with their own zeta = 1 distance, and those still above
-    it get exact distances by decreasing bound, a pair dropping out as
-    soon as the best quotient found reaches its bound.  Every bound
-    carries a rounding slack (``_BOUND_SLACK``), so no pair left out
-    has a computed quotient above the best, and the result is the
-    all-pairs maximum bit for bit.  Each norm call gathers about
-    ``_PAIR_BLOCK_ATOMS`` atoms, so memory stays bounded as n grows.
+    At zeta < 1 every pair is first bounded by the Jensen bound
+    M + P**(1 - zeta) (D1 - M)**zeta of the ``dualnorm`` module docstring
+    (``_jensen_bounds``), with M = |m_a - m_b| and P = min(m_a, m_b) from
+    the masses of the two restrictions and D1 the sum of the zeta = 1
+    distances of the neighbours in midpoint order between them (the
+    triangle inequality; n - 1 ``dual_norms`` distances in all).  The pair
+    of largest bound quotient gets its exact distance; the others whose
+    bound beats the best found are taken by decreasing bound, one block of
+    about ``_PAIR_BLOCK_ATOMS`` gathered atoms per ``_largest`` call (whose
+    own bound takes D1 as the pair's zeta = 1 distance), until a block's
+    top bound does not.  The result is the all-pairs maximum bit for bit.
+    Each norm call's memory is bounded, but the first bounds are held for
+    all n (n - 1) / 2 pairs at once, so memory grows as n**2.
     """
     if not dm.is_positive():
         raise ValueError("disintegration Holder constant is defined for positive measures")
@@ -587,54 +593,43 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         dist = _fiber_norms(z, dm, idx[:-1], dm, idx[1:])
         return float((dist / np.diff(dm.x[idx])).max(initial=0.0))
     ia, ib = np.triu_indices(idx.size, k=1)
-    i, j = idx[ia], idx[ib]
-    if i.size == 0:
+    if ia.size == 0:
         return 0.0
-    size = np.diff(dm.offsets)
-    mass = dm.phi1
+    x, mass, size = dm.x[idx], dm.phi1[idx], np.diff(dm.offsets)[idx]
 
     def blocks(pairs):
         # ``pairs`` in runs of about _PAIR_BLOCK_ATOMS gathered atoms
-        ends = np.cumsum(size[i[pairs]] + size[j[pairs]])
+        ends = np.cumsum(size[ia[pairs]] + size[ib[pairs]])
         total = int(ends[-1]) if ends.size else 0
         return np.split(pairs, np.searchsorted(ends, np.arange(_PAIR_BLOCK_ATOMS, total,
                                                                _PAIR_BLOCK_ATOMS)))
 
-    def bound_quotients(pairs, d1):
-        p, q = i[pairs], j[pairs]
-        return _jensen_bounds(mass[p], mass[q], d1, z) / np.abs(dm.x[p] - dm.x[q]) ** z
-
-    def best_of(pairs):
-        p, q = i[pairs], j[pairs]
-        dist = _fiber_norms(z, dm, p, dm, q)
-        return float((dist / np.abs(dm.x[p] - dm.x[q]) ** z).max(initial=0.0))
-
     # s[k] sums the zeta = 1 distances of neighbours in midpoint order up to
     # cell idx[k], so |s[b] - s[a]| bounds the zeta = 1 distance of the pair
     # (a, b); the slack covers the rounding of each distance and of the sums
-    order = np.argsort(dm.x[idx], kind="stable")
+    order = np.argsort(x, kind="stable")
     s = np.zeros(idx.size)
     s[order[1:]] = np.cumsum(_fiber_norms(1.0, dm, idx[order[:-1]], dm, idx[order[1:]]))
-    s_slack = _BOUND_SLACK * (s.max() + 2.0 * mass[idx].sum())
-    ub = np.concatenate([
-        bound_quotients(b, (1.0 + _BOUND_SLACK) * np.abs(s[ib[b]] - s[ia[b]]) + s_slack)
-        for b in blocks(np.arange(i.size))
-    ])
+    s_slack = _BOUND_SLACK * (s.max() + 2.0 * mass.sum())
+    ub = np.empty(ia.size)
+    for b in blocks(np.arange(ia.size)):
+        p, q = ia[b], ib[b]
+        d1 = (1.0 + _BOUND_SLACK) * np.abs(s[q] - s[p]) + s_slack
+        ub[b] = _jensen_bounds(mass[p], mass[q], d1, z) / np.abs(x[p] - x[q]) ** z
     top = int(np.argmax(ub))
-    best = best_of(np.array([top]))
-    # the pairs whose bound beats the top pair's quotient, bounded again
-    # from their own zeta = 1 distances
+    p, q = ia[top:top + 1], ib[top:top + 1]
+    best = float((_fiber_norms(z, dm, idx[p], dm, idx[q]) / np.abs(x[p] - x[q]) ** z)[0])
     live = np.flatnonzero(ub > best)
     live = live[live != top]
-    for b in blocks(live):
-        ub[b] = np.minimum(ub[b], bound_quotients(b, _fiber_norms(1.0, dm, i[b], dm, j[b])))
-    live = live[ub[live] > best]
-    live = live[np.argsort(-ub[live], kind="stable")]
-    while live.size:
-        take = blocks(live)[0].size
-        best = max(best, best_of(live[:take]))
-        live = live[take:]
-        live = live[ub[live] > best]
+    for b in blocks(live[np.argsort(-ub[live], kind="stable")]):
+        b = b[ub[b] > best]
+        if b.size == 0:
+            break
+        p, q = ia[b], ib[b]
+        denom = np.abs(x[p] - x[q]) ** z
+        # no name holds the bounds, so each block's sorted atoms are freed
+        # before the next block's are built
+        best = float(_largest(_norm_bounds(z, dm, idx[p], dm, idx[q]), denom=denom, best=best)[0])
     return best
 
 

@@ -39,6 +39,7 @@ from .disint import (
     Observable,
     _cell_atoms,
     _elementwise,
+    _largest,
     _norm_bounds,
     _offsets,
     _sinf_norms,
@@ -355,16 +356,16 @@ def _below_tol(a: DisintegratedMeasure, b: DisintegratedMeasure, zeta: float,
     A tol <= 0 is never reached, and a cell's lower bound (``_norm_bounds``
     of the differences: at zeta = 1 the closed form without its level sum,
     below it the zeta = 1 distance) at or above tol shows the distance is
-    not below it; otherwise the largest exact distance, from the same
-    sorted atoms, decides.
+    not below it; otherwise the largest exact distance decides, found by
+    ``_largest`` from the same sorted atoms.
     """
     if tol <= 0:
         return False
     idx = np.flatnonzero(a.ref_masses > 0)
-    lower, _, norms = _norm_bounds(zeta, a, idx, b)
-    if np.any(lower >= tol):
+    bounds = _norm_bounds(zeta, a, idx, b)
+    if np.any(bounds[0] >= tol):
         return False
-    return bool(norms(np.arange(idx.size)).max(initial=0.0) < tol)
+    return bool(_largest(bounds)[0] < tol)
 
 
 def iterate_to_equilibrium(

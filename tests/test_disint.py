@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergodykit as ek
 from ergodykit import disint, dualnorm
@@ -810,13 +812,13 @@ class TestPrunedHolder:
     def test_block_edges_crossed(self, system, monkeypatch):
         mu = self._equilibrium(system, 24)
         calls = []
-        real = disint._fiber_norms
-        monkeypatch.setattr(disint, "_fiber_norms",
+        real = disint._norm_bounds
+        monkeypatch.setattr(disint, "_norm_bounds",
                             lambda *a: calls.append(a[0]) or real(*a))
         monkeypatch.setattr(disint, "_PAIR_BLOCK_ATOMS", 150)
         assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
-        # both passes ran in several blocks
-        assert calls.count(1.0) > 10 and calls.count(0.5) > 2
+        # the live pairs were bounded in several blocks, one call each
+        assert len(calls) > 10 and set(calls) == {0.5}
 
     def test_rounding_level_transport_needs_the_slack(self):
         # A = 2 delta_0 against B = delta_9e-17: the transport part of their
@@ -1003,6 +1005,63 @@ class TestPrunedMaxima:
         for ref in (np.zeros(8), np.r_[np.zeros(4), np.ones(4)]):
             assert_same_maxima(replace(dm, ref_masses=ref), 2)
         assert disint._largest_norms(replace(dm, ref_masses=np.zeros(8)), zeta, 2).tolist() == [0.0, 0.0]
+
+
+class TestLargest:
+    """``disint._largest`` gives the largest exact norm over its denominator
+    in each group, bit for bit, and evaluates no candidate whose upper bound
+    cannot beat the best quotient its group holds at that point."""
+
+    @staticmethod
+    def _measure(rng, ncell, positive, zeta):
+        # 0-4 atoms per cell on a 1/8 grid (coincident atoms merge), cell 1
+        # a copy of cell 0 so that tied norms occur
+        counts = rng.integers(0, 5, size=ncell)
+        counts[1] = counts[0]
+        pos = rng.integers(0, 9, size=counts.sum()) / 8
+        w = rng.uniform(0.1, 1.0, size=counts.sum())
+        if not positive:
+            w *= rng.choice([-1.0, 1.0], size=w.size)
+        pos[counts[0]:2 * counts[0]] = pos[:counts[0]]
+        w[counts[0]:2 * counts[0]] = w[:counts[0]]
+        return DisintegratedMeasure.from_atoms(
+            (np.arange(ncell) + 0.5) / ncell, np.ones(ncell),
+            np.repeat(np.arange(ncell), counts), pos, w, "m", zeta,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 4),
+           st.sampled_from([1.0, 0.5, 0.2]), st.booleans(), st.booleans(), st.booleans())
+    def test_matches_every_candidate(self, seed, k, runs, zeta, positive, scaled, floored):
+        rng = np.random.default_rng(seed)
+        dm = self._measure(rng, 6, positive, zeta)
+        idx = rng.integers(0, 6, size=k)  # candidates, cells repeating
+        run = rng.integers(0, runs, size=k)
+        denom = rng.uniform(0.1, 3.0, size=k) if scaled else 1.0
+        best = float(rng.uniform(0.0, 2.0)) if floored else None
+        lower, upper, norms = disint._norm_bounds(zeta, dm, idx)
+        calls = []
+        got = disint._largest(
+            (lower, upper, lambda c: calls.append(np.asarray(c)) or norms(c)),
+            run, runs, denom, best,
+        )
+        quotient = disint._fiber_norms(zeta, dm, idx) / denom
+        want = np.full(runs, 0.0 if best is None else best)
+        np.maximum.at(want, run, quotient)
+        assert got.tobytes() == want.tobytes()
+        if k == 0:
+            assert got.tolist() == [0.0 if best is None else best] * runs
+        # each round evaluates only candidates whose upper bound beats the
+        # best quotient of their group so far (the first of two rounds
+        # takes each group's top lower and top upper bound)
+        bound = upper / denom
+        held = np.full(runs, 0.0 if best is None else best)
+        if best is None:
+            first = calls.pop(0)
+            assert first.size <= 2 * runs
+            np.maximum.at(held, run[first], quotient[first])
+        assert len(calls) == 1
+        assert np.all(bound[calls[0]] > held[run[calls[0]]])
 
 
 class TestDistanceArguments:

@@ -12,6 +12,7 @@ from ergodykit.disint import (
     disintegration_holder,
     integrate,
     l1_norm,
+    linf_distance,
     linf_norm,
     multiply_observable,
     _sinf_norms,
@@ -810,6 +811,26 @@ class TestStopFromLowerBounds:
         assert disint._norm_bounds(z, a, [0], b)[0][0] <= exact
         assert transfer._below_tol(a, b, z, float(np.nextafter(exact, np.inf)))
         assert not transfer._below_tol(a, b, z, exact)
+
+    @pytest.mark.parametrize("z", [1.0, 0.5])
+    def test_exact_fallback_on_many_cells(self, z, monkeypatch):
+        # a tol at, just above and just below the largest distance of each
+        # step: just above it every lower bound is below tol, so the largest
+        # exact distance decides
+        sys_ = _holder05_system()
+        rpf, cur = _start(sys_, 24)
+        fallbacks = []
+        real = transfer._largest
+        monkeypatch.setattr(transfer, "_largest",
+                            lambda *a, **k: fallbacks.append(a) or real(*a, **k))
+        for step in range(8):
+            nxt = apply_F_phih_normalized(sys_, rpf, cur)
+            d = linf_distance(nxt, cur, z)
+            assert d > 0.0
+            for tol in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)):
+                assert transfer._below_tol(nxt, cur, z, float(tol)) == (d < tol)
+            assert len(fallbacks) >= step + 1
+            cur = nxt
 
 
 class TestHomogeneousWidth:
