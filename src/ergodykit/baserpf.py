@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dualnorm import NumericError, _as_zeta
+from .dualnorm import _BOUND_SLACK, NumericError, _as_zeta
 from .measures import seeded
 
 __all__ = [
@@ -44,12 +44,12 @@ _PI_MAXIT = 100_000
 # block-pair bounds held at a time by its pruned search): 2 MB per
 # float64 temporary, whatever the number of points.
 _HOLDER_BLOCK_PAIRS = 2**18
-# Inputs of at most this many points compare all their pairs in one pass
-# (for 10 rows of 12 points, 0.08 ms against 0.5 ms by the pruned search);
-# larger ones take the pruned search of ``discrete_holder_constant``, whose
-# block bounds carry this relative slack, far above the rounding of ``**``.
+# The zeta < 1 search of ``discrete_holder_constant`` takes inputs of at
+# most this many points as one block, all of whose pairs it evaluates
+# (10 rows of 12 points: 0.15 ms, against 0.04-0.06 ms for the separate
+# all-pairs loop this rule replaced, timeit on 2 vCPUs); larger ones are
+# cut into blocks.
 _HOLDER_BLOCK_POINTS = 64
-_HOLDER_SLACK = 2.0**-40
 
 
 class ConstructionError(ValueError):
@@ -201,27 +201,30 @@ def discrete_holder_constant(x: np.ndarray, v: np.ndarray, zeta: float) -> float
     A non-finite point or value gives NaN.
 
     At zeta = 1 only neighbours in sorted order are compared, which is
-    exact on a line: for x_i < x_j < x_k the increments of v obey the
-    triangle inequality while those of x add, so the quotient of (i, k) is
-    at most the larger of those of (i, j) and (j, k) (mediant inequality).
+    exact on a line by the mediant argument: for x_i < x_j < x_k the
+    increments of v obey the triangle inequality while those of x add, so
+    the quotient of (i, k) is at most the larger of those of (i, j) and
+    (j, k).  Any distance with the triangle inequality in place of
+    |v_i - v_j| keeps the argument (``disint.disintegration_holder``).
+
     At zeta < 1 that argument fails, and the maximum over all pairs is
     found by pruning.  The sorted points are cut into blocks of about
-    (4 n)**(1/3) consecutive points, and each pair of blocks gets an upper
+    (4 n)**(1/3) consecutive points, or taken as one block when there are
+    at most ``_HOLDER_BLOCK_POINTS``, and each pair of blocks gets an upper
     bound on its quotients: the larger cross range of v,
     max(max_B v - min_A v, max_A v - min_B v), divided by the smallest
     separation of its pairs raised to zeta (the distance between the
     blocks, or the smallest spacing inside a block paired with itself).
-    That power is first lowered by the relative slack ``_HOLDER_SLACK`` and
-    by a few subnormal units, so the bound stays above every rounded
-    quotient of the pair even where ``**`` rounds unevenly.  Block pairs
-    are then evaluated, all their quotients, in order of decreasing bound
-    while the bound exceeds the largest quotient found so far.  The pairs
-    left cannot exceed it, so the result is the maximum of the very
-    quotients that comparing every pair computes, bit for bit.  Quotients
-    are evaluated ``_HOLDER_BLOCK_PAIRS`` pair entries at a time, and
-    inputs of at most ``_HOLDER_BLOCK_POINTS`` points compare all their
-    pairs in one pass.  Rows of constant v have bound 0 everywhere and
-    evaluate nothing.
+    That power is first lowered by the relative slack
+    ``dualnorm._BOUND_SLACK`` and by a few subnormal units, so the bound
+    stays above every rounded quotient of the pair even where ``**`` rounds
+    unevenly.  Block pairs are then evaluated, all their quotients, in
+    order of decreasing bound while the bound exceeds the largest quotient
+    found so far.  The pairs left cannot exceed it, so the result is the
+    maximum of the very quotients that comparing every pair computes, bit
+    for bit.  Quotients are evaluated ``_HOLDER_BLOCK_PAIRS`` pair entries
+    at a time.  Rows of constant v have bound 0 everywhere and evaluate
+    nothing.
     """
     v = np.asarray(v, dtype=float)
     return float(_holder_rows(x, v[None, :], zeta)[0])
@@ -247,34 +250,29 @@ def _holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
         clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
         keep = np.concatenate(([True], ~tied))
         x, v = x[keep], v[:, keep]
-        n = x.size
-        if n >= 2 and zeta == 1.0:
+        if x.size >= 2 and zeta == 1.0:
             best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
-        elif n > _HOLDER_BLOCK_POINTS:
+        elif x.size >= 2:
             best = _pruned_holder_rows(x, v, zeta)
-        elif n >= 2:
-            rows = max(1, _HOLDER_BLOCK_PAIRS // (n * v.shape[0]))
-            for i0 in range(0, n - 1, rows):
-                i1 = min(i0 + rows, n - 1)
-                # rows i0..i1-1 against columns i0+1..n-1; entries with j <= i are masked
-                dx = x[None, i0 + 1:] - x[i0:i1, None]
-                dx[dx <= 0.0] = np.inf
-                dv = np.abs(v[:, None, i0 + 1:] - v[:, i0:i1, None])
-                top = np.max(dv / dx**zeta, axis=(1, 2))
-                best = np.where(top > best, top, best)  # as max(best, top): NaN skipped
         best[clash] = np.inf
     best[bad] = np.nan
     return best
+
+
+def _strong_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
+    """The discrete strong norm H_zeta + sup |.| of every row of v on x."""
+    return _holder_rows(x, v, zeta) + np.abs(v).max(axis=1, initial=0.0)
 
 
 def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
     """The zeta < 1 quotient of every row of v on strictly increasing x,
     by the block-bound search of ``discrete_holder_constant``."""
     k, n = v.shape
-    # about (4 n)**(1/3) points per block balances the bounds of all block
-    # pairs against the quotients of the pairs near the diagonal, which
-    # are always evaluated; at most 512 blocks keep the bounds small
-    size = max(2, round(np.cbrt(4.0 * n)), -(-n // 512))
+    # a few points are one block; above that, about (4 n)**(1/3) points per
+    # block balances the bounds of all block pairs against the quotients of
+    # the pairs near the diagonal, which are always evaluated, and at most
+    # 512 blocks keep the bounds small
+    size = n if n <= _HOLDER_BLOCK_POINTS else max(round(np.cbrt(4.0 * n)), -(-n // 512))
     nb = -(-n // size)
     # the last block is padded with copies of the last point: their pairs
     # repeat the last point's quotients or have separation 0, which is masked
@@ -286,7 +284,7 @@ def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray
     step = np.diff(xb, axis=1)
     step[step <= 0.0] = np.inf
     gap = np.where(a == b, step.min(axis=1, initial=np.inf)[a], xb[b, 0] - xb[a, -1])
-    floor = np.maximum(gap**zeta * (1.0 - _HOLDER_SLACK) - 2.0**-1070, 0.0)
+    floor = np.maximum(gap**zeta * (1.0 - _BOUND_SLACK) - 2.0**-1070, 0.0)
     chunk = max(1, _HOLDER_BLOCK_PAIRS // (size * size))
     best = np.zeros(k)
 
@@ -523,13 +521,17 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     eigentriple comes from power iteration (right) and adjoint power
     iteration (left); nu is normalized to a probability and h so that
     sum(h * nu) = 1.  Raises ConstructionError when exp(phi) overflows at
-    a preimage.
+    a preimage, and MemoryError, before anything is allocated, when the
+    stencil is too big for numpy to address.
     """
     if n < 8:
         raise ConstructionError(f"need at least 8 cells, got n={n}")
+    deg = basemap.deg
+    # the largest array below, sized first: numpy refuses it with a ValueError
+    if deg * n * 2 * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a ({deg}, {n}, 2) stencil is more than numpy can address")
     x = (np.arange(n) + 0.5) / n
     ys = basemap.preimages(x)
-    deg = basemap.deg
     with np.errstate(over="ignore", invalid="ignore"):
         ephi = np.exp(np.asarray(pot.fn(ys), dtype=float))
     if not np.all(np.isfinite(ephi)):
@@ -788,16 +790,13 @@ def _strong_norms(
     array (``proj`` defaults to the identity).  Each row's norms are the
     ones it has alone.
     """
-    def norms(u):
-        return _holder_rows(rpf.x, u, zeta) + np.max(np.abs(u), axis=1)
-
-    s0 = norms(v)
+    s0 = _strong_rows(rpf.x, v, zeta)
     sn = np.empty((n_steps, v.shape[0]))
     for k in range(n_steps):
         v = _gather(rpf.src, rpf.wphi, v) / rpf.lam
         if proj is not None:
             v = proj(v)
-        sn[k] = norms(v)
+        sn[k] = _strong_rows(rpf.x, v, zeta)
     return s0, sn
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .baserpf import RPFDiscretization, _holder_rows, discrete_holder_constant
+from .baserpf import RPFDiscretization, _strong_rows, discrete_holder_constant
 from .dualnorm import _BOUND_SLACK, _as_zeta, _jensen_bounds, dual_norms, norm_bounds
 from .measures import AtomicSignedMeasure, _checked_positions, canonicalize_segments
 
@@ -455,9 +455,8 @@ def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
 
     Positions default to the cell midpoints (i + 0.5) / n.  Evaluated by
     ``discrete_holder_constant``: at zeta = 1 neighbouring positions alone
-    attain the maximum (exactly, by the mediant inequality on a line), at
-    zeta < 1 a block-bound search evaluates only the pairs of points whose
-    blocks may hold it, with the all-pairs result bit for bit.  Coincident
+    (exactly, by the mediant argument stated there), at zeta < 1 its
+    block-bound search, with the all-pairs result bit for bit.  Coincident
     positions with different values give inf, a non-finite value NaN.
     """
     v = np.asarray(values, dtype=float)
@@ -470,8 +469,7 @@ def _phi1_strong(dm: DisintegratedMeasure, z: float, blocks: int = 1) -> np.ndar
     """|phi1|_zeta = H_zeta(phi1) + sup |phi1| of each of ``blocks`` equal
     runs of cells, all on the grid of the first (one sort of it)."""
     n = dm.n // blocks
-    phi1 = dm.phi1.reshape(blocks, n)
-    return _holder_rows(dm.x[:n], phi1, z) + np.abs(phi1).max(axis=1, initial=0.0)
+    return _strong_rows(dm.x[:n], dm.phi1.reshape(blocks, n), z)
 
 
 def s1_norm(dm: DisintegratedMeasure, zeta=None) -> float:
@@ -564,23 +562,22 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     distance divided by the midpoint distance to the power zeta.  Defined
     for positive measures only.
 
-    At zeta = 1 only cells adjacent in midpoint order are compared, which
-    is exact: the dual distance obeys the triangle inequality and midpoint
-    distances add along the line, so by the mediant inequality no pair
-    beats the better of its two halves.  Those n - 1 distances are one
-    batched ``dual_norms`` call.
+    The cells are sorted into midpoint order once, and the zeta = 1
+    distances d1 of the n - 1 neighbours in that order are one batched
+    ``dual_norms`` call.  At zeta = 1 they alone decide, exactly: the dual
+    distance obeys the triangle inequality, so the mediant argument of
+    ``baserpf.discrete_holder_constant`` holds.
 
     At zeta < 1 every pair is first bounded by the Jensen bound
     M + P**(1 - zeta) (D1 - M)**zeta of the ``dualnorm`` module docstring
     (``_jensen_bounds``), with M = |m_a - m_b| and P = min(m_a, m_b) from
-    the masses of the two restrictions and D1 the sum of the zeta = 1
-    distances of the neighbours in midpoint order between them (the
-    triangle inequality; n - 1 ``dual_norms`` distances in all).  The pair
-    of largest bound quotient gets its exact distance; the others whose
-    bound beats the best found are taken by decreasing bound, one block of
-    about ``_PAIR_BLOCK_ATOMS`` gathered atoms per ``_largest`` call (whose
-    own bound takes D1 as the pair's zeta = 1 distance), until a block's
-    top bound does not.  The result is the all-pairs maximum bit for bit.
+    the masses of the two restrictions and D1 the sum of the d1 between
+    them (the triangle inequality).  The pair of largest bound quotient
+    gets its exact distance; the others whose bound beats the best found
+    are taken by decreasing bound, one block of about
+    ``_PAIR_BLOCK_ATOMS`` gathered atoms per ``_largest`` call (whose own
+    bound takes D1 as the pair's zeta = 1 distance), until a block's top
+    bound does not.  The result is the all-pairs maximum bit for bit.
     Each norm call's memory is bounded, but the first bounds are held for
     all n (n - 1) / 2 pairs at once, so memory grows as n**2.
     """
@@ -588,14 +585,15 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         raise ValueError("disintegration Holder constant is defined for positive measures")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     idx = np.flatnonzero(dm.ref_masses > 0)
+    idx = idx[np.argsort(dm.x[idx], kind="stable")]
+    x = dm.x[idx]
+    d1 = _fiber_norms(1.0, dm, idx[:-1], dm, idx[1:])
     if z == 1.0:
-        idx = idx[np.argsort(dm.x[idx], kind="stable")]
-        dist = _fiber_norms(z, dm, idx[:-1], dm, idx[1:])
-        return float((dist / np.diff(dm.x[idx])).max(initial=0.0))
+        return float((d1 / np.diff(x)).max(initial=0.0))
     ia, ib = np.triu_indices(idx.size, k=1)
     if ia.size == 0:
         return 0.0
-    x, mass, size = dm.x[idx], dm.phi1[idx], np.diff(dm.offsets)[idx]
+    mass, size = dm.phi1[idx], np.diff(dm.offsets)[idx]
 
     def blocks(pairs):
         # ``pairs`` in runs of about _PAIR_BLOCK_ATOMS gathered atoms
@@ -604,21 +602,19 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         return np.split(pairs, np.searchsorted(ends, np.arange(_PAIR_BLOCK_ATOMS, total,
                                                                _PAIR_BLOCK_ATOMS)))
 
-    # s[k] sums the zeta = 1 distances of neighbours in midpoint order up to
-    # cell idx[k], so |s[b] - s[a]| bounds the zeta = 1 distance of the pair
-    # (a, b); the slack covers the rounding of each distance and of the sums
-    order = np.argsort(x, kind="stable")
-    s = np.zeros(idx.size)
-    s[order[1:]] = np.cumsum(_fiber_norms(1.0, dm, idx[order[:-1]], dm, idx[order[1:]]))
+    # s[k] sums d1 up to the k-th cell, so s[b] - s[a] bounds the zeta = 1
+    # distance of the pair (a, b); the slack covers the rounding of each
+    # distance and of the sums
+    s = np.r_[0.0, np.cumsum(d1)]
     s_slack = _BOUND_SLACK * (s.max() + 2.0 * mass.sum())
     ub = np.empty(ia.size)
     for b in blocks(np.arange(ia.size)):
         p, q = ia[b], ib[b]
-        d1 = (1.0 + _BOUND_SLACK) * np.abs(s[q] - s[p]) + s_slack
-        ub[b] = _jensen_bounds(mass[p], mass[q], d1, z) / np.abs(x[p] - x[q]) ** z
+        dist1 = (1.0 + _BOUND_SLACK) * (s[q] - s[p]) + s_slack
+        ub[b] = _jensen_bounds(mass[p], mass[q], dist1, z) / (x[q] - x[p]) ** z
     top = int(np.argmax(ub))
     p, q = ia[top:top + 1], ib[top:top + 1]
-    best = float((_fiber_norms(z, dm, idx[p], dm, idx[q]) / np.abs(x[p] - x[q]) ** z)[0])
+    best = float((_fiber_norms(z, dm, idx[p], dm, idx[q]) / (x[q] - x[p]) ** z)[0])
     live = np.flatnonzero(ub > best)
     live = live[live != top]
     for b in blocks(live[np.argsort(-ub[live], kind="stable")]):
@@ -626,7 +622,7 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
         if b.size == 0:
             break
         p, q = ia[b], ib[b]
-        denom = np.abs(x[p] - x[q]) ** z
+        denom = (x[q] - x[p]) ** z
         # no name holds the bounds, so each block's sorted atoms are freed
         # before the next block's are built
         best = float(_largest(_norm_bounds(z, dm, idx[p], dm, idx[q]), denom=denom, best=best)[0])

@@ -29,8 +29,8 @@ from .baserpf import (
     Potential,
     RPFDiscretization,
     _envelope_fit,
+    _holder_rows,
     check_hypotheses,
-    discrete_holder_constant,
     spectral_radius_on_kernel,
     twisted_operator,
 )
@@ -744,11 +744,11 @@ def regularity_constants(
     big_l = sys.base.lip_max
     if eps_phi is None:
         eps_phi = check_hypotheses(sys.base, sys.potential, z, gridsize=4096).epsilon_phi
-    a1 = 0.0
-    for i in range(rpf.deg):
-        # blended eigenfunction read at the branch preimages
-        h_read = (rpf.wphi[i] * rpf.h[rpf.src[i]]).sum(axis=1) / rpf.wphi[i].sum(axis=1)
-        a1 = max(a1, float(discrete_holder_constant(rpf.x, h_read / rpf.h, z) / big_l**z))
+    # blended eigenfunction read at the branch preimages, one row per branch
+    h_read = (rpf.wphi * rpf.h[rpf.src]).sum(axis=2) / rpf.wphi.sum(axis=2)
+    # the largest row; a NaN row (0 / 0 where a branch's weight underflows)
+    # is skipped
+    a1 = float(np.fmax.reduce(_holder_rows(rpf.x, h_read / rpf.h, z) / big_l**z, initial=0.0))
     cond_h = float(np.max(rpf.h) / np.min(rpf.h))
     d_const = big_l**z * (a1 * cond_h + eps_phi + sys.fiber.g_holder)
     beta = (sys.alpha * big_l) ** z

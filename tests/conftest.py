@@ -209,9 +209,9 @@ def multiply_observable_loop(dm, s):
 
 def holder_rows_all_pairs(x, v, zeta, block=2**18):
     """The all-pairs Holder quotient the pruned ``baserpf._holder_rows``
-    replaced: every pair i < j of the sorted, de-tied points, in row blocks
-    of at most ``block`` entries.  Oracle for finite rows only (a non-finite
-    value gives a meaningless number here)."""
+    replaced at every n: every pair i < j of the sorted, de-tied points, in
+    row blocks of at most ``block`` entries.  Oracle for finite rows only (a
+    non-finite value gives a meaningless number here)."""
     x = np.asarray(x, dtype=float)
     best = np.zeros(v.shape[0])
     if x.size < 2:

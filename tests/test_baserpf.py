@@ -615,7 +615,7 @@ class TestPrunedHolder:
     @pytest.mark.parametrize("kind", ["midpoints", "unsorted", "ties", "tiny", "subnormal"])
     def test_matches_all_pairs(self, zeta, kind):
         rng = np.random.default_rng(7)
-        for n in (2, 3, 5, 17, 64, 65, 130, 257, 700, 1500):
+        for n in (2, 3, 5, 17, 63, 64, 65, 130, 257, 700, 1500):
             x = _holder_points(kind, n, rng)
             rows = _holder_test_rows(x, rng)
             if kind == "ties":
@@ -626,37 +626,41 @@ class TestPrunedHolder:
                 rows[:4] = rows[:4][:, first[inv]]
                 rows[1, -1] += 1.0
             self._check(x, rows, zeta)
-            with mock.patch.object(baserpf, "_HOLDER_BLOCK_POINTS", 1):  # prune at any n
+            with mock.patch.object(baserpf, "_HOLDER_BLOCK_POINTS", 1):  # many blocks at any n
                 self._check(x, rows, zeta)
 
     @pytest.mark.parametrize("zeta", [0.5, 0.999])
     def test_many_blocks(self, zeta):
+        # and one block, up to _HOLDER_BLOCK_POINTS points
         rng = np.random.default_rng(3)
-        x = rng.uniform(0.0, 1.0, 3000)
-        self._check(x, _holder_test_rows(x, rng)[[1, 3, 4]], zeta)
+        for n in (2, 63, 64, 65, 3000):
+            x = rng.uniform(0.0, 1.0, n)
+            self._check(x, _holder_test_rows(x, rng)[[1, 3, 4]], zeta)
 
     def test_gallery_potentials(self):
         # exp(phi) and phi on check_hypotheses' branch grids, at the system's
-        # zeta and at 0.5
+        # zeta and at 0.5, and on grids about one block
         for entry in gallery():
             sys_ = entry.build()
             for b in sys_.base.branches:
-                xg = np.linspace(b.lo + 1e-12, b.hi - 1e-12, 2048)
-                phi = np.asarray(sys_.potential.fn(xg), dtype=float)
-                for zeta in {sys_.zeta, 0.5}:
-                    self._check(xg, np.array([np.exp(phi), phi]), zeta)
+                for n in (2, 63, 64, 65, 2048):
+                    xg = np.linspace(b.lo + 1e-12, b.hi - 1e-12, n)
+                    phi = np.asarray(sys_.potential.fn(xg), dtype=float)
+                    for zeta in {sys_.zeta, 0.5}:
+                        self._check(xg, np.array([np.exp(phi), phi]), zeta)
 
     def test_kernel_decay_vectors(self):
-        # the projected test vectors of spectral_radius_on_kernel at n = 1024
-        # and a few of their images under the operator
+        # the projected test vectors of spectral_radius_on_kernel and a few
+        # of their images under the operator, at n = 1024 and about one block
         sys_ = ek.gallery_entry("mp-geometric-holder").build()
-        rpf = build_rpf(sys_.base, sys_.potential, 1024)
-        g = np.array(baserpf._test_vectors(rpf.x, 10))
-        g -= np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
-        for step in range(6):
-            if step in (0, 1, 5):
-                self._check(rpf.x, g, sys_.zeta)
-            g = baserpf._gather(rpf.src, rpf.wphi, g) / rpf.lam
+        for n in (63, 64, 65, 1024):
+            rpf = build_rpf(sys_.base, sys_.potential, n)
+            g = np.array(baserpf._test_vectors(rpf.x, 10))
+            g -= np.array([np.dot(rpf.nu, r) for r in g])[:, None] * rpf.h
+            for step in range(6):
+                if step in (0, 1, 5):
+                    self._check(rpf.x, g, sys_.zeta)
+                g = baserpf._gather(rpf.src, rpf.wphi, g) / rpf.lam
 
     @pytest.mark.parametrize("zeta", [1.0, 0.5])
     @pytest.mark.parametrize(

@@ -730,6 +730,17 @@ class TestExitCodes:
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert "more than numpy can address" in err
 
+    def test_unaddressable_stencil_exits_3(self, tmp_path, capsys):
+        # 2**62 cells fit in 64 bits, but their (deg, n, 2) stencil does not
+        # fit numpy's address space: refused before anything is allocated
+        text = TSUJII_16_CONFIG.replace("base_cells = 16", "base_cells = 4611686018427387904")
+        cfg, _ = write_config(tmp_path, text)
+        assert main(["equilibrium", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "stencil is more than numpy can address" in err
+        assert "Traceback" not in err
+
     def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def exhausted(*a, **k):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")

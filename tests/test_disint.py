@@ -850,21 +850,28 @@ class TestPrunedHolder:
             mu.x[perm], mu.ref_masses[perm], [mu.fiber(k) for k in perm],
             "m", mu.zeta,
         )
-        real = disint._fiber_norms
+        # the exact zeta < 1 distances: the top pair's from ``_fiber_norms``,
+        # every later one from the ``norms`` of ``_norm_bounds``
+        real_fiber, real_bounds = disint._fiber_norms, disint._norm_bounds
         exact = []
 
-        def counted(z, a, ia, b, ib):
+        def fiber_counted(z, a, ia, b, ib):
             if z < 1:
                 exact.extend(ia)
-            return real(z, a, ia, b, ib)
+            return real_fiber(z, a, ia, b, ib)
+
+        def bounds_counted(*args):
+            lower, upper, norms = real_bounds(*args)
+            return lower, upper, lambda k: exact.extend(np.atleast_1d(k)) or norms(k)
 
         for dm in (mu, shuffled):
             exact.clear()
-            monkeypatch.setattr(disint, "_fiber_norms", counted)
-            got = disintegration_holder(dm)
-            monkeypatch.setattr(disint, "_fiber_norms", real)
+            with monkeypatch.context() as m:
+                m.setattr(disint, "_fiber_norms", fiber_counted)
+                m.setattr(disint, "_norm_bounds", bounds_counted)
+                got = disintegration_holder(dm)
             assert got == disintegration_holder_all_pairs(dm)
-            assert len(exact) <= 20
+            assert 1 <= len(exact) <= 20
 
     @pytest.mark.parametrize("z", [0.5, 0.2])
     def test_bounds_hold_for_every_pair(self, system, z):

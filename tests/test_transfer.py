@@ -23,6 +23,7 @@ from ergodykit.disint import (
 from ergodykit.dualnorm import distance_value
 from ergodykit.measures import AtomicSignedMeasure, canonicalize, dirac, seeded, uniforms
 from ergodykit import transfer
+from ergodykit.baserpf import discrete_holder_constant
 from ergodykit.transfer import (
     FiberMap,
     _fit_geometric,
@@ -622,6 +623,22 @@ class TestRegularity:
         assert bound.bound == pytest.approx((np.pi / 2 * 0.5) / 0.75, rel=1e-9)
         emp = disintegration_holder(mu)
         assert 0.0 < emp <= bound.bound + 1e-9
+
+    @pytest.mark.parametrize("n", [12, 256])
+    @pytest.mark.parametrize("name", [e.name for e in ek.gallery()] + ["reg-holder05"])
+    def test_a1_matches_branch_loop(self, name, n):
+        # A1 over all branches in one call of the rows' Holder search is the
+        # largest of the one-branch constants it replaced, bit for bit (0
+        # where every h_read / h is constant)
+        sys_ = _holder05_system() if name == "reg-holder05" else ek.gallery_entry(name).build()
+        rpf = ek.build_rpf(sys_.base, sys_.potential, n)
+        z, big_l = sys_.zeta, sys_.base.lip_max
+        want = 0.0
+        for i in range(rpf.deg):
+            h_read = (rpf.wphi[i] * rpf.h[rpf.src[i]]).sum(axis=1) / rpf.wphi[i].sum(axis=1)
+            want = max(want, float(discrete_holder_constant(rpf.x, h_read / rpf.h, z) / big_l**z))
+        got = regularity_constants(sys_, rpf, eps_phi=0.0).A1
+        assert got.hex() == want.hex()
 
     def test_homogeneous_delta(self):
         assert homogeneous_delta(1e-4, 64) == pytest.approx(1.0 / 63.0)
