@@ -153,10 +153,13 @@ class BaseMap:
         holds it, and to the last branch when none of the others does
         (x = 1, points outside [0, 1], NaN).  The choice is one
         ``searchsorted`` lookup in the table ``_branch_table`` builds.
-        One stable sort groups the points by branch, and each branch that
-        holds a point gets one ``forward`` call on its points in their
-        input order, so a call costs O(points log points + touched
-        branches), not O(deg x points).
+        One stable sort groups the points by branch, one ``bincount`` of
+        the branch indices gives each branch's run of them, and each branch
+        that holds a point gets one ``forward`` call on its points in their
+        input order.  So a call makes one array call per touched branch,
+        not one per branch, and beyond the sort its bookkeeping is a pass
+        over at most deg integers: O(points log points + deg), not
+        O(deg x points).
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
@@ -165,14 +168,14 @@ class BaseMap:
         # costs more than the work on a few orbit points
         k = pick[edges.searchsorted(flat, side="right")]
         order = k.argsort(kind="stable")
-        k = k[order]
         xs = flat[order]
         ys = np.empty_like(xs)
-        changes = ((k[1:] != k[:-1]).nonzero()[0] + 1).tolist()
+        # branch i's points end at the i-th cumulative count
         s = 0
-        for e in [*changes, k.size] if k.size else ():
-            ys[s:e] = self.branches[k[s]].forward(xs[s:e])
-            s = e
+        for i, e in enumerate(np.bincount(k).cumsum().tolist()):
+            if e > s:
+                ys[s:e] = self.branches[i].forward(xs[s:e])
+                s = e
         out = np.empty_like(flat)
         out[order] = ys
         return out.reshape(x.shape).clip(0.0, 1.0)

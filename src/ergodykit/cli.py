@@ -15,9 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
-import pickle
-import signal
 import sys as _sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -384,66 +381,6 @@ def _equilibrium(cfg: RunConfig, system: SkewSystem, rpf: RPFDiscretization,
     )
 
 
-def _start_worker(fn, *args, **kwargs):
-    """Start ``fn(*args, **kwargs)`` in a forked worker process.
-
-    Returns ``join(kill=False)``.  ``join()`` waits for the worker and
-    returns fn's result, or raises the exception fn raised, so a caller
-    sees what the same call made inline gives; a worker that ends without
-    a result (killed by a signal, out of memory) raises NumericError.
-    ``join(kill=True)`` SIGKILLs and reaps a worker not yet joined.  The
-    worker sends its pickled ``(ok, result or exception)`` through a pipe
-    and always leaves through ``os._exit``: it never returns into the
-    caller's stack, runs no atexit handler and flushes no inherited stdio.
-    Where ``os.fork`` does not exist, ``join()`` makes the call inline.
-    """
-    if not hasattr(os, "fork"):
-        return lambda kill=False: None if kill else fn(*args, **kwargs)
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            try:
-                payload = (True, fn(*args, **kwargs))
-            except BaseException as exc:  # re-raised by join in the parent
-                payload = (False, exc)
-            with os.fdopen(w, "wb") as fh:
-                pickle.dump(payload, fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    reader = os.fdopen(r, "rb")
-    reaped = False
-
-    def join(kill=False):
-        nonlocal reaped
-        if reaped:
-            return None
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        try:
-            data = b"" if kill else reader.read()
-        finally:
-            reader.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if kill:
-            return None
-        if code != 0:
-            how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-                   else f"exited with status {code}")
-            raise NumericError(f"worker process {how} without a result")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-
-    return join
-
-
 def cmd_equilibrium(cfg: RunConfig, out_dir: Path) -> int:
     system, rpf = _prepare(cfg, out_dir)
     mu, report = _equilibrium(cfg, system, rpf)
@@ -475,38 +412,31 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_correlations(cfg: RunConfig, out_dir: Path) -> int:
     """Operator correlations, and with ``physical`` Birkhoff ones as well.
 
-    The Birkhoff estimate needs only the system, so it runs in a forked
-    worker (``_start_worker``) alongside the equilibrium, the gap estimate
-    and the operator route, which stay in this process.  Each side draws
-    its numbers from a generator of its own seeded with ``cfg.seed``
-    (``measures.seeded``), so running them apart changes no output.
+    The equilibrium, the gap estimate and the operator route come first;
+    with ``physical`` the Birkhoff estimate, which needs only the system,
+    follows in this process.  Each draws its numbers from a generator of
+    its own seeded with ``cfg.seed`` (``measures.seeded``), so neither
+    depends on the other's draws.
     """
     system, rpf = _prepare(cfg, out_dir)
     u = _observable(cfg.u_name, system.zeta)
     g = _observable(cfg.g_name, system.zeta)
-    birkhoff = None
-    if cfg.physical:
-        birkhoff = _start_worker(
-            correlation_birkhoff, system, u, g, cfg.correlation_n, orbits=cfg.mc_orbits,
-            burn_in=cfg.mc_burn_in, rng_seed=cfg.seed,
-        )
-    try:
-        mu, _ = _equilibrium(cfg, system, rpf, distances=False)
-        gap = estimate_spectral_gap(
-            system, rpf, trials=5, n_steps=12, seed=cfg.seed,
+    mu, _ = _equilibrium(cfg, system, rpf, distances=False)
+    gap = estimate_spectral_gap(
+        system, rpf, trials=5, n_steps=12, seed=cfg.seed,
+        compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
+    )
+    tables = [
+        correlation_operator(
+            system, rpf, mu, u, g, cfg.correlation_n, gap=gap,
             compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
         )
-        tables = [
-            correlation_operator(
-                system, rpf, mu, u, g, cfg.correlation_n, gap=gap,
-                compress_delta=cfg.compress_delta, atom_cap=cfg.fiber_atom_cap,
-            )
-        ]
-        if birkhoff is not None:
-            tables.append(birkhoff())
-    finally:
-        if birkhoff is not None:
-            birkhoff(kill=True)
+    ]
+    if cfg.physical:
+        tables.append(correlation_birkhoff(
+            system, u, g, cfg.correlation_n, orbits=cfg.mc_orbits,
+            burn_in=cfg.mc_burn_in, rng_seed=cfg.seed,
+        ))
     for t in tables:
         try:
             fit_exponential(t)

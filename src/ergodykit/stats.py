@@ -212,7 +212,11 @@ def correlation_birkhoff(
         if t >= burn_in:
             xs[t - burn_in] = x
             ys[t - burn_in] = y
-        y_new = _elementwise(sys.fiber, x, y)
+        y_new = sys.fiber(x, y)
+        # _elementwise (which calls the map again) converts a result that is
+        # not a float array of the orbit shape, or refuses it
+        if type(y_new) is not np.ndarray or y_new.dtype != float or y_new.shape != y.shape:
+            y_new = _elementwise(sys.fiber, x, y)
         x = sys.base.apply(x)
         if orbit_noise:
             x = np.mod(x + noise[t], 1.0)

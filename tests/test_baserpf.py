@@ -826,6 +826,28 @@ class TestBaseMapApply:
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("x", [np.random.default_rng(7).uniform(0.0, 1.0, 16), np.empty(0)],
+                             ids=["16-points", "empty"])
+    def test_one_forward_call_per_touched_branch(self, x):
+        # a per-branch mask loop would call forward on every branch
+        calls = []
+
+        def spy(i, forward):
+            def call(xs):
+                calls.append((i, np.array(xs)))
+                return forward(xs)
+            return call
+
+        base = linear_expanding(200)
+        spied = dataclasses.replace(base, branches=tuple(
+            dataclasses.replace(b, forward=spy(i, b.forward)) for i, b in enumerate(base.branches)))
+        assert spied.apply(x).tobytes() == base.apply(x).tobytes()
+        k = _cascade_branch(base, x)
+        want = [(i, x[k == i]) for i in sorted(set(k.tolist()))]
+        assert [i for i, _ in calls] == [i for i, _ in want]
+        for (_, got), (_, pts) in zip(calls, want):
+            assert got.tobytes() == pts.tobytes()
+
 
 class TestExport:
     def test_matrix_round_trip(self, tripling_rpf, tmp_path):
