@@ -44,11 +44,9 @@ _PI_MAXIT = 100_000
 # block-pair bounds held at a time by its pruned search): 2 MB per
 # float64 temporary, whatever the number of points.
 _HOLDER_BLOCK_PAIRS = 2**18
-# The zeta < 1 search of ``discrete_holder_constant`` takes inputs of at
-# most this many points as one block, all of whose pairs it evaluates
-# (10 rows of 12 points: 0.15 ms, against 0.04-0.06 ms for the separate
-# all-pairs loop this rule replaced, timeit on 2 vCPUs); larger ones are
-# cut into blocks.
+# ``_holder_block_walk`` takes inputs of at most this many points as one
+# block, all of whose pairs it evaluates (10 rows of 12 points: 0.15 ms,
+# timeit on 2 vCPUs); larger ones are cut into blocks.
 _HOLDER_BLOCK_POINTS = 64
 
 
@@ -208,26 +206,15 @@ def discrete_holder_constant(x: np.ndarray, v: np.ndarray, zeta: float) -> float
     increments of v obey the triangle inequality while those of x add, so
     the quotient of (i, k) is at most the larger of those of (i, j) and
     (j, k).  Any distance with the triangle inequality in place of
-    |v_i - v_j| keeps the argument (``disint.disintegration_holder``).
+    |v_i - v_j| keeps the argument (``disint.disintegration_holder``, which
+    shares this rule and the tie rule through ``_neighbour_rule``).
 
     At zeta < 1 that argument fails, and the maximum over all pairs is
-    found by pruning.  The sorted points are cut into blocks of about
-    (4 n)**(1/3) consecutive points, or taken as one block when there are
-    at most ``_HOLDER_BLOCK_POINTS``, and each pair of blocks gets an upper
-    bound on its quotients: the larger cross range of v,
-    max(max_B v - min_A v, max_A v - min_B v), divided by the smallest
-    separation of its pairs raised to zeta (the distance between the
-    blocks, or the smallest spacing inside a block paired with itself).
-    That power is first lowered by the relative slack
-    ``dualnorm._BOUND_SLACK`` and by a few subnormal units, so the bound
-    stays above every rounded quotient of the pair even where ``**`` rounds
-    unevenly.  Block pairs are then evaluated, all their quotients, in
-    order of decreasing bound while the bound exceeds the largest quotient
-    found so far.  The pairs left cannot exceed it, so the result is the
-    maximum of the very quotients that comparing every pair computes, bit
-    for bit.  Quotients are evaluated ``_HOLDER_BLOCK_PAIRS`` pair entries
-    at a time.  Rows of constant v have bound 0 everywhere and evaluate
-    nothing.
+    found by the pruned walk over pairs of blocks of ``_holder_block_walk``.
+    The bound of a block pair (A, B) is the larger cross range of v,
+    max(max_B v - min_A v, max_A v - min_B v), and its evaluation takes
+    all the quotients of the pair.  Rows of constant v have bound 0
+    everywhere and evaluate nothing.
     """
     v = np.asarray(v, dtype=float)
     return float(_holder_rows(x, v[None, :], zeta)[0])
@@ -249,17 +236,23 @@ def _holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
         order = np.argsort(x, kind="stable")
         x = x[order]
         v = v[:, order]
-        tied = np.diff(x) == 0.0
-        clash = np.any(v[:, 1:][:, tied] != v[:, :-1][:, tied], axis=1)
-        keep = np.concatenate(([True], ~tied))
-        x, v = x[keep], v[:, keep]
-        if x.size >= 2 and zeta == 1.0:
-            best = np.max(np.abs(np.diff(v, axis=1)) / np.diff(x), axis=1)
-        elif x.size >= 2:
-            best = _pruned_holder_rows(x, v, zeta)
-        best[clash] = np.inf
+        keep, clash, best = _neighbour_rule(x, np.abs(np.diff(v, axis=1)))
+        if zeta < 1.0 and keep.sum() >= 2:
+            best = np.where(clash, np.inf, _pruned_holder_rows(x[keep], v[:, keep], zeta))
     best[bad] = np.nan
     return best
+
+
+def _neighbour_rule(x: np.ndarray, step: np.ndarray):
+    """The first point of each run of equal sorted x, whether each row of
+    neighbour distances ``step`` is nonzero at a tie, and its zeta = 1
+    Holder constant: the largest step over its gap, or inf at such a tie."""
+    gap = np.diff(x)
+    tied = gap == 0.0
+    clash = np.any(step[..., tied] != 0.0, axis=-1)
+    with np.errstate(over="ignore"):
+        best = np.max(step[..., ~tied] / gap[~tied], axis=-1, initial=0.0)
+    return np.r_[True, ~tied], clash, np.where(clash, np.inf, best)
 
 
 def _strong_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
@@ -270,42 +263,68 @@ def _strong_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
 def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray:
     """The zeta < 1 quotient of every row of v on strictly increasing x,
     by the block-bound search of ``discrete_holder_constant``."""
-    k, n = v.shape
+
+    def bound(rs, cells, a, b):
+        # the larger cross range of v over the two blocks
+        vb = v[rs][:, cells]
+        vmin, vmax = vb.min(axis=2), vb.max(axis=2)
+        return np.maximum(vmax[:, b] - vmin[:, a], vmax[:, a] - vmin[:, b])
+
+    def evaluate(r, ia, ib, best):
+        # every quotient; pairs i >= j, and the padding, have dx <= 0
+        dx = x[ib][:, None, :] - x[ia][:, :, None]
+        dx[dx <= 0.0] = np.inf
+        dv = np.abs(v[r[:, None], ib][:, None, :] - v[r[:, None], ia][:, :, None])
+        np.fmax.at(best, r, np.fmax.reduce((dv / dx**zeta).reshape(r.size, -1), axis=1))
+
+    return _holder_block_walk(x, zeta, v.shape[0], bound, evaluate)
+
+
+def _holder_block_walk(x: np.ndarray, zeta: float, rows: int, bound, evaluate) -> np.ndarray:
+    """The largest zeta < 1 Holder quotient of each of ``rows`` rows on the
+    strictly increasing points x, by the one pruned search over pairs of
+    blocks of consecutive points (block k holds the points ``cells[k]``,
+    the last padded with -1, the last point).
+
+    ``bound(rs, cells, a, b)`` bounds the numerators of the rows ``rs`` over
+    each block pair (a[p] <= b[p]); the walk divides by the smallest
+    separation of the pair to the power zeta, lowered by the relative slack
+    ``dualnorm._BOUND_SLACK`` and a few subnormal units so that it stays
+    below every rounded power.  ``evaluate(r, ia, ib, best)`` raises
+    ``best[r[e]]`` to the largest quotient of the pairs i < j, i in
+    ``ia[e]`` and j in ``ib[e]``.  Block pairs are evaluated by decreasing
+    bound while it exceeds the row's best, in takes that double up to
+    about ``_HOLDER_BLOCK_PAIRS`` point pairs.  The pairs left cannot
+    exceed the best, so the result is the all-pairs maximum bit for bit.
+    """
+    n = x.size
     # a few points are one block; above that, about (4 n)**(1/3) points per
     # block balances the bounds of all block pairs against the quotients of
     # the pairs near the diagonal, which are always evaluated, and at most
     # 512 blocks keep the bounds small
     size = n if n <= _HOLDER_BLOCK_POINTS else max(round(np.cbrt(4.0 * n)), -(-n // 512))
     nb = -(-n // size)
-    # the last block is padded with copies of the last point: their pairs
-    # repeat the last point's quotients or have separation 0, which is masked
-    pad = nb * size - n
-    xb = np.concatenate([x, np.repeat(x[-1], pad)]).reshape(nb, size)
-    vb = np.concatenate([v, np.repeat(v[:, -1:], pad, axis=1)], axis=1).reshape(k, nb, size)
-    vmin, vmax = vb.min(axis=2), vb.max(axis=2)
+    cells = np.r_[np.arange(n), np.full(nb * size - n, -1)].reshape(nb, size)
+    xb = x[cells]
     a, b = np.triu_indices(nb)
     step = np.diff(xb, axis=1)
     step[step <= 0.0] = np.inf
     gap = np.where(a == b, step.min(axis=1, initial=np.inf)[a], xb[b, 0] - xb[a, -1])
     floor = np.maximum(gap**zeta * (1.0 - _BOUND_SLACK) - 2.0**-1070, 0.0)
     chunk = max(1, _HOLDER_BLOCK_PAIRS // (size * size))
-    best = np.zeros(k)
+    best = np.zeros(rows)
 
-    def evaluate(rows, pairs, bound, take):
+    def walk(rows, pairs, q, take):
         # the block pairs in the given order, ``take`` at a time (doubling
-        # up to ``chunk``), each only while its bound exceeds its row's best
+        # up to ``chunk``), each only while its bound q exceeds its row's best
         while rows.size:
-            live = bound > best[rows]
-            rows, pairs, bound = rows[live], pairs[live], bound[live]
+            live = q > best[rows]
+            rows, pairs, q = rows[live], pairs[live], q[live]
             r, p = rows[:take], pairs[:take]
-            rows, pairs, bound = rows[take:], pairs[take:], bound[take:]
+            rows, pairs, q = rows[take:], pairs[take:], q[take:]
             if r.size == 0:
                 return
-            dx = xb[b[p], None, :] - xb[a[p], :, None]
-            dx[dx <= 0.0] = np.inf
-            dv = np.abs(vb[r, b[p], None, :] - vb[r, a[p], :, None])
-            top = np.fmax.reduce((dv / dx**zeta).reshape(r.size, -1), axis=1)
-            np.fmax.at(best, r, top)
+            evaluate(r, cells[a[p]], cells[b[p]], best)
             take = min(2 * take, chunk)
 
     # rows in groups of about _HOLDER_BLOCK_PAIRS block-pair bounds; in each
@@ -314,18 +333,17 @@ def _pruned_holder_rows(x: np.ndarray, v: np.ndarray, zeta: float) -> np.ndarray
     # decreasing bound
     group = max(1, _HOLDER_BLOCK_PAIRS // a.size)
     first = min(a.size, 4)
-    for r0 in range(0, k, group):
-        rs = np.arange(r0, min(r0 + group, k))
+    for r0 in range(0, rows, group):
+        rs = np.arange(r0, min(r0 + group, rows))
         with np.errstate(over="ignore", divide="ignore"):
-            span = np.maximum(vmax[rs][:, b] - vmin[rs][:, a], vmax[rs][:, a] - vmin[rs][:, b])
-            bound = np.divide(span, floor, out=np.zeros_like(span), where=span > 0.0)
-        top = np.argpartition(bound, bound.shape[1] - first, axis=1)[:, -first:]
-        evaluate(np.repeat(rs, first), top.ravel(),
-                 np.take_along_axis(bound, top, axis=1).ravel(), chunk)
-        np.put_along_axis(bound, top, 0.0, axis=1)  # evaluated, or below best
-        i, p = np.nonzero(bound > best[rs][:, None])
-        order = np.argsort(-bound[i, p], kind="stable")
-        evaluate(rs[i[order]], p[order], bound[i, p][order], first)
+            span = bound(rs, cells, a, b)
+            q = np.divide(span, floor, out=np.zeros_like(span), where=span > 0.0)
+        top = np.argpartition(q, q.shape[1] - first, axis=1)[:, -first:]
+        walk(np.repeat(rs, first), top.ravel(), np.take_along_axis(q, top, axis=1).ravel(), chunk)
+        np.put_along_axis(q, top, 0.0, axis=1)  # evaluated, or below best
+        i, p = np.nonzero(q > best[rs][:, None])
+        order = np.argsort(-q[i, p], kind="stable")
+        walk(rs[i[order]], p[order], q[i, p][order], first)
     return best
 
 
@@ -514,6 +532,12 @@ def _interp_stencil(y: np.ndarray, n: int):
     return k0, k1, frac
 
 
+def _check_stencil(deg: int, n: int):
+    # build_rpf's largest array, sized first: numpy refuses it with a ValueError
+    if deg * n * 2 * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a ({deg}, {n}, 2) stencil is more than numpy can address")
+
+
 def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     """Discretize the transfer operator on n midpoint-collocation cells.
 
@@ -530,9 +554,7 @@ def build_rpf(basemap: BaseMap, pot: Potential, n: int) -> RPFDiscretization:
     if n < 8:
         raise ConstructionError(f"need at least 8 cells, got n={n}")
     deg = basemap.deg
-    # the largest array below, sized first: numpy refuses it with a ValueError
-    if deg * n * 2 * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"a ({deg}, {n}, 2) stencil is more than numpy can address")
+    _check_stencil(deg, n)
     x = (np.arange(n) + 0.5) / n
     ys = basemap.preimages(x)
     with np.errstate(over="ignore", invalid="ignore"):

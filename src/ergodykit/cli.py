@@ -25,6 +25,7 @@ from .baserpf import (
     ConstructionError,
     Potential,
     RPFDiscretization,
+    _check_stencil,
     build_rpf,
     check_hypotheses,
 )
@@ -240,7 +241,9 @@ def build_system(cfg: RunConfig) -> SkewSystem:
     zeta = sysec.get("zeta", 1.0)
     base_kind = sysec.get("base")
     if base_kind == "linear":
-        base = linear_expanding(sysec.get("l", 2))
+        l = sysec.get("l", 2)
+        _check_stencil(l, cfg.base_cells)  # before the l branches are built
+        base = linear_expanding(l)
     elif base_kind == "mp":
         base = manneville_pomeau(sysec.get("alpha_mp", 0.5))
     else:

@@ -26,7 +26,8 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .baserpf import RPFDiscretization, _strong_rows, discrete_holder_constant
+from .baserpf import (RPFDiscretization, _holder_block_walk, _neighbour_rule, _strong_rows,
+                      discrete_holder_constant)
 from .dualnorm import _BOUND_SLACK, _as_zeta, _jensen_bounds, dual_norms, norm_bounds
 from .measures import AtomicSignedMeasure, _checked_positions, canonicalize_segments
 
@@ -454,10 +455,8 @@ def holder_constant(values: Sequence[float], zeta=1.0, positions=None) -> float:
     """Discrete Holder constant max |v_i - v_j| / |x_i - x_j|**zeta of per-cell values.
 
     Positions default to the cell midpoints (i + 0.5) / n.  Evaluated by
-    ``discrete_holder_constant``: at zeta = 1 neighbouring positions alone
-    (exactly, by the mediant argument stated there), at zeta < 1 its
-    block-bound search, with the all-pairs result bit for bit.  Coincident
-    positions with different values give inf, a non-finite value NaN.
+    ``discrete_holder_constant``, exactly: coincident positions with
+    different values give inf, a non-finite value NaN.
     """
     v = np.asarray(values, dtype=float)
     if positions is None:
@@ -491,36 +490,32 @@ def _norm_bounds(z: float, a: DisintegratedMeasure, ia, b=None, ib=None):
     return norm_bounds(seg, pos, w, k, z)
 
 
-def _largest(bounds, run=0, runs=1, denom=1.0, best=None) -> np.ndarray:
+def _largest(bounds, run=0, runs=1, denom=1.0, best=0.0) -> np.ndarray:
     """The largest exact norm divided by ``denom`` in each of ``runs``
-    groups of candidates, from the ``(lower, upper, norms)`` of
-    ``_norm_bounds``; candidate k is in group ``run[k]`` (``run`` and
-    ``denom`` may be scalars).
+    groups of candidates, at least ``best``, from the ``(lower, upper,
+    norms)`` of ``_norm_bounds``; candidate k is in group ``run[k]``
+    (``run`` and ``denom`` may be scalars).
 
-    Without ``best`` exact norms are computed in two rounds: in each group,
-    first for the candidates of the largest lower and of the largest upper
-    bound, then for every other candidate whose upper bound beats the
-    group's best quotient; a group without candidates gives 0.  With
-    ``best``, one round evaluates the candidates whose upper bound beats
-    it, and the result is at least ``best``.  A candidate left out has a
-    quotient at most its upper bound over ``denom``, so at most the best,
-    and the result is the maximum over every candidate bit for bit (a norm
-    does not depend on which others are evaluated with it).
+    Exact norms are computed in two rounds, each for the candidates whose
+    upper bound beats their group's best quotient so far: first those of
+    the largest lower and of the largest upper bound in each group, then
+    every other.  A candidate left out has a quotient at most its upper
+    bound over ``denom``, so at most the best, and the result is the
+    maximum over every candidate and ``best`` bit for bit (a norm does not
+    depend on which others are evaluated with it).
     """
     lower, upper, norms = bounds
     run, denom = np.broadcast_arrays(run, denom, upper)[:2]
-    top = np.full(runs, 0.0 if best is None else best)
+    top = np.full(runs, best)
     upper = upper / denom
     first = np.zeros(upper.size, dtype=bool)
-    if best is None:
-        for key in (lower / denom, upper):
-            # the candidate of the largest key in each group
-            order = np.lexsort((-key, run))
-            first[order[np.diff(run[order], prepend=-1) != 0]] = True
-        cells = np.flatnonzero(first)
+    for key in (lower / denom, upper):
+        # the candidate of the largest key in each group
+        order = np.lexsort((-key, run))
+        first[order[np.diff(run[order], prepend=-1) != 0]] = True
+    for cells in (first, ~first):
+        cells = np.flatnonzero(cells & (upper > top[run]))
         np.maximum.at(top, run[cells], norms(cells) / denom[cells])
-    cells = np.flatnonzero((upper > top[run]) & ~first)
-    np.maximum.at(top, run[cells], norms(cells) / denom[cells])
     return top
 
 
@@ -560,7 +555,8 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
 
     Max over pairs of cells with positive reference mass of the fiber dual
     distance divided by the midpoint distance to the power zeta.  Defined
-    for positive measures only.
+    for positive measures only.  Cells at one midpoint follow the tie rule
+    of ``baserpf.discrete_holder_constant``.
 
     The cells are sorted into midpoint order once, and the zeta = 1
     distances d1 of the n - 1 neighbours in that order are one batched
@@ -568,65 +564,69 @@ def disintegration_holder(dm: DisintegratedMeasure, zeta=None) -> float:
     distance obeys the triangle inequality, so the mediant argument of
     ``baserpf.discrete_holder_constant`` holds.
 
-    At zeta < 1 every pair is first bounded by the Jensen bound
+    At zeta < 1 the walk of ``baserpf._holder_block_walk`` searches the
+    pairs.  A pair's distance is at most the Jensen bound
     M + P**(1 - zeta) (D1 - M)**zeta of the ``dualnorm`` module docstring
     (``_jensen_bounds``), with M = |m_a - m_b| and P = min(m_a, m_b) from
     the masses of the two restrictions and D1 the sum of the d1 between
-    them (the triangle inequality).  The pair of largest bound quotient
-    gets its exact distance; the others whose bound beats the best found
-    are taken by decreasing bound, one block of about
-    ``_PAIR_BLOCK_ATOMS`` gathered atoms per ``_largest`` call (whose own
-    bound takes D1 as the pair's zeta = 1 distance), until a block's top
-    bound does not.  The result is the all-pairs maximum bit for bit.
-    Each norm call's memory is bounded, but the first bounds are held for
-    all n (n - 1) / 2 pairs at once, so memory grows as n**2.
+    them.  It is not monotone in M, so a block pair bounds each term apart:
+    M by the larger cross range of the masses, P by the smaller of the two
+    largest, D1 by the d1 from its first cell to its last.  In a block pair
+    evaluated, the pairs whose own bound beats the best quotient go to
+    ``_largest``, one call per about ``_PAIR_BLOCK_ATOMS`` gathered atoms.
+    The result is the all-pairs maximum bit for bit, in bounded memory.
     """
     if not dm.is_positive():
         raise ValueError("disintegration Holder constant is defined for positive measures")
     z = dm.zeta if zeta is None else _as_zeta(zeta)
     idx = np.flatnonzero(dm.ref_masses > 0)
+    if idx.size < 2:
+        return 0.0
     idx = idx[np.argsort(dm.x[idx], kind="stable")]
     x = dm.x[idx]
     d1 = _fiber_norms(1.0, dm, idx[:-1], dm, idx[1:])
-    if z == 1.0:
-        return float((d1 / np.diff(x)).max(initial=0.0))
-    ia, ib = np.triu_indices(idx.size, k=1)
-    if ia.size == 0:
-        return 0.0
-    mass, size = dm.phi1[idx], np.diff(dm.offsets)[idx]
-
-    def blocks(pairs):
-        # ``pairs`` in runs of about _PAIR_BLOCK_ATOMS gathered atoms
-        ends = np.cumsum(size[ia[pairs]] + size[ib[pairs]])
-        total = int(ends[-1]) if ends.size else 0
-        return np.split(pairs, np.searchsorted(ends, np.arange(_PAIR_BLOCK_ATOMS, total,
-                                                               _PAIR_BLOCK_ATOMS)))
-
+    keep, clash, best = _neighbour_rule(x, d1)
+    if clash or z == 1.0:
+        return float(best)
     # s[k] sums d1 up to the k-th cell, so s[b] - s[a] bounds the zeta = 1
     # distance of the pair (a, b); the slack covers the rounding of each
     # distance and of the sums
+    mass = dm.phi1[idx]
     s = np.r_[0.0, np.cumsum(d1)]
     s_slack = _BOUND_SLACK * (s.max() + 2.0 * mass.sum())
-    ub = np.empty(ia.size)
-    for b in blocks(np.arange(ia.size)):
-        p, q = ia[b], ib[b]
-        dist1 = (1.0 + _BOUND_SLACK) * (s[q] - s[p]) + s_slack
-        ub[b] = _jensen_bounds(mass[p], mass[q], dist1, z) / (x[q] - x[p]) ** z
-    top = int(np.argmax(ub))
-    p, q = ia[top:top + 1], ib[top:top + 1]
-    best = float((_fiber_norms(z, dm, idx[p], dm, idx[q]) / (x[q] - x[p]) ** z)[0])
-    live = np.flatnonzero(ub > best)
-    live = live[live != top]
-    for b in blocks(live[np.argsort(-ub[live], kind="stable")]):
-        b = b[ub[b] > best]
-        if b.size == 0:
-            break
-        p, q = ia[b], ib[b]
+    idx, x, mass, s = idx[keep], x[keep], mass[keep], s[keep]
+    atoms = np.diff(dm.offsets)[idx]
+
+    def bound(rs, cells, a, b):
+        hi, lo = mass[cells].max(axis=1), mass[cells].min(axis=1)
+        big_m = np.maximum(hi[b] - lo[a], hi[a] - lo[b])
+        slack = _BOUND_SLACK * (hi[a] + hi[b])
+        dist1 = (1.0 + _BOUND_SLACK) * (s[cells[b, -1]] - s[cells[a, 0]]) + s_slack
+        return (1.0 + _BOUND_SLACK) * (
+            big_m + slack
+            + (np.minimum(hi[a], hi[b]) + slack) ** (1.0 - z) * (dist1 + slack) ** z
+        )[None]
+
+    def evaluate(r, ia, ib, best):
+        p, q = np.broadcast_arrays(ia[:, :, None], ib[:, None, :])
+        pair = (0 <= p) & (p < q)  # the padding is -1
+        p, q = p[pair], q[pair]
         denom = (x[q] - x[p]) ** z
-        # no name holds the bounds, so each block's sorted atoms are freed
-        # before the next block's are built
-        best = float(_largest(_norm_bounds(z, dm, idx[p], dm, idx[q]), denom=denom, best=best)[0])
-    return best
+        dist1 = (1.0 + _BOUND_SLACK) * (s[q] - s[p]) + s_slack
+        ub = _jensen_bounds(mass[p], mass[q], dist1, z) / denom
+        live = ub > best[0]
+        p, q, denom, ub = p[live], q[live], denom[live], ub[live]
+        ends = np.cumsum(atoms[p] + atoms[q])
+        cuts = np.arange(_PAIR_BLOCK_ATOMS, ends.max(initial=0), _PAIR_BLOCK_ATOMS)
+        for k in np.split(np.arange(p.size), np.searchsorted(ends, cuts)):
+            k = k[ub[k] > best[0]]
+            if k.size:
+                # no name holds the bounds, so each call's sorted atoms are
+                # freed before the next call's are built
+                best[0] = _largest(_norm_bounds(z, dm, idx[p[k]], dm, idx[q[k]]),
+                                   denom=denom[k], best=best[0])[0]
+
+    return float(_holder_block_walk(x, z, 1, bound, evaluate)[0])
 
 
 def multiply_observable(dm: DisintegratedMeasure, s) -> DisintegratedMeasure:

@@ -453,10 +453,10 @@ def _exact_norms(terms, sel: np.ndarray, z: float) -> np.ndarray:
 
 
 # Rounding slack of every bound on the dual norms (``norm_bounds``, and the
-# pair bounds of ``disint.disintegration_holder``), relative to the masses
-# or total variations bounded: far above the rounding of the masses, zeta = 1
-# norms and exact norms they are compared through, far below the gaps they
-# prune or decide by.
+# pair and block-pair bounds of ``disint.disintegration_holder``), relative
+# to the masses or total variations bounded: far above the rounding of the
+# masses, zeta = 1 norms and exact norms they are compared through, far below
+# the gaps they prune or decide by.
 _BOUND_SLACK = 2.0**-30
 
 

@@ -719,6 +719,21 @@ class TestExitCodes:
         assert "stencil is more than numpy can address" in err
         assert "Traceback" not in err
 
+    def test_unaddressable_linear_base_exits_3(self, tmp_path):
+        # 2**62 branches of a linear base: their stencil is refused before
+        # the first Branch is built.  A new process, with a timeout and its
+        # address space capped at 1 GB, because building them one by one
+        # never returns
+        text = HOLDER05_12_CONFIG.replace("l = 2", "l = 4611686018427387904")
+        cfg, out = write_config(tmp_path, text)
+        done = _fresh("-c", "import resource, sys; "
+                      "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                      "from ergodykit.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "equilibrium", "--config", str(cfg), timeout=60)
+        assert done.returncode == 3
+        assert done.stderr == ("numeric failure: a (4611686018427387904, 12, 2) stencil "
+                               "is more than numpy can address\n")
+
     def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def exhausted(*a, **k):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")
@@ -758,14 +773,14 @@ def scipy_loaded():
 """
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
+def _fresh(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run a new interpreter with the package on its path (this process may
     already hold scipy)."""
     src = str(Path(ergodykit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodykit as ek
-from ergodykit import disint, dualnorm
+from ergodykit import baserpf, disint, dualnorm
 from ergodykit.cli import _OBSERVABLES, RunConfig, build_system
 from ergodykit.disint import (
     DisintegratedMeasure,
@@ -227,6 +229,22 @@ class TestDisintegrationHolder:
         dm = make_dm(rpf64, np.ones(64), [dirac(0.5, -1.0)] * 64, "m")
         with pytest.raises(ValueError):
             disintegration_holder(dm)
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    def test_coincident_midpoints(self, zeta):
+        # the tie rule of discrete_holder_constant: cells 0 and 2 share a
+        # midpoint, and 1 delta_0.5 against 2 delta_0.5 is at distance 1
+        def holder(w2):
+            dm = DisintegratedMeasure.from_atoms(
+                [0.25, 0.75, 0.25], np.ones(3), [0, 1, 2], [0.5] * 3, [1.0, 2.0, w2], "m", zeta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return disintegration_holder(dm)
+
+        # equal restrictions add no constraint
+        assert holder(1.0) == 1.0 / 0.5**zeta
+        # different ones are not Holder at all
+        assert holder(1.5) == np.inf
 
 
 class TestMultiplyObservable:
@@ -761,8 +779,10 @@ class TestBatchedZetaHalf:
             )
             assert disintegration_holder(a) == pytest.approx(holder, abs=1e-9)
             assert disintegration_holder(a, z) == disintegration_holder(a)
-            # pairs in groups of about 100 atoms: several batched calls
-            with mock.patch.object(disint, "_PAIR_BLOCK_ATOMS", 100):
+            # block pairs of 5 cells, their pairs in runs of about 100 atoms:
+            # several batched calls
+            with (mock.patch.object(disint, "_PAIR_BLOCK_ATOMS", 100),
+                  mock.patch.object(baserpf, "_HOLDER_BLOCK_POINTS", 1)):
                 assert disintegration_holder(a) == pytest.approx(holder, abs=1e-9)
 
     def test_zero_mass_cells_are_skipped(self, system):
@@ -774,9 +794,10 @@ class TestBatchedZetaHalf:
 
 
 class TestPrunedHolder:
-    """At zeta < 1 ``disintegration_holder`` bounds every pair and computes
-    exact distances only where a bound beats the best quotient; the result
-    is the all-pairs maximum bit for bit."""
+    """At zeta < 1 ``disintegration_holder`` walks block pairs of cells,
+    bounds the pairs of each block pair it evaluates, and computes exact
+    distances only where a bound beats the best quotient; the result is
+    the all-pairs maximum bit for bit."""
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -792,7 +813,7 @@ class TestPrunedHolder:
         dm0 = product_measure(1.0, fiber, rpf=rpf, reference="m", zeta=sys_.zeta)
         return ek.iterate_to_equilibrium(sys_, rpf, dm0, tol=0.0, max_iter=steps)[0]
 
-    @pytest.mark.parametrize("n", [12, 24, 48])
+    @pytest.mark.parametrize("n", [12, 24, 48, 65, 256])  # one block up to 64 cells
     def test_holder05_system_matches_all_pairs(self, system, n):
         mu = self._equilibrium(system, n)
         assert np.diff(mu.offsets).mean() > 20  # the level DP is exercised
@@ -803,11 +824,13 @@ class TestPrunedHolder:
     @pytest.mark.parametrize("name", [e.name for e in ek.gallery() if e.build().zeta < 1])
     def test_gallery_matches_all_pairs(self, name):
         # the regularity command's iterate, and an earlier one of several
-        # atoms per cell (mp-discontinuous's quotients are at rounding level)
+        # atoms per cell (mp-discontinuous's quotients are at rounding
+        # level), in one block of 64 cells and in two of 65
         sys_ = ek.gallery_entry(name).build()
-        for mu in (self._equilibrium(sys_, 64, steps=12),
-                   self._equilibrium(sys_, 64, steps=4, fiber=uniform_atoms(5))):
-            assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
+        for n in (64, 65):
+            for mu in (self._equilibrium(sys_, n, steps=12),
+                       self._equilibrium(sys_, n, steps=4, fiber=uniform_atoms(5))):
+                assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
 
     def test_block_edges_crossed(self, system, monkeypatch):
         mu = self._equilibrium(system, 24)
@@ -816,8 +839,10 @@ class TestPrunedHolder:
         monkeypatch.setattr(disint, "_norm_bounds",
                             lambda *a: calls.append(a[0]) or real(*a))
         monkeypatch.setattr(disint, "_PAIR_BLOCK_ATOMS", 150)
+        monkeypatch.setattr(baserpf, "_HOLDER_BLOCK_POINTS", 1)  # 5 blocks of 5 cells
         assert disintegration_holder(mu) == disintegration_holder_all_pairs(mu)
-        # the live pairs were bounded in several blocks, one call each
+        # the live pairs of the block pairs walked were bounded in runs of
+        # about 150 atoms, one call each
         assert len(calls) > 10 and set(calls) == {0.5}
 
     def test_rounding_level_transport_needs_the_slack(self):
@@ -850,8 +875,8 @@ class TestPrunedHolder:
             mu.x[perm], mu.ref_masses[perm], [mu.fiber(k) for k in perm],
             "m", mu.zeta,
         )
-        # the exact zeta < 1 distances: the top pair's from ``_fiber_norms``,
-        # every later one from the ``norms`` of ``_norm_bounds``
+        # the exact zeta < 1 distances: every one from the ``norms`` of
+        # ``_norm_bounds``, and none from ``_fiber_norms``
         real_fiber, real_bounds = disint._fiber_norms, disint._norm_bounds
         exact = []
 
@@ -874,15 +899,54 @@ class TestPrunedHolder:
             assert 1 <= len(exact) <= 20
 
     @pytest.mark.parametrize("z", [0.5, 0.2])
-    def test_bounds_hold_for_every_pair(self, system, z):
-        mu = self._equilibrium(system, 24)
+    def test_bounds_hold_for_every_pair(self, system, z, monkeypatch):
+        mu = self._equilibrium(system, 256)
         idx = np.flatnonzero(mu.ref_masses > 0)
         i, j = (idx[k] for k in np.triu_indices(idx.size, k=1))
         mass = np.bincount(mu.atom_cells, weights=mu.weights, minlength=mu.n)
-        d1 = disint._fiber_norms(1.0, mu, i, mu, j)
-        exact = disint._fiber_norms(z, mu, i, mu, j)
+        d1, exact = (np.concatenate([disint._fiber_norms(e, mu, i[k:k + 2048], mu, j[k:k + 2048])
+                                     for k in range(0, i.size, 2048)]) for e in (1.0, z))
         assert np.all(dualnorm._jensen_bounds(mass[i], mass[j], d1, z) >= exact)
+        # the block-pair bounds disintegration_holder gives the walk, recorded
+        # as the walk reads them
+        seen = {}
+        real = baserpf._holder_block_walk
+
+        def walk(x, zeta, rows, bound, evaluate):
+            def kept(rs, cells, a, b):
+                seen.update(x=x, cells=cells, a=a, b=b, bound=bound(rs, cells, a, b))
+                return seen["bound"]
+            return real(x, zeta, rows, kept, evaluate)
+
+        monkeypatch.setattr(disint, "_holder_block_walk", walk)
         assert disintegration_holder(mu, z) == disintegration_holder_all_pairs(mu, z)
+        x, cells, a, b = seen["x"], seen["cells"], seen["a"], seen["b"]
+        assert cells.shape[0] >= 2
+        # the block pair of every pair (its cells in midpoint order), and the
+        # smallest separation of its pairs, over which the walk divides at most
+        pi, pj = np.searchsorted(x, mu.x[i]), np.searchsorted(x, mu.x[j])
+        pi, pj = np.minimum(pi, pj), np.maximum(pi, pj)
+        block = np.full(2 * cells.shape[:1], -1)
+        block[a, b] = np.arange(a.size)
+        p = block[pi // cells.shape[1], pj // cells.shape[1]]
+        assert np.all(p >= 0)
+        step = np.diff(x[cells], axis=1)
+        step[step <= 0.0] = np.inf
+        gap = np.where(a == b, step.min(axis=1)[a], x[cells[b, 0]] - x[cells[a, -1]])
+        assert np.all(exact <= seen["bound"][0, p])
+        assert np.all(exact / (x[pj] - x[pi]) ** z <= seen["bound"][0, p] / gap[p] ** z)
+
+    def test_memory_is_bounded(self):
+        # the pairs' bounds are never held all at once: one call at
+        # n = 2048 peaked at 145 MB under tracemalloc when they were
+        mu = self._equilibrium(ek.gallery_entry("mp-discontinuous").build(), 2048, steps=12)
+        tracemalloc.start()
+        try:
+            disintegration_holder(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
 
 def _holder05_system(zeta=0.5):
@@ -1045,7 +1109,7 @@ class TestLargest:
         idx = rng.integers(0, 6, size=k)  # candidates, cells repeating
         run = rng.integers(0, runs, size=k)
         denom = rng.uniform(0.1, 3.0, size=k) if scaled else 1.0
-        best = float(rng.uniform(0.0, 2.0)) if floored else None
+        best = float(rng.uniform(0.0, 2.0)) if floored else 0.0
         lower, upper, norms = disint._norm_bounds(zeta, dm, idx)
         calls = []
         got = disint._largest(
@@ -1053,20 +1117,20 @@ class TestLargest:
             run, runs, denom, best,
         )
         quotient = disint._fiber_norms(zeta, dm, idx) / denom
-        want = np.full(runs, 0.0 if best is None else best)
+        want = np.full(runs, best)
         np.maximum.at(want, run, quotient)
         assert got.tobytes() == want.tobytes()
         if k == 0:
-            assert got.tolist() == [0.0 if best is None else best] * runs
+            assert got.tolist() == [best] * runs
         # each round evaluates only candidates whose upper bound beats the
         # best quotient of their group so far (the first of two rounds
         # takes each group's top lower and top upper bound)
         bound = upper / denom
-        held = np.full(runs, 0.0 if best is None else best)
-        if best is None:
-            first = calls.pop(0)
-            assert first.size <= 2 * runs
-            np.maximum.at(held, run[first], quotient[first])
+        held = np.full(runs, best)
+        first = calls.pop(0)
+        assert first.size <= 2 * runs
+        assert np.all(bound[first] > held[run[first]])
+        np.maximum.at(held, run[first], quotient[first])
         assert len(calls) == 1
         assert np.all(bound[calls[0]] > held[run[calls[0]]])
 
